@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -46,19 +45,6 @@ EXIT_GATE_FAILED = 3
 
 class GateError(Exception):
     """A semantic gate (feasibility, promise) rejected the input."""
-
-
-def _workers() -> int:
-    """Worker-count hint from the environment; counting currently runs
-    single-process, so any value >= 1 is accepted and recorded only."""
-    raw = os.environ.get("PLETHTOMO_WORKERS", "1")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"PLETHTOMO_WORKERS must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError(f"PLETHTOMO_WORKERS must be >= 1, got {value}")
-    return value
 
 
 def _emit(payload: dict, fmt: str, out) -> None:
@@ -391,7 +377,6 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on bad usage, which matches the input-error code
         return int(exc.code or 0)
     try:
-        _workers()
         return args.func(args, sys.stdout)
     except GateError as exc:
         print(f"gate failure: {exc}", file=sys.stderr)

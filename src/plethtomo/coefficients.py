@@ -4,10 +4,12 @@ Two independent routes compute every general plethysm coefficient:
 
 * weight multiplicities q_kappa (horizontal-strip DP over the tableau
   alphabet) fed into the Jacobi-Trudi alternating sum over permutations;
-* the full monomial expansion (power-sum route for large instances, literal
-  substitution for small ones) peeled into Schur terms.
+* the power-sum expansion of the plethysm paired against
+  Murnaghan-Nakayama characters (characters.plethysm_schur_multiplicity).
 
-Agreement of the two is one of the repository's standing self-checks.
+general_plethysm takes the first up to JACOBI_TRUDI_MAX_ROWS rows and the
+second above; agreement of the two is one of the repository's standing
+self-checks.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .characters import kronecker as _kronecker_raw
+from .characters import plethysm_schur_multiplicity
 from .partitions import Composition, Partition, canonical, is_partition, partitions_of, transpose
-from .sympoly import decompose_schur, plethysm_poly
 from .tableaux import count_weighted_ssyt, dim_weyl, kostka, ssyt_weights
 
 JACOBI_TRUDI_MAX_ROWS = 9
@@ -127,7 +129,7 @@ def jacobi_trudi_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
 def general_plethysm(lam: Partition, mu: Partition, nu: Partition) -> CoefficientResult:
     """Multiplicity of the lam-irreducible in the plethysm of the mu-Schur
     functor with the nu one.  Dispatches on height: the Jacobi-Trudi sum up
-    to JACOBI_TRUDI_MAX_ROWS rows, leading-monomial peeling above."""
+    to JACOBI_TRUDI_MAX_ROWS rows, the power-sum character pairing above."""
     lam, mu, nu = canonical(lam), canonical(mu), canonical(nu)
     if not (is_partition(lam) and is_partition(mu) and is_partition(nu)):
         raise ValueError("plethysm arguments must be partitions")
@@ -137,9 +139,8 @@ def general_plethysm(lam: Partition, mu: Partition, nu: Partition) -> Coefficien
         value = jacobi_trudi_coeff(lam, mu, nu)
         method = "jacobi-trudi"
     else:
-        poly = plethysm_poly(mu, nu, len(lam))
-        value = dict(decompose_schur(poly)).get(lam, 0)
-        method = "monomial-peel"
+        value = plethysm_schur_multiplicity(lam, mu, nu)
+        method = "power-sum"
     if value < 0:
         raise ArithmeticError(f"negative multiplicity {value} at {lam}; inputs were not characters")
     return CoefficientResult(value, method)
@@ -156,18 +157,6 @@ def plethysm_coeff(lam: Partition, n: int, m: int, variant: Variant) -> Coeffici
         raise ValueError(f"variant must be 'a' or 'b', got {variant!r}")
     nu: Partition = (m,) if m else ()
     return general_plethysm(lam, mu, nu)
-
-
-def full_decomposition(mu: Partition, nu: Partition) -> dict[Partition, int]:
-    """All nonzero general plethysm multiplicities p_lam(mu,nu), computed
-    through general_plethysm (so through both dispatch routes)."""
-    mu, nu = canonical(mu), canonical(nu)
-    out: dict[Partition, int] = {}
-    for lam in partitions_of(sum(mu) * sum(nu)):
-        val = general_plethysm(lam, mu, nu).value
-        if val:
-            out[lam] = val
-    return out
 
 
 def m2_closed_form(n: int, variant: Variant) -> set[Partition]:

@@ -9,14 +9,9 @@ immediate.
 
 from __future__ import annotations
 
-from math import comb
-
 from .characters import plethysm_schur_table
 from .partitions import Composition, Partition, canonical
-from .tableaux import dim_weyl, kostka_row, ssyt_weights
-
-_DIRECT_LETTER_CAP = 400
-_DIRECT_MONOMIAL_CAP = 60_000
+from .tableaux import kostka_row
 
 
 class NotSchurPositiveError(ValueError):
@@ -77,59 +72,15 @@ def schur_poly(nu: Partition, k: int) -> SymPoly:
     return SymPoly(k, dict(kostka_row(nu, k)))
 
 
-def _plethysm_poly_direct(mu: Partition, nu: Partition, k: int) -> SymPoly:
-    """Literal evaluation: substitute the monomials of s_nu (one per tableau)
-    into s_mu and expand, collecting exponent vectors.
+def plethysm_poly(mu: Partition, nu: Partition, k: int) -> SymPoly:
+    """Monomial-basis expansion of the plethysm of s_mu with s_nu in k
+    variables; homogeneous of degree |mu|*|nu|.
 
-    The DP runs over the tableau alphabet in a fixed order; each letter
-    extends the outer shape by a horizontal strip, multiplying in its
-    monomial once per new box.
+    Assembled from the exact Schur expansion of the plethysm (power-sum
+    route, characters.plethysm_schur_table) and Kostka rows.
     """
-    letters = ssyt_weights(nu, k)
-    mu = canonical(mu)
-    if not mu:
-        return SymPoly(k, {(): 1})
-    if not letters:
-        return SymPoly(k, {})
-
-    from .tableaux import _horizontal_strips
-
-    strip_cache: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
-
-    def strips(alpha: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
-        got = strip_cache.get(alpha)
-        if got is None:
-            base = sum(alpha)
-            got = [(b, sum(b) - base) for b in _horizontal_strips(alpha, mu)]
-            strip_cache[alpha] = got
-        return got
-
-    zero_shape = (0,) * len(mu)
-    states: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {(zero_shape, (0,) * k): 1}
-    for w in letters:
-        new: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-        for (alpha, vec), cnt in states.items():
-            for beta, s in strips(alpha):
-                if s == 0:
-                    key = (alpha, vec)
-                else:
-                    key = (beta, tuple(vec[i] + s * w[i] for i in range(k)))
-                new[key] = new.get(key, 0) + cnt
-        states = new
-
-    # the result is symmetric, so the m_kappa coefficient is read off the
-    # sorted exponent vectors alone
-    out: dict[Partition, int] = {}
-    for (alpha, vec), cnt in states.items():
-        if alpha == mu and tuple(sorted(vec, reverse=True)) == vec:
-            key = canonical(vec)
-            out[key] = out.get(key, 0) + cnt
-    return SymPoly(k, out)
-
-
-def _plethysm_poly_from_schur_table(mu: Partition, nu: Partition, k: int) -> SymPoly:
-    """Assemble the monomial expansion from the exact Schur expansion of the
-    plethysm (power-sum route) and Kostka rows."""
+    if k <= 0:
+        raise ValueError("variable count must be positive")
     out: dict[Partition, int] = {}
     for lam, mult in plethysm_schur_table(mu, nu).items():
         if len(lam) > k:
@@ -137,28 +88,6 @@ def _plethysm_poly_from_schur_table(mu: Partition, nu: Partition, k: int) -> Sym
         for pi, kc in kostka_row(lam, k).items():
             out[pi] = out.get(pi, 0) + mult * kc
     return SymPoly(k, out)
-
-
-def plethysm_poly(mu: Partition, nu: Partition, k: int, method: str = "auto") -> SymPoly:
-    """Monomial-basis expansion of the plethysm of s_mu with s_nu in k
-    variables; homogeneous of degree |mu|*|nu|.
-
-    ``method`` picks the algorithm: "direct" substitutes tableau monomials
-    and expands, "power" goes through the power-sum Schur expansion.  Both
-    produce identical output; "auto" switches on instance size.
-    """
-    if k <= 0:
-        raise ValueError("variable count must be positive")
-    mu, nu = canonical(mu), canonical(nu)
-    if method == "auto":
-        letters = dim_weyl(nu, k)
-        monomials = comb(sum(mu) * sum(nu) + k - 1, k - 1) if k > 1 else 1
-        method = "direct" if letters <= _DIRECT_LETTER_CAP and monomials <= _DIRECT_MONOMIAL_CAP else "power"
-    if method == "direct":
-        return _plethysm_poly_direct(mu, nu, k)
-    if method == "power":
-        return _plethysm_poly_from_schur_table(mu, nu, k)
-    raise ValueError(f"unknown method {method!r}")
 
 
 def decompose_schur(f: SymPoly) -> list[tuple[Partition, int]]:

@@ -140,12 +140,3 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == EXIT_OK
     assert json.loads(proc.stdout)["value"] == 1
-
-
-def test_workers_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("PLETHTOMO_WORKERS", "2")
-    code, out, _ = run(["coeff", "a", "[4]", "2", "2"], capsys=capsys)
-    assert code == EXIT_OK
-    monkeypatch.setenv("PLETHTOMO_WORKERS", "zero")
-    code, _, err = run(["coeff", "a", "[4]", "2", "2"], capsys=capsys)
-    assert code == EXIT_INPUT_ERROR

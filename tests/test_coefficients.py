@@ -116,10 +116,30 @@ def test_general_plethysm_examples(args, expected):
 def test_general_plethysm_dispatch_routes():
     tall = (1,) * 12
     res = general_plethysm(tall, (4,), (3,))
-    assert res.method == "monomial-peel"
+    assert res.method == "power-sum"
     short = general_plethysm((12,), (4,), (3,))
     assert short.method == "jacobi-trudi"
-    assert res.value == plethysm_schur_table((4,), (3,)).get(tall, 0)
+    assert res.value == jacobi_trudi_coeff(tall, (4,), (3,))
+
+
+# shapes taller than JACOBI_TRUDI_MAX_ROWS take the power-sum route; the
+# Jacobi-Trudi sum over a single column is cheap enough to check them
+TALL_CASES = [
+    ((1, 1), (1, 1, 1, 1, 1), 1),
+    ((5,), (1, 1), 1),
+    ((2,), (1, 1, 1, 1, 1), 0),
+    ((2,), (5,), 0),
+    ((2, 2, 1), (2,), 0),
+    ((1, 1, 1, 1, 1), (1, 1), 0),
+]
+
+
+@pytest.mark.parametrize("mu,nu,expected", TALL_CASES)
+def test_general_plethysm_tall_matches_jacobi_trudi(mu, nu, expected):
+    tall = (1,) * 10
+    res = general_plethysm(tall, mu, nu)
+    assert res.method == "power-sum"
+    assert res.value == jacobi_trudi_coeff(tall, mu, nu) == expected
 
 
 def test_m2_closed_form_examples():

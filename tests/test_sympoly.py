@@ -1,5 +1,6 @@
 import pytest
 
+from plethtomo.coefficients import weight_multiplicity
 from plethtomo.partitions import partitions_of
 from plethtomo.sympoly import (
     NotSchurPositiveError,
@@ -55,6 +56,9 @@ def test_plethysm_poly_homogeneous():
 
 
 def test_plethysm_poly_direct_equals_power_route():
+    # the m_kappa coefficient of the plethysm is the weight multiplicity
+    # q_kappa, counted directly by the horizontal-strip DP over the tableau
+    # alphabet; plethysm_poly assembles it from the power-sum Schur table
     cases = [
         ((2,), (3,), 3),
         ((1, 1), (3,), 4),
@@ -66,7 +70,10 @@ def test_plethysm_poly_direct_equals_power_route():
         ((4,), (2,), 3),
     ]
     for mu, nu, k in cases:
-        assert plethysm_poly(mu, nu, k, method="direct") == plethysm_poly(mu, nu, k, method="power")
+        poly = plethysm_poly(mu, nu, k)
+        for kappa in partitions_of(sum(mu) * sum(nu)):
+            if len(kappa) <= k:
+                assert poly.coefficient(kappa) == weight_multiplicity(mu, nu, kappa, k), (mu, nu, kappa)
 
 
 def test_decompose_schur_idempotent_on_schur():
