@@ -5,7 +5,9 @@ count (tomography instances from JSON), reduce (stage-by-stage reduction
 traces), verify (invariant suites), table (worked-example summary rows).
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input,
-3 semantic gate failure (infeasible instance, failed promise, ...).
+3 semantic gate failure (infeasible instance, failed promise, ...) or an
+instance over the size cap (a counter that recurses per cell or candidate
+ran out of interpreter stack).
 """
 
 from __future__ import annotations
@@ -380,6 +382,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args, sys.stdout)
     except GateError as exc:
         print(f"gate failure: {exc}", file=sys.stderr)
+        return EXIT_GATE_FAILED
+    except RecursionError:
+        print("over the size cap: the instance needs deeper recursion than the interpreter allows", file=sys.stderr)
         return EXIT_GATE_FAILED
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

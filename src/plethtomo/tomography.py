@@ -9,16 +9,20 @@ marginals on a triangular grid layer or in all of N^3.
 Two complementary counting engines are implemented, both exact:
 
 * a level engine that walks coordinate-sum layers in increasing order with
-  lower/upper bounds on the achievable total coordinate sum; instances
-  whose coordinate sum is close to the minimum for their size collapse to a
-  few forced layers, which is what makes pipeline-scale promise instances
-  countable;
+  lower/upper bounds on the achievable total coordinate sum.  A layer on
+  which the bounds rule out skipping even one point is forced and taken
+  whole in one step; at the minimum coordinate sum every layer below the
+  top one is forced, which is what makes pipeline-scale promise instances
+  (thousands of candidate points) countable.  The remaining layers run
+  take/skip on an explicit stack, so no interpreter recursion limit
+  applies to it;
 * an index engine that repeatedly resolves the highest marginal index with
   positive residual; better suited to small instances far above the
-  minimum coordinate sum.
+  minimum coordinate sum.  It recurses once per candidate it decides.
 
-Dispatch is on that distance ("excess").  Results of the two agree
-everywhere; the tests exercise them against each other.
+Dispatch is on that distance ("excess"): the level engine up to an excess
+of 3, the index engine above.  Results of the two agree everywhere; the
+tests check both against each other and against an exponential oracle.
 """
 
 from __future__ import annotations
@@ -202,20 +206,19 @@ def _marginal_of(p: Point, length: int) -> tuple[int, ...]:
 
 
 def _candidates(lam: tuple[int, ...], kind: ConeKind) -> list[Point]:
-    """Cone points whose own marginal fits under lam (coordinates confined
-    to the marginal support)."""
-    length = len(lam)
+    """Cone points whose own marginal fits under lam, in lexicographic
+    order.  Coordinates range over the support of lam only, so the fit
+    needs checking only where coordinates repeat."""
+    support = [i for i, v in enumerate(lam) if v > 0]
+    weak = kind == "closed"
     out = []
-    for x in range(length):
-        for y in range(min(x, length - 1) + 1) if kind == "closed" else range(min(x - 1, length - 1) + 1):
-            for z in range(y + 1) if kind == "closed" else range(y):
-                p = (x, y, z)
-                m = [0] * length
-                m[x] += 1
-                m[y] += 1
-                m[z] += 1
-                if all(m[i] <= lam[i] for i in range(length)):
-                    out.append(p)
+    for a, x in enumerate(support):
+        ys = support[: a + 1] if weak else support[:a]
+        for b, y in enumerate(ys):
+            for z in ys[: b + 1] if weak else ys[:b]:
+                if (x == y or y == z) and lam[y] < 1 + (x == y) + (y == z):
+                    continue
+                out.append((x, y, z))
     return out
 
 
@@ -239,6 +242,18 @@ def _closure_filter(cands: list[Point], kind: ConeKind) -> tuple[list[Point], di
     return kept, {p: dom[p] for p in kept}
 
 
+# stack frame kinds of the level engine
+_VISIT, _TAKE, _UNDO_POINT, _UNDO_LAYER = range(4)
+
+
+def _shift(residual: list[int], points: list[Point], step: int) -> None:
+    """Add step times the sum-marginal of points to residual."""
+    for x, y, z in points:
+        residual[x] += step
+        residual[y] += step
+        residual[z] += step
+
+
 def _count_levelwise(lam: tuple[int, ...], kind: ConeKind, pyramids_only: bool) -> int:
     """Count point sets (or pyramids) with sum-marginal lam by choosing the
     subset of each coordinate-sum layer in increasing order.
@@ -246,11 +261,13 @@ def _count_levelwise(lam: tuple[int, ...], kind: ConeKind, pyramids_only: bool) 
     Feasibility pruning: with m points still to place and B_res coordinate
     sum still to spend, filling the m cheapest available slots from the
     current layer up must not exceed B_res, and the m most expensive must
-    reach it.  Pyramid closure is checked incrementally: all points a
-    candidate dominates live in lower layers, already decided.
+    reach it.  A layer on which that bound rules out skipping even one
+    point is forced: it is taken whole in one step.  The other layers run
+    take/skip on an explicit stack of frames (kind, layer, position, m,
+    B_res), so the interpreter's stack depth does not grow with the number
+    of candidates.  Pyramid closure is checked as points are taken: all
+    points a candidate dominates live in lower layers, already decided.
     """
-    n = sum(lam) // 3
-    target_b = coordinate_sum(lam)
     cands = _candidates(lam, kind)
     dom: dict[Point, tuple[Point, ...]] = {}
     if pyramids_only:
@@ -259,7 +276,8 @@ def _count_levelwise(lam: tuple[int, ...], kind: ConeKind, pyramids_only: bool) 
     for p in cands:
         by_level.setdefault(p[0] + p[1] + p[2], []).append(p)
     levels = sorted(by_level)
-    avail = [len(by_level[j]) for j in levels]
+    pools = [by_level[j] for j in levels]
+    avail = [len(pool) for pool in pools]
 
     nlev = len(levels)
     suffix_cap = [0] * (nlev + 1)
@@ -286,12 +304,10 @@ def _count_levelwise(lam: tuple[int, ...], kind: ConeKind, pyramids_only: bool) 
             j -= 1
         return total
 
-    length = len(lam)
-    chosen: set[Point] = set()
-
     def feasible(level_idx: int, here_avail: int, m: int, b_res: int) -> bool:
         """Can m more points spending exactly b_res still be placed, with
-        here_avail slots left on the current layer and full layers above?"""
+        here_avail slots left on the current layer and full layers above?
+        Monotone in here_avail."""
         if suffix_cap[level_idx + 1] + here_avail < m:
             return False
         # cheapest completion: grab current-layer slots first
@@ -305,127 +321,133 @@ def _count_levelwise(lam: tuple[int, ...], kind: ConeKind, pyramids_only: bool) 
         hi += min(here_avail, rest) * levels[level_idx]
         return hi >= b_res
 
-    def subsets(level_idx: int, pool: list[Point], pos: int, residual: list[int], m: int, b_res: int) -> int:
-        """Take/skip over this layer's pool, then descend to the next layer."""
-        if pos == len(pool):
-            return level(level_idx + 1, residual, m, b_res)
-        if not feasible(level_idx, len(pool) - pos, m, b_res):
+    def after(i: int, pos: int) -> tuple[int, int]:
+        """The (layer, position) that follows position pos of layer i."""
+        return (i + 1, 0) if pos + 1 == avail[i] else (i, pos + 1)
+
+    residual = list(lam)
+    chosen: set[Point] = set()
+    count = 0
+    stack = [(_VISIT, 0, 0, sum(lam) // 3, coordinate_sum(lam))]
+    while stack:
+        op, i, pos, m, b_res = stack.pop()
+        if op == _VISIT:
+            if m == 0:
+                count += not any(residual)
+                continue
+            if pos == 0:
+                if i == nlev or not feasible(i, avail[i], m, b_res):
+                    continue
+                if not feasible(i, avail[i] - 1, m, b_res):
+                    # forced layer: every point of it is in every completion
+                    pool = pools[i]
+                    if pyramids_only and not all(chosen.issuperset(dom[p]) for p in pool):
+                        continue
+                    _shift(residual, pool, -1)
+                    if min(residual) < 0:
+                        _shift(residual, pool, 1)
+                        continue
+                    chosen.update(pool)
+                    stack.append((_UNDO_LAYER, i, 0, 0, 0))
+                    stack.append((_VISIT, i + 1, 0, m - avail[i], b_res - avail[i] * levels[i]))
+                    continue
+                skip = True
+            else:
+                here = avail[i] - pos
+                if not feasible(i, here, m, b_res):
+                    continue
+                skip = feasible(i, here - 1, m, b_res)
+            stack.append((_TAKE, i, pos, m, b_res))
+            if skip:
+                stack.append((_VISIT, *after(i, pos), m, b_res))
+        elif op == _TAKE:
+            p = pools[i][pos]
+            x, y, z = p
+            residual[x] -= 1
+            residual[y] -= 1
+            residual[z] -= 1
+            if residual[x] < 0 or residual[y] < 0 or residual[z] < 0 or (
+                pyramids_only and not chosen.issuperset(dom[p])
+            ):
+                residual[x] += 1
+                residual[y] += 1
+                residual[z] += 1
+                continue
+            chosen.add(p)
+            stack.append((_UNDO_POINT, i, pos, 0, 0))
+            stack.append((_VISIT, *after(i, pos), m - 1, b_res - levels[i]))
+        elif op == _UNDO_POINT:
+            p = pools[i][pos]
+            residual[p[0]] += 1
+            residual[p[1]] += 1
+            residual[p[2]] += 1
+            chosen.discard(p)
+        else:
+            _shift(residual, pools[i], 1)
+            chosen.difference_update(pools[i])
+    return count
+
+
+class _IndexSearch:
+    """The recursion of _count_by_index.  Its state lives on this object
+    rather than in mutually recursive closures, which would form a
+    reference cycle that outlives every call."""
+
+    __slots__ = ("kind", "pyramids_only", "chosen")
+
+    def __init__(self, kind: ConeKind, pyramids_only: bool):
+        self.kind = kind
+        self.pyramids_only = pyramids_only
+        self.chosen: list[Point] = []
+
+    def rec(self, pool: list[Point], residual: list[int]) -> int:
+        j = -1
+        for i in range(len(residual) - 1, -1, -1):
+            if residual[i] > 0:
+                j = i
+                break
+        if j < 0:
+            if self.pyramids_only and not is_pyramid(self.chosen, self.kind):
+                return 0
+            return 1
+        touching = [p for p in pool if p[0] == j or p[1] == j or p[2] == j]
+        rest = [p for p in pool if not (p[0] == j or p[1] == j or p[2] == j)]
+        return self.pick(touching, rest, j, 0, list(residual), residual[j])
+
+    def pick(self, touching: list[Point], rest: list[Point], j: int, pos: int, residual: list[int], need_j: int) -> int:
+        if need_j == 0:
+            return self.rec(rest, residual)
+        if pos == len(touching):
             return 0
         total = 0
-        if feasible(level_idx, len(pool) - pos - 1, m, b_res):
-            total += subsets(level_idx, pool, pos + 1, residual, m, b_res)
-        if m == 0:
-            return total
-        p = pool[pos]
+        # not enough j-contribution left in the pool
+        contrib_left = 0
+        for q in touching[pos:]:
+            contrib_left += (q[0] == j) + (q[1] == j) + (q[2] == j)
+            if contrib_left >= need_j:
+                break
+        if contrib_left < need_j:
+            return 0
+        p = touching[pos]
+        length = len(residual)
         mvec = _marginal_of(p, length)
-        if any(residual[i] < mvec[i] for i in range(length)):
-            return total
-        if pyramids_only and any(q not in chosen for q in dom[p]):
-            return total
-        for i in range(length):
-            residual[i] -= mvec[i]
-        chosen.add(p)
-        total += subsets(level_idx, pool, pos + 1, residual, m - 1, b_res - levels[level_idx])
-        chosen.discard(p)
-        for i in range(length):
-            residual[i] += mvec[i]
+        if all(residual[i] >= mvec[i] for i in range(length)):
+            for i in range(length):
+                residual[i] -= mvec[i]
+            self.chosen.append(p)
+            total += self.pick(touching, rest, j, pos + 1, residual, need_j - mvec[j])
+            self.chosen.pop()
+            for i in range(length):
+                residual[i] += mvec[i]
+        total += self.pick(touching, rest, j, pos + 1, residual, need_j)
         return total
-
-    def level(level_idx: int, residual: list[int], m: int, b_res: int) -> int:
-        if m == 0:
-            return 1 if all(v == 0 for v in residual) else 0
-        if level_idx == nlev or suffix_cap[level_idx] < m:
-            return 0
-        if min_spend(level_idx, m) > b_res or max_spend(level_idx, m) < b_res:
-            return 0
-        return subsets(level_idx, by_level[levels[level_idx]], 0, residual, m, b_res)
-
-    return level(0, list(lam), n, target_b)
 
 
 def _count_by_index(lam: tuple[int, ...], kind: ConeKind, pyramids_only: bool) -> int:
     """Count by resolving the highest index with positive residual: pick the
     sub-multiset of candidates touching that index whose contribution there
     is exact, then recurse on the rest (which may no longer touch it)."""
-    cands = _candidates(lam, kind)
-    length = len(lam)
-    chosen: list[Point] = []
-
-    def rec(pool: list[Point], residual: list[int]) -> int:
-        j = -1
-        for i in range(length - 1, -1, -1):
-            if residual[i] > 0:
-                j = i
-                break
-        if j < 0:
-            if pyramids_only and not is_pyramid(chosen, kind):
-                return 0
-            return 1
-        touching = [p for p in pool if p[0] == j or p[1] == j or p[2] == j]
-        rest = [p for p in pool if not (p[0] == j or p[1] == j or p[2] == j)]
-
-        def pick(pos: int, residual: list[int], need_j: int) -> int:
-            if need_j == 0:
-                return rec(rest, residual)
-            if pos == len(touching):
-                return 0
-            total = 0
-            # not enough j-contribution left in the pool
-            contrib_left = 0
-            for q in touching[pos:]:
-                contrib_left += (q[0] == j) + (q[1] == j) + (q[2] == j)
-                if contrib_left >= need_j:
-                    break
-            if contrib_left < need_j:
-                return 0
-            p = touching[pos]
-            mvec = _marginal_of(p, length)
-            if all(residual[i] >= mvec[i] for i in range(length)):
-                for i in range(length):
-                    residual[i] -= mvec[i]
-                chosen.append(p)
-                total += pick(pos + 1, residual, need_j - mvec[j])
-                chosen.pop()
-                for i in range(length):
-                    residual[i] += mvec[i]
-            total += pick(pos + 1, residual, need_j)
-            return total
-
-        return pick(0, list(residual), residual[j])
-
-    return rec(cands, list(lam))
-
-
-def _count_reference(lam: tuple[int, ...], kind: ConeKind, pyramids_only: bool) -> int:
-    """Plain take/skip enumeration over all candidates; exponential and only
-    suitable for tiny instances.  Kept as an independent cross-check."""
-    cands = _candidates(lam, kind)
-    length = len(lam)
-    n = sum(lam) // 3
-
-    def rec(idx: int, residual: list[int], m: int, chosen: list[Point]) -> int:
-        if m == 0:
-            if any(residual):
-                return 0
-            if pyramids_only and not is_pyramid(chosen, kind):
-                return 0
-            return 1
-        if idx == len(cands) or len(cands) - idx < m:
-            return 0
-        total = rec(idx + 1, residual, m, chosen)
-        p = cands[idx]
-        mvec = _marginal_of(p, length)
-        if all(residual[i] >= mvec[i] for i in range(length)):
-            for i in range(length):
-                residual[i] -= mvec[i]
-            chosen.append(p)
-            total += rec(idx + 1, residual, m - 1, chosen)
-            chosen.pop()
-            for i in range(length):
-                residual[i] += mvec[i]
-        return total
-
-    return rec(0, list(lam), n, [])
+    return _IndexSearch(kind, pyramids_only).rec(_candidates(lam, kind), list(lam))
 
 
 def _count(lam: Composition, kind: ConeKind, pyramids_only: bool) -> int:

@@ -1,7 +1,10 @@
 import io
 import json
 
+import pytest
+
 from plethtomo.cli import EXIT_GATE_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
+from plethtomo.tomography import count_2dxray, instance_from_dict
 
 
 def run(argv, stdin_text=None, monkeypatch=None, capsys=None):
@@ -96,6 +99,35 @@ def test_reduce_gate_failure(capsys, monkeypatch):
     code, _, err = run(["reduce", inst], capsys=capsys)
     assert code == EXIT_GATE_FAILED
     assert "gate failure" in err
+
+
+@pytest.mark.parametrize(
+    "marginals, want",
+    [
+        ({"x": [3, 0, 1], "y": [1, 3], "z": [0, 1, 3]}, 0),
+        ({"x": [2, 1, 1], "y": [2, 1, 1], "z": [1, 1, 1, 1]}, 2),
+    ],
+)
+def test_reduce_resolve_range_three(capsys, marginals, want):
+    # the promise instances of range 3 have over 8000 candidate points each
+    data = {"kind": "2dxray", "r": 3, "marginals": marginals}
+    code, out, err = run(["reduce", json.dumps(data), "--resolve", "--format", "json"], capsys=capsys)
+    assert code == EXIT_OK, err
+    values = [stage["value"] for stage in json.loads(out) if "value" in stage]
+    assert values == [want] * 3
+    assert count_2dxray(instance_from_dict(data)) == want
+
+
+def test_recursion_error_maps_to_size_cap(capsys, monkeypatch):
+    def too_deep(data):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("plethtomo.cli.count_instance", too_deep)
+    data = {"kind": "sym3d", "cone": "closed", "marginals": {"sum": [3]}}
+    code, out, err = run(["count", json.dumps(data)], capsys=capsys)
+    assert code == EXIT_GATE_FAILED
+    assert out == ""
+    assert err.startswith("over the size cap") and len(err.splitlines()) == 1
 
 
 def test_verify_suites_pass(capsys, monkeypatch):

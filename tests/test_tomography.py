@@ -1,9 +1,14 @@
+import gc
 import itertools
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plethtomo.partitions import add, canonical, compositions_of, is_partition, partitions_of, transpose
 from plethtomo.coefficients import plethysm_coeff
+from plethtomo.reductions import embed_pyramid_3d, symmetrize_2d
 from plethtomo.tomography import (
     XRayInstance2D,
     axis_marginals,
@@ -26,7 +31,7 @@ from plethtomo.tomography import (
     xi,
     xi_by_enumeration,
 )
-from plethtomo.tomography import _count_by_index, _count_levelwise, _count_reference
+from plethtomo.tomography import _candidates, _count_by_index, _count_levelwise
 
 FIGURE_POINTS = [(0, 3, 4), (0, 6, 1), (1, 4, 2), (1, 5, 1), (2, 1, 4), (4, 0, 3), (4, 2, 1), (4, 3, 0), (6, 1, 0)]
 
@@ -151,6 +156,49 @@ def test_count_pyramids_examples():
     assert count_pyramids((0, 3), "closed") == 0  # non-partition marginal
 
 
+def _naive_candidates(lam, kind):
+    """Every cone point with coordinates below len(lam) whose own marginal
+    fits under lam, in lexicographic order."""
+    out = []
+    for p in itertools.product(range(len(lam)), repeat=3):
+        if in_cone(p, kind) and all(p.count(i) <= lam[i] for i in set(p)):
+            out.append(p)
+    return out
+
+
+def _count_reference(lam, kind, pyramids_only):
+    """Exponential test oracle: plain take/skip over every candidate point,
+    pruned only by the residual marginal, with pyramid closure checked on
+    whole sets.  Only for tiny instances; the production engines are
+    checked against it."""
+    cands = _naive_candidates(lam, kind)
+    length = len(lam)
+
+    def rec(idx, residual, m, chosen):
+        if m == 0:
+            if any(residual):
+                return 0
+            if pyramids_only and not is_pyramid(chosen, kind):
+                return 0
+            return 1
+        if idx == len(cands) or len(cands) - idx < m:
+            return 0
+        total = rec(idx + 1, residual, m, chosen)
+        p = cands[idx]
+        mvec = [p.count(i) for i in range(length)]
+        if all(residual[i] >= mvec[i] for i in range(length)):
+            for i in range(length):
+                residual[i] -= mvec[i]
+            chosen.append(p)
+            total += rec(idx + 1, residual, m - 1, chosen)
+            chosen.pop()
+            for i in range(length):
+                residual[i] += mvec[i]
+        return total
+
+    return rec(0, list(lam), sum(lam) // 3, [])
+
+
 def test_counting_engines_agree():
     for total in (3, 6):
         for length in range(1, 6):
@@ -175,6 +223,89 @@ def test_counting_engines_agree_on_larger_partitions():
         for kind in ("open", "closed"):
             assert _count_levelwise(lam, kind, False) == _count_by_index(lam, kind, False), (lam, kind)
             assert _count_levelwise(lam, kind, True) == _count_by_index(lam, kind, True), (lam, kind)
+
+
+@st.composite
+def _small_compositions(draw):
+    """Compositions of size <= 9 with up to 7 parts (stars and bars)."""
+    size = draw(st.integers(1, 9))
+    length = draw(st.integers(1, 7))
+    bars = sorted(draw(st.lists(st.integers(0, size), min_size=length - 1, max_size=length - 1)))
+    ends = [0, *bars, size]
+    return tuple(ends[i + 1] - ends[i] for i in range(length))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(comp=_small_compositions(), kind=st.sampled_from(["open", "closed"]))
+def test_level_engine_matches_oracle_and_index_engine(comp, kind):
+    lam = canonical(comp)
+    if not lam:
+        return
+    assert _candidates(lam, kind) == _naive_candidates(lam, kind)
+    for pyramids_only, count in ((False, count_point_sets), (True, count_pyramids)):
+        ref = _count_reference(lam, kind, pyramids_only)
+        assert _count_levelwise(lam, kind, pyramids_only) == ref
+        assert _count_by_index(lam, kind, pyramids_only) == ref
+        assert count(lam, kind) == (ref if sum(lam) % 3 == 0 else 0)
+
+
+def _layer_vectors(r, k):
+    """Vectors on [0, r] of size 3k whose coordinate sum is r*k: the
+    marginals a k-point subset of layer r could have."""
+    for vec in compositions_of(3 * k, r + 1):
+        if coordinate_sum(vec) == r * k:
+            yield vec
+
+
+def test_engines_agree_on_forced_layers():
+    # the complete pyramid below layer r is forced whole; the layer itself
+    # is free, or forced too when every point of it is needed.  The open
+    # cone has no points below layer 3, so it goes two layers further.
+    checked = 0
+    for kind, r_max in (("closed", 3), ("open", 5)):
+        for r in range(r_max + 1):
+            base = sum_marginal(complete_pyramid(r - 1, kind))
+            for k in range(1, xi(r, kind) + 2):
+                for vec in _layer_vectors(r, k):
+                    lam = add(base, vec)
+                    for pyramids_only in (False, True):
+                        ref = _count_reference(lam, kind, pyramids_only)
+                        assert _count_levelwise(lam, kind, pyramids_only) == ref, (lam, kind, pyramids_only)
+                        assert _count_by_index(lam, kind, pyramids_only) == ref, (lam, kind, pyramids_only)
+                        checked += ref > 0
+    assert checked >= 20
+
+
+def test_range_three_promise_instance_under_a_low_recursion_limit():
+    inst = XRayInstance2D(3, (2, 1, 1), (2, 1, 1), (1, 1, 1, 1))
+    sym = symmetrize_2d(inst, "closed")
+    lam = embed_pyramid_3d(sym.marginal, sym.grid_r, "closed").marginal
+    assert is_promise_instance(lam, "closed")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(400)
+    try:
+        got = count_point_sets(lam, "closed")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == count_2dxray(inst) == 2
+
+
+def test_counting_leaves_no_reference_cycles():
+    promise = add(sum_marginal(complete_pyramid(12, "open")), (2, 0, 0, 1, 1, 0, 0, 0, 0, 1, 1))
+    # the promise instance runs the level engine, (3,3,2,1) the index engine
+    for count, lam, kind in (
+        (count_point_sets, promise, "open"),
+        (count_pyramids, promise, "open"),
+        (count_point_sets, (3, 3, 2, 1), "closed"),
+        (count_pyramids, (3, 3, 2, 1), "closed"),
+    ):
+        gc.collect()
+        gc.disable()
+        try:
+            count(lam, kind)
+            assert gc.collect() == 0, (count.__name__, lam)
+        finally:
+            gc.enable()
 
 
 def test_pyramid_marginals_are_partitions():
