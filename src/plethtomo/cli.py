@@ -6,8 +6,8 @@ traces), verify (invariant suites), table (worked-example summary rows).
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input,
 3 semantic gate failure (infeasible instance, failed promise, ...) or an
-instance over the size cap (a counter that recurses per cell or candidate
-ran out of interpreter stack).
+instance over the size cap (a grid counter that recurses per cell ran out
+of interpreter stack).
 """
 
 from __future__ import annotations

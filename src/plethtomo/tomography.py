@@ -6,23 +6,25 @@ coordinate histograms; counters answer how many point sets (or pyramids)
 realize a prescribed sum-marginal, and how many realize prescribed per-axis
 marginals on a triangular grid layer or in all of N^3.
 
-Two complementary counting engines are implemented, both exact:
+Sum-marginal instances, whole-cone or restricted to one grid layer, are
+counted exactly by one engine, at every distance ("excess") above the
+minimum coordinate sum.  It walks coordinate-sum layers in increasing order
+with lower/upper bounds on the achievable total coordinate sum.  A layer on
+which the bounds rule out skipping even one point is forced and taken whole
+in one step; at the minimum coordinate sum every layer below the top one is
+forced, which is what makes pipeline-scale promise instances (thousands of
+candidate points) countable.  The remaining layers run take/skip on an
+explicit stack, so no interpreter recursion limit applies to it.
 
-* a level engine that walks coordinate-sum layers in increasing order with
-  lower/upper bounds on the achievable total coordinate sum.  A layer on
-  which the bounds rule out skipping even one point is forced and taken
-  whole in one step; at the minimum coordinate sum every layer below the
-  top one is forced, which is what makes pipeline-scale promise instances
-  (thousands of candidate points) countable.  The remaining layers run
-  take/skip on an explicit stack, so no interpreter recursion limit
-  applies to it;
-* an index engine that repeatedly resolves the highest marginal index with
-  positive residual; better suited to small instances far above the
-  minimum coordinate sum.  It recurses once per candidate it decides.
-
-Dispatch is on that distance ("excess"): the level engine up to an excess
-of 3, the index engine above.  Results of the two agree everywhere; the
-tests check both against each other and against an exponential oracle.
+For point sets, the number of completions at a layer boundary depends only
+on the layer and the residual marginal, so each call memoizes it at the
+start of every layer that is not forced.
+Pyramids get no memo, because their completions depend on the points
+already chosen.  Instead, pyramid closure is checked as points are taken,
+against each point's at most three lower covers in the cone: they generate
+its whole dominated set, and lower layers are already decided and closed.
+The tests check the engine against an exponential oracle and against an
+independent index-order search.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ from .partitions import Composition, canonical, pad
 
 Point = tuple[int, int, int]
 ConeKind = Literal["open", "closed"]
-
-_LEVEL_ENGINE_EXCESS_CAP = 3
 
 
 def in_cone(p: Point, kind: ConeKind) -> bool:
@@ -197,14 +197,6 @@ def is_promise_instance(lam: Composition, kind: ConeKind) -> bool:
 # counting engines
 
 
-def _marginal_of(p: Point, length: int) -> tuple[int, ...]:
-    m = [0] * length
-    m[p[0]] += 1
-    m[p[1]] += 1
-    m[p[2]] += 1
-    return tuple(m)
-
-
 def _candidates(lam: tuple[int, ...], kind: ConeKind) -> list[Point]:
     """Cone points whose own marginal fits under lam, in lexicographic
     order.  Coordinates range over the support of lam only, so the fit
@@ -224,26 +216,26 @@ def _candidates(lam: tuple[int, ...], kind: ConeKind) -> list[Point]:
 
 def _closure_filter(cands: list[Point], kind: ConeKind) -> tuple[list[Point], dict[Point, tuple[Point, ...]]]:
     """Restrict to points whose full dominated set stays inside the
-    candidate pool (a pyramid can never contain the others), and record the
-    dominated sets."""
-    pool = set(cands)
+    candidate pool (a pyramid can never contain the others), and record
+    each kept point's lower covers: the cone points one unit step below it.
+
+    The covers generate the whole dominated set inside the cone (lower z,
+    then y, then x, and every step stays in the cone), so one pass decides
+    each point from its covers alone.  cands must be in lexicographic order
+    (as _candidates returns them), in which every cover comes first."""
+    kept: list[Point] = []
     dom: dict[Point, tuple[Point, ...]] = {}
-    changed = True
-    while changed:
-        changed = False
-        for p in sorted(pool, key=lambda q: (q[0] + q[1] + q[2], q)):
-            below = tuple(_dominated(p, kind))
-            if any(q not in pool for q in below):
-                pool.discard(p)
-                changed = True
-            else:
-                dom[p] = below
-    kept = [p for p in cands if p in pool]
-    return kept, {p: dom[p] for p in kept}
+    for p in cands:
+        x, y, z = p
+        covers = tuple(q for q in ((x - 1, y, z), (x, y - 1, z), (x, y, z - 1)) if in_cone(q, kind))
+        if all(q in dom for q in covers):
+            kept.append(p)
+            dom[p] = covers
+    return kept, dom
 
 
 # stack frame kinds of the level engine
-_VISIT, _TAKE, _UNDO_POINT, _UNDO_LAYER = range(4)
+_VISIT, _TAKE, _UNDO_POINT, _UNDO_LAYER, _STORE = range(5)
 
 
 def _shift(residual: list[int], points: list[Point], step: int) -> None:
@@ -254,9 +246,10 @@ def _shift(residual: list[int], points: list[Point], step: int) -> None:
         residual[z] += step
 
 
-def _count_levelwise(lam: tuple[int, ...], kind: ConeKind, pyramids_only: bool) -> int:
+def _count_levelwise(lam: tuple[int, ...], kind: ConeKind, pyramids_only: bool, layer: int | None = None) -> int:
     """Count point sets (or pyramids) with sum-marginal lam by choosing the
-    subset of each coordinate-sum layer in increasing order.
+    subset of each coordinate-sum layer in increasing order.  With layer
+    given, only the points of that coordinate sum are candidates.
 
     Feasibility pruning: with m points still to place and B_res coordinate
     sum still to spend, filling the m cheapest available slots from the
@@ -265,10 +258,21 @@ def _count_levelwise(lam: tuple[int, ...], kind: ConeKind, pyramids_only: bool) 
     point is forced: it is taken whole in one step.  The other layers run
     take/skip on an explicit stack of frames (kind, layer, position, m,
     B_res), so the interpreter's stack depth does not grow with the number
-    of candidates.  Pyramid closure is checked as points are taken: all
-    points a candidate dominates live in lower layers, already decided.
+    of candidates.
+
+    Point sets: m and B_res are functions of the residual marginal, so the
+    number of completions at a layer boundary depends only on (layer,
+    residual).  It is memoized for the duration of the call at the start
+    of every layer that is not forced (a forced layer has one child, so a
+    hit there saves one step): a _STORE frame (carrying the key in place
+    of the position and the count on entry in place of m) records the
+    difference once the depth-first subtree below it is done.  Pyramids:
+    closure is checked as points are taken, against the lower covers from
+    _closure_filter; they live one layer down, already decided and closed.
     """
     cands = _candidates(lam, kind)
+    if layer is not None:
+        cands = [p for p in cands if p[0] + p[1] + p[2] == layer]
     dom: dict[Point, tuple[Point, ...]] = {}
     if pyramids_only:
         cands, dom = _closure_filter(cands, kind)
@@ -327,6 +331,7 @@ def _count_levelwise(lam: tuple[int, ...], kind: ConeKind, pyramids_only: bool) 
 
     residual = list(lam)
     chosen: set[Point] = set()
+    memo: dict[tuple[int, tuple[int, ...]], int] = {}
     count = 0
     stack = [(_VISIT, 0, 0, sum(lam) // 3, coordinate_sum(lam))]
     while stack:
@@ -351,6 +356,13 @@ def _count_levelwise(lam: tuple[int, ...], kind: ConeKind, pyramids_only: bool) 
                     stack.append((_UNDO_LAYER, i, 0, 0, 0))
                     stack.append((_VISIT, i + 1, 0, m - avail[i], b_res - avail[i] * levels[i]))
                     continue
+                if not pyramids_only:
+                    key = (i, tuple(residual))
+                    hit = memo.get(key)
+                    if hit is not None:
+                        count += hit
+                        continue
+                    stack.append((_STORE, i, key, count, 0))
                 skip = True
             else:
                 here = avail[i] - pos
@@ -382,72 +394,12 @@ def _count_levelwise(lam: tuple[int, ...], kind: ConeKind, pyramids_only: bool) 
             residual[p[1]] += 1
             residual[p[2]] += 1
             chosen.discard(p)
-        else:
+        elif op == _UNDO_LAYER:
             _shift(residual, pools[i], 1)
             chosen.difference_update(pools[i])
+        else:
+            memo[pos] = count - m
     return count
-
-
-class _IndexSearch:
-    """The recursion of _count_by_index.  Its state lives on this object
-    rather than in mutually recursive closures, which would form a
-    reference cycle that outlives every call."""
-
-    __slots__ = ("kind", "pyramids_only", "chosen")
-
-    def __init__(self, kind: ConeKind, pyramids_only: bool):
-        self.kind = kind
-        self.pyramids_only = pyramids_only
-        self.chosen: list[Point] = []
-
-    def rec(self, pool: list[Point], residual: list[int]) -> int:
-        j = -1
-        for i in range(len(residual) - 1, -1, -1):
-            if residual[i] > 0:
-                j = i
-                break
-        if j < 0:
-            if self.pyramids_only and not is_pyramid(self.chosen, self.kind):
-                return 0
-            return 1
-        touching = [p for p in pool if p[0] == j or p[1] == j or p[2] == j]
-        rest = [p for p in pool if not (p[0] == j or p[1] == j or p[2] == j)]
-        return self.pick(touching, rest, j, 0, list(residual), residual[j])
-
-    def pick(self, touching: list[Point], rest: list[Point], j: int, pos: int, residual: list[int], need_j: int) -> int:
-        if need_j == 0:
-            return self.rec(rest, residual)
-        if pos == len(touching):
-            return 0
-        total = 0
-        # not enough j-contribution left in the pool
-        contrib_left = 0
-        for q in touching[pos:]:
-            contrib_left += (q[0] == j) + (q[1] == j) + (q[2] == j)
-            if contrib_left >= need_j:
-                break
-        if contrib_left < need_j:
-            return 0
-        p = touching[pos]
-        length = len(residual)
-        mvec = _marginal_of(p, length)
-        if all(residual[i] >= mvec[i] for i in range(length)):
-            for i in range(length):
-                residual[i] -= mvec[i]
-            self.chosen.append(p)
-            total += self.pick(touching, rest, j, pos + 1, residual, need_j - mvec[j])
-            self.chosen.pop()
-            for i in range(length):
-                residual[i] += mvec[i]
-        total += self.pick(touching, rest, j, pos + 1, residual, need_j)
-        return total
-
-
-def _count_by_index(lam: tuple[int, ...], kind: ConeKind, pyramids_only: bool) -> int:
-    """Count by resolving the highest index with positive residual: pick the
-    sub-multiset of candidates touching that index whose contribution there
-    is exact, then recurse on the rest (which may no longer touch it)."""
-    return _IndexSearch(kind, pyramids_only).rec(_candidates(lam, kind), list(lam))
 
 
 def _count(lam: Composition, kind: ConeKind, pyramids_only: bool) -> int:
@@ -461,9 +413,7 @@ def _count(lam: Composition, kind: ConeKind, pyramids_only: bool) -> int:
     excess = coordinate_sum(lam) - beta(n, kind)
     if excess < 0:
         return 0
-    if excess <= _LEVEL_ENGINE_EXCESS_CAP:
-        return _count_levelwise(lam, kind, pyramids_only)
-    return _count_by_index(lam, kind, pyramids_only)
+    return _count_levelwise(lam, kind, pyramids_only)
 
 
 def count_point_sets(lam: Composition, kind: ConeKind) -> int:
@@ -559,26 +509,7 @@ def count_sym_2dxray(lam: Composition, r: int, kind: ConeKind) -> int:
     n = total // 3
     if coordinate_sum(lam) != r * n:
         return 0
-    length = len(lam)
-    cands = [p for p in _candidates(lam, kind) if sum(p) == r]
-
-    def rec(idx: int, residual: list[int], m: int) -> int:
-        if m == 0:
-            return 1 if not any(residual) else 0
-        if idx == len(cands) or len(cands) - idx < m:
-            return 0
-        total = rec(idx + 1, residual, m)
-        p = cands[idx]
-        mvec = _marginal_of(p, length)
-        if all(residual[i] >= mvec[i] for i in range(length)):
-            for i in range(length):
-                residual[i] -= mvec[i]
-            total += rec(idx + 1, residual, m - 1)
-            for i in range(length):
-                residual[i] += mvec[i]
-        return total
-
-    return rec(0, list(lam), n)
+    return _count_levelwise(lam, kind, False, layer=r)
 
 
 def count_3dxray(mu: Composition, nu: Composition, rho: Composition) -> int:

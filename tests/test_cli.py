@@ -4,7 +4,7 @@ import json
 import pytest
 
 from plethtomo.cli import EXIT_GATE_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
-from plethtomo.tomography import count_2dxray, instance_from_dict
+from plethtomo.tomography import count_2dxray, in_cone, instance_from_dict, sum_marginal, xi
 
 
 def run(argv, stdin_text=None, monkeypatch=None, capsys=None):
@@ -74,6 +74,19 @@ def test_count_inline_and_file(tmp_path, capsys, monkeypatch):
     path.write_text(json.dumps(data))
     code, out, _ = run(["count", str(path)], capsys=capsys)
     assert code == EXIT_OK and "count: 1" in out
+
+
+def test_count_whole_closed_layer(capsys, monkeypatch):
+    # every one of the 1261 closed-cone points of layer 120: the level
+    # engine takes the layer whole, where a per-candidate recursion ran out
+    # of interpreter stack
+    r = 120
+    layer = [(x, y, r - x - y) for x in range(r + 1) for y in range(r - x + 1) if in_cone((x, y, r - x - y), "closed")]
+    assert len(layer) == xi(r, "closed") == 1261
+    data = {"kind": "sym2d", "r": r, "cone": "closed", "marginals": {"sum": list(sum_marginal(layer))}}
+    code, out, err = run(["count", json.dumps(data), "--format", "json"], capsys=capsys)
+    assert code == EXIT_OK, err
+    assert json.loads(out) == {"count": 1}
 
 
 def test_count_bad_schema(capsys, monkeypatch):

@@ -31,7 +31,7 @@ from plethtomo.tomography import (
     xi,
     xi_by_enumeration,
 )
-from plethtomo.tomography import _candidates, _count_by_index, _count_levelwise
+from plethtomo.tomography import _candidates, _closure_filter, _count_levelwise, _dominated
 
 FIGURE_POINTS = [(0, 3, 4), (0, 6, 1), (1, 4, 2), (1, 5, 1), (2, 1, 4), (4, 0, 3), (4, 2, 1), (4, 3, 0), (6, 1, 0)]
 
@@ -199,6 +199,69 @@ def _count_reference(lam, kind, pyramids_only):
     return rec(0, list(lam), sum(lam) // 3, [])
 
 
+class _IndexSearch:
+    """Second test oracle, independent of the level engine: it repeatedly
+    resolves the highest marginal index with positive residual, picking the
+    sub-multiset of candidates touching that index whose contribution there
+    is exact, then recurses on the rest (which may no longer touch it).
+    Its search order differs from the level engine's, and it checks pyramid
+    closure with is_pyramid on whole sets."""
+
+    __slots__ = ("kind", "pyramids_only", "chosen")
+
+    def __init__(self, kind, pyramids_only):
+        self.kind = kind
+        self.pyramids_only = pyramids_only
+        self.chosen = []
+
+    def rec(self, pool, residual):
+        j = -1
+        for i in range(len(residual) - 1, -1, -1):
+            if residual[i] > 0:
+                j = i
+                break
+        if j < 0:
+            if self.pyramids_only and not is_pyramid(self.chosen, self.kind):
+                return 0
+            return 1
+        touching = [p for p in pool if p[0] == j or p[1] == j or p[2] == j]
+        rest = [p for p in pool if not (p[0] == j or p[1] == j or p[2] == j)]
+        return self.pick(touching, rest, j, 0, list(residual), residual[j])
+
+    def pick(self, touching, rest, j, pos, residual, need_j):
+        if need_j == 0:
+            return self.rec(rest, residual)
+        if pos == len(touching):
+            return 0
+        total = 0
+        # not enough j-contribution left in the pool
+        contrib_left = 0
+        for q in touching[pos:]:
+            contrib_left += (q[0] == j) + (q[1] == j) + (q[2] == j)
+            if contrib_left >= need_j:
+                break
+        if contrib_left < need_j:
+            return 0
+        p = touching[pos]
+        length = len(residual)
+        mvec = [p.count(i) for i in range(length)]
+        if all(residual[i] >= mvec[i] for i in range(length)):
+            for i in range(length):
+                residual[i] -= mvec[i]
+            self.chosen.append(p)
+            total += self.pick(touching, rest, j, pos + 1, residual, need_j - mvec[j])
+            self.chosen.pop()
+            for i in range(length):
+                residual[i] += mvec[i]
+        total += self.pick(touching, rest, j, pos + 1, residual, need_j)
+        return total
+
+
+def _count_by_index(lam, kind, pyramids_only):
+    """Count with the index-order oracle above (exponential; test use only)."""
+    return _IndexSearch(kind, pyramids_only).rec(_naive_candidates(lam, kind), list(lam))
+
+
 def test_counting_engines_agree():
     for total in (3, 6):
         for length in range(1, 6):
@@ -214,7 +277,8 @@ def test_counting_engines_agree():
 
 
 def test_counting_engines_agree_on_larger_partitions():
-    # both engines run out of their preferred excess regime here
+    # far above the minimum coordinate sum, where the level engine's
+    # bounds prune least and its point-set memo does most of the work
     import random
 
     rng = random.Random(41)
@@ -290,9 +354,75 @@ def test_range_three_promise_instance_under_a_low_recursion_limit():
     assert got == count_2dxray(inst) == 2
 
 
+def test_lower_covers_generate_the_dominated_set():
+    # on a complete pyramid every point is kept, and dom holds its covers
+    for kind in ("open", "closed"):
+        pyr = sorted(complete_pyramid(9, kind))
+        kept, dom = _closure_filter(pyr, kind)
+        assert kept == pyr
+        for p in pyr:
+            assert len(dom[p]) <= 3 and all(sum(q) == sum(p) - 1 for q in dom[p])
+            reached = set()
+            frontier = list(dom[p])
+            while frontier:
+                q = frontier.pop()
+                if q not in reached:
+                    reached.add(q)
+                    frontier.extend(dom[q])
+            assert reached == set(_dominated(p, kind)), (p, kind)
+
+
+@st.composite
+def _compositions(draw):
+    """Compositions of size <= 24 with up to 9 parts (stars and bars)."""
+    size = draw(st.integers(1, 24))
+    length = draw(st.integers(1, 9))
+    bars = sorted(draw(st.lists(st.integers(0, size), min_size=length - 1, max_size=length - 1)))
+    ends = [0, *bars, size]
+    return tuple(ends[i + 1] - ends[i] for i in range(length))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(comp=_compositions(), kind=st.sampled_from(["open", "closed"]))
+def test_closure_filter_matches_naive_filter(comp, kind):
+    lam = canonical(comp)
+    cands = _candidates(lam, kind)
+    pool = set(cands)
+    kept, dom = _closure_filter(cands, kind)
+    assert kept == [p for p in cands if pool.issuperset(_dominated(p, kind))]
+    assert set(dom) == set(kept)
+
+
+@pytest.mark.parametrize("kind", ["open", "closed"])
+def test_pyramids_on_range_three_promise_instances(kind):
+    # _closure_filter's earlier fixpoint over whole dominated sets took
+    # tens of seconds on these
+    inst = XRayInstance2D(3, (2, 1, 1), (2, 1, 1), (1, 1, 1, 1))
+    sym = symmetrize_2d(inst, kind)
+    lam = embed_pyramid_3d(sym.marginal, sym.grid_r, kind).marginal
+    assert is_promise_instance(lam, kind)
+    assert count_pyramids(lam, kind) == count_2dxray(inst) == 2
+
+
+def test_pyramid_completions_depend_on_the_chosen_points():
+    # two pyramids of 23 points share a sum-marginal; adding (4,4,0) keeps
+    # only one of them closed.  A pyramid count memoized on (layer,
+    # residual), as point-set counts are, would answer 0 here.
+    below = [
+        (0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1), (2, 0, 0), (2, 1, 0), (2, 1, 1), (2, 2, 0),
+        (2, 2, 1), (2, 2, 2), (3, 0, 0), (3, 1, 0), (3, 1, 1), (3, 2, 0), (3, 3, 0), (4, 0, 0),
+        (4, 1, 0), (4, 1, 1), (4, 2, 0), (4, 3, 0), (5, 0, 0), (5, 1, 0), (5, 1, 1),
+    ]
+    witness = below + [(4, 4, 0)]
+    lam = sum_marginal(witness)
+    assert lam == (24, 19, 12, 7, 7, 3) and is_pyramid(witness, "closed")
+    assert count_pyramids(lam, "closed") == 1
+
+
 def test_counting_leaves_no_reference_cycles():
     promise = add(sum_marginal(complete_pyramid(12, "open")), (2, 0, 0, 1, 1, 0, 0, 0, 0, 1, 1))
-    # the promise instance runs the level engine, (3,3,2,1) the index engine
+    # one engine runs both the promise instance (forced layers) and
+    # (3,3,2,1) (excess 7: take/skip, and the point-set memo)
     for count, lam, kind in (
         (count_point_sets, promise, "open"),
         (count_pyramids, promise, "open"),
