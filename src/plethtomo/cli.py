@@ -6,8 +6,8 @@ traces), verify (invariant suites), table (worked-example summary rows).
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input,
 3 semantic gate failure (infeasible instance, failed promise, ...) or an
-instance over the size cap (a grid counter that recurses per cell ran out
-of interpreter stack).
+instance over the size cap (a recursive routine, such as the tableau fill
+for a shape of thousands of boxes, ran out of interpreter stack).
 """
 
 from __future__ import annotations
@@ -164,10 +164,7 @@ def _cmd_reduce(args, out) -> int:
     inst = instance_from_dict(data)
     if not isinstance(inst, XRayInstance2D):
         raise ValueError("reduce expects a 2dxray instance")
-    n = sum(inst.mu)
-    if sum(inst.nu) != n or sum(inst.rho) != n or sum(
-        i * v for marg in (inst.mu, inst.nu, inst.rho) for i, v in enumerate(marg)
-    ) != inst.r * n:
+    if not inst.passes_gate():
         raise GateError("instance fails the feasibility gate (marginal totals / coordinate sum)")
     stages = _reduce_stages(inst, args.to, args.resolve)
     if args.format == "json":
@@ -183,7 +180,7 @@ def _cmd_reduce(args, out) -> int:
     return EXIT_OK
 
 
-def _verify_xi(i_max: int, out) -> list[str]:
+def _verify_xi(i_max: int) -> list[str]:
     bad = []
     for i in range(i_max + 1):
         for kind in ("open", "closed"):
@@ -192,7 +189,7 @@ def _verify_xi(i_max: int, out) -> list[str]:
     return bad
 
 
-def _verify_bounds(n_max: int, out) -> list[str]:
+def _verify_bounds(n_max: int) -> list[str]:
     bad = []
     for n in range(1, n_max + 1):
         for lam in partitions_of(3 * n):
@@ -208,7 +205,7 @@ def _verify_bounds(n_max: int, out) -> list[str]:
     return bad
 
 
-def _verify_duality(pairs: list[tuple[int, int]], out) -> list[str]:
+def _verify_duality(pairs: list[tuple[int, int]]) -> list[str]:
     bad = []
     for n, m in pairs:
         ok, report = check_duality(n, m)
@@ -217,7 +214,7 @@ def _verify_duality(pairs: list[tuple[int, int]], out) -> list[str]:
     return bad
 
 
-def _verify_closed_forms(n_max: int, out) -> list[str]:
+def _verify_closed_forms(n_max: int) -> list[str]:
     bad = []
     for n in range(1, n_max + 1):
         for variant in ("a", "b"):
@@ -231,7 +228,7 @@ def _verify_closed_forms(n_max: int, out) -> list[str]:
     return bad
 
 
-def _verify_parsimony(rp_max: int, out) -> list[str]:
+def _verify_parsimony(rp_max: int) -> list[str]:
     from .partitions import compositions_of
 
     bad = []
@@ -241,9 +238,9 @@ def _verify_parsimony(rp_max: int, out) -> list[str]:
             for mu in compositions_of(tot, rp + 1):
                 for nu in compositions_of(tot, rp + 1):
                     for rho in compositions_of(tot, rp + 1):
-                        if sum(i * (mu[i] + nu[i] + rho[i]) for i in range(rp + 1)) != rp * tot:
-                            continue
                         inst = XRayInstance2D(rp, mu, nu, rho)
+                        if not inst.passes_gate():
+                            continue
                         cnt = count_2dxray(inst)
                         for kind in ("open", "closed"):
                             sym = symmetrize_2d(inst, kind)
@@ -261,19 +258,19 @@ def _verify_parsimony(rp_max: int, out) -> list[str]:
 def _cmd_verify(args, out) -> int:
     suite = args.suite
     if suite == "xi":
-        bad = _verify_xi(args.i_max, out)
+        bad = _verify_xi(args.i_max)
     elif suite == "bounds":
-        bad = _verify_bounds(args.n_max, out)
+        bad = _verify_bounds(args.n_max)
     elif suite == "duality":
         pairs = []
         for chunk in args.nm.split(";"):
             n_str, m_str = chunk.split(",")
             pairs.append((int(n_str), int(m_str)))
-        bad = _verify_duality(pairs, out)
+        bad = _verify_duality(pairs)
     elif suite == "closed-forms":
-        bad = _verify_closed_forms(args.n_max, out)
+        bad = _verify_closed_forms(args.n_max)
     elif suite == "parsimony":
-        bad = _verify_parsimony(args.rprime_max, out)
+        bad = _verify_parsimony(args.rprime_max)
     else:
         raise ValueError(f"unknown suite {suite!r}")
     if bad:

@@ -166,8 +166,6 @@ def resolve_coefficient(inst: PlethysmInstance) -> CoefficientResult:
     if sum(lam) <= ORACLE_SIZE_CAP:
         return plethysm_coeff(lam, inst.n, inst.m, inst.variant)
     if inst.m == 3:
-        marg = lam if inst.variant == "b" else transpose(lam)
-        kind = "closed" if inst.variant == "b" else "open"
         lo = count_pyramids(marg, kind)
         hi = count_point_sets(marg, kind)
         if lo == hi:
@@ -185,28 +183,24 @@ class KroneckerPlethysmTriple:
     b_instance: PlethysmInstance
 
 
-def kronecker_plethysm_triple(inst: XRayInstance2D, simplex_r: int | None = None) -> KroneckerPlethysmTriple:
+def kronecker_plethysm_triple(inst: XRayInstance2D) -> KroneckerPlethysmTriple:
     """For a feasible axis-marginal instance, the Kronecker coefficient of
     the simplex-padded, sorted, transposed marginals equals both the a- and
     the b-coefficient produced by the reduction chain, and all three count
     the instance's solutions.
 
-    ``simplex_r`` selects which simplex the marginals are padded with; the
-    default r-1 is the choice under which the character oracle matches the
-    solution count on every feasible instance (see README).  Sorting the
-    padded marginals is count-neutral: relabeling the values along one axis
-    of a spatial instance permutes its solutions bijectively.
+    The marginals are padded with those of the radius r-1 simplex: that is
+    the choice under which the character oracle matches the solution count
+    on every feasible instance (see README).  Sorting the padded marginals
+    is count-neutral: relabeling the values along one axis of a spatial
+    instance permutes its solutions bijectively.
     """
     r = inst.r
     if r < 1:
         raise ValueError("range-0 instances are counted directly, not reduced")
-    n = sum(inst.mu)
-    if sum(inst.nu) != n or sum(inst.rho) != n:
-        raise ValueError("marginal totals differ; instance is malformed")
-    weighted = sum(i * v for marg in (inst.mu, inst.nu, inst.rho) for i, v in enumerate(marg))
-    if weighted != r * n:
-        raise ValueError("coordinate-sum condition fails; instance is trivially unsatisfiable")
-    simplex = full_simplex(r - 1 if simplex_r is None else simplex_r)
+    if not inst.passes_gate():
+        raise ValueError("instance fails the feasibility gate (marginal totals / coordinate sum)")
+    simplex = full_simplex(r - 1)
     xq, yq, zq = axis_marginals(simplex)
     mu = transpose(tuple(sorted(add(inst.mu, xq), reverse=True)))
     nu = transpose(tuple(sorted(add(inst.nu, yq), reverse=True)))

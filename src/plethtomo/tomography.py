@@ -25,6 +25,12 @@ against each point's at most three lower covers in the cone: they generate
 its whole dominated set, and lower layers are already decided and closed.
 The tests check the engine against an exponential oracle and against an
 independent index-order search.
+
+Axis-marginal instances, on one grid layer or in all of N^3, are counted
+by one forward DP over the cells in x-major order, whose states are the
+residual Y- and Z-marginals and the points still owed to the current x.
+Equal residuals merge, so the work is bounded by the number of distinct
+residuals rather than by the number of solutions.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Literal, Sequence
 
-from .partitions import Composition, canonical, pad
+from .partitions import Composition, canonical
 
 Point = tuple[int, int, int]
 ConeKind = Literal["open", "closed"]
@@ -447,6 +453,14 @@ class XRayInstance2D:
             if len(getattr(self, name)) > self.r + 1:
                 raise ValueError(f"{name} marginal longer than grid range [0,{self.r}]")
 
+    def passes_gate(self) -> bool:
+        """The feasibility gate: equal marginal totals n, and total
+        coordinate sum r*n, as for every n-point set on the layer."""
+        n = sum(self.mu)
+        if sum(self.nu) != n or sum(self.rho) != n:
+            return False
+        return coordinate_sum(self.mu) + coordinate_sum(self.nu) + coordinate_sum(self.rho) == self.r * n
+
 
 @dataclass(frozen=True)
 class SymInstance:
@@ -460,41 +474,48 @@ class SymInstance:
         object.__setattr__(self, "marginal", canonical(self.marginal))
 
 
+def _count_axis(mu: Composition, nu: Composition, rho: Composition, layer: int | None = None) -> int:
+    """Point sets with X-, Y- and Z-marginals mu, nu, rho: in all of N^3, or
+    with layer given, inside the layer x+y+z = layer.
+
+    A forward DP over the cells in x-major order.  A state is (residual
+    Y-marginal, residual Z-marginal, points still owed to the current x),
+    mapped to its number of partial point sets; taking cell (y, z) spends
+    one of each, and skipping it keeps the state as it is.  A state owing
+    more points than cells remain is dropped, and only states owing nothing
+    survive when x advances.  Equal residuals merge, and nothing recurses."""
+    nu, rho = tuple(nu), tuple(rho)
+    ys = [y for y, v in enumerate(nu) if v > 0]
+    zs = [z for z, v in enumerate(rho) if v > 0]
+    states = {(nu, rho): 1}
+    for x, owed in enumerate(mu):
+        if owed == 0:
+            continue
+        if layer is None:
+            cells = [(y, z) for y in ys for z in zs]
+        else:
+            cells = [(y, z) for y in ys if 0 <= (z := layer - x - y) < len(rho) and rho[z] > 0]
+        # owing[o]: states that still owe o points to this x
+        owing: list[dict[tuple[tuple[int, ...], tuple[int, ...]], int]] = [{} for _ in range(owed)] + [states]
+        for k, (y, z) in enumerate(cells):
+            # ascending o, so a state takes each cell at most once
+            for o in range(1, min(owed, len(cells) - k) + 1):
+                paid = owing[o - 1]
+                for (ny, nz), c in owing[o].items():
+                    if ny[y] and nz[z]:
+                        key = (ny[:y] + (ny[y] - 1,) + ny[y + 1 :], nz[:z] + (nz[z] - 1,) + nz[z + 1 :])
+                        paid[key] = paid.get(key, 0) + c
+        states = owing[0]
+        if not states:
+            return 0
+    return states.get(((0,) * len(nu), (0,) * len(rho)), 0)
+
+
 def count_2dxray(inst: XRayInstance2D) -> int:
     """Point sets inside the layer x+y+z = r with the given axis marginals."""
-    r = inst.r
-    mu = list(pad(inst.mu, r + 1))
-    nu = list(pad(inst.nu, r + 1))
-    rho = list(pad(inst.rho, r + 1))
-    n = sum(mu)
-    if sum(nu) != n or sum(rho) != n:
+    if not inst.passes_gate():
         return 0
-    if sum(i * (mu[i] + nu[i] + rho[i]) for i in range(r + 1)) != r * n:
-        return 0
-
-    def level(x: int, nu_res: list[int], rho_res: list[int]) -> int:
-        if x < 0:
-            return 1
-        cells = [(y, r - x - y) for y in range(r - x + 1)]
-
-        def pick(pos: int, need: int) -> int:
-            if need == 0:
-                return level(x - 1, nu_res, rho_res)
-            if pos == len(cells) or len(cells) - pos < need:
-                return 0
-            total = pick(pos + 1, need)
-            y, z = cells[pos]
-            if nu_res[y] > 0 and rho_res[z] > 0:
-                nu_res[y] -= 1
-                rho_res[z] -= 1
-                total += pick(pos + 1, need - 1)
-                nu_res[y] += 1
-                rho_res[z] += 1
-            return total
-
-        return pick(0, mu[x])
-
-    return level(r, nu, rho)
+    return _count_axis(inst.mu, inst.nu, inst.rho, layer=inst.r)
 
 
 def count_sym_2dxray(lam: Composition, r: int, kind: ConeKind) -> int:
@@ -518,35 +539,7 @@ def count_3dxray(mu: Composition, nu: Composition, rho: Composition) -> int:
     n = sum(mu)
     if sum(nu) != n or sum(rho) != n:
         return 0
-    if n == 0:
-        return 1
-    ys = [y for y, v in enumerate(nu) if v > 0]
-    zs = [z for z, v in enumerate(rho) if v > 0]
-
-    def level(x: int, nu_res: list[int], rho_res: list[int]) -> int:
-        if x < 0:
-            return 1
-        need = mu[x] if x < len(mu) else 0
-        cells = [(y, z) for y in ys for z in zs]
-
-        def pick(pos: int, need: int) -> int:
-            if need == 0:
-                return level(x - 1, nu_res, rho_res)
-            if pos == len(cells) or len(cells) - pos < need:
-                return 0
-            total = pick(pos + 1, need)
-            y, z = cells[pos]
-            if nu_res[y] > 0 and rho_res[z] > 0:
-                nu_res[y] -= 1
-                rho_res[z] -= 1
-                total += pick(pos + 1, need - 1)
-                nu_res[y] += 1
-                rho_res[z] += 1
-            return total
-
-        return pick(0, need)
-
-    return level(len(mu) - 1, list(nu), list(rho))
+    return _count_axis(mu, nu, rho)
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,16 @@ def test_count_whole_closed_layer(capsys, monkeypatch):
     assert json.loads(out) == {"count": 1}
 
 
+def test_count_range_45_layer(capsys, monkeypatch):
+    # the 46 points (x, 45-x, 0): one solution, where a per-cell recursion
+    # ran out of interpreter stack
+    ones = [1] * 46
+    data = {"kind": "2dxray", "r": 45, "marginals": {"x": ones, "y": ones, "z": [46]}}
+    code, out, err = run(["count", json.dumps(data), "--format", "json"], capsys=capsys)
+    assert code == EXIT_OK, err
+    assert json.loads(out) == {"count": 1}
+
+
 def test_count_bad_schema(capsys, monkeypatch):
     code, _, err = run(["count", json.dumps({"kind": "mystery"})], capsys=capsys)
     assert code == EXIT_INPUT_ERROR

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import sys
 
 import pytest
@@ -584,23 +585,59 @@ def test_count_3dxray():
     assert count_3dxray((2,), (1,), (1,)) == 0
 
 
-def test_count_3dxray_brute_cross_check():
-    pts = list(itertools.product(range(2), repeat=3))
-    for mu in compositions_of(2, 2):
-        for nu in compositions_of(2, 2):
-            for rho in compositions_of(2, 2):
-                brute = 0
-                for sub in itertools.combinations(pts, 2):
-                    x = [0, 0]
-                    y = [0, 0]
-                    z = [0, 0]
-                    for (a, b, c) in sub:
-                        x[a] += 1
-                        y[b] += 1
-                        z[c] += 1
-                    if (tuple(x), tuple(y), tuple(z)) == (mu, nu, rho):
-                        brute += 1
-                assert count_3dxray(mu, nu, rho) == brute
+def _brute_axis_count(cells, mu, nu, rho):
+    """Subsets of cells with the given axis marginals, by enumeration."""
+    want = (canonical(mu), canonical(nu), canonical(rho))
+    return sum(axis_marginals(sub) == want for sub in itertools.combinations(cells, sum(want[0])))
+
+
+def _drawn_marginals(data, cells):
+    """Axis marginals of a random point set among cells, or its X- and
+    Y-marginals with the Z-marginal of another set of the same size, which
+    need not be realizable."""
+    n = data.draw(st.integers(0, min(5, len(cells))))
+    a = data.draw(st.sets(st.sampled_from(cells), min_size=n, max_size=n))
+    mu, nu, rho = axis_marginals(a)
+    if data.draw(st.booleans()):
+        rho = axis_marginals(data.draw(st.sets(st.sampled_from(cells), min_size=n, max_size=n)))[2]
+    return mu, nu, rho
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_count_3dxray_brute_cross_check(data):
+    box = list(itertools.product(range(3), range(3), range(2)))
+    mu, nu, rho = _drawn_marginals(data, box)
+    assert count_3dxray(mu, nu, rho) == _brute_axis_count(box, mu, nu, rho)
+
+
+def test_count_3dxray_exhaustive_small_box():
+    box = list(itertools.product(range(2), repeat=3))
+    for mu, nu, rho in itertools.product(compositions_of(2, 2), repeat=3):
+        assert count_3dxray(mu, nu, rho) == _brute_axis_count(box, mu, nu, rho)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_count_2dxray_brute_cross_check(data):
+    r = data.draw(st.integers(0, 5))
+    layer = [(x, y, r - x - y) for x in range(r + 1) for y in range(r + 1 - x)]
+    mu, nu, rho = _drawn_marginals(data, layer)
+    assert count_2dxray(XRayInstance2D(r, mu, nu, rho)) == _brute_axis_count(layer, mu, nu, rho)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_count_3dxray_all_ones_is_n_factorial_squared(n):
+    # n points with pairwise distinct x, y and z: one pair of permutations
+    # x -> y, x -> z each
+    ones = (1,) * n
+    assert count_3dxray(ones, ones, ones) == math.factorial(n) ** 2
+
+
+def test_2dxray_gate():
+    assert XRayInstance2D(1, (1, 1), (1, 1), (2, 0)).passes_gate()
+    assert not XRayInstance2D(1, (2,), (1,), (1,)).passes_gate()  # totals differ
+    assert not XRayInstance2D(2, (1, 1), (1, 1), (1, 1)).passes_gate()  # coordinate sum off
 
 
 def test_pipeline_scale_promise_instance():
