@@ -47,6 +47,8 @@ from .restricted import (
 from .sympoly import NotSchurPositiveError, SymPoly, decompose_schur, plethysm_poly, schur_poly
 from .tableaux import dim_weyl, enumerate_ssyt, kostka, tableau_weight
 from .tomography import (
+    AXIS_STATE_CAP,
+    SizeCapError,
     SymInstance,
     XRayInstance2D,
     axis_marginals,

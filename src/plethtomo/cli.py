@@ -6,8 +6,9 @@ traces), verify (invariant suites), table (worked-example summary rows).
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input,
 3 semantic gate failure (infeasible instance, failed promise, ...) or an
-instance over the size cap (a recursive routine, such as the tableau fill
-for a shape of thousands of boxes, ran out of interpreter stack).
+instance over the size cap: a 3dxray count whose marginals exceed
+tomography.AXIS_STATE_CAP is refused before it starts, and, as a last
+resort, a RecursionError anywhere is reported the same way.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .reductions import (
     symmetrize_2d,
 )
 from .tomography import (
+    SizeCapError,
     XRayInstance2D,
     count_2dxray,
     count_instance,
@@ -379,6 +381,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args, sys.stdout)
     except GateError as exc:
         print(f"gate failure: {exc}", file=sys.stderr)
+        return EXIT_GATE_FAILED
+    except SizeCapError as exc:
+        print(f"over the size cap: {exc}", file=sys.stderr)
         return EXIT_GATE_FAILED
     except RecursionError:
         print("over the size cap: the instance needs deeper recursion than the interpreter allows", file=sys.stderr)

@@ -2,8 +2,9 @@
 
 Two independent routes compute every general plethysm coefficient:
 
-* weight multiplicities q_kappa (horizontal-strip DP over the tableau
-  alphabet) fed into the Jacobi-Trudi alternating sum over permutations;
+* weight multiplicities q_kappa (horizontal-strip DP over letters that are
+  inner-tableau weights with Kostka multiplicities) fed into the
+  Jacobi-Trudi alternating sum over permutations;
 * the power-sum expansion of the plethysm paired against
   Murnaghan-Nakayama characters (characters.plethysm_schur_multiplicity).
 
@@ -46,7 +47,11 @@ def weight_multiplicity(mu: Partition, nu: Partition, kappa: Composition, k: int
 
     Counts SSYT of shape mu over the alphabet of nu-tableaux, each letter
     weighted by its tableau weight, with total weight exactly kappa.  The
-    value only depends on the multiset of entries of kappa.
+    letters are not enumerated as tableaux: they are the compositions w of
+    |nu| with w <= kappa entrywise (one over kappa can never be used), each
+    repeated K_{nu,w} times, the number of nu-tableaux of weight w
+    (tableaux.ssyt_weights).  The value only depends on the multiset of
+    entries of kappa.
     """
     mu, nu = canonical(mu), canonical(nu)
     kappa = canonical(kappa)
@@ -83,10 +88,14 @@ def jacobi_trudi_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     sum_sigma sign(sigma) q_{lam - (0..l-1) + sigma}, with q evaluated as 0
     on compositions with a negative entry.
 
-    Permutations are enumerated as column assignments row by row, most
-    constrained row first, so the terms with a negative entry are never
-    visited.  Worst-case cost still grows as len(lam)!, so callers keep
-    len(lam) <= JACOBI_TRUDI_MAX_ROWS.
+    Permutations are enumerated as column assignments row by row, last row
+    first: lam_i - i decreases with i, so that is the most constrained row
+    first, and the terms with a negative entry are never visited.  The sign
+    is kept as rows are placed: row i against the rows below it, already
+    placed, has one inversion per used column left of its own.  Equal
+    sorted compositions are summed before q is looked up.  Worst-case cost
+    still grows as len(lam)!, so callers keep len(lam) <=
+    JACOBI_TRUDI_MAX_ROWS.
     """
     lam, mu, nu = canonical(lam), canonical(mu), canonical(nu)
     if sum(lam) != sum(mu) * sum(nu):
@@ -95,35 +104,25 @@ def jacobi_trudi_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     if ell == 0:
         return 1 if sum(mu) * sum(nu) == 0 else 0
     lo = [max(0, i - lam[i]) for i in range(ell)]
-    order = sorted(range(ell), key=lambda i: lam[i] - i)
-    assign = [0] * ell
-    used = [False] * ell
-    total = 0
+    values = [0] * ell
+    # signed number of permutations reaching each sorted composition
+    terms: dict[tuple[int, ...], int] = {}
 
-    def parity() -> int:
-        inv = 0
-        for i in range(ell):
-            for j in range(i + 1, ell):
-                if assign[i] > assign[j]:
-                    inv += 1
-        return -1 if inv % 2 else 1
-
-    def rec(pos: int) -> None:
-        nonlocal total
-        if pos == ell:
-            values = sorted((lam[i] - i + assign[i] for i in range(ell)), reverse=True)
-            total += parity() * _weight_multiplicity_sorted(mu, nu, tuple(values))
-            return
-        i = order[pos]
+    def rec(i: int, used: int, sign: int) -> None:
         for j in range(lo[i], ell):
-            if not used[j]:
-                used[j] = True
-                assign[i] = j
-                rec(pos + 1)
-                used[j] = False
+            bit = 1 << j
+            if used & bit:
+                continue
+            values[i] = lam[i] - i + j
+            s = -sign if (used & (bit - 1)).bit_count() & 1 else sign
+            if i:
+                rec(i - 1, used | bit, s)
+            else:
+                key = tuple(sorted(values, reverse=True))
+                terms[key] = terms.get(key, 0) + s
 
-    rec(0)
-    return total
+    rec(ell - 1, 0, 1)
+    return sum(c * _weight_multiplicity_sorted(mu, nu, key) for key, c in terms.items() if c)
 
 
 def general_plethysm(lam: Partition, mu: Partition, nu: Partition) -> CoefficientResult:

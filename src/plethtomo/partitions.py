@@ -75,15 +75,25 @@ def partitions_of(n: int, max_parts: int | None = None, max_part: int | None = N
     yield from rec(n, bound, parts, ())
 
 
-def compositions_of(n: int, length: int) -> Iterator[Composition]:
-    """All length-``length`` vectors of nonnegative ints summing to n (not canonicalized)."""
-    if length == 0:
-        if n == 0:
-            yield ()
+def compositions_of(n: int, length: int, bound: Composition | None = None) -> Iterator[Composition]:
+    """All length-``length`` vectors of nonnegative ints summing to n (not
+    canonicalized), in decreasing lexicographic order; with ``bound`` given,
+    only those entrywise <= bound.  Walks an explicit stack of prefixes."""
+    cap = list(pad(canonical(bound), length)) if bound is not None else [n] * length
+    room = [0] * (length + 1)  # room[i]: the most that entries i.. can hold
+    for i in range(length - 1, -1, -1):
+        room[i] = room[i + 1] + cap[i]
+    if not 0 <= n <= room[0]:
         return
-    for first in range(n, -1, -1):
-        for rest in compositions_of(n - first, length - 1):
-            yield (first,) + rest
+    stack: list[tuple[Composition, int]] = [((), n)]
+    while stack:
+        prefix, left = stack.pop()
+        i = len(prefix)
+        if i == length:
+            yield prefix
+            continue
+        # ascending, so the largest entry is popped first
+        stack.extend((prefix + (v,), left - v) for v in range(max(0, left - room[i + 1]), min(cap[i], left) + 1))
 
 
 def pad(c: Composition, length: int) -> tuple[int, ...]:

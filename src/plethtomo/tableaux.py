@@ -3,8 +3,11 @@
 Tableaux here are fillings of a partition shape with letters 0..k-1, weakly
 increasing along rows and strictly increasing down columns.  The weighted
 counting routine is the workhorse for extracting weight-space dimensions of
-plethysms: it counts SSYT over an arbitrary ordered alphabet whose letters
-carry vector weights, with a prescribed total weight.
+plethysms: it counts SSYT over an alphabet whose letters carry vector
+weights, with a prescribed total weight, by a horizontal-strip DP.  For
+plethysms the letters are the inner tableaux, and ssyt_weights lists their
+weights as compositions with Kostka multiplicities, so no letter tableau is
+enumerated; only enumerate_ssyt, which the tests use, lists tableaux.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .partitions import Composition, Partition, canonical, pad, partitions_of
+from .partitions import Composition, Partition, canonical, compositions_of, pad, partitions_of
 
 Tableau = tuple[tuple[int, ...], ...]
 
@@ -111,40 +114,13 @@ def kostka(mu: Partition, weight: Composition) -> int:
 def ssyt_weights(shape: Partition, k: int, bound: Composition | None = None) -> list[tuple[int, ...]]:
     """Weight vectors (length k) of all SSYT of ``shape`` over 0..k-1.
 
-    One entry per tableau, so weights repeat with their multiplicity.  With
-    ``bound`` given, only tableaux whose weight is entrywise <= bound are
-    produced; the search prunes on the bound as it fills boxes.
+    One entry per tableau, so weights repeat with their multiplicity; with
+    ``bound`` given, only weights entrywise <= bound.  No tableau is filled:
+    every composition w of |shape| appears K_{shape,w} times, and Kostka
+    numbers are symmetric in the weight, so they are looked up sorted.
     """
     shape = canonical(shape)
-    if not shape:
-        return [(0,) * k]
-    if len(shape) > k:
-        return []
-    cap = list(pad(bound, k)) if bound is not None else [sum(shape)] * k
-    rows = len(shape)
-    cells = [(r, c) for r in range(rows) for c in range(shape[r])]
-    grid = [[0] * shape[r] for r in range(rows)]
-    weight = [0] * k
-    out: list[tuple[int, ...]] = []
-
-    def fill(idx: int) -> None:
-        if idx == len(cells):
-            out.append(tuple(weight))
-            return
-        r, c = cells[idx]
-        lo = grid[r][c - 1] if c > 0 else 0
-        if r > 0:
-            lo = max(lo, grid[r - 1][c] + 1)
-        for v in range(lo, k):
-            if weight[v] + 1 > cap[v]:
-                continue
-            grid[r][c] = v
-            weight[v] += 1
-            fill(idx + 1)
-            weight[v] -= 1
-
-    fill(0)
-    return out
+    return [w for w in compositions_of(sum(shape), k, bound) for _ in range(kostka(shape, tuple(sorted(w, reverse=True))))]
 
 
 def count_weighted_ssyt(mu: Partition, letter_weights: Sequence[tuple[int, ...]], target: tuple[int, ...]) -> int:
@@ -152,57 +128,99 @@ def count_weighted_ssyt(mu: Partition, letter_weights: Sequence[tuple[int, ...]]
     where each box holding letter i contributes letter_weights[i], and the
     total contribution must equal ``target`` exactly.
 
+    The count is the coefficient of x^target in the Schur polynomial s_mu
+    evaluated at the letters' monomials x^w.  That polynomial is symmetric
+    in the letters, so their order does not matter, and it is chosen here to
+    finish coordinates early: the coordinates are read from the smallest
+    target up, and the letters are sorted in decreasing lexicographic order
+    of their entries read that way.  So the letters with mass in the first
+    coordinate come first, then those with mass in the second but not the
+    first, and so on.  A letter over the target in some coordinate can only
+    fill empty strips, so it is dropped.
+
     States are (subshape, partial weight); each letter extends the subshape
     by a horizontal strip of any size s, adding s copies of its weight.
-    Partial weights exceeding ``target`` in any coordinate are pruned.
+    Two prunes keep the states few:
+    * a partial weight over ``target`` in any coordinate is dropped;
+    * after the last letter with mass in a coordinate, that coordinate is
+      closed: a state whose partial weight there is not the target is
+      dropped (and a coordinate with positive target that no letter touches
+      gives 0 at once).
+
+    A state is one integer: the subshape's index above one field of b+1
+    bits per coordinate, holding acc_i + 2^b - 1 - target_i.  A strip is one
+    addition, a coordinate over its target sets its field's top bit, and a
+    coordinate at its target reads 2^b - 1.
     """
     mu = canonical(mu)
+    target = tuple(target)
     if not mu:
         return 1 if all(v == 0 for v in target) else 0
-    nboxes = sum(mu)
+    if any(v < 0 for v in target):
+        return 0
     dim = len(target)
-    zero_shape = (0,) * len(mu)
-    full = pad(mu, len(mu))
-    states: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {(zero_shape, (0,) * dim): 1}
+    if any(len(w) != dim for w in letter_weights):
+        raise ValueError(f"every letter weight needs {dim} entries, one per target coordinate")
+    closing = sorted(range(dim), key=target.__getitem__)
+    letters = [tuple(w) for w in letter_weights if all(v <= t for v, t in zip(w, target))]
+    letters.sort(key=lambda w: [w[i] for i in closing], reverse=True)
+    last = {i: j for j, w in enumerate(letters) for i in range(dim) if w[i]}
+    if any(target[i] and i not in last for i in range(dim)):
+        return 0
 
-    strip_cache: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+    bits = max(max(target, default=0), sum(mu) * max((max(w, default=0) for w in letters), default=0)).bit_length()
+    field = bits + 1
+    ones = (1 << bits) - 1
+    guard = sum(1 << (i * field + bits) for i in range(dim))
+    shift = dim * field
+    codes = [sum(v << (i * field) for i, v in enumerate(w)) for w in letters]
+    closes = [0] * len(letters)
+    for i, j in last.items():
+        closes[j] |= ones << (i * field)
 
-    def strips(alpha: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
-        got = strip_cache.get(alpha)
+    # subshapes of mu are indexed as they are reached
+    shape_id: dict[tuple[int, ...], int] = {}
+    shapes: list[tuple[int, ...]] = []
+
+    def index(alpha: tuple[int, ...]) -> int:
+        got = shape_id.get(alpha)
         if got is None:
-            base = sum(alpha)
-            got = [(b, sum(b) - base) for b in _horizontal_strips(alpha, mu)]
-            strip_cache[alpha] = got
+            got = shape_id[alpha] = len(shapes)
+            shapes.append(alpha)
         return got
 
-    remaining = len(letter_weights)
-    for w in letter_weights:
-        new: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-        remaining -= 1
-        for (alpha, acc), cnt in states.items():
-            boxes_left = nboxes - sum(alpha)
-            for beta, s in strips(alpha):
-                if s == 0:
-                    key = (alpha, acc)
-                    new[key] = new.get(key, 0) + cnt
+    strip_cache: dict[int, list[tuple[int, int]]] = {}
+
+    def strips(a: int) -> list[tuple[int, int]]:
+        got = strip_cache.get(a)
+        if got is None:
+            alpha = shapes[a]
+            got = strip_cache[a] = [(index(b), sum(b) - sum(alpha)) for b in _horizontal_strips(alpha, mu)]
+        return got
+
+    start = sum((ones - t) << (i * field) for i, t in enumerate(target))
+    states = {(index((0,) * len(mu)) << shift) + start: 1}
+    # step_cache[code][a]: how the strips of subshape a move a key, for the
+    # letter with that code
+    step_cache: dict[int, dict[int, list[int]]] = {}
+    for code, close in zip(codes, closes):
+        steps = step_cache.setdefault(code, {})
+        new: dict[int, int] = {}
+        get = new.get
+        for key, cnt in states.items():
+            a = key >> shift
+            ds = steps.get(a)
+            if ds is None:
+                ds = steps[a] = [((b - a) << shift) + s * code for b, s in strips(a)]
+            for d in ds:
+                nk = key + d
+                if nk & guard or nk & close != close:
                     continue
-                # last letters cannot fill the rest of the shape: prune
-                if boxes_left - s > 0 and remaining == 0:
-                    continue
-                vec = list(acc)
-                ok = True
-                for i in range(dim):
-                    vec[i] += s * w[i]
-                    if vec[i] > target[i]:
-                        ok = False
-                        break
-                if ok:
-                    key = (beta, tuple(vec))
-                    new[key] = new.get(key, 0) + cnt
+                new[nk] = get(nk, 0) + cnt
         states = new
         if not states:
             return 0
-    return states.get((full, tuple(target)), 0)
+    return states.get((index(mu) << shift) + sum(ones << (i * field) for i in range(dim)), 0)
 
 
 def dim_weyl(lam: Partition, k: int) -> int:

@@ -30,11 +30,14 @@ Axis-marginal instances, on one grid layer or in all of N^3, are counted
 by one forward DP over the cells in x-major order, whose states are the
 residual Y- and Z-marginals and the points still owed to the current x.
 Equal residuals merge, so the work is bounded by the number of distinct
-residuals rather than by the number of solutions.
+residuals rather than by the number of solutions.  In all of N^3 that number
+is bounded only by the marginals, so count_3dxray refuses (SizeCapError) an
+instance whose marginals admit more than AXIS_STATE_CAP residual pairs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Literal, Sequence
 
@@ -533,12 +536,29 @@ def count_sym_2dxray(lam: Composition, r: int, kind: ConeKind) -> int:
     return _count_levelwise(lam, kind, False, layer=r)
 
 
+AXIS_STATE_CAP = 1 << 18
+"""The most residual pairs count_3dxray lets its DP reach: an instance with
+prod(nu_j + 1) * prod(rho_k + 1) above it is refused before any counting.
+The all-ones instance 1^9 sits exactly at the cap and counts in a few
+seconds; 1^10, which takes about ten, and above are refused."""
+
+
+class SizeCapError(Exception):
+    """An instance is over a documented size cap; no work was started."""
+
+
 def count_3dxray(mu: Composition, nu: Composition, rho: Composition) -> int:
-    """Point sets in N^3 with the given X-, Y- and Z-marginals."""
+    """Point sets in N^3 with the given X-, Y- and Z-marginals.
+
+    Raises SizeCapError when the Y- and Z-marginals admit more than
+    AXIS_STATE_CAP residual pairs, the worst case of the DP's states."""
     mu, nu, rho = canonical(mu), canonical(nu), canonical(rho)
     n = sum(mu)
     if sum(nu) != n or sum(rho) != n:
         return 0
+    bound = math.prod(v + 1 for v in nu + rho)
+    if bound > AXIS_STATE_CAP:
+        raise SizeCapError(f"3dxray marginals admit {bound} residual pairs, over the cap of {AXIS_STATE_CAP}")
     return _count_axis(mu, nu, rho)
 
 

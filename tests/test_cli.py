@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -53,6 +54,14 @@ def test_coeff_missing_args(capsys, monkeypatch):
     assert code == EXIT_INPUT_ERROR
 
 
+def test_coeff_p_one_row_2400(capsys, monkeypatch):
+    # one letter, (1200), where filling the 1200-box inner tableau box by
+    # box ran out of interpreter stack
+    code, out, err = run(["coeff", "p", "[2400]", "[2]", "[1200]", "--format", "json"], capsys=capsys)
+    assert code == EXIT_OK, err
+    assert json.loads(out)["value"] == 1
+
+
 def test_kron(capsys, monkeypatch):
     code, out, _ = run(["kron", "[2,1]", "[2,1]", "[1,1,1]"], capsys=capsys)
     assert code == EXIT_OK
@@ -97,6 +106,18 @@ def test_count_range_45_layer(capsys, monkeypatch):
     code, out, err = run(["count", json.dumps(data), "--format", "json"], capsys=capsys)
     assert code == EXIT_OK, err
     assert json.loads(out) == {"count": 1}
+
+
+def test_count_3dxray_over_the_size_cap(capsys, monkeypatch):
+    # 4^12 residual pairs: refused before the DP starts
+    ones = [1] * 12
+    data = {"kind": "3dxray", "marginals": {"x": ones, "y": ones, "z": ones}}
+    t0 = time.perf_counter()
+    code, out, err = run(["count", json.dumps(data)], capsys=capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == EXIT_GATE_FAILED
+    assert out == ""
+    assert err.startswith("over the size cap") and len(err.splitlines()) == 1
 
 
 def test_count_bad_schema(capsys, monkeypatch):

@@ -1,7 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_tableaux import filled_ssyt_weights, unpruned_weighted_count
 
+from plethtomo import coefficients
 from plethtomo.characters import plethysm_schur_table
 from plethtomo.coefficients import (
     check_duality,
@@ -15,7 +19,7 @@ from plethtomo.coefficients import (
 )
 from plethtomo.partitions import partitions_of
 from plethtomo.sympoly import decompose_schur, plethysm_poly
-from plethtomo.tableaux import dim_weyl
+from plethtomo.tableaux import dim_weyl, kostka
 
 
 def test_weight_multiplicity_examples():
@@ -36,6 +40,25 @@ def test_weight_multiplicity_brute_force_cross_check():
             if tuple(w) == kappa + (0,) * (4 - len(kappa)):
                 brute += 1
         assert weight_multiplicity((1, 1), (3,), kappa, 4) == brute
+
+
+LETTER_PAIRS = [(mu, nu) for a in range(2, 5) for b in range(2, 8 // a + 1) for mu in partitions_of(a) for nu in partitions_of(b)]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_weight_multiplicity_matches_tableau_letter_oracle(data):
+    # a one-box mu or nu takes a Kostka shortcut, not the letters
+    mu, nu = data.draw(st.sampled_from(LETTER_PAIRS))
+    a, b = sum(mu), sum(nu)
+    k = data.draw(st.integers(1, a * b))
+    kappa = tuple(data.draw(st.permutations(data.draw(st.sampled_from(list(partitions_of(a * b, max_parts=k)))))))
+    kappa += (0,) * data.draw(st.integers(0, 2))
+    # the oracle fills nu-tableaux box by box and runs the strip DP unpruned
+    want = unpruned_weighted_count(mu, filled_ssyt_weights(nu, len(kappa), bound=kappa), kappa)
+    coefficients._q_cache.clear()
+    kostka.cache_clear()
+    assert weight_multiplicity(mu, nu, kappa, len(kappa)) == want
 
 
 def test_weight_multiplicity_symmetric_in_kappa():

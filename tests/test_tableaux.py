@@ -1,9 +1,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plethtomo.partitions import partitions_of
+from plethtomo.partitions import canonical, pad, partitions_of
 from plethtomo.tableaux import (
+    _horizontal_strips,
     count_weighted_ssyt,
     dim_weyl,
     enumerate_ssyt,
@@ -100,12 +103,99 @@ def test_count_weighted_ssyt_against_enumeration():
             assert count_weighted_ssyt(mu, letters, target) == brute_weighted_count(mu, letters, target)
 
 
+def test_count_weighted_ssyt_rejects_letters_of_another_length():
+    with pytest.raises(ValueError):
+        count_weighted_ssyt((2,), [(1, 0, 5)], (2, 0))
+
+
+def filled_ssyt_weights(shape, k, bound=None):
+    """Test oracle: the weight vectors (length k) of all SSYT of ``shape``
+    over 0..k-1, one per tableau, filled box by box; with ``bound``, only
+    tableaux whose weight is entrywise <= bound."""
+    shape = canonical(shape)
+    if not shape:
+        return [(0,) * k]
+    if len(shape) > k:
+        return []
+    cap = list(pad(bound, k)) if bound is not None else [sum(shape)] * k
+    cells = [(r, c) for r in range(len(shape)) for c in range(shape[r])]
+    grid = [[0] * row for row in shape]
+    weight = [0] * k
+    out = []
+
+    def fill(idx):
+        if idx == len(cells):
+            out.append(tuple(weight))
+            return
+        r, c = cells[idx]
+        lo = grid[r][c - 1] if c > 0 else 0
+        if r > 0:
+            lo = max(lo, grid[r - 1][c] + 1)
+        for v in range(lo, k):
+            if weight[v] < cap[v]:
+                grid[r][c] = v
+                weight[v] += 1
+                fill(idx + 1)
+                weight[v] -= 1
+
+    fill(0)
+    return out
+
+
+def unpruned_weighted_count(mu, letters, target):
+    """Test oracle: the horizontal-strip DP over the letters in the order
+    given, with no pruning; states are (subshape, partial weight)."""
+    mu = canonical(mu)
+    states = {((0,) * len(mu), (0,) * len(target)): 1}
+    for w in letters:
+        new = {}
+        for (alpha, acc), cnt in states.items():
+            for beta in _horizontal_strips(alpha, mu):
+                s = sum(beta) - sum(alpha)
+                key = (beta, tuple(a + s * v for a, v in zip(acc, w)))
+                new[key] = new.get(key, 0) + cnt
+        states = new
+    return states.get((pad(mu, len(mu)), tuple(target)), 0)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_count_weighted_ssyt_any_letter_order(data):
+    # three coordinates the letters may touch and a fourth none touches
+    mu = data.draw(st.sampled_from([p for n in range(1, 5) for p in partitions_of(n)]))
+    letters = data.draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1), st.just(0)), min_size=1, max_size=4))
+    if data.draw(st.booleans()):
+        letters.append((0, 0, 0, 0))
+    used = data.draw(st.lists(st.sampled_from(letters), min_size=sum(mu), max_size=sum(mu)))
+    target = [sum(w[i] for w in used) for i in range(4)]
+    target[data.draw(st.integers(0, 3))] += data.draw(st.integers(0, 1))
+    target = tuple(target)
+    shuffled = data.draw(st.permutations(letters))
+    want = brute_weighted_count(mu, letters, target)
+    assert count_weighted_ssyt(mu, letters, target) == want
+    assert count_weighted_ssyt(mu, shuffled, target) == want
+    assert unpruned_weighted_count(mu, letters, target) == want
+
+
 def test_ssyt_weights_with_bound():
     unbounded = ssyt_weights((2, 1), 3)
     assert len(unbounded) == 8
     bounded = ssyt_weights((2, 1), 3, bound=(1, 1, 1))
     assert len(bounded) == 2  # standard fillings only
     assert all(max(w) <= 1 for w in bounded)
+    for n in range(5):
+        for shape in partitions_of(n):
+            for k in range(4):
+                filled = sorted(tableau_weight(t, k) for t in enumerate_ssyt(shape, k))
+                assert sorted(ssyt_weights(shape, k)) == sorted(filled_ssyt_weights(shape, k)) == filled
+                for bound in ((2,) * k, tuple(range(k, 0, -1))):
+                    assert sorted(ssyt_weights(shape, k, bound)) == sorted(filled_ssyt_weights(shape, k, bound))
+
+
+def test_ssyt_weights_one_long_row():
+    # one composition, where a box-by-box fill needs one frame per box
+    assert ssyt_weights((1200,), 1) == [(1200,)]
+    assert ssyt_weights((3000,), 2, bound=(2999, 1)) == [(2999, 1)]
 
 
 def test_dim_weyl_edge_cases():

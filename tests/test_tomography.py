@@ -11,6 +11,8 @@ from plethtomo.partitions import add, canonical, compositions_of, is_partition, 
 from plethtomo.coefficients import plethysm_coeff
 from plethtomo.reductions import embed_pyramid_3d, symmetrize_2d
 from plethtomo.tomography import (
+    AXIS_STATE_CAP,
+    SizeCapError,
     XRayInstance2D,
     axis_marginals,
     beta,
@@ -632,6 +634,20 @@ def test_count_3dxray_all_ones_is_n_factorial_squared(n):
     # x -> y, x -> z each
     ones = (1,) * n
     assert count_3dxray(ones, ones, ones) == math.factorial(n) ** 2
+
+
+def test_count_3dxray_size_cap():
+    # 1^9 has exactly AXIS_STATE_CAP residual pairs and is still counted;
+    # the cap is checked before any state is built
+    assert 4**9 == AXIS_STATE_CAP
+    for n in (10, 40):
+        ones = (1,) * n
+        with pytest.raises(SizeCapError):
+            count_3dxray(ones, ones, ones)
+    with pytest.raises(SizeCapError):
+        count_3dxray((2048,), (1024, 1024), (2048,))
+    # 501^2 pairs, under the cap: the points (x, 0, 0) for x < 500
+    assert count_3dxray((1,) * 500, (500,), (500,)) == 1
 
 
 def test_2dxray_gate():
