@@ -49,9 +49,11 @@ def transpose(p: Iterable[int]) -> Partition:
     lam = canonical(p)
     if not is_partition(lam):
         raise ValueError(f"{lam} is not a partition")
-    if not lam:
-        return ()
-    return tuple(sum(1 for v in lam if v > i) for i in range(lam[0]))
+    # the columns in [lam[k], lam[k-1]) have height k; O(lam[0] + len(lam))
+    out: list[int] = []
+    for k in range(len(lam), 0, -1):
+        out += [k] * (lam[k - 1] - (lam[k] if k < len(lam) else 0))
+    return tuple(out)
 
 
 def partitions_of(n: int, max_parts: int | None = None, max_part: int | None = None) -> Iterator[Partition]:

@@ -26,14 +26,11 @@ from .tomography import (
     Point,
     SymInstance,
     XRayInstance2D,
-    axis_marginals,
-    complete_pyramid,
     coordinate_sum,
     count_point_sets,
     count_pyramids,
-    full_simplex,
     is_promise_instance,
-    sum_marginal,
+    pyramid_marginal,
 )
 
 ORACLE_SIZE_CAP = 18
@@ -125,7 +122,7 @@ def embed_pyramid_3d(lam_hat: Composition, r: int, kind: ConeKind) -> SymInstanc
     total = sum(lam_hat)
     if total % 3 != 0 or len(lam_hat) > r + 1 or coordinate_sum(lam_hat) != r * (total // 3):
         return CANONICAL_ZERO_3D[kind]
-    lam = add(sum_marginal(complete_pyramid(r - 1, kind)), lam_hat)
+    lam = add(pyramid_marginal(r - 1, kind), lam_hat)
     return SymInstance(lam, kind, None)
 
 
@@ -149,8 +146,9 @@ def promise_to_plethysm(lam: Composition, kind: ConeKind) -> PlethysmInstance:
 def resolve_coefficient(inst: PlethysmInstance) -> CoefficientResult:
     """Exact value of a plethysm instance, by the cheapest sound route:
 
-    * promise instances at inner degree 3 are counted as pyramids (equal to
-      point sets there, and to the coefficient);
+    * promise instances at inner degree 3 are counted as point sets (every
+      solution of a promise instance is a pyramid, so this equals the
+      pyramid count there, and the coefficient);
     * anything small enough goes to the symmetric-function oracle;
     * otherwise, if the pyramid/point-set bounds coincide the coefficient
       is pinned between them.
@@ -200,11 +198,12 @@ def kronecker_plethysm_triple(inst: XRayInstance2D) -> KroneckerPlethysmTriple:
         raise ValueError("range-0 instances are counted directly, not reduced")
     if not inst.passes_gate():
         raise ValueError("instance fails the feasibility gate (marginal totals / coordinate sum)")
-    simplex = full_simplex(r - 1)
-    xq, yq, zq = axis_marginals(simplex)
-    mu = transpose(tuple(sorted(add(inst.mu, xq), reverse=True)))
-    nu = transpose(tuple(sorted(add(inst.nu, yq), reverse=True)))
-    rho = transpose(tuple(sorted(add(inst.rho, zq), reverse=True)))
+    # every axis marginal of the radius r-1 simplex: a slice at value i
+    # holds the (r-i)(r-i+1)/2 points of the plane simplex of radius r-1-i
+    sq = tuple((r - i) * (r - i + 1) // 2 for i in range(r))
+    mu = transpose(tuple(sorted(add(inst.mu, sq), reverse=True)))
+    nu = transpose(tuple(sorted(add(inst.nu, sq), reverse=True)))
+    rho = transpose(tuple(sorted(add(inst.rho, sq), reverse=True)))
     open_inst = promise_to_plethysm(embed_pyramid_3d(symmetrize_2d(inst, "open").marginal, 13 * r, "open").marginal, "open")
     closed_inst = promise_to_plethysm(embed_pyramid_3d(symmetrize_2d(inst, "closed").marginal, 13 * r, "closed").marginal, "closed")
     return KroneckerPlethysmTriple(mu, nu, rho, open_inst, closed_inst)

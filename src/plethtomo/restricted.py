@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, Literal
 
 from .partitions import Composition, Partition, canonical, is_partition, subtract, transpose
-from .tomography import ConeKind, Point, complete_pyramid, in_cone, sum_marginal, xi
+from .tomography import ConeKind, Point, in_cone, pyramid_marginal, xi
 
 PlethysmVariant = Literal["sym", "wedge"]
 
@@ -110,8 +110,7 @@ def psi_splits(mu: Partition, nu: Partition, lam: Composition) -> list[tuple[tup
     kind = decomp.kind
     checked = lam
     for r_j in decomp.thresholds:
-        part = sum_marginal(complete_pyramid(r_j - 1, kind))
-        res = subtract(checked, part)
+        res = subtract(checked, pyramid_marginal(r_j - 1, kind))
         if res is None:
             return []
         checked = res

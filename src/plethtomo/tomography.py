@@ -8,13 +8,17 @@ marginals on a triangular grid layer or in all of N^3.
 
 Sum-marginal instances, whole-cone or restricted to one grid layer, are
 counted exactly by one engine, at every distance ("excess") above the
-minimum coordinate sum.  It walks coordinate-sum layers in increasing order
-with lower/upper bounds on the achievable total coordinate sum.  A layer on
-which the bounds rule out skipping even one point is forced and taken whole
-in one step; at the minimum coordinate sum every layer below the top one is
-forced, which is what makes pipeline-scale promise instances (thousands of
-candidate points) countable.  The remaining layers run take/skip on an
-explicit stack, so no interpreter recursion limit applies to it.
+minimum coordinate sum.  Whole-cone counts first peel a forced prefix: an
+n-point instance at excess e contains every cone point of coordinate sum
+below floor = iota(n) - e, because a set missing a point of layer j pays at
+least beta(n) + iota(n) - j, which exceeds beta(n) + e when j < floor.  That
+complete pyramid's marginal is subtracted up front, so a promise instance
+(excess 0) counts from its top layer only.  The engine then walks the
+coordinate-sum layers from the floor up, with lower/upper bounds on the
+achievable total coordinate sum.  A layer on which the bounds rule out
+skipping even one point is forced and taken whole in one step.  The
+remaining layers run take/skip on an explicit stack, so no interpreter
+recursion limit applies to it.
 
 For point sets, the number of completions at a layer boundary depends only
 on the layer and the residual marginal, so each call memoizes it at the
@@ -37,11 +41,13 @@ instance whose marginals admit more than AXIS_STATE_CAP residual pairs.
 
 from __future__ import annotations
 
+import functools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Literal, Sequence
 
-from .partitions import Composition, canonical
+from .partitions import Composition, canonical, subtract
 
 Point = tuple[int, int, int]
 ConeKind = Literal["open", "closed"]
@@ -128,6 +134,12 @@ def complete_pyramid(r: int, kind: ConeKind) -> frozenset[Point]:
     return frozenset(pts)
 
 
+@functools.lru_cache(maxsize=256)
+def pyramid_marginal(r: int, kind: ConeKind) -> Composition:
+    """sum_marginal(complete_pyramid(r, kind)), built once per (r, kind)."""
+    return sum_marginal(complete_pyramid(r, kind))
+
+
 def full_simplex(r: int) -> frozenset[Point]:
     """All of N^3 with coordinate sum <= r."""
     return frozenset(
@@ -206,27 +218,38 @@ def is_promise_instance(lam: Composition, kind: ConeKind) -> bool:
 # counting engines
 
 
-def _candidates(lam: tuple[int, ...], kind: ConeKind) -> list[Point]:
+def _candidates(lam: tuple[int, ...], kind: ConeKind, layer: int | None = None, floor: int = 0) -> list[Point]:
     """Cone points whose own marginal fits under lam, in lexicographic
-    order.  Coordinates range over the support of lam only, so the fit
-    needs checking only where coordinates repeat."""
+    order, with coordinate sum exactly layer if given, else at least floor.
+    Coordinates range over the support of lam only, so the fit needs
+    checking only where coordinates repeat."""
     support = [i for i, v in enumerate(lam) if v > 0]
     weak = kind == "closed"
+    lo, hi = (floor, math.inf) if layer is None else (layer, layer)
     out = []
     for a, x in enumerate(support):
-        ys = support[: a + 1] if weak else support[:a]
-        for b, y in enumerate(ys):
-            for z in ys[: b + 1] if weak else ys[:b]:
+        # z <= y, so y >= (lo - x) / 2
+        for b in range(bisect_left(support, (lo - x + 1) // 2), a + weak):
+            y = support[b]
+            if x + y > hi:
+                break
+            zend = b + weak
+            for c in range(bisect_left(support, lo - x - y, 0, zend), bisect_right(support, hi - x - y, 0, zend)):
+                z = support[c]
                 if (x == y or y == z) and lam[y] < 1 + (x == y) + (y == z):
                     continue
                 out.append((x, y, z))
     return out
 
 
-def _closure_filter(cands: list[Point], kind: ConeKind) -> tuple[list[Point], dict[Point, tuple[Point, ...]]]:
+def _closure_filter(
+    cands: list[Point], kind: ConeKind, floor: int = 0
+) -> tuple[list[Point], dict[Point, tuple[Point, ...]]]:
     """Restrict to points whose full dominated set stays inside the
     candidate pool (a pyramid can never contain the others), and record
     each kept point's lower covers: the cone points one unit step below it.
+    Covers below floor belong to the peeled complete pyramid and count as
+    present.
 
     The covers generate the whole dominated set inside the cone (lower z,
     then y, then x, and every step stays in the cone), so one pass decides
@@ -236,7 +259,9 @@ def _closure_filter(cands: list[Point], kind: ConeKind) -> tuple[list[Point], di
     dom: dict[Point, tuple[Point, ...]] = {}
     for p in cands:
         x, y, z = p
-        covers = tuple(q for q in ((x - 1, y, z), (x, y - 1, z), (x, y, z - 1)) if in_cone(q, kind))
+        covers = ()
+        if x + y + z > floor:
+            covers = tuple(q for q in ((x - 1, y, z), (x, y - 1, z), (x, y, z - 1)) if in_cone(q, kind))
         if all(q in dom for q in covers):
             kept.append(p)
             dom[p] = covers
@@ -255,10 +280,18 @@ def _shift(residual: list[int], points: list[Point], step: int) -> None:
         residual[z] += step
 
 
-def _count_levelwise(lam: tuple[int, ...], kind: ConeKind, pyramids_only: bool, layer: int | None = None) -> int:
+def _count_levelwise(
+    lam: tuple[int, ...], kind: ConeKind, pyramids_only: bool, layer: int | None = None, floor: int = 0
+) -> int:
     """Count point sets (or pyramids) with sum-marginal lam by choosing the
     subset of each coordinate-sum layer in increasing order.  With layer
-    given, only the points of that coordinate sum are candidates.
+    given, only the points of that coordinate sum are candidates.  With
+    floor given, lam is what remains once the complete pyramid below floor
+    is taken: _count peels it at floor = iota(n) - excess, below which every
+    solution is complete (missing a point of layer j costs at least
+    iota(n) - j more than beta(n), over the excess when j < floor).  Only
+    points of coordinate sum >= floor are candidates then, and pyramid
+    closure treats the layers below as present.
 
     Feasibility pruning: with m points still to place and B_res coordinate
     sum still to spend, filling the m cheapest available slots from the
@@ -279,12 +312,10 @@ def _count_levelwise(lam: tuple[int, ...], kind: ConeKind, pyramids_only: bool, 
     closure is checked as points are taken, against the lower covers from
     _closure_filter; they live one layer down, already decided and closed.
     """
-    cands = _candidates(lam, kind)
-    if layer is not None:
-        cands = [p for p in cands if p[0] + p[1] + p[2] == layer]
+    cands = _candidates(lam, kind, layer, floor)
     dom: dict[Point, tuple[Point, ...]] = {}
     if pyramids_only:
-        cands, dom = _closure_filter(cands, kind)
+        cands, dom = _closure_filter(cands, kind, floor)
     by_level: dict[int, list[Point]] = {}
     for p in cands:
         by_level.setdefault(p[0] + p[1] + p[2], []).append(p)
@@ -422,7 +453,16 @@ def _count(lam: Composition, kind: ConeKind, pyramids_only: bool) -> int:
     excess = coordinate_sum(lam) - beta(n, kind)
     if excess < 0:
         return 0
-    return _count_levelwise(lam, kind, pyramids_only)
+    # every solution contains the complete pyramid below floor (module
+    # docstring): take its marginal out and count the rest above it
+    floor = max(iota(n, kind) - excess, 0)
+    if floor:
+        lam = subtract(lam, pyramid_marginal(floor - 1, kind))
+        if lam is None:
+            return 0
+        if not lam:
+            return 1
+    return _count_levelwise(lam, kind, pyramids_only, floor=floor)
 
 
 def count_point_sets(lam: Composition, kind: ConeKind) -> int:

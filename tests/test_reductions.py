@@ -3,7 +3,7 @@ import random
 import pytest
 
 from plethtomo.coefficients import kronecker, plethysm_coeff
-from plethtomo.partitions import compositions_of, partitions_of, transpose
+from plethtomo.partitions import add, compositions_of, partitions_of, transpose
 from plethtomo.reductions import (
     CANONICAL_ZERO_3D,
     TRIVIAL_NO_INSTANCE,
@@ -20,10 +20,12 @@ from plethtomo.reductions import (
 )
 from plethtomo.tomography import (
     XRayInstance2D,
+    axis_marginals,
     complete_pyramid,
     count_2dxray,
     count_point_sets,
     count_sym_2dxray,
+    full_simplex,
     is_promise_instance,
     sum_marginal,
 )
@@ -242,6 +244,16 @@ def test_end_to_end_kronecker_equality_range_one():
     for inst in all_feasible_instances(1, 3):
         trip = kronecker_plethysm_triple(inst)
         assert kronecker(trip.mu, trip.nu, trip.rho).value == count_2dxray(inst)
+
+
+def test_triple_pads_with_the_simplex_marginals():
+    # the padding is read off a closed form; check it against the point set
+    for r in range(1, 7):
+        pads = axis_marginals(full_simplex(r - 1))
+        for inst in list(all_feasible_instances(r, 2))[:6]:
+            trip = kronecker_plethysm_triple(inst)
+            for got, marg, pad in zip((trip.mu, trip.nu, trip.rho), (inst.mu, inst.nu, inst.rho), pads):
+                assert got == transpose(tuple(sorted(add(marg, pad), reverse=True))), (inst, r)
 
 
 def test_symmetrize_parsimony_exhaustive_range_two():

@@ -30,6 +30,7 @@ from plethtomo.tomography import (
     iota,
     is_promise_instance,
     is_pyramid,
+    pyramid_marginal,
     sum_marginal,
     xi,
     xi_by_enumeration,
@@ -103,6 +104,13 @@ def test_full_simplex():
     assert axis_marginals(full_simplex(1))[0] == (3, 1)
 
 
+def test_pyramid_marginal_matches_the_complete_pyramid():
+    for kind in ("open", "closed"):
+        for r in range(-1, 41):
+            assert pyramid_marginal(r, kind) == sum_marginal(complete_pyramid(r, kind)), (r, kind)
+    assert pyramid_marginal.cache_info().maxsize is not None
+
+
 def test_coordinate_sum():
     assert coordinate_sum((3,)) == 0
     assert coordinate_sum((1, 2, 4, 1, 0, 1)) == 18
@@ -169,11 +177,12 @@ def _naive_candidates(lam, kind):
     return out
 
 
-def _count_reference(lam, kind, pyramids_only):
+def _count_reference(lam, kind, pyramids_only, found=None):
     """Exponential test oracle: plain take/skip over every candidate point,
     pruned only by the residual marginal, with pyramid closure checked on
     whole sets.  Only for tiny instances; the production engines are
-    checked against it."""
+    checked against it.  With found given, every counted set is appended
+    to it."""
     cands = _naive_candidates(lam, kind)
     length = len(lam)
 
@@ -183,6 +192,8 @@ def _count_reference(lam, kind, pyramids_only):
                 return 0
             if pyramids_only and not is_pyramid(chosen, kind):
                 return 0
+            if found is not None:
+                found.append(frozenset(chosen))
             return 1
         if idx == len(cands) or len(cands) - idx < m:
             return 0
@@ -308,7 +319,11 @@ def test_level_engine_matches_oracle_and_index_engine(comp, kind):
     lam = canonical(comp)
     if not lam:
         return
-    assert _candidates(lam, kind) == _naive_candidates(lam, kind)
+    naive = _naive_candidates(lam, kind)
+    assert _candidates(lam, kind) == naive
+    for s in range(3 * len(lam)):
+        assert _candidates(lam, kind, floor=s) == [p for p in naive if sum(p) >= s]
+        assert _candidates(lam, kind, layer=s) == [p for p in naive if sum(p) == s]
     for pyramids_only, count in ((False, count_point_sets), (True, count_pyramids)):
         ref = _count_reference(lam, kind, pyramids_only)
         assert _count_levelwise(lam, kind, pyramids_only) == ref
@@ -341,6 +356,59 @@ def test_engines_agree_on_forced_layers():
                         assert _count_by_index(lam, kind, pyramids_only) == ref, (lam, kind, pyramids_only)
                         checked += ref > 0
     assert checked >= 20
+
+
+def _excess(lam, kind):
+    return coordinate_sum(lam) - beta(sum(lam) // 3, kind)
+
+
+def _peel_family():
+    """Instances at excess 1-3 just above a complete pyramid: its marginal
+    plus the marginal of one or two points of one of the next three
+    layers."""
+    family = {}
+    for kind, radii in (("closed", range(3)), ("open", range(3, 6))):
+        for t in radii:
+            base = sum_marginal(complete_pyramid(t, kind))
+            for r in range(t + 1, t + 4):
+                for k in (1, 2):
+                    for vec in _layer_vectors(r, k):
+                        lam = add(base, vec)
+                        if 1 <= _excess(lam, kind) <= 3:
+                            family[lam, kind] = None
+    return list(family)
+
+
+def test_peeled_counts_match_the_oracles_at_excess_one_to_three():
+    # the whole-cone counters take out the complete pyramid below
+    # iota(n) - excess first; a floor off by the excess (say iota(n) - 1)
+    # miscounts here, which a random draw of small compositions rarely hits
+    family = _peel_family()
+    peeled = solved = 0
+    for lam, kind in family:
+        peeled += iota(sum(lam) // 3, kind) - _excess(lam, kind) > 0
+        for pyramids_only, count in ((False, count_point_sets), (True, count_pyramids)):
+            ref = _count_reference(lam, kind, pyramids_only)
+            assert _count_by_index(lam, kind, pyramids_only) == ref, (lam, kind, pyramids_only)
+            assert count(lam, kind) == ref, (lam, kind, pyramids_only)
+            solved += ref > 0
+    assert len(family) >= 200 and peeled >= 150 and solved >= 100
+
+
+def test_every_solution_contains_the_pyramid_below_the_floor():
+    # the lemma behind the peel: at excess e, an n-point solution misses no
+    # point of coordinate sum below iota(n) - e
+    small = {(canonical(c), kind) for total in (3, 6, 9) for c in compositions_of(total, 4) for kind in ("open", "closed")}
+    checked = 0
+    for lam, kind in _peel_family() + sorted(small):
+        if not lam or _excess(lam, kind) < 0:
+            continue
+        forced = complete_pyramid(iota(sum(lam) // 3, kind) - _excess(lam, kind) - 1, kind)
+        found = []
+        _count_reference(lam, kind, False, found)
+        assert all(forced <= s for s in found), (lam, kind)
+        checked += len(found) if forced else 0
+    assert checked >= 100
 
 
 def test_range_three_promise_instance_under_a_low_recursion_limit():
@@ -394,6 +462,13 @@ def test_closure_filter_matches_naive_filter(comp, kind):
     kept, dom = _closure_filter(cands, kind)
     assert kept == [p for p in cands if pool.issuperset(_dominated(p, kind))]
     assert set(dom) == set(kept)
+    # above a floor, the points below it count as present
+    for floor in range(1, 7):
+        above = _candidates(lam, kind, floor=floor)
+        present = set(above) | complete_pyramid(floor - 1, kind)
+        kept, dom = _closure_filter(above, kind, floor)
+        assert kept == [p for p in above if present.issuperset(_dominated(p, kind))]
+        assert set(dom) == set(kept)
 
 
 @pytest.mark.parametrize("kind", ["open", "closed"])
