@@ -39,13 +39,11 @@ from .reductions import (
 from .restricted import (
     PsiDecomposition,
     count_cone_ssyt,
-    enumerate_cone_ssyt,
     psi_decompose,
     psi_membership,
-    tableau_layers_check,
 )
 from .sympoly import NotSchurPositiveError, SymPoly, decompose_schur, plethysm_poly, schur_poly
-from .tableaux import dim_weyl, enumerate_ssyt, kostka, tableau_weight
+from .tableaux import dim_weyl, kostka
 from .tomography import (
     AXIS_STATE_CAP,
     SizeCapError,

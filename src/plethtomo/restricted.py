@@ -4,8 +4,9 @@ For outer shapes whose columns are split into a complete-pyramid part and a
 single-layer part, and inner degree 3, the plethysm coefficient equals the
 number of semistandard tableaux filled with cone points, ordered by
 coordinate sum.  This module builds the column decomposition, recognizes
-the admissible (mu, nu, lam) triples, and counts the tableaux by explicit
-enumeration over the ordered cone alphabet.
+the admissible (mu, nu, lam) triples, and counts the tableaux with the
+weighted horizontal-strip DP of tableaux.count_weighted_ssyt, one letter
+per cone point; no tableau is filled.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator, Literal
 
 from .partitions import Composition, Partition, canonical, is_partition, subtract, transpose
+from .tableaux import count_weighted_ssyt
 from .tomography import ConeKind, Point, in_cone, pyramid_marginal, xi
 
 PlethysmVariant = Literal["sym", "wedge"]
@@ -158,93 +160,19 @@ def cone_alphabet(kind: ConeKind, coord_bound: int, tiebreak: str = "lex") -> li
     raise ValueError(f"unknown tiebreak {tiebreak!r}")
 
 
-ConeTableau = tuple[tuple[Point, ...], ...]
-
-
-def enumerate_cone_ssyt(mu: Partition, lam: Composition, variant: PlethysmVariant, tiebreak: str = "lex") -> Iterator[ConeTableau]:
-    """All semistandard fillings of shape mu with cone points: rows weakly
-    increase and columns strictly increase in the alphabet order, and the
-    pooled sum-marginal of all entries equals lam."""
-    mu = canonical(mu)
-    lam = canonical(lam)
-    kind = _KIND[variant]
-    alphabet = cone_alphabet(kind, len(lam), tiebreak)
-    # drop letters that cannot fit under lam at all
-    usable = []
-    for p in alphabet:
-        m = [0] * len(lam)
-        m[p[0]] += 1
-        m[p[1]] += 1
-        m[p[2]] += 1
-        if all(m[i] <= lam[i] for i in range(len(lam))):
-            usable.append(p)
-    index = {p: i for i, p in enumerate(usable)}
-    rows = len(mu)
-    if rows == 0:
-        if sum(lam) == 0:
-            yield ()
-        return
-    cells = [(r, c) for r in range(rows) for c in range(mu[r])]
-    grid: list[list[Point | None]] = [[None] * mu[r] for r in range(rows)]
-    residual = list(lam)
-
-    def fits(p: Point) -> bool:
-        return residual[p[0]] >= 1 and residual[p[1]] >= (1 + (p[0] == p[1])) and residual[p[2]] >= (
-            1 + (p[0] == p[2]) + (p[1] == p[2])
-        )
-
-    def fill(idx: int) -> Iterator[ConeTableau]:
-        if idx == len(cells):
-            yield tuple(tuple(row) for row in grid)  # type: ignore[arg-type]
-            return
-        r, c = cells[idx]
-        lo = 0
-        if c > 0:
-            lo = index[grid[r][c - 1]]
-        if r > 0:
-            lo = max(lo, index[grid[r - 1][c]] + 1)
-        for i in range(lo, len(usable)):
-            p = usable[i]
-            if not fits(p):
-                continue
-            grid[r][c] = p
-            residual[p[0]] -= 1
-            residual[p[1]] -= 1
-            residual[p[2]] -= 1
-            yield from fill(idx + 1)
-            residual[p[0]] += 1
-            residual[p[1]] += 1
-            residual[p[2]] += 1
-            grid[r][c] = None
-
-    yield from fill(0)
-
-
 def count_cone_ssyt(mu: Partition, lam: Composition, variant: PlethysmVariant, tiebreak: str = "lex") -> int:
     """Number of cone-point tableaux of shape mu and pooled marginal lam;
     on restricted instances this equals the general plethysm coefficient
-    of lam in the mu-functor of the degree-3 inner module."""
+    of lam in the mu-functor of the degree-3 inner module.
+
+    Each cone point is a letter weighted by its sum-marginal vector, so the
+    count is the coefficient of x^lam in s_mu at those letters' monomials,
+    which count_weighted_ssyt computes by its horizontal-strip DP.  That
+    coefficient is symmetric in the letters, so the count does not depend
+    on ``tiebreak``; it is still checked to be a known order."""
     nu: Partition = (3,) if variant == "sym" else (1, 1, 1)
     if not psi_membership(mu, nu, lam):
         raise ValueError(f"({mu}, {nu}, {canonical(lam)}) is not a restricted instance")
-    return sum(1 for _ in enumerate_cone_ssyt(mu, lam, variant, tiebreak))
-
-
-def tableau_layers_check(t: ConeTableau, decomp: PsiDecomposition, tiebreak: str = "lex") -> bool:
-    """Verify the forced structure of a restricted-instance tableau: inside
-    the pyramid part of each column, row i holds the i-th smallest cone
-    point; the remaining boxes of column j sit entirely on layer r_j."""
-    if not t:
-        return True
-    coord_bound = 1 + max(max(p) for row in t for p in row)
-    order = cone_alphabet(decomp.kind, max(coord_bound, 3), tiebreak)
-    for j, r_j in enumerate(decomp.thresholds):
-        col = [t[i][j] for i in range(len(t)) if j < len(t[i])]
-        for i, p in enumerate(col):
-            if i < decomp.pyramid_parts[j]:
-                if p != order[i]:
-                    return False
-            else:
-                if p[0] + p[1] + p[2] != r_j:
-                    return False
-    return True
+    lam = canonical(lam)
+    letters = [tuple(p.count(i) for i in range(len(lam))) for p in cone_alphabet(_KIND[variant], len(lam), tiebreak)]
+    return count_weighted_ssyt(mu, letters, lam)

@@ -1,4 +1,4 @@
-"""Semistandard Young tableaux: enumeration, Kostka numbers, weighted counts.
+"""Semistandard Young tableaux: Kostka numbers and weighted counts.
 
 Tableaux here are fillings of a partition shape with letters 0..k-1, weakly
 increasing along rows and strictly increasing down columns.  The weighted
@@ -6,84 +6,35 @@ counting routine is the workhorse for extracting weight-space dimensions of
 plethysms: it counts SSYT over an alphabet whose letters carry vector
 weights, with a prescribed total weight, by a horizontal-strip DP.  For
 plethysms the letters are the inner tableaux, and ssyt_weights lists their
-weights as compositions with Kostka multiplicities, so no letter tableau is
-enumerated; only enumerate_ssyt, which the tests use, lists tableaux.
+weights as compositions with Kostka multiplicities; for restricted
+plethysms they are cone points.  No tableau is ever filled here.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .partitions import Composition, Partition, canonical, compositions_of, pad, partitions_of
-
-Tableau = tuple[tuple[int, ...], ...]
-
-
-def enumerate_ssyt(shape: Partition, alphabet_size: int) -> list[Tableau]:
-    """All SSYT of the given shape with entries in 0..alphabet_size-1."""
-    shape = canonical(shape)
-    if not shape:
-        return [()]
-    if len(shape) > alphabet_size:
-        return []
-    rows = len(shape)
-    out: list[Tableau] = []
-    grid = [[0] * shape[r] for r in range(rows)]
-
-    cells = [(r, c) for r in range(rows) for c in range(shape[r])]
-
-    def fill(idx: int) -> None:
-        if idx == len(cells):
-            out.append(tuple(tuple(row) for row in grid))
-            return
-        r, c = cells[idx]
-        lo = grid[r][c - 1] if c > 0 else 0
-        if r > 0:
-            lo = max(lo, grid[r - 1][c] + 1)
-        for v in range(lo, alphabet_size):
-            grid[r][c] = v
-            fill(idx + 1)
-
-    fill(0)
-    return out
-
-
-def tableau_weight(t: Tableau, alphabet_size: int) -> tuple[int, ...]:
-    """Entry-count vector: weight[i] = number of boxes holding letter i."""
-    w = [0] * alphabet_size
-    for row in t:
-        for v in row:
-            w[v] += 1
-    return tuple(w)
 
 
 def _horizontal_strips(alpha: tuple[int, ...], mu: tuple[int, ...], strip_size: int | None = None) -> Iterator[tuple[int, ...]]:
     """Shapes beta with alpha <= beta <= mu and beta/alpha a horizontal strip.
 
     Horizontal strip: beta_i >= alpha_i and beta_{i+1} <= alpha_i (no two new
-    boxes share a column).  Shapes are padded to len(mu).
+    boxes share a column).  So each row ranges on its own, row i over
+    [alpha_i, min(mu_i, alpha_{i-1})], and the strips are the product of
+    those ranges in lexicographic order, kept only at size ``strip_size``
+    when it is given.  Shapes are padded to len(mu).
     """
-    n = len(mu)
-    a = pad(alpha, n)
-
-    def rec(i: int, prefix: tuple[int, ...], used: int) -> Iterator[tuple[int, ...]]:
-        if strip_size is not None and used > strip_size:
-            return
-        if i == n:
-            if strip_size is None or used == strip_size:
-                yield prefix
-            return
-        hi = mu[i]
-        if i > 0:
-            hi = min(hi, prefix[i - 1])
-        lo = a[i]
-        cap = a[i - 1] if i > 0 else hi
-        hi = min(hi, cap)
-        for b in range(lo, hi + 1):
-            yield from rec(i + 1, prefix + (b,), used + b - a[i])
-
-    yield from rec(0, (), 0)
+    a = pad(alpha, len(mu))
+    caps = tuple(mu[:1]) + tuple(min(m, prev) for m, prev in zip(mu[1:], a))
+    strips = itertools.product(*(range(lo, hi + 1) for lo, hi in zip(a, caps)))
+    if strip_size is None:
+        return strips
+    size = sum(a) + strip_size
+    return (beta for beta in strips if sum(beta) == size)
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,7 @@ from plethtomo.characters import (
     sn_character,
 )
 from plethtomo.partitions import partitions_of
-from plethtomo.tableaux import enumerate_ssyt
+from tableau_oracles import enumerate_ssyt
 
 
 CHARACTER_EXAMPLES = [

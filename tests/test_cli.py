@@ -62,6 +62,15 @@ def test_coeff_p_one_row_2400(capsys, monkeypatch):
     assert json.loads(out)["value"] == 1
 
 
+def test_coeff_p_one_column_1200(capsys, monkeypatch):
+    # an outer shape of 1200 rows, where a recursion frame per row in the
+    # horizontal-strip step ran out of interpreter stack
+    column = "[" + ",".join(["1"] * 1200) + "]"
+    code, out, err = run(["coeff", "p", "[1200]", column, "[1]", "--format", "json"], capsys=capsys)
+    assert code == EXIT_OK, err
+    assert json.loads(out)["value"] == 0
+
+
 def test_kron(capsys, monkeypatch):
     code, out, _ = run(["kron", "[2,1]", "[2,1]", "[1,1,1]"], capsys=capsys)
     assert code == EXIT_OK

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -8,14 +9,13 @@ from plethtomo.restricted import (
     _layer_vectors,
     cone_alphabet,
     count_cone_ssyt,
-    enumerate_cone_ssyt,
     psi_decompose,
     psi_membership,
     psi_splits,
     pyramid_size,
-    tableau_layers_check,
 )
 from plethtomo.tomography import complete_pyramid, count_pyramids, sum_marginal
+from tableau_oracles import enumerate_cone_ssyt, tableau_layers_check
 
 
 def test_pyramid_size():
@@ -74,6 +74,8 @@ def test_count_cone_ssyt_single_box():
 def test_count_cone_ssyt_rejects_non_members():
     with pytest.raises(ValueError):
         count_cone_ssyt((1,), (0, 0, 3), "sym")
+    with pytest.raises(ValueError):
+        count_cone_ssyt((1,), (3,), "sym", tiebreak="weird")
 
 
 def test_cone_alphabet_orders():
@@ -126,11 +128,40 @@ def test_headline_equality_and_tiebreak_invariance():
     assert checked >= 20
 
 
+def test_count_matches_the_enumerated_tableaux():
+    # every class member, split uniquely or not, with |mu| <= 7; the
+    # enumerator fills real tableaux, so its agreement under both orders
+    # checks that the count does not depend on the tiebreak
+    checked = 0
+    for variant in ("sym", "wedge"):
+        for musize in range(1, 8):
+            for mu in partitions_of(musize):
+                for lam in psi_instances(mu, variant):
+                    want = sum(1 for _ in enumerate_cone_ssyt(mu, lam, variant))
+                    assert want == sum(1 for _ in enumerate_cone_ssyt(mu, lam, variant, "revlex")), (variant, mu, lam)
+                    assert count_cone_ssyt(mu, lam, variant) == want, (variant, mu, lam)
+                    assert count_cone_ssyt(mu, lam, variant, tiebreak="revlex") == want, (variant, mu, lam)
+                    checked += 1
+    assert checked == 155
+
+
 def test_single_column_matches_pyramid_count():
-    for n in (1, 2, 3, 4, 5, 6):
+    for n in range(1, 13):
         mu = (1,) * n
         for lam in psi_instances(mu, "sym"):
             assert count_cone_ssyt(mu, lam, "sym") == count_pyramids(lam, "closed"), (n, lam)
+
+
+def test_twenty_box_column_counts_in_under_a_second():
+    # (1^20) has 201 class members; every tenth is counted and checked
+    mu = (1,) * 20
+    members = list(psi_instances(mu, "sym"))
+    assert len(members) == 201
+    for lam in members[::10]:
+        t0 = time.perf_counter()
+        count = count_cone_ssyt(mu, lam, "sym")
+        assert time.perf_counter() - t0 < 1.0, lam
+        assert count == count_pyramids(lam, "closed"), lam
 
 
 def test_tableau_layers_structure():

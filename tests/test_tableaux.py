@@ -9,12 +9,11 @@ from plethtomo.tableaux import (
     _horizontal_strips,
     count_weighted_ssyt,
     dim_weyl,
-    enumerate_ssyt,
     kostka,
     kostka_row,
     ssyt_weights,
-    tableau_weight,
 )
+from tableau_oracles import enumerate_ssyt, tableau_weight
 
 
 def test_enumerate_ssyt_counts():
@@ -38,6 +37,36 @@ def test_ssyt_are_semistandard():
         for r in range(1, len(t)):
             for c in range(len(t[r])):
                 assert t[r][c] > t[r - 1][c]
+
+
+def test_horizontal_strips_match_a_filter_over_all_shapes():
+    # every beta with alpha <= beta <= mu and beta_i <= alpha_{i-1}, in
+    # lexicographic order, for every alpha inside every mu with |mu| <= 8
+    pairs = 0
+    for n in range(9):
+        for mu in partitions_of(n):
+            boxes = list(itertools.product(*(range(m + 1) for m in mu)))
+            for alpha in boxes:
+                if any(alpha[i] < alpha[i + 1] for i in range(len(alpha) - 1)):
+                    continue
+                pairs += 1
+                allowed = [
+                    beta for beta in boxes
+                    if all(a <= b for a, b in zip(alpha, beta)) and all(beta[i] <= alpha[i - 1] for i in range(1, len(mu)))
+                ]
+                assert list(_horizontal_strips(alpha, mu)) == allowed, (alpha, mu)
+                for size in range(n - sum(alpha) + 2):
+                    want = [beta for beta in allowed if sum(beta) - sum(alpha) == size]
+                    assert list(_horizontal_strips(alpha, mu, size)) == want, (alpha, mu, size)
+                    # a shorter alpha is padded with zero rows
+                    assert list(_horizontal_strips(canonical(alpha), mu, size)) == want, (alpha, mu, size)
+    assert pairs == 862
+
+
+def test_kostka_one_long_column():
+    # a shape of 1200 rows, where a recursion frame per row ran out of
+    # interpreter stack
+    assert kostka((2,) + (1,) * 1198, (1,) * 1200) == 1199
 
 
 KOSTKA_EXAMPLES = [
