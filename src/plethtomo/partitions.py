@@ -57,24 +57,36 @@ def transpose(p: Iterable[int]) -> Partition:
 
 
 def partitions_of(n: int, max_parts: int | None = None, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of n, largest part first, in reverse lexicographic order."""
+    """All partitions of n into at most ``max_parts`` parts, each at most
+    ``max_part``, largest part first, in reverse lexicographic order.
+
+    No recursion: each partition is built from the one before by lowering
+    its rightmost part v that can be lowered (the parts from there on must
+    still fit into the free slots at most v - 1 each) and refilling from
+    there greedily with parts v - 1."""
     if n < 0:
+        return
+    if n == 0:
+        yield ()
         return
     bound = n if max_part is None else min(max_part, n)
     parts = n if max_parts is None else max_parts
-
-    def rec(remaining: int, largest: int, slots: int, prefix: tuple[int, ...]) -> Iterator[Partition]:
-        if remaining == 0:
-            yield prefix
+    if bound < 1 or bound * parts < n:
+        return
+    q, r = divmod(n, bound)
+    p = [bound] * q + [r] * (r > 0)
+    while True:
+        yield tuple(p)
+        rest = 0
+        for i in range(len(p) - 1, -1, -1):
+            rest += p[i]
+            v = p[i] - 1
+            if v and v * (parts - i) >= rest:
+                break
+        else:
             return
-        if slots == 0:
-            return
-        for v in range(min(largest, remaining), 0, -1):
-            if remaining - v > v * (slots - 1):
-                continue
-            yield from rec(remaining - v, v, slots - 1, prefix + (v,))
-
-    yield from rec(n, bound, parts, ())
+        q, r = divmod(rest, v)
+        p[i:] = [v] * q + [r] * (r > 0)
 
 
 def compositions_of(n: int, length: int, bound: Composition | None = None) -> Iterator[Composition]:

@@ -16,7 +16,7 @@ from typing import Iterator, Literal
 
 from .partitions import Composition, Partition, canonical, is_partition, subtract, transpose
 from .tableaux import count_weighted_ssyt
-from .tomography import ConeKind, Point, in_cone, pyramid_marginal, xi
+from .tomography import ConeKind, Point, _candidates, in_cone, pyramid_marginal, xi
 
 PlethysmVariant = Literal["sym", "wedge"]
 
@@ -142,10 +142,18 @@ def psi_membership(mu: Partition, nu: Partition, lam: Composition) -> bool:
     return bool(psi_splits(mu, nu, lam))
 
 
+_TIEBREAKS = {
+    "lex": lambda p: (p[0] + p[1] + p[2], p),
+    "revlex": lambda p: (p[0] + p[1] + p[2], tuple(-c for c in p)),
+}
+
+
 def cone_alphabet(kind: ConeKind, coord_bound: int, tiebreak: str = "lex") -> list[Point]:
     """Cone points with all coordinates < coord_bound, totally ordered by
     coordinate sum with the given tiebreak inside each layer.  Any tiebreak
     yields the same tableau counts; two are provided to test that."""
+    if tiebreak not in _TIEBREAKS:
+        raise ValueError(f"unknown tiebreak {tiebreak!r}")
     pts = [
         (x, y, z)
         for x in range(coord_bound)
@@ -153,11 +161,7 @@ def cone_alphabet(kind: ConeKind, coord_bound: int, tiebreak: str = "lex") -> li
         for z in range(coord_bound)
         if in_cone((x, y, z), kind)
     ]
-    if tiebreak == "lex":
-        return sorted(pts, key=lambda p: (p[0] + p[1] + p[2], p))
-    if tiebreak == "revlex":
-        return sorted(pts, key=lambda p: (p[0] + p[1] + p[2], tuple(-c for c in p)))
-    raise ValueError(f"unknown tiebreak {tiebreak!r}")
+    return sorted(pts, key=_TIEBREAKS[tiebreak])
 
 
 def count_cone_ssyt(mu: Partition, lam: Composition, variant: PlethysmVariant, tiebreak: str = "lex") -> int:
@@ -167,12 +171,15 @@ def count_cone_ssyt(mu: Partition, lam: Composition, variant: PlethysmVariant, t
 
     Each cone point is a letter weighted by its sum-marginal vector, so the
     count is the coefficient of x^lam in s_mu at those letters' monomials,
-    which count_weighted_ssyt computes by its horizontal-strip DP.  That
-    coefficient is symmetric in the letters, so the count does not depend
-    on ``tiebreak``; it is still checked to be a known order."""
+    which count_weighted_ssyt computes by its horizontal-strip DP.  Only the
+    points whose marginal fits under lam can appear, and those are the
+    letters.  The coefficient is symmetric in the letters, so the count does
+    not depend on ``tiebreak``; it is still checked to be a known order."""
+    if tiebreak not in _TIEBREAKS:
+        raise ValueError(f"unknown tiebreak {tiebreak!r}")
     nu: Partition = (3,) if variant == "sym" else (1, 1, 1)
     if not psi_membership(mu, nu, lam):
         raise ValueError(f"({mu}, {nu}, {canonical(lam)}) is not a restricted instance")
     lam = canonical(lam)
-    letters = [tuple(p.count(i) for i in range(len(lam))) for p in cone_alphabet(_KIND[variant], len(lam), tiebreak)]
+    letters = [tuple(p.count(i) for i in range(len(lam))) for p in _candidates(lam, _KIND[variant])]
     return count_weighted_ssyt(mu, letters, lam)

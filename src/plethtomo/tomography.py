@@ -13,20 +13,21 @@ n-point instance at excess e contains every cone point of coordinate sum
 below floor = iota(n) - e, because a set missing a point of layer j pays at
 least beta(n) + iota(n) - j, which exceeds beta(n) + e when j < floor.  That
 complete pyramid's marginal is subtracted up front, so a promise instance
-(excess 0) counts from its top layer only.  The engine then walks the
-coordinate-sum layers from the floor up, with lower/upper bounds on the
-achievable total coordinate sum.  A layer on which the bounds rule out
-skipping even one point is forced and taken whole in one step.  The
-remaining layers run take/skip on an explicit stack, so no interpreter
-recursion limit applies to it.
+(excess 0) counts from its top layer only.  The engine then runs one
+forward DP over the remaining candidates in level order (coordinate sum,
+then lexicographic): each candidate is skipped or taken, and states that
+agree merge at every candidate, so the work is bounded by the number of
+distinct states rather than by the number of solutions.  Each successor
+must still be able to spend exactly its remaining coordinate sum on the
+candidates left, a bound read off prefix sums of their levels; where the
+bound forbids skipping any point of a layer, the whole layer is taken.
 
-For point sets, the number of completions at a layer boundary depends only
-on the layer and the residual marginal, so each call memoizes it at the
-start of every layer that is not forced.
-Pyramids get no memo, because their completions depend on the points
-already chosen.  Instead, pyramid closure is checked as points are taken,
-against each point's at most three lower covers in the cone: they generate
-its whole dominated set, and lower layers are already decided and closed.
+For point sets, a state is the residual marginal.  Pyramid completions
+depend on the points already chosen, so a pyramid state also carries the
+chosen points of the current and the previous layer.  That is enough:
+closure is checked as points are taken, against each point's at most
+three lower covers in the cone, which lie one layer down and generate its
+whole dominated set, and lower layers are already decided and closed.
 The tests check the engine against an exponential oracle and against an
 independent index-order search.
 
@@ -42,6 +43,7 @@ instance whose marginals admit more than AXIS_STATE_CAP residual pairs.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -175,17 +177,24 @@ def xi_by_enumeration(i: int, kind: ConeKind) -> int:
     return count
 
 
+def _greedy_fill(n: int, kind: ConeKind) -> tuple[int, int]:
+    """(beta(n), iota(n)) from one walk: fill layers greedily from the
+    origin outward until n points are placed.  The level is -1 for n = 0."""
+    total = placed = 0
+    level = -1
+    while placed < n:
+        level += 1
+        take = min(xi(level, kind), n - placed)
+        total += take * level
+        placed += take
+    return total, level
+
+
 def iota(n: int, kind: ConeKind) -> int:
     """Smallest level whose cumulative layer capacity reaches n."""
     if n < 1:
         raise ValueError("iota is defined for n >= 1")
-    total = 0
-    level = 0
-    while True:
-        total += xi(level, kind)
-        if total >= n:
-            return level
-        level += 1
+    return _greedy_fill(n, kind)[1]
 
 
 def beta(n: int, kind: ConeKind) -> int:
@@ -193,15 +202,7 @@ def beta(n: int, kind: ConeKind) -> int:
     greedily from the origin outward."""
     if n < 0:
         raise ValueError("beta is defined for n >= 0")
-    total = 0
-    placed = 0
-    level = 0
-    while placed < n:
-        take = min(xi(level, kind), n - placed)
-        total += take * level
-        placed += take
-        level += 1
-    return total
+    return _greedy_fill(n, kind)[0]
 
 
 def is_promise_instance(lam: Composition, kind: ConeKind) -> bool:
@@ -268,178 +269,88 @@ def _closure_filter(
     return kept, dom
 
 
-# stack frame kinds of the level engine
-_VISIT, _TAKE, _UNDO_POINT, _UNDO_LAYER, _STORE = range(5)
-
-
-def _shift(residual: list[int], points: list[Point], step: int) -> None:
-    """Add step times the sum-marginal of points to residual."""
-    for x, y, z in points:
-        residual[x] += step
-        residual[y] += step
-        residual[z] += step
-
-
 def _count_levelwise(
     lam: tuple[int, ...], kind: ConeKind, pyramids_only: bool, layer: int | None = None, floor: int = 0
 ) -> int:
-    """Count point sets (or pyramids) with sum-marginal lam by choosing the
-    subset of each coordinate-sum layer in increasing order.  With layer
-    given, only the points of that coordinate sum are candidates.  With
-    floor given, lam is what remains once the complete pyramid below floor
-    is taken: _count peels it at floor = iota(n) - excess, below which every
-    solution is complete (missing a point of layer j costs at least
-    iota(n) - j more than beta(n), over the excess when j < floor).  Only
-    points of coordinate sum >= floor are candidates then, and pyramid
-    closure treats the layers below as present.
+    """Count point sets (or pyramids) with sum-marginal lam by one forward
+    DP over the candidates in level order (coordinate sum, then
+    lexicographic).  With layer given, only the points of that coordinate
+    sum are candidates.  With floor given, lam is what remains once the
+    complete pyramid below floor is taken: _count peels it at floor =
+    iota(n) - excess, below which every solution is complete (missing a
+    point of layer j costs at least iota(n) - j more than beta(n), over the
+    excess when j < floor).  Only points of coordinate sum >= floor are
+    candidates then, and pyramid closure treats the layers below as present.
 
-    Feasibility pruning: with m points still to place and B_res coordinate
-    sum still to spend, filling the m cheapest available slots from the
-    current layer up must not exceed B_res, and the m most expensive must
-    reach it.  A layer on which that bound rules out skipping even one
-    point is forced: it is taken whole in one step.  The other layers run
-    take/skip on an explicit stack of frames (kind, layer, position, m,
-    B_res), so the interpreter's stack depth does not grow with the number
-    of candidates.
+    A state is (m, B_res, residual marginal, recent), mapped to its number
+    of partial sets: m points are still to place, spending coordinate sum
+    B_res.  Each candidate is skipped or taken, and equal states merge.  A
+    successor survives only while at least m candidates are left and the m
+    cheapest and the m dearest of them bracket B_res; the levels are sorted,
+    so prefix sums give both in O(1).  Where the bound forbids skipping any
+    point of a layer, the whole layer is taken.
 
-    Point sets: m and B_res are functions of the residual marginal, so the
-    number of completions at a layer boundary depends only on (layer,
-    residual).  It is memoized for the duration of the call at the start
-    of every layer that is not forced (a forced layer has one child, so a
-    hit there saves one step): a _STORE frame (carrying the key in place
-    of the position and the count on entry in place of m) records the
-    difference once the depth-first subtree below it is done.  Pyramids:
-    closure is checked as points are taken, against the lower covers from
-    _closure_filter; they live one layer down, already decided and closed.
+    Point sets: m and B_res are functions of the residual, and recent is
+    always 0.  Pyramids: recent holds the chosen candidates of the current
+    and the previous layer, as bits by candidate index.  A point is taken
+    only with all its lower covers from _closure_filter, which lie one layer
+    down, so nothing older needs keeping, and it is dropped at each new
+    layer.
     """
     cands = _candidates(lam, kind, layer, floor)
-    dom: dict[Point, tuple[Point, ...]] = {}
+    covers: dict[Point, tuple[Point, ...]] = {}
     if pyramids_only:
-        cands, dom = _closure_filter(cands, kind, floor)
-    by_level: dict[int, list[Point]] = {}
-    for p in cands:
-        by_level.setdefault(p[0] + p[1] + p[2], []).append(p)
-    levels = sorted(by_level)
-    pools = [by_level[j] for j in levels]
-    avail = [len(pool) for pool in pools]
+        cands, covers = _closure_filter(cands, kind, floor)
+    cands.sort(key=lambda p: (p[0] + p[1] + p[2], p))
+    index = {p: k for k, p in enumerate(cands)}
+    levels = [p[0] + p[1] + p[2] for p in cands]
+    spend = list(itertools.accumulate(levels, initial=0))
+    total = len(cands)
 
-    nlev = len(levels)
-    suffix_cap = [0] * (nlev + 1)
-    for i in range(nlev - 1, -1, -1):
-        suffix_cap[i] = suffix_cap[i + 1] + avail[i]
-
-    def min_spend(i: int, m: int) -> int:
-        total = 0
-        j = i
-        while m > 0 and j < nlev:
-            take = min(avail[j], m)
-            total += take * levels[j]
-            m -= take
-            j += 1
-        return total
-
-    def max_spend(i: int, m: int) -> int:
-        total = 0
-        j = nlev - 1
-        while m > 0 and j >= i:
-            take = min(avail[j], m)
-            total += take * levels[j]
-            m -= take
-            j -= 1
-        return total
-
-    def feasible(level_idx: int, here_avail: int, m: int, b_res: int) -> bool:
-        """Can m more points spending exactly b_res still be placed, with
-        here_avail slots left on the current layer and full layers above?
-        Monotone in here_avail."""
-        if suffix_cap[level_idx + 1] + here_avail < m:
-            return False
-        # cheapest completion: grab current-layer slots first
-        take = min(here_avail, m)
-        lo = take * levels[level_idx] + min_spend(level_idx + 1, m - take)
-        if lo > b_res:
-            return False
-        # dearest completion: grab the deepest layers first
-        hi = max_spend(level_idx + 1, m)
-        rest = m - min(m, suffix_cap[level_idx + 1])
-        hi += min(here_avail, rest) * levels[level_idx]
-        return hi >= b_res
-
-    def after(i: int, pos: int) -> tuple[int, int]:
-        """The (layer, position) that follows position pos of layer i."""
-        return (i + 1, 0) if pos + 1 == avail[i] else (i, pos + 1)
-
-    residual = list(lam)
-    chosen: set[Point] = set()
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
-    count = 0
-    stack = [(_VISIT, 0, 0, sum(lam) // 3, coordinate_sum(lam))]
-    while stack:
-        op, i, pos, m, b_res = stack.pop()
-        if op == _VISIT:
-            if m == 0:
-                count += not any(residual)
+    states = {(sum(lam) // 3, coordinate_sum(lam), tuple(lam), 0): 1}
+    for k, (x, y, z) in enumerate(cands):
+        level = levels[k]
+        bit = need = 0
+        if pyramids_only:
+            if k and level != levels[k - 1]:
+                # keep only the choices on the layer below this one
+                low = bisect_left(levels, level - 1)
+                merged: dict[tuple[int, int, tuple[int, ...], int], int] = {}
+                for (m, b, res, recent), c in states.items():
+                    key = (m, b, res, recent >> low << low)
+                    merged[key] = merged.get(key, 0) + c
+                states = merged
+            bit = 1 << k
+            need = sum(1 << index[q] for q in covers[x, y, z])
+        # bracket of the m remaining candidates after this one: the m
+        # cheapest spend spend[k+1+m] - cheap, the m dearest dear - spend[total-m]
+        left, cheap, dear = total - k - 1, spend[k + 1], spend[total]
+        new: dict[tuple[int, int, tuple[int, ...], int], int] = {}
+        get = new.get
+        for key, c in states.items():
+            m, b, res, recent = key
+            if m <= left and spend[k + 1 + m] - cheap <= b <= dear - spend[total - m]:
+                new[key] = get(key, 0) + c
+            if not (m and res[x] and res[y] and res[z] and recent & need == need):
                 continue
-            if pos == 0:
-                if i == nlev or not feasible(i, avail[i], m, b_res):
-                    continue
-                if not feasible(i, avail[i] - 1, m, b_res):
-                    # forced layer: every point of it is in every completion
-                    pool = pools[i]
-                    if pyramids_only and not all(chosen.issuperset(dom[p]) for p in pool):
-                        continue
-                    _shift(residual, pool, -1)
-                    if min(residual) < 0:
-                        _shift(residual, pool, 1)
-                        continue
-                    chosen.update(pool)
-                    stack.append((_UNDO_LAYER, i, 0, 0, 0))
-                    stack.append((_VISIT, i + 1, 0, m - avail[i], b_res - avail[i] * levels[i]))
-                    continue
-                if not pyramids_only:
-                    key = (i, tuple(residual))
-                    hit = memo.get(key)
-                    if hit is not None:
-                        count += hit
-                        continue
-                    stack.append((_STORE, i, key, count, 0))
-                skip = True
-            else:
-                here = avail[i] - pos
-                if not feasible(i, here, m, b_res):
-                    continue
-                skip = feasible(i, here - 1, m, b_res)
-            stack.append((_TAKE, i, pos, m, b_res))
-            if skip:
-                stack.append((_VISIT, *after(i, pos), m, b_res))
-        elif op == _TAKE:
-            p = pools[i][pos]
-            x, y, z = p
-            residual[x] -= 1
-            residual[y] -= 1
-            residual[z] -= 1
-            if residual[x] < 0 or residual[y] < 0 or residual[z] < 0 or (
-                pyramids_only and not chosen.issuperset(dom[p])
-            ):
-                residual[x] += 1
-                residual[y] += 1
-                residual[z] += 1
+            m -= 1
+            b -= level
+            if not (m <= left and spend[k + 1 + m] - cheap <= b <= dear - spend[total - m]):
                 continue
-            chosen.add(p)
-            stack.append((_UNDO_POINT, i, pos, 0, 0))
-            stack.append((_VISIT, *after(i, pos), m - 1, b_res - levels[i]))
-        elif op == _UNDO_POINT:
-            p = pools[i][pos]
-            residual[p[0]] += 1
-            residual[p[1]] += 1
-            residual[p[2]] += 1
-            chosen.discard(p)
-        elif op == _UNDO_LAYER:
-            _shift(residual, pools[i], 1)
-            chosen.difference_update(pools[i])
-        else:
-            memo[pos] = count - m
-    return count
+            r = list(res)
+            r[x] -= 1
+            r[y] -= 1
+            r[z] -= 1
+            # every entry was positive, so only a repeated coordinate can
+            # go below 0, and with x >= y >= z that is y or z
+            if r[y] < 0 or r[z] < 0:
+                continue
+            key = (m, b, tuple(r), recent | bit)
+            new[key] = get(key, 0) + c
+        states = new
+        if not states:
+            return 0
+    return sum(c for (_, _, res, _), c in states.items() if not any(res))
 
 
 def _count(lam: Composition, kind: ConeKind, pyramids_only: bool) -> int:
@@ -449,13 +360,13 @@ def _count(lam: Composition, kind: ConeKind, pyramids_only: bool) -> int:
     total = sum(lam)
     if total % 3 != 0:
         return 0
-    n = total // 3
-    excess = coordinate_sum(lam) - beta(n, kind)
+    least, fill = _greedy_fill(total // 3, kind)
+    excess = coordinate_sum(lam) - least
     if excess < 0:
         return 0
     # every solution contains the complete pyramid below floor (module
     # docstring): take its marginal out and count the rest above it
-    floor = max(iota(n, kind) - excess, 0)
+    floor = max(fill - excess, 0)
     if floor:
         lam = subtract(lam, pyramid_marginal(floor - 1, kind))
         if lam is None:

@@ -117,6 +117,44 @@ def test_partitions_of_counts():
     assert all(is_partition(p) for p in partitions_of(8))
 
 
+def recursive_partitions_of(n, max_parts=None, max_part=None):
+    """Test oracle: the recursive generator partitions_of replaced, one
+    interpreter frame per part."""
+    if n < 0:
+        return
+    bound = n if max_part is None else min(max_part, n)
+    parts = n if max_parts is None else max_parts
+
+    def rec(remaining, largest, slots, prefix):
+        if remaining == 0:
+            yield prefix
+            return
+        if slots == 0:
+            return
+        for v in range(min(largest, remaining), 0, -1):
+            if remaining - v > v * (slots - 1):
+                continue
+            yield from rec(remaining - v, v, slots - 1, prefix + (v,))
+
+    yield from rec(n, bound, parts, ())
+
+
+def test_partitions_of_matches_the_recursive_oracle():
+    # same partitions in the same order, for every pair of bounds
+    for n in range(-1, 21):
+        bounds = [None, *range(n + 2)]
+        for max_parts in bounds:
+            for max_part in bounds:
+                want = list(recursive_partitions_of(n, max_parts, max_part))
+                assert list(partitions_of(n, max_parts, max_part)) == want, (n, max_parts, max_part)
+
+
+def test_partitions_of_many_parts():
+    # 1200 parts: the recursive generator ran out of interpreter stack
+    assert list(partitions_of(1200, max_part=1)) == [(1,) * 1200]
+    assert list(partitions_of(1200, max_parts=1)) == [(1200,)]
+
+
 def test_compositions_of():
     assert len(list(compositions_of(3, 2))) == 4
     assert set(compositions_of(2, 2)) == {(2, 0), (1, 1), (0, 2)}

@@ -35,7 +35,7 @@ from plethtomo.tomography import (
     xi,
     xi_by_enumeration,
 )
-from plethtomo.tomography import _candidates, _closure_filter, _count_levelwise, _dominated
+from plethtomo.tomography import _candidates, _closure_filter, _count_levelwise, _dominated, _greedy_fill
 
 FIGURE_POINTS = [(0, 3, 4), (0, 6, 1), (1, 4, 2), (1, 5, 1), (2, 1, 4), (4, 0, 3), (4, 2, 1), (4, 3, 0), (6, 1, 0)]
 
@@ -124,6 +124,37 @@ def test_xi_examples_and_closed_forms():
     for i in range(41):
         assert xi(i, "closed") == xi_by_enumeration(i, "closed")
         assert xi(i, "open") == xi_by_enumeration(i, "open")
+
+
+def _iota_by_layers(n, kind):
+    level, total = 0, xi(0, kind)
+    while total < n:
+        level += 1
+        total += xi(level, kind)
+    return level
+
+
+def _beta_by_layers(n, kind):
+    total = placed = level = 0
+    while placed < n:
+        take = min(xi(level, kind), n - placed)
+        total += take * level
+        placed += take
+        level += 1
+    return total
+
+
+def test_greedy_fill_gives_beta_and_iota():
+    # one walk serves both: checked against a separate walk for each
+    for kind in ("open", "closed"):
+        assert _greedy_fill(0, kind) == (0, -1)
+        for n in range(1, 2001):
+            want = (_beta_by_layers(n, kind), _iota_by_layers(n, kind))
+            assert _greedy_fill(n, kind) == want == (beta(n, kind), iota(n, kind)), (n, kind)
+    with pytest.raises(ValueError):
+        iota(0, "closed")
+    with pytest.raises(ValueError):
+        beta(-1, "open")
 
 
 def test_iota_beta():
@@ -634,6 +665,33 @@ def test_bounds_sandwich_small():
             lam_t = transpose(lam)
             assert count_pyramids(lam_t, "open") <= a <= count_point_sets(lam_t, "open")
             assert count_pyramids(lam, "closed") <= b <= count_point_sets(lam, "closed")
+
+
+def test_bounds_sandwich_past_four():
+    # every lambda |- 15, and every lambda |- 18 in an 8x8 box
+    shapes = [(5, lam) for lam in partitions_of(15)]
+    shapes += [(6, lam) for lam in partitions_of(18, max_parts=8, max_part=8)]
+    assert len(shapes) == 176 + 194
+    for n, lam in shapes:
+        a = plethysm_coeff(lam, n, 3, "a").value
+        b = plethysm_coeff(lam, n, 3, "b").value
+        lam_t = transpose(lam)
+        assert count_pyramids(lam_t, "open") <= a <= count_point_sets(lam_t, "open"), (lam, "a")
+        assert count_pyramids(lam, "closed") <= b <= count_point_sets(lam, "closed"), (lam, "b")
+
+
+@pytest.mark.parametrize(
+    "lam,kind,want",
+    [
+        ((2,) + (1,) * 13, "open", 600600),
+        ((2,) * 9, "closed", 1010520),
+        ((3,) + (2,) * 7 + (1,), "closed", 739830),
+    ],
+)
+def test_point_set_counts_far_above_the_minimum(lam, kind, want):
+    # many solutions spread over few distinct residuals, where equal
+    # residuals merging at every candidate does most of the work
+    assert count_point_sets(lam, kind) == want
 
 
 def test_count_2dxray():
