@@ -8,17 +8,22 @@ by the number of beta-numbers jumped over.
 The same character tables drive an exact plethysm expansion: s_nu is
 expanded in power sums, p_r acts on power sums by stretching indices, and
 the resulting p-basis expansion of the composed character is paired back
-against Schur functions.  All arithmetic is exact (Fraction intermediates,
-integer results).
+against Schur functions.  All arithmetic is on integers: a class function
+is carried as its class-weighted values (n!/z_omega) * chi(omega), so every
+inner product is one integer sum followed by one exact division by n!.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 from .partitions import Partition, canonical, is_partition, partitions_of
+
+# bounds of the memo tables: class sizes hold one entry per order n, the
+# plethysm expansion one per (mu, nu) pair
+CLASS_SIZES_MAXSIZE = 16
+EXPANSION_MAXSIZE = 256
 
 
 @lru_cache(maxsize=None)
@@ -67,6 +72,24 @@ def centralizer_order(tau: Partition) -> int:
     return z
 
 
+@lru_cache(maxsize=CLASS_SIZES_MAXSIZE)
+def _class_sizes(n: int) -> tuple[tuple[Partition, int], ...]:
+    """(tau, n!/z_tau) for every cycle type tau of S_n: the size of its class."""
+    nfact = factorial(n)
+    return tuple((tau, nfact // centralizer_order(tau)) for tau in partitions_of(n))
+
+
+def _pair(weighted, lam: Partition, n: int) -> int:
+    """Inner product of chi_lam with a class function of S_n given as
+    class-weighted values (omega, (n!/z_omega) * f(omega)): one integer sum
+    and one exact division by n!."""
+    total = sum(w * _mn(lam, omega) for omega, w in weighted)
+    value, rem = divmod(total, factorial(n))
+    if rem:
+        raise ArithmeticError(f"inner product with chi_{lam} is not integral")
+    return value
+
+
 def kronecker(mu: Partition, nu: Partition, rho: Partition) -> int:
     """Kronecker coefficient k(mu,nu,rho) as the S_n character inner product
     (1/n!) sum over classes of |class| * chi_mu chi_nu chi_rho."""
@@ -74,78 +97,79 @@ def kronecker(mu: Partition, nu: Partition, rho: Partition) -> int:
     n = sum(mu)
     if sum(nu) != n or sum(rho) != n:
         raise ValueError("kronecker arguments must have equal sizes")
-    if n == 0:
-        return 1
-    nfact = factorial(n)
-    total = 0
-    for tau in partitions_of(n):
-        total += (nfact // centralizer_order(tau)) * _mn(mu, tau) * _mn(nu, tau) * _mn(rho, tau)
-    if total % nfact != 0:
-        raise ArithmeticError("kronecker inner product is not integral")
-    return total // nfact
+    weighted = ((tau, size * _mn(mu, tau) * _mn(nu, tau)) for tau, size in _class_sizes(n))
+    return _pair(weighted, rho, n)
 
 
-def _merge(a: Partition, b: Partition) -> Partition:
-    return tuple(sorted(a + b, reverse=True))
-
-
-@lru_cache(maxsize=None)
-def plethysm_power_expansion(mu: Partition, nu: Partition) -> tuple[tuple[Partition, Fraction], ...]:
-    """Power-sum expansion of the plethysm of the mu-Schur function with the
-    nu-Schur function: pairs (omega, coefficient) with omega running over
-    partitions of |mu|*|nu|.
+@lru_cache(maxsize=EXPANSION_MAXSIZE)
+def plethysm_power_expansion(mu: Partition, nu: Partition) -> tuple[tuple[Partition, int], ...]:
+    """The character of the plethysm of the mu-Schur function with the
+    nu-Schur function as class-weighted integers: pairs (omega, w_omega),
+    omega running over the classes of S_n, n = |mu|*|nu|, where chi_P is
+    not zero, and w_omega = (n!/z_omega) * chi_P(omega).  The power-sum
+    coefficient of p_omega is w_omega / n!, and w at the identity class is
+    the dimension of the plethysm S_n-module.
 
     Uses s_f = sum_tau chi_f(tau)/z_tau p_tau together with the rules
     p_r[p_s] = p_{rs} and multiplicativity over the parts of the outer
-    cycle type.
+    cycle type.  The numerators are built over the common denominator
+    |mu|! * (|nu|!)^|mu|: the outer class sigma contributes
+    (|mu|!/z_sigma) chi_mu(sigma) * |nu|!^(|mu| - len(sigma)) times a product
+    of len(sigma) inner class weights (|nu|!/z_tau) chi_nu(tau).  Each class
+    then takes one exact division, chi_P(omega) = z_omega * numerator /
+    denominator, which raises ArithmeticError if it does not divide.
     """
     mu, nu = canonical(mu), canonical(nu)
-    inner: list[tuple[Partition, Fraction]] = []
-    for tau in partitions_of(sum(nu)):
-        c = _mn(nu, tau)
-        if c:
-            inner.append((tau, Fraction(c, centralizer_order(tau))))
-    out: dict[Partition, Fraction] = {}
-    for sigma in partitions_of(sum(mu)):
+    a, b = sum(mu), sum(nu)
+    bfact = factorial(b)
+    inner = [(tau, size * c) for tau, size in _class_sizes(b) if (c := _mn(nu, tau))]
+    # the inner classes with every cycle stretched r-fold, for each outer cycle length r
+    stretched = {r: [(tuple(r * t for t in tau), coeff) for tau, coeff in inner] for r in range(1, a + 1)}
+    numer: dict[Partition, int] = {}
+    for sigma, size in _class_sizes(a):
         c_sigma = _mn(mu, sigma)
         if not c_sigma:
             continue
-        prod: dict[Partition, Fraction] = {(): Fraction(1)}
+        prod: dict[Partition, int] = {(): size * c_sigma * bfact ** (a - len(sigma))}
         for r in sigma:
-            nxt: dict[Partition, Fraction] = {}
+            nxt: dict[Partition, int] = {}
             for key, val in prod.items():
-                for tau, coeff in inner:
-                    stretched = tuple(r * t for t in tau)
-                    nk = _merge(key, stretched)
-                    nxt[nk] = nxt.get(nk, Fraction(0)) + val * coeff
+                for part, coeff in stretched[r]:
+                    nk = tuple(sorted(key + part, reverse=True))
+                    nxt[nk] = nxt.get(nk, 0) + val * coeff
             prod = nxt
-        w = Fraction(c_sigma, centralizer_order(sigma))
         for key, val in prod.items():
-            out[key] = out.get(key, Fraction(0)) + w * val
-    return tuple(sorted((k, v) for k, v in out.items() if v != 0))
+            numer[key] = numer.get(key, 0) + val
+    denom = factorial(a) * bfact**a
+    nfact = factorial(a * b)
+    out = []
+    for omega, num in sorted(numer.items()):
+        if not num:
+            continue
+        z = centralizer_order(omega)
+        chi, rem = divmod(z * num, denom)
+        if rem:
+            raise ArithmeticError(f"non-integral plethysm character at {omega}")
+        out.append((omega, nfact // z * chi))
+    return tuple(out)
 
 
 def plethysm_schur_multiplicity(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Multiplicity of s_lam in the plethysm of s_mu with s_nu, via the
-    power-sum expansion paired against chi_lam."""
-    lam = canonical(lam)
-    acc = Fraction(0)
-    for omega, coeff in plethysm_power_expansion(canonical(mu), canonical(nu)):
-        c = _mn(lam, omega)
-        if c:
-            acc += coeff * c
-    if acc.denominator != 1:
-        raise ArithmeticError(f"non-integral multiplicity for {lam}")
-    return int(acc)
+    """Multiplicity of s_lam in the plethysm of s_mu with s_nu: the inner
+    product of chi_lam with the class-weighted plethysm character."""
+    mu, nu = canonical(mu), canonical(nu)
+    n = sum(mu) * sum(nu)
+    return _pair(plethysm_power_expansion(mu, nu), canonical(lam), n)
 
 
 def plethysm_schur_table(mu: Partition, nu: Partition) -> dict[Partition, int]:
     """Full Schur expansion of the plethysm of s_mu with s_nu."""
     mu, nu = canonical(mu), canonical(nu)
     n = sum(mu) * sum(nu)
+    expansion = plethysm_power_expansion(mu, nu)
     table: dict[Partition, int] = {}
     for lam in partitions_of(n):
-        m = plethysm_schur_multiplicity(lam, mu, nu)
+        m = _pair(expansion, lam, n)
         if m < 0:
             raise ArithmeticError(f"negative multiplicity {m} at {lam}")
         if m:

@@ -4,14 +4,28 @@ from math import factorial
 import pytest
 
 from plethtomo.characters import (
+    CLASS_SIZES_MAXSIZE,
+    EXPANSION_MAXSIZE,
+    _class_sizes,
     centralizer_order,
     kronecker,
+    plethysm_power_expansion,
     plethysm_schur_multiplicity,
     plethysm_schur_table,
     sn_character,
 )
 from plethtomo.partitions import partitions_of
+from power_sum_oracle import fraction_power_expansion, fraction_schur_table
 from tableau_oracles import enumerate_ssyt
+
+
+def pairs_of_size(n):
+    """Every (mu, nu) with |mu|*|nu| = n > 0."""
+    return [(mu, nu) for a in range(1, n + 1) if n % a == 0 for mu in partitions_of(a) for nu in partitions_of(n // a)]
+
+
+# every (mu, nu) with |mu|*|nu| <= 10
+ORACLE_PAIRS = [pair for n in range(1, 11) for pair in pairs_of_size(n)]
 
 
 CHARACTER_EXAMPLES = [
@@ -59,6 +73,7 @@ def test_character_rejects_size_mismatch():
 def test_centralizer_orders_sum_to_group_order():
     for n in range(1, 8):
         assert sum(factorial(n) // centralizer_order(tau) for tau in partitions_of(n)) == factorial(n)
+        assert _class_sizes(n) == tuple((tau, factorial(n) // centralizer_order(tau)) for tau in partitions_of(n))
 
 
 KRONECKER_EXAMPLES = [
@@ -144,3 +159,52 @@ def test_plethysm_multiplicity_nonnegative():
         for nu in partitions_of(3):
             for lam in partitions_of(9):
                 assert plethysm_schur_multiplicity(lam, mu, nu) >= 0
+
+
+def test_power_expansion_is_fraction_oracle_times_n_factorial():
+    assert len(ORACLE_PAIRS) == 348
+    for mu, nu in ORACLE_PAIRS:
+        nfact = factorial(sum(mu) * sum(nu))
+        got = plethysm_power_expansion(mu, nu)
+        assert all(type(w) is int and w for _, w in got)
+        want = {omega: coeff * nfact for omega, coeff in fraction_power_expansion(mu, nu).items()}
+        assert dict(got) == want, (mu, nu)
+
+
+def test_schur_table_matches_fraction_oracle_pairing():
+    for mu, nu in ORACLE_PAIRS:
+        assert plethysm_schur_table(mu, nu) == fraction_schur_table(mu, nu), (mu, nu)
+
+
+def test_linear_plethysm_is_the_identity():
+    # s_mu[s_1] = s_1[s_mu] = s_mu
+    for k in range(1, 9):
+        for mu in partitions_of(k):
+            assert plethysm_schur_table(mu, (1,)) == plethysm_schur_table((1,), mu) == {mu: 1}
+
+
+def test_identity_class_weight_is_module_dimension():
+    # the plethysm S_n-module is induced from the wreath product S_b wr S_a
+    # (a = |mu|, b = |nu|), so its dimension is also the index of that
+    # subgroup times f^mu (f^nu)^a
+    for mu, nu in ORACLE_PAIRS:
+        a, b = sum(mu), sum(nu)
+        n = a * b
+        identity = dict(plethysm_power_expansion(mu, nu))[(1,) * n]
+        dim = sum(m * sn_character(lam, (1,) * n) for lam, m in plethysm_schur_table(mu, nu).items())
+        induced = factorial(n) // (factorial(a) * factorial(b) ** a) * sn_character(mu, (1,) * a) * sn_character(nu, (1,) * b) ** a
+        assert identity == dim == induced, (mu, nu)
+
+
+def test_character_memos_stay_bounded():
+    plethysm_power_expansion.cache_clear()
+    for mu, nu in ORACLE_PAIRS:
+        plethysm_power_expansion(mu, nu)
+    info = plethysm_power_expansion.cache_info()
+    assert info.misses == len(ORACLE_PAIRS) > EXPANSION_MAXSIZE
+    assert info.currsize == info.maxsize == EXPANSION_MAXSIZE
+    _class_sizes.cache_clear()
+    for n in range(CLASS_SIZES_MAXSIZE + 8):
+        _class_sizes(n)
+    info = _class_sizes.cache_info()
+    assert info.currsize == info.maxsize == CLASS_SIZES_MAXSIZE

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from plethtomo.cli import EXIT_GATE_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
+from plethtomo.coefficients import jacobi_trudi_coeff
 from plethtomo.tomography import count_2dxray, in_cone, instance_from_dict, sum_marginal, xi
 
 
@@ -69,6 +70,16 @@ def test_coeff_p_one_column_1200(capsys, monkeypatch):
     code, out, err = run(["coeff", "p", "[1200]", column, "[1]", "--format", "json"], capsys=capsys)
     assert code == EXIT_OK, err
     assert json.loads(out)["value"] == 0
+
+
+def test_coeff_p_tall_shape_takes_power_sum(capsys, monkeypatch):
+    # ten rows, one over the Jacobi-Trudi cutoff; by omega-duality the value
+    # is the Jacobi-Trudi coefficient of the transposes, mu transposed too
+    # because |nu| is odd
+    code, out, err = run(["coeff", "p", "[3,1,1,1,1,1,1,1,1,1]", "[3,1]", "[1,1,1]", "--format", "json"], capsys=capsys)
+    assert code == EXIT_OK, err
+    assert json.loads(out) == {"value": jacobi_trudi_coeff((10, 1, 1), (2, 1, 1), (3,)), "method": "power-sum"}
+    assert json.loads(out)["value"] == 1
 
 
 def test_kron(capsys, monkeypatch):

@@ -3,11 +3,13 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_characters import pairs_of_size
 from test_tableaux import filled_ssyt_weights, unpruned_weighted_count
 
 from plethtomo import coefficients
 from plethtomo.characters import plethysm_schur_table
 from plethtomo.coefficients import (
+    JACOBI_TRUDI_MAX_ROWS,
     check_duality,
     dim_plethysm_module,
     general_plethysm,
@@ -17,7 +19,7 @@ from plethtomo.coefficients import (
     plethysm_coeff,
     weight_multiplicity,
 )
-from plethtomo.partitions import partitions_of
+from plethtomo.partitions import partitions_of, transpose
 from plethtomo.sympoly import decompose_schur, plethysm_poly
 from plethtomo.tableaux import dim_weyl, kostka
 
@@ -163,6 +165,25 @@ def test_general_plethysm_tall_matches_jacobi_trudi(mu, nu, expected):
     res = general_plethysm(tall, mu, nu)
     assert res.method == "power-sum"
     assert res.value == jacobi_trudi_coeff(tall, mu, nu) == expected
+
+
+def test_tall_route_matches_omega_dual_jacobi_trudi():
+    # omega(s_mu[s_nu]) is s_mu[s_nu'] for |nu| even and s_mu'[s_nu'] for
+    # |nu| odd, so p_lam(mu, nu) is a Jacobi-Trudi coefficient at lam',
+    # which has at most five rows here
+    cases = nonzero = 0
+    for n in range(10, 15):
+        tall = [lam for lam in partitions_of(n) if len(lam) > JACOBI_TRUDI_MAX_ROWS]
+        for mu, nu in pairs_of_size(n):
+            dual_mu = mu if sum(nu) % 2 == 0 else transpose(mu)
+            for lam in tall:
+                res = general_plethysm(lam, mu, nu)
+                assert res.method == "power-sum"
+                want = jacobi_trudi_coeff(transpose(lam), dual_mu, transpose(nu))
+                assert res.value == want, (lam, mu, nu)
+                cases += 1
+                nonzero += want != 0
+    assert (cases, nonzero) == (6622, 136)
 
 
 def test_m2_closed_form_examples():
