@@ -94,6 +94,8 @@ def kronecker(mu: Partition, nu: Partition, rho: Partition) -> int:
     """Kronecker coefficient k(mu,nu,rho) as the S_n character inner product
     (1/n!) sum over classes of |class| * chi_mu chi_nu chi_rho."""
     mu, nu, rho = canonical(mu), canonical(nu), canonical(rho)
+    if not (is_partition(mu) and is_partition(nu) and is_partition(rho)):
+        raise ValueError("kronecker arguments must be partitions")
     n = sum(mu)
     if sum(nu) != n or sum(rho) != n:
         raise ValueError("kronecker arguments must have equal sizes")

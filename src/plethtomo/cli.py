@@ -111,8 +111,6 @@ def _reduce_stages(inst: XRayInstance2D, target: str, resolve: bool) -> list[dic
             "marginals": {"x": list(inst.mu), "y": list(inst.nu), "z": list(inst.rho)},
         }
     ]
-    if target == "2dxray":
-        return stages
     syms = {kind: symmetrize_2d(inst, kind) for kind in ("open", "closed")}
     for kind in ("open", "closed"):
         stages.append(

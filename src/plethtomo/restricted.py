@@ -6,29 +6,41 @@ number of semistandard tableaux filled with cone points, ordered by
 coordinate sum.  This module builds the column decomposition, recognizes
 the admissible (mu, nu, lam) triples, and counts the tableaux with the
 weighted horizontal-strip DP of tableaux.count_weighted_ssyt, one letter
-per cone point; no tableau is filled.
+per cone point; no tableau is filled.  Membership is one forward pass over
+the columns: with the pyramids' marginals taken out of lam, each column
+spends a layer vector from the residual, and partial splits that leave
+equal residuals are kept together.  Nothing recurses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Literal
 
-from .partitions import Composition, Partition, canonical, is_partition, subtract, transpose
+from .partitions import Composition, Partition, canonical, compositions_of, is_partition, subtract, transpose
 from .tableaux import count_weighted_ssyt
-from .tomography import ConeKind, Point, _candidates, in_cone, pyramid_marginal, xi
+from .tomography import ConeKind, Point, _candidates, coordinate_sum, in_cone, iota, pyramid_marginal, xi
 
 PlethysmVariant = Literal["sym", "wedge"]
 
-_KIND: dict[PlethysmVariant, ConeKind] = {"sym": "closed", "wedge": "open"}
+# Sym^3 holds multisets of three letters, the weakly decreasing triples of
+# the closed cone; wedge^3 holds 3-sets, the strictly decreasing triples of
+# the open cone
+_INNER: dict[PlethysmVariant, Partition] = {"sym": (3,), "wedge": (1, 1, 1)}
+
+
+def _kind(variant: PlethysmVariant) -> ConeKind:
+    """Cone kind of a variant; an unknown variant is a ValueError."""
+    if variant not in _INNER:
+        raise ValueError(f"unknown variant {variant!r}, expected one of {sorted(_INNER)}")
+    return "closed" if len(_INNER[variant]) == 1 else "open"
 
 
 def variant_of_inner(nu: Partition) -> PlethysmVariant:
     nu = canonical(nu)
-    if nu == (3,):
-        return "sym"
-    if nu == (1, 1, 1):
-        return "wedge"
+    for variant, shape in _INNER.items():
+        if shape == nu:
+            return variant
     raise ValueError(f"inner shape must be (3,) or (1,1,1), got {nu}")
 
 
@@ -52,89 +64,54 @@ class PsiDecomposition:
 
     @property
     def kind(self) -> ConeKind:
-        return _KIND[self.variant]
+        return _kind(self.variant)
 
 
 def psi_decompose(mu: Partition, variant: PlethysmVariant) -> PsiDecomposition:
     """Split every column height n_j at the minimal threshold r_j with
-    n_j < pyramid_size(r_j): the column holds the full pyramid below r_j
-    plus n_j - pyramid_size(r_j - 1) boxes on layer r_j."""
+    n_j < pyramid_size(r_j), which is iota(n_j + 1): the column holds the
+    full pyramid below r_j plus n_j - pyramid_size(r_j - 1) boxes on layer
+    r_j."""
     mu = canonical(mu)
     if not is_partition(mu):
         raise ValueError(f"{mu} is not a partition")
-    kind = _KIND[variant]
+    kind = _kind(variant)
     heights = transpose(mu)
-    thresholds = []
-    pyr = []
-    layer = []
-    for n_j in heights:
-        r_j = 0
-        while pyramid_size(r_j, kind) <= n_j:
-            r_j += 1
-        thresholds.append(r_j)
-        below = pyramid_size(r_j - 1, kind)
-        pyr.append(below)
-        layer.append(n_j - below)
-    return PsiDecomposition(variant, heights, tuple(thresholds), tuple(pyr), tuple(layer))
-
-
-def _layer_vectors(total: int, weighted: int, r: int, bound: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Vectors v >= 0 with support in [0, r], sum(v) = total,
-    sum(i*v_i) = weighted, and v <= bound entrywise."""
-    top = min(r, len(bound) - 1)
-
-    def rec(i: int, left: int, wleft: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if i > top:
-            if left == 0 and wleft == 0:
-                yield prefix
-            return
-        if wleft < 0 or left < 0:
-            return
-        # remaining indices cannot absorb more weight than top*left
-        if wleft > top * left:
-            return
-        for v in range(min(left, bound[i]) + 1):
-            yield from rec(i + 1, left - v, wleft - i * v, prefix + (v,))
-
-    yield from rec(0, total, weighted, ())
+    thresholds = tuple(iota(n_j + 1, kind) for n_j in heights)
+    pyr = tuple(pyramid_size(r_j - 1, kind) for r_j in thresholds)
+    layer = tuple(n_j - below for n_j, below in zip(heights, pyr))
+    return PsiDecomposition(variant, heights, thresholds, pyr, layer)
 
 
 def psi_splits(mu: Partition, nu: Partition, lam: Composition) -> list[tuple[tuple[int, ...], ...]]:
     """All splits of lam certifying membership in the restricted class: after
     subtracting the per-column pyramid marginals, the remainder must divide
     into per-column vectors supported on [0, r_j] with layer_parts[j] points'
-    worth of mass concentrated at coordinate sum r_j."""
-    variant = variant_of_inner(nu)
-    decomp = psi_decompose(mu, variant)
+    worth of mass concentrated at coordinate sum r_j.
+
+    One forward pass over the columns keeps a map from each residual to the
+    partial splits that leave it; the splits are those left at ()."""
+    decomp = psi_decompose(mu, variant_of_inner(nu))
     lam = canonical(lam)
     if not is_partition(lam) or sum(lam) != 3 * sum(mu):
         return []
     kind = decomp.kind
-    checked = lam
+    remainder: Composition | None = lam
     for r_j in decomp.thresholds:
-        res = subtract(checked, pyramid_marginal(r_j - 1, kind))
-        if res is None:
+        remainder = subtract(remainder, pyramid_marginal(r_j - 1, kind))
+        if remainder is None:
             return []
-        checked = res
-    remainder = checked
-
-    out: list[tuple[tuple[int, ...], ...]] = []
-
-    def rec(j: int, residual: Composition, acc: tuple[tuple[int, ...], ...]) -> None:
-        if j == len(decomp.thresholds):
-            if sum(residual) == 0:
-                out.append(acc)
-            return
-        r_j = decomp.thresholds[j]
-        n_hat = decomp.layer_parts[j]
-        bound = tuple(residual) + (0,) * max(0, r_j + 1 - len(residual))
-        for vec in _layer_vectors(3 * n_hat, n_hat * r_j, r_j, bound):
-            res = subtract(residual, vec)
-            if res is not None:
-                rec(j + 1, res, acc + (canonical(vec),))
-
-    rec(0, remainder, ())
-    return out
+    splits: dict[Composition, list[tuple[tuple[int, ...], ...]]] = {remainder: [()]}
+    for r_j, n_hat in zip(decomp.thresholds, decomp.layer_parts):
+        nxt: dict[Composition, list[tuple[tuple[int, ...], ...]]] = {}
+        for residual, partial in splits.items():
+            for vec in compositions_of(3 * n_hat, r_j + 1, residual[: r_j + 1]):
+                if coordinate_sum(vec) == n_hat * r_j:
+                    part = canonical(vec)
+                    # vec <= residual entrywise, so the difference is never None
+                    nxt.setdefault(subtract(residual, vec), []).extend(acc + (part,) for acc in partial)
+        splits = nxt
+    return splits.get((), [])
 
 
 def psi_membership(mu: Partition, nu: Partition, lam: Composition) -> bool:
@@ -177,9 +154,10 @@ def count_cone_ssyt(mu: Partition, lam: Composition, variant: PlethysmVariant, t
     not depend on ``tiebreak``; it is still checked to be a known order."""
     if tiebreak not in _TIEBREAKS:
         raise ValueError(f"unknown tiebreak {tiebreak!r}")
-    nu: Partition = (3,) if variant == "sym" else (1, 1, 1)
+    kind = _kind(variant)
+    nu = _INNER[variant]
     if not psi_membership(mu, nu, lam):
         raise ValueError(f"({mu}, {nu}, {canonical(lam)}) is not a restricted instance")
     lam = canonical(lam)
-    letters = [tuple(p.count(i) for i in range(len(lam))) for p in _candidates(lam, _KIND[variant])]
+    letters = [tuple(p.count(i) for i in range(len(lam))) for p in _candidates(lam, kind)]
     return count_weighted_ssyt(mu, letters, lam)

@@ -47,7 +47,7 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Literal, Sequence
+from typing import Literal, Sequence
 
 from .partitions import Composition, canonical, subtract
 
@@ -99,29 +99,24 @@ def coordinate_sum(c: Composition) -> int:
     return sum(i * v for i, v in enumerate(c))
 
 
-def _dominated(p: Point, kind: ConeKind) -> Iterator[Point]:
-    """Cone points strictly below p in the componentwise order."""
+def _lower_covers(p: Point, kind: ConeKind) -> tuple[Point, ...]:
+    """The cone points one unit step below p: (x-1,y,z), (x,y-1,z) and
+    (x,y,z-1) where they lie in the cone.  They generate p's whole dominated
+    set inside the cone (lower z, then y, then x, and every step stays in
+    the cone)."""
     x, y, z = p
-    for qx in range(x + 1):
-        for qy in range(min(qx, y) + 1) if kind == "closed" else range(min(qx - 1, y) + 1):
-            for qz in range(min(qy, z) + 1) if kind == "closed" else range(min(qy - 1, z) + 1):
-                q = (qx, qy, qz)
-                if q != p and in_cone(q, kind):
-                    yield q
+    return tuple(q for q in ((x - 1, y, z), (x, y - 1, z), (x, y, z - 1)) if in_cone(q, kind))
 
 
 def is_pyramid(points: frozenset[Point] | set[Point] | Sequence[Point], kind: ConeKind) -> bool:
-    """True iff the set is downward closed inside the cone.  Raises if some
-    point lies outside the cone."""
+    """True iff the set is downward closed inside the cone, that is, holds
+    the lower covers of each of its points.  Raises if some point lies
+    outside the cone."""
     pset = set(points)
     for p in pset:
         if not in_cone(p, kind):
             raise ValueError(f"point {p} is outside the {kind} cone")
-    for p in pset:
-        for q in _dominated(p, kind):
-            if q not in pset:
-                return False
-    return True
+    return all(q in pset for p in pset for q in _lower_covers(p, kind))
 
 
 def complete_pyramid(r: int, kind: ConeKind) -> frozenset[Point]:
@@ -248,21 +243,17 @@ def _closure_filter(
 ) -> tuple[list[Point], dict[Point, tuple[Point, ...]]]:
     """Restrict to points whose full dominated set stays inside the
     candidate pool (a pyramid can never contain the others), and record
-    each kept point's lower covers: the cone points one unit step below it.
-    Covers below floor belong to the peeled complete pyramid and count as
-    present.
+    each kept point's lower covers (_lower_covers).  Covers below floor
+    belong to the peeled complete pyramid and count as present.
 
-    The covers generate the whole dominated set inside the cone (lower z,
-    then y, then x, and every step stays in the cone), so one pass decides
-    each point from its covers alone.  cands must be in lexicographic order
-    (as _candidates returns them), in which every cover comes first."""
+    The covers generate the whole dominated set inside the cone, so one
+    pass decides each point from its covers alone.  cands must be in
+    lexicographic order (as _candidates returns them), in which every cover
+    comes first."""
     kept: list[Point] = []
     dom: dict[Point, tuple[Point, ...]] = {}
     for p in cands:
-        x, y, z = p
-        covers = ()
-        if x + y + z > floor:
-            covers = tuple(q for q in ((x - 1, y, z), (x, y - 1, z), (x, y, z - 1)) if in_cone(q, kind))
+        covers = _lower_covers(p, kind) if sum(p) > floor else ()
         if all(q in dom for q in covers):
             kept.append(p)
             dom[p] = covers
@@ -426,6 +417,8 @@ class SymInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "marginal", canonical(self.marginal))
+        if self.cone not in ("open", "closed"):
+            raise ValueError(f"unknown cone kind {self.cone!r}")
 
 
 def _count_axis(mu: Composition, nu: Composition, rho: Composition, layer: int | None = None) -> int:
@@ -475,6 +468,8 @@ def count_2dxray(inst: XRayInstance2D) -> int:
 def count_sym_2dxray(lam: Composition, r: int, kind: ConeKind) -> int:
     """Point sets inside the cone slice of the layer x+y+z = r with the
     given sum-marginal."""
+    if kind not in ("open", "closed"):
+        raise ValueError(f"unknown cone kind {kind!r}")
     lam = canonical(lam)
     if not lam:
         return 1
@@ -517,20 +512,38 @@ def count_3dxray(mu: Composition, nu: Composition, rho: Composition) -> int:
 # JSON instance schema (shared with the CLI)
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer (not a bool, float or string), else ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_marginal(marg: dict, axis: str) -> Composition:
+    values = marg[axis]
+    if not isinstance(values, list):
+        raise ValueError(f"marginal {axis!r} must be a list of integers, got {values!r}")
+    return canonical(_json_int(v, f"marginal {axis!r} entry") for v in values)
+
+
 def instance_from_dict(data: dict) -> XRayInstance2D | SymInstance | tuple[Composition, Composition, Composition]:
     """Decode the JSON instance schema:
     {"kind": "2dxray"|"sym2d"|"3dxray"|"sym3d", "r": int?, "cone": str?, "marginals": {...}}
+    Wrong types or an unknown kind or cone raise ValueError, a missing key KeyError.
     """
+    if not isinstance(data, dict):
+        raise ValueError(f"an instance must be a JSON object, got {data!r}")
     kind = data.get("kind")
     marg = data.get("marginals", {})
+    if not isinstance(marg, dict):
+        raise ValueError(f"marginals must be a JSON object, got {marg!r}")
     if kind == "2dxray":
-        return XRayInstance2D(int(data["r"]), tuple(marg["x"]), tuple(marg["y"]), tuple(marg["z"]))
-    if kind == "sym2d":
-        return SymInstance(tuple(marg["sum"]), data["cone"], int(data["r"]))
-    if kind == "sym3d":
-        return SymInstance(tuple(marg["sum"]), data["cone"], None)
+        return XRayInstance2D(_json_int(data["r"], "r"), *(_json_marginal(marg, axis) for axis in "xyz"))
+    if kind in ("sym2d", "sym3d"):
+        r = _json_int(data["r"], "r") if kind == "sym2d" else None
+        return SymInstance(_json_marginal(marg, "sum"), data["cone"], r)
     if kind == "3dxray":
-        return (canonical(marg["x"]), canonical(marg["y"]), canonical(marg["z"]))
+        return tuple(_json_marginal(marg, axis) for axis in "xyz")
     raise ValueError(f"unknown instance kind {kind!r}")
 
 

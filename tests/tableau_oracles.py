@@ -8,7 +8,7 @@ them on small shapes.  They are exponential and are not part of the library.
 """
 
 from plethtomo.partitions import canonical
-from plethtomo.restricted import _KIND, cone_alphabet
+from plethtomo.restricted import _kind, cone_alphabet
 
 
 def enumerate_ssyt(shape, alphabet_size):
@@ -54,7 +54,7 @@ def enumerate_cone_ssyt(mu, lam, variant, tiebreak="lex"):
     of rows of points."""
     mu = canonical(mu)
     lam = canonical(lam)
-    alphabet = cone_alphabet(_KIND[variant], len(lam), tiebreak)
+    alphabet = cone_alphabet(_kind(variant), len(lam), tiebreak)
     # drop letters that cannot fit under lam at all
     usable = [p for p in alphabet if all(p.count(i) <= lam[i] for i in range(len(lam)))]
     index = {p: i for i, p in enumerate(usable)}

@@ -34,13 +34,14 @@ from plethtomo.reductions import (
     resolve_coefficient,
     symmetrize_2d,
 )
-from plethtomo.restricted import _layer_vectors, count_cone_ssyt, psi_decompose, psi_splits
+from plethtomo.restricted import count_cone_ssyt, psi_decompose, psi_splits
 from plethtomo.sympoly import decompose_schur, plethysm_poly
 from plethtomo.tableaux import dim_weyl
 from plethtomo.tomography import (
     XRayInstance2D,
     beta,
     complete_pyramid,
+    coordinate_sum,
     count_2dxray,
     count_point_sets,
     count_pyramids,
@@ -295,10 +296,10 @@ def test_criterion_10_restricted_formula():
             base = ()
             for r_j in d.thresholds:
                 base = add(base, sum_marginal(complete_pyramid(r_j - 1, "closed")))
-            options = []
-            for r_j, n_hat in zip(d.thresholds, d.layer_parts):
-                cap = tuple([3 * n_hat] * (r_j + 1))
-                options.append(list(_layer_vectors(3 * n_hat, n_hat * r_j, r_j, cap)))
+            options = [
+                sorted(v for v in compositions_of(3 * n_hat, r_j + 1) if coordinate_sum(v) == n_hat * r_j)
+                for r_j, n_hat in zip(d.thresholds, d.layer_parts)
+            ]
             seen = set()
             for combo in itertools.product(*options):
                 lam = base

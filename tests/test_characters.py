@@ -113,6 +113,14 @@ def test_kronecker_rejects_size_mismatch():
         kronecker((2,), (1, 1), (1,))
 
 
+@pytest.mark.parametrize("args", [((0, 0, 2), (2,), (1, 1)), ((0, 1, 3), (4,), (4,)), ((2,), (1, 2), (2,))])
+def test_kronecker_rejects_non_partitions(args):
+    # (0,0,2) used to read as a shape and answer 2; (0,1,3) ended in a
+    # non-integral inner product
+    with pytest.raises(ValueError, match="partitions"):
+        kronecker(*args)
+
+
 CLASSICAL_PLETHYSMS = [
     ((2,), (2,), {(4,): 1, (2, 2): 1}),
     ((1, 1), (2,), {(3, 1): 1}),

@@ -6,7 +6,7 @@ import pytest
 
 from plethtomo.cli import EXIT_GATE_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
 from plethtomo.coefficients import jacobi_trudi_coeff
-from plethtomo.tomography import count_2dxray, in_cone, instance_from_dict, sum_marginal, xi
+from plethtomo.tomography import count_2dxray, count_sym_2dxray, in_cone, instance_from_dict, sum_marginal, xi
 
 
 def run(argv, stdin_text=None, monkeypatch=None, capsys=None):
@@ -143,6 +143,41 @@ def test_count_3dxray_over_the_size_cap(capsys, monkeypatch):
 def test_count_bad_schema(capsys, monkeypatch):
     code, _, err = run(["count", json.dumps({"kind": "mystery"})], capsys=capsys)
     assert code == EXIT_INPUT_ERROR
+
+
+@pytest.mark.parametrize("argv", [["kron", "[0,0,2]", "[2]", "[1,1]"], ["kron", "[0,1,3]", "[4]", "[4]"]])
+def test_kron_rejects_non_partitions(capsys, argv):
+    code, out, err = run(argv, capsys=capsys)
+    assert code == EXIT_INPUT_ERROR
+    assert out == "" and err.startswith("input error")
+
+
+SYM2D_CLOSED = {"kind": "sym2d", "r": 1, "cone": "closed", "marginals": {"sum": [2, 1]}}
+MALFORMED_INSTANCES = [
+    [1, 2],
+    {"kind": "2dxray", "r": 1, "marginals": {"x": [1, "a"], "y": [1, 1], "z": [2]}},
+    {"kind": "2dxray", "r": 1, "marginals": [1]},
+    {"kind": "2dxray", "r": [1], "marginals": {"x": [1, 1], "y": [1, 1], "z": [2]}},
+    {"kind": "3dxray", "marginals": {"x": 3, "y": [3], "z": [3]}},
+    {**SYM2D_CLOSED, "cone": "weird"},
+]
+
+
+@pytest.mark.parametrize("command", ["count", "reduce"])
+@pytest.mark.parametrize("data", MALFORMED_INSTANCES)
+def test_malformed_instances_are_input_errors(capsys, monkeypatch, command, data):
+    code, out, err = run([command, "-"], stdin_text=json.dumps(data), monkeypatch=monkeypatch, capsys=capsys)
+    assert code == EXIT_INPUT_ERROR, err
+    assert out == "" and err.startswith("input error") and len(err.splitlines()) == 1
+
+
+def test_sym2d_cone_is_checked(capsys, monkeypatch):
+    # the one point (1,0,0) of the closed layer; an unknown cone used to be
+    # counted as the open one, which has no point there
+    code, out, _ = run(["count", json.dumps(SYM2D_CLOSED)], capsys=capsys)
+    assert code == EXIT_OK and "count: 1" in out
+    with pytest.raises(ValueError, match="weird"):
+        count_sym_2dxray((2, 1), 1, "weird")
 
 
 def test_reduce_trace(capsys, monkeypatch):

@@ -4,9 +4,9 @@ import time
 import pytest
 
 from plethtomo.coefficients import general_plethysm
-from plethtomo.partitions import add, is_partition, partitions_of
+from plethtomo.partitions import add, compositions_of, is_partition, partitions_of
 from plethtomo.restricted import (
-    _layer_vectors,
+    PsiDecomposition,
     cone_alphabet,
     count_cone_ssyt,
     psi_decompose,
@@ -14,7 +14,7 @@ from plethtomo.restricted import (
     psi_splits,
     pyramid_size,
 )
-from plethtomo.tomography import complete_pyramid, count_pyramids, sum_marginal
+from plethtomo.tomography import complete_pyramid, coordinate_sum, count_pyramids, sum_marginal
 from tableau_oracles import enumerate_cone_ssyt, tableau_layers_check
 
 
@@ -89,6 +89,12 @@ def test_cone_alphabet_orders():
         cone_alphabet("closed", 3, "weird")
 
 
+def layer_vectors(r, n_hat):
+    """Vectors on [0, r] of size 3*n_hat and coordinate sum n_hat*r: the
+    marginals of n_hat points on layer r, and more.  Ascending order."""
+    return sorted(v for v in compositions_of(3 * n_hat, r + 1) if coordinate_sum(v) == n_hat * r)
+
+
 def psi_instances(mu, variant, cap=None):
     """All class members lam buildable from per-column layer vectors."""
     kind = "closed" if variant == "sym" else "open"
@@ -96,10 +102,7 @@ def psi_instances(mu, variant, cap=None):
     base = ()
     for r_j in d.thresholds:
         base = add(base, sum_marginal(complete_pyramid(r_j - 1, kind)))
-    options = []
-    for r_j, n_hat in zip(d.thresholds, d.layer_parts):
-        bound = tuple([3 * n_hat] * (r_j + 1))
-        options.append(list(_layer_vectors(3 * n_hat, n_hat * r_j, r_j, bound)))
+    options = [layer_vectors(r_j, n_hat) for r_j, n_hat in zip(d.thresholds, d.layer_parts)]
     seen = set()
     for combo in itertools.product(*options):
         lam = base
@@ -108,6 +111,56 @@ def psi_instances(mu, variant, cap=None):
         if lam not in seen and is_partition(lam):
             seen.add(lam)
             yield lam
+
+
+def brute_force_splits(mu, variant):
+    """Every split of every lam for mu, from the whole product of per-column
+    layer vectors, with no residual bound: lam -> sorted splits."""
+    kind = "closed" if variant == "sym" else "open"
+    d = psi_decompose(mu, variant)
+    base = ()
+    for r_j in d.thresholds:
+        base = add(base, sum_marginal(complete_pyramid(r_j - 1, kind)))
+    options = [layer_vectors(r_j, n_hat) for r_j, n_hat in zip(d.thresholds, d.layer_parts)]
+    found = {}
+    for combo in itertools.product(*options):
+        lam = base
+        for vec in combo:
+            lam = add(lam, vec)
+        found.setdefault(lam, []).append(tuple(add((), vec) for vec in combo))
+    return {lam: sorted(splits) for lam, splits in found.items()}
+
+
+def test_psi_splits_match_the_brute_force_product():
+    # every (mu, nu, lam) with |mu| <= 6 and lam |- 3|mu| of at most 14 parts
+    checked = nonempty = 0
+    for variant, nu in (("sym", (3,)), ("wedge", (1, 1, 1))):
+        for size in range(1, 7):
+            for mu in partitions_of(size):
+                want = brute_force_splits(mu, variant)
+                for lam in partitions_of(3 * size, max_parts=14):
+                    got = sorted(psi_splits(mu, nu, lam))
+                    assert got == want.get(lam, []), (variant, mu, lam)
+                    checked += 1
+                    nonempty += bool(got)
+    assert (checked, nonempty) == (11766, 90)
+
+
+def test_psi_splits_of_1200_columns():
+    # 1200 columns of height 1, each the origin alone; a recursion frame per
+    # column ran out of interpreter stack
+    assert psi_splits((1200,), (3,), (3600,)) == [((),) * 1200]
+    assert psi_membership((1200,), (1, 1, 1), (1200, 1200, 1200))
+
+
+def test_unknown_variant_is_a_value_error():
+    with pytest.raises(ValueError, match="'x'"):
+        psi_decompose((1,), "x")
+    # a misspelled variant must not fall through to the other cone
+    with pytest.raises(ValueError, match="'Sym'"):
+        count_cone_ssyt((1,), (3,), "Sym")
+    with pytest.raises(ValueError):
+        PsiDecomposition("x", (1,), (1,), (1,), (0,)).kind
 
 
 def test_headline_equality_and_tiebreak_invariance():

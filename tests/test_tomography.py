@@ -35,7 +35,15 @@ from plethtomo.tomography import (
     xi,
     xi_by_enumeration,
 )
-from plethtomo.tomography import _candidates, _closure_filter, _count_levelwise, _dominated, _greedy_fill
+from plethtomo.tomography import _candidates, _closure_filter, _count_levelwise, _greedy_fill
+
+
+def _dominated(p, kind):
+    """Oracle: cone points strictly below p in the componentwise order."""
+    x, y, z = p
+    for q in itertools.product(range(x + 1), range(y + 1), range(z + 1)):
+        if q != p and in_cone(q, kind):
+            yield q
 
 FIGURE_POINTS = [(0, 3, 4), (0, 6, 1), (1, 4, 2), (1, 5, 1), (2, 1, 4), (4, 0, 3), (4, 2, 1), (4, 3, 0), (6, 1, 0)]
 
@@ -78,6 +86,29 @@ def test_is_pyramid():
     assert is_pyramid(complete_pyramid(5, "closed"), "closed")
     with pytest.raises(ValueError):
         is_pyramid({(1, 2, 0)}, "closed")
+
+
+@st.composite
+def _cone_sets(draw):
+    """Random point sets in a cone: a complete pyramid with points dropped
+    and points added, or points drawn at random."""
+    kind = draw(st.sampled_from(["open", "closed"]))
+    box = [p for p in itertools.product(range(7), repeat=3) if in_cone(p, kind)]
+    if draw(st.booleans()):
+        pts = set(complete_pyramid(draw(st.integers(3, 9)), kind))
+        pts -= set(draw(st.lists(st.sampled_from(sorted(pts)), max_size=2)))
+        pts |= set(draw(st.lists(st.sampled_from(box), max_size=2)))
+    else:
+        pts = set(draw(st.lists(st.sampled_from(box), max_size=12)))
+    return pts, kind
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=_cone_sets())
+def test_is_pyramid_matches_the_dominated_sets(case):
+    # closed under lower covers iff closed under everything dominated
+    pts, kind = case
+    assert is_pyramid(pts, kind) == all(pts.issuperset(_dominated(p, kind)) for p in pts)
 
 
 def test_complete_pyramid():
