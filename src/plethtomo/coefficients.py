@@ -4,7 +4,11 @@ Two independent routes compute every general plethysm coefficient:
 
 * weight multiplicities q_kappa (horizontal-strip DP over letters that are
   inner-tableau weights with Kostka multiplicities) fed into the
-  Jacobi-Trudi alternating sum over permutations;
+  Jacobi-Trudi alternating sum.  Its signed sorted compositions depend on
+  lam alone: a row DP over merged (used-column set, value multiset) states
+  builds them once per lam, into a table bounded by JT_TERMS_MAXSIZE that
+  every (mu, nu) shares, so the sum is never walked permutation by
+  permutation;
 * the power-sum expansion of the plethysm paired against
   Murnaghan-Nakayama characters (characters.plethysm_schur_multiplicity).
 
@@ -16,6 +20,7 @@ self-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Literal
 
 from .characters import kronecker as _kronecker_raw
@@ -24,6 +29,9 @@ from .partitions import Composition, Partition, canonical, is_partition, partiti
 from .tableaux import count_weighted_ssyt, dim_weyl, kostka, ssyt_weights
 
 JACOBI_TRUDI_MAX_ROWS = 9
+# bound of the Jacobi-Trudi term table: one entry per lam, shared by every
+# (mu, nu); a sweep over all lam with at most 9 rows and |lam| <= 12 touches 264
+JT_TERMS_MAXSIZE = 256
 
 Variant = Literal["a", "b"]
 
@@ -59,11 +67,11 @@ def weight_multiplicity(mu: Partition, nu: Partition, kappa: Composition, k: int
         raise ValueError(f"|kappa|={sum(kappa)} != |mu|*|nu|={sum(mu) * sum(nu)}")
     if len(kappa) > k:
         raise ValueError(f"kappa={kappa} needs more than k={k} variables")
-    return _weight_multiplicity_sorted(mu, nu, tuple(sorted(kappa, reverse=True)))
+    return _weight_multiplicity_sorted(mu, nu, canonical(sorted(kappa, reverse=True)))
 
 
 def _weight_multiplicity_sorted(mu: Partition, nu: Partition, key: Partition) -> int:
-    key = canonical(key)
+    # key is already a partition: sorted and without zeros
     memo_key = (mu, nu, key)
     got = _q_cache.get(memo_key)
     if got is not None:
@@ -83,46 +91,78 @@ def _weight_multiplicity_sorted(mu: Partition, nu: Partition, key: Partition) ->
     return val
 
 
+@lru_cache(maxsize=JT_TERMS_MAXSIZE)
+def _jacobi_trudi_terms(lam: Partition) -> tuple[tuple[Partition, int], ...]:
+    """The Jacobi-Trudi sum of lam as (sorted composition, signed count)
+    pairs: every permutation sigma with lam - (0..l-1) + sigma nonnegative
+    adds its sign at the sorted, zero-free form of that composition.
+
+    Rows are placed one at a time, last row first (lam_i - i decreases with
+    i, so that is the most constrained row first).  A state is one int: the
+    set of used columns in the low l bits, and above it the multiset of
+    nonzero values placed so far, as a count per value in fields of
+    l.bit_length() bits.  Placing value v in column j adds one precomputed
+    step; row i against the rows below it, already placed, has one
+    inversion per used column left of its own.  Equal states merge at
+    every row and zero counts are dropped, so the cost grows with the
+    number of merged states, not with l!.
+    """
+    ell = len(lam)
+    width = ell.bit_length()
+    columns = (1 << ell) - 1
+    states = {0: 1}
+    for i in range(ell - 1, -1, -1):
+        moves = []
+        for j in range(max(0, i - lam[i]), ell):
+            value = lam[i] - i + j
+            step = (1 << j) + (1 << (ell + (value - 1) * width) if value else 0)
+            moves.append((1 << j, (1 << j) - 1, step))
+        # the legal moves and their signs depend on the used columns only
+        by_used: dict[int, list[tuple[int, int]]] = {}
+        nxt: dict[int, int] = {}
+        for state, count in states.items():
+            used = state & columns
+            legal = by_used.get(used)
+            if legal is None:
+                legal = [(step, (used & left).bit_count() & 1) for bit, left, step in moves if not used & bit]
+                by_used[used] = legal
+            for step, odd in legal:
+                moved = state + step
+                nxt[moved] = nxt.get(moved, 0) + (-count if odd else count)
+        states = {state: count for state, count in nxt.items() if count}
+    field = (1 << width) - 1
+    terms = []
+    for state, count in states.items():
+        packed = state >> ell
+        key: list[int] = []
+        value = 0
+        while packed:
+            value += 1
+            key += [value] * (packed & field)
+            packed >>= width
+        key.reverse()
+        terms.append((tuple(key), count))
+    return tuple(terms)
+
+
 def jacobi_trudi_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     """General plethysm coefficient by the Jacobi-Trudi alternating sum
     sum_sigma sign(sigma) q_{lam - (0..l-1) + sigma}, with q evaluated as 0
     on compositions with a negative entry.
 
-    Permutations are enumerated as column assignments row by row, last row
-    first: lam_i - i decreases with i, so that is the most constrained row
-    first, and the terms with a negative entry are never visited.  The sign
-    is kept as rows are placed: row i against the rows below it, already
-    placed, has one inversion per used column left of its own.  Equal
-    sorted compositions are summed before q is looked up.  Worst-case cost
-    still grows as len(lam)!, so callers keep len(lam) <=
-    JACOBI_TRUDI_MAX_ROWS.
+    The signed sorted compositions of the sum depend on lam alone; they are
+    built once per lam by a row DP over merged (used-column set, value
+    multiset) states and kept in a table bounded by JT_TERMS_MAXSIZE
+    (_jacobi_trudi_terms).  Each (mu, nu) then costs one weight
+    multiplicity lookup per distinct composition.  general_plethysm still
+    keeps len(lam) <= JACOBI_TRUDI_MAX_ROWS, where this route wins.
     """
     lam, mu, nu = canonical(lam), canonical(mu), canonical(nu)
     if sum(lam) != sum(mu) * sum(nu):
         raise ValueError("size mismatch: |lam| must equal |mu|*|nu|")
-    ell = len(lam)
-    if ell == 0:
+    if not lam:
         return 1 if sum(mu) * sum(nu) == 0 else 0
-    lo = [max(0, i - lam[i]) for i in range(ell)]
-    values = [0] * ell
-    # signed number of permutations reaching each sorted composition
-    terms: dict[tuple[int, ...], int] = {}
-
-    def rec(i: int, used: int, sign: int) -> None:
-        for j in range(lo[i], ell):
-            bit = 1 << j
-            if used & bit:
-                continue
-            values[i] = lam[i] - i + j
-            s = -sign if (used & (bit - 1)).bit_count() & 1 else sign
-            if i:
-                rec(i - 1, used | bit, s)
-            else:
-                key = tuple(sorted(values, reverse=True))
-                terms[key] = terms.get(key, 0) + s
-
-    rec(ell - 1, 0, 1)
-    return sum(c * _weight_multiplicity_sorted(mu, nu, key) for key, c in terms.items() if c)
+    return sum(c * _weight_multiplicity_sorted(mu, nu, key) for key, c in _jacobi_trudi_terms(lam))
 
 
 def general_plethysm(lam: Partition, mu: Partition, nu: Partition) -> CoefficientResult:

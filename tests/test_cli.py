@@ -4,9 +4,9 @@ import time
 
 import pytest
 
-from plethtomo.cli import EXIT_GATE_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
+from plethtomo.cli import EXIT_GATE_FAILED, EXIT_INPUT_ERROR, EXIT_OK, GateError, main
 from plethtomo.coefficients import jacobi_trudi_coeff
-from plethtomo.tomography import count_2dxray, count_sym_2dxray, in_cone, instance_from_dict, sum_marginal, xi
+from plethtomo.tomography import SizeCapError, count_2dxray, count_sym_2dxray, in_cone, instance_from_dict, sum_marginal, xi
 
 
 def run(argv, stdin_text=None, monkeypatch=None, capsys=None):
@@ -227,6 +227,30 @@ def test_recursion_error_maps_to_size_cap(capsys, monkeypatch):
     assert code == EXIT_GATE_FAILED
     assert out == ""
     assert err.startswith("over the size cap") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "exc, want",
+    [
+        (GateError("infeasible"), EXIT_GATE_FAILED),
+        (SizeCapError("too many states"), EXIT_GATE_FAILED),
+        (RecursionError("maximum recursion depth exceeded"), EXIT_GATE_FAILED),
+        (ValueError("bad shape"), EXIT_INPUT_ERROR),
+        (KeyError("marginals"), EXIT_INPUT_ERROR),
+        (OSError("no such file"), EXIT_INPUT_ERROR),
+        (json.JSONDecodeError("Expecting value", "{", 1), EXIT_INPUT_ERROR),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, BaseException) else str(v),
+)
+def test_exit_code_of_each_handled_exception(capsys, monkeypatch, exc, want):
+    def failing(args, out):
+        raise exc
+
+    monkeypatch.setattr("plethtomo.cli._cmd_coeff", failing)
+    code, out, err = run(["coeff", "a", "[4]", "2", "2"], capsys=capsys)
+    assert code == want
+    assert out == ""
+    assert len(err.splitlines()) == 1
 
 
 def test_verify_suites_pass(capsys, monkeypatch):

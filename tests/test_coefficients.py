@@ -1,8 +1,9 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from jacobi_trudi_oracle import walked_jacobi_trudi_terms
 from test_characters import pairs_of_size
 from test_tableaux import filled_ssyt_weights, unpruned_weighted_count
 
@@ -10,6 +11,8 @@ from plethtomo import coefficients
 from plethtomo.characters import plethysm_schur_table
 from plethtomo.coefficients import (
     JACOBI_TRUDI_MAX_ROWS,
+    JT_TERMS_MAXSIZE,
+    _jacobi_trudi_terms,
     check_duality,
     dim_plethysm_module,
     general_plethysm,
@@ -19,7 +22,7 @@ from plethtomo.coefficients import (
     plethysm_coeff,
     weight_multiplicity,
 )
-from plethtomo.partitions import partitions_of, transpose
+from plethtomo.partitions import canonical, partitions_of, transpose
 from plethtomo.sympoly import decompose_schur, plethysm_poly
 from plethtomo.tableaux import dim_weyl, kostka
 
@@ -59,6 +62,7 @@ def test_weight_multiplicity_matches_tableau_letter_oracle(data):
     # the oracle fills nu-tableaux box by box and runs the strip DP unpruned
     want = unpruned_weighted_count(mu, filled_ssyt_weights(nu, len(kappa), bound=kappa), kappa)
     coefficients._q_cache.clear()
+    _jacobi_trudi_terms.cache_clear()
     kostka.cache_clear()
     assert weight_multiplicity(mu, nu, kappa, len(kappa)) == want
 
@@ -102,6 +106,63 @@ def test_jacobi_trudi_matches_peeling_small():
             table = dict(decompose_schur(plethysm_poly(mu, nu, 6)))
             for lam in partitions_of(6):
                 assert jacobi_trudi_coeff(lam, mu, nu) == table.get(lam, 0)
+
+
+SHORT_SHAPES = [lam for n in range(1, 13) for lam in partitions_of(n) if len(lam) <= JACOBI_TRUDI_MAX_ROWS]
+
+
+def test_jacobi_trudi_terms_match_permutation_walk():
+    # every shape the acceptance sweep sends down the Jacobi-Trudi route;
+    # there are more of them than the table holds, so it also fills up
+    _jacobi_trudi_terms.cache_clear()
+    for lam in SHORT_SHAPES:
+        terms = _jacobi_trudi_terms(lam)
+        assert len(dict(terms)) == len(terms)
+        assert dict(terms) == walked_jacobi_trudi_terms(lam), lam
+    info = _jacobi_trudi_terms.cache_info()
+    assert info.misses == len(SHORT_SHAPES) == 264 > JT_TERMS_MAXSIZE
+    assert info.currsize == info.maxsize == JT_TERMS_MAXSIZE
+
+
+def test_jacobi_trudi_ignores_trailing_zeros():
+    for a in range(1, 4):
+        for b in range(1, 7 // a + 1):
+            for mu in partitions_of(a):
+                for nu in partitions_of(b):
+                    for lam in partitions_of(a * b):
+                        want = jacobi_trudi_coeff(lam, mu, nu)
+                        assert jacobi_trudi_coeff(lam + (0,), mu, nu) == want
+                        assert jacobi_trudi_coeff(lam + (0, 0, 0), mu + (0,), nu + (0, 0)) == want
+
+
+@st.composite
+def tall_and_near(draw):
+    """A partition with 10-20 rows, parts at most 3 and at most 26 boxes,
+    and the partition made from it by moving one box (possibly back to its
+    own row)."""
+    rows = draw(st.integers(10, 20))
+    threes = draw(st.integers(0, 1))
+    twos = draw(st.integers(0, min(rows - threes, 26 - rows - 2 * threes)))
+    lam = (3,) * threes + (2,) * twos + (1,) * (rows - threes - twos)
+    moved = list(lam) + [0]
+    moved[draw(st.integers(0, rows - 1))] -= 1
+    moved[draw(st.integers(0, rows))] += 1
+    return lam, canonical(sorted(moved, reverse=True))
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(pair=tall_and_near())
+@example(pair=((1,) * 20, (1,) * 20))
+@example(pair=((1,) * 20, (2,) + (1,) * 18))
+@example(pair=((2,) * 10 + (1,) * 6, (2,) * 10 + (1,) * 6))
+@example(pair=((2,) * 10 + (1,) * 6, (3,) + (2,) * 9 + (1,) * 5))
+def test_jacobi_trudi_tall_shapes_through_one_box(pair):
+    # s_mu[s_1] = s_mu and s_1[s_nu] = s_nu, so both coefficients are
+    # [lam == mu]: the signed terms of a 10-20 row sum cancel to it
+    lam, mu = pair
+    want = int(lam == mu)
+    assert jacobi_trudi_coeff(lam, mu, (1,)) == want
+    assert jacobi_trudi_coeff(lam, (1,), mu) == want
 
 
 PLETHYSM_COEFF_EXAMPLES = [

@@ -11,9 +11,9 @@ from pathlib import Path
 
 import plethtomo
 
-# _mn recurses once per cycle part; jacobi_trudi_coeff's rec once per row,
-# at most JACOBI_TRUDI_MAX_ROWS deep from general_plethysm
-KNOWN_RECURSION = ["characters._mn", "coefficients.jacobi_trudi_coeff.rec"]
+# _mn recurses once per cycle part; the Jacobi-Trudi terms are built by a
+# loop over rows, and their permutation walk lives in tests/ as an oracle
+KNOWN_RECURSION = ["characters._mn"]
 
 
 def self_calling_functions(tree: ast.AST, module: str) -> list[str]:
