@@ -7,7 +7,8 @@ traces), verify (invariant suites), table (worked-example summary rows).
 Exit codes: 0 success, 1 verification failure, 2 malformed input,
 3 semantic gate failure (infeasible instance, failed promise, ...) or an
 instance over the size cap: a 3dxray count whose marginals exceed
-tomography.AXIS_STATE_CAP is refused before it starts, and, as a last
+tomography.AXIS_STATE_CAP is refused before it starts, so is
+`verify bounds` with --n-max above VERIFY_BOUNDS_N_MAX, and, as a last
 resort, a RecursionError anywhere is reported the same way.
 """
 
@@ -45,6 +46,11 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_GATE_FAILED = 3
+
+# largest n for `verify bounds`: it counts the point sets of every lam |- 3n
+# in both cones, which took about 3 s at n = 5 and 43 s at n = 6 on a shared
+# 2-vCPU x86_64 host, almost all of it in count_point_sets
+VERIFY_BOUNDS_N_MAX = 6
 
 
 class GateError(Exception):
@@ -190,6 +196,8 @@ def _verify_xi(i_max: int) -> list[str]:
 
 
 def _verify_bounds(n_max: int) -> list[str]:
+    if n_max > VERIFY_BOUNDS_N_MAX:
+        raise SizeCapError(f"verify bounds --n-max {n_max} is over the cap of {VERIFY_BOUNDS_N_MAX}")
     bad = []
     for n in range(1, n_max + 1):
         for lam in partitions_of(3 * n):

@@ -8,13 +8,22 @@ Two independent routes compute every general plethysm coefficient:
   lam alone: a row DP over merged (used-column set, value multiset) states
   builds them once per lam, into a table bounded by JT_TERMS_MAXSIZE that
   every (mu, nu) shares, so the sum is never walked permutation by
-  permutation;
+  permutation.  Two exact support bounds answer 0 before any DP runs.
+  s_mu[s_nu] is a Schur-positive summand of s_nu^|mu|, so by the
+  Littlewood-Richardson rule lam has at most |mu|*len(nu) rows and at most
+  |mu|*nu_1 columns, or the coefficient is 0 (no term table is built).  A
+  nu-tableau holds each value at most once per column, so each of the |mu|
+  letters adds at most nu_1 to a coordinate and q_kappa is 0 when
+  kappa_1 > |mu|*nu_1 (no letter alphabet is built).  The one-box shapes
+  are answered directly: s_mu[s_1] = s_1[s_mu] = s_mu;
 * the power-sum expansion of the plethysm paired against
   Murnaghan-Nakayama characters (characters.plethysm_schur_multiplicity).
 
 general_plethysm takes the first up to JACOBI_TRUDI_MAX_ROWS rows and the
 second above; agreement of the two is one of the repository's standing
-self-checks.
+self-checks.  The power-sum route applies neither support bound, so every
+zero the bounds predict is checked against a computation that does not
+assume them.
 """
 
 from __future__ import annotations
@@ -78,6 +87,12 @@ def _weight_multiplicity_sorted(mu: Partition, nu: Partition, key: Partition) ->
         return got
     if not key:
         val = 1 if sum(mu) == 0 else 0
+    elif key[0] > sum(mu) * nu[0]:
+        # each of the |mu| letters adds at most nu_1 to a coordinate (a
+        # nu-tableau holds a value at most once per column); the strip DP
+        # closes key[0] last and would find this zero only at its end.  The
+        # zero is not memoized: this test answers it again at no cost
+        return 0
     elif nu == (1,):
         # the alphabet is the variables themselves, so the composed module
         # is the plain Schur module and its weight dimensions are Kostka
@@ -156,12 +171,26 @@ def jacobi_trudi_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     (_jacobi_trudi_terms).  Each (mu, nu) then costs one weight
     multiplicity lookup per distinct composition.  general_plethysm still
     keeps len(lam) <= JACOBI_TRUDI_MAX_ROWS, where this route wins.
+
+    Before the table is looked up, lam outside the |mu|*len(nu) by
+    |mu|*nu_1 box gives 0 (s_mu[s_nu] is a summand of s_nu^|mu|, whose
+    Littlewood-Richardson support lies in that box), and a one-box mu or
+    nu gives [lam equal to the other shape] (s_mu[s_1] = s_1[s_mu] = s_mu).
+    Inside the sum, a composition whose largest entry exceeds |mu|*nu_1
+    has q = 0 (a nu-tableau holds each value at most once per column).
     """
     lam, mu, nu = canonical(lam), canonical(mu), canonical(nu)
     if sum(lam) != sum(mu) * sum(nu):
         raise ValueError("size mismatch: |lam| must equal |mu|*|nu|")
     if not lam:
         return 1 if sum(mu) * sum(nu) == 0 else 0
+    outer = sum(mu)
+    if len(lam) > outer * len(nu) or lam[0] > outer * nu[0]:
+        return 0
+    if nu == (1,):
+        return int(lam == mu)
+    if mu == (1,):
+        return int(lam == nu)
     return sum(c * _weight_multiplicity_sorted(mu, nu, key) for key, c in _jacobi_trudi_terms(lam))
 
 

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from plethtomo.cli import EXIT_GATE_FAILED, EXIT_INPUT_ERROR, EXIT_OK, GateError, main
+from plethtomo.cli import EXIT_GATE_FAILED, EXIT_INPUT_ERROR, EXIT_OK, VERIFY_BOUNDS_N_MAX, GateError, main
 from plethtomo.coefficients import jacobi_trudi_coeff
 from plethtomo.tomography import SizeCapError, count_2dxray, count_sym_2dxray, in_cone, instance_from_dict, sum_marginal, xi
 
@@ -264,6 +264,23 @@ def test_verify_suites_pass(capsys, monkeypatch):
         code, out, _ = run(argv, capsys=capsys)
         assert code == EXIT_OK, argv
         assert "PASS" in out
+
+
+def test_verify_bounds_over_the_cap_counts_nothing(capsys, monkeypatch):
+    def no_count(*args):
+        raise AssertionError("verify bounds started counting over its cap")
+
+    monkeypatch.setattr("plethtomo.cli.plethysm_coeff", no_count)
+    monkeypatch.setattr("plethtomo.cli.count_point_sets", no_count)
+    code, out, err = run(["verify", "bounds", "--n-max", str(VERIFY_BOUNDS_N_MAX + 1)], capsys=capsys)
+    assert VERIFY_BOUNDS_N_MAX == 6
+    assert code == EXIT_GATE_FAILED
+    assert out == ""
+    assert err.startswith("over the size cap:") and len(err.splitlines()) == 1
+    # the cap itself is allowed; with no shapes to check it passes at once
+    monkeypatch.setattr("plethtomo.cli.partitions_of", lambda n: [])
+    code, out, _ = run(["verify", "bounds", "--n-max", str(VERIFY_BOUNDS_N_MAX)], capsys=capsys)
+    assert code == EXIT_OK and "PASS" in out
 
 
 def test_table_rows(capsys, monkeypatch):

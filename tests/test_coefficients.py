@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +9,7 @@ from test_characters import pairs_of_size
 from test_tableaux import filled_ssyt_weights, unpruned_weighted_count
 
 from plethtomo import coefficients
-from plethtomo.characters import plethysm_schur_table
+from plethtomo.characters import plethysm_schur_multiplicity, plethysm_schur_table
 from plethtomo.coefficients import (
     JACOBI_TRUDI_MAX_ROWS,
     JT_TERMS_MAXSIZE,
@@ -24,7 +25,7 @@ from plethtomo.coefficients import (
 )
 from plethtomo.partitions import canonical, partitions_of, transpose
 from plethtomo.sympoly import decompose_schur, plethysm_poly
-from plethtomo.tableaux import dim_weyl, kostka
+from plethtomo.tableaux import count_weighted_ssyt, dim_weyl, kostka, ssyt_weights
 
 
 def test_weight_multiplicity_examples():
@@ -163,6 +164,110 @@ def test_jacobi_trudi_tall_shapes_through_one_box(pair):
     want = int(lam == mu)
     assert jacobi_trudi_coeff(lam, mu, (1,)) == want
     assert jacobi_trudi_coeff(lam, (1,), mu) == want
+    # jacobi_trudi_coeff answers one-box shapes directly, so the sum itself
+    # is checked through the term table
+    assert term_table_sum(lam, mu, (1,)) == want
+    assert term_table_sum(lam, (1,), mu) == want
+
+
+def term_table_sum(lam, mu, nu):
+    """The Jacobi-Trudi sum of lam at (mu, nu) with no shortcut before the
+    term table."""
+    return sum(c * coefficients._weight_multiplicity_sorted(mu, nu, key) for key, c in _jacobi_trudi_terms(lam))
+
+
+def test_one_box_shapes_skip_the_term_table():
+    # s_mu[s_1] = s_1[s_mu] = s_mu; the term tables of (3^20) and (2^20)
+    # have 659 817 and 32 625 terms, and these calls once took 54 s and 5.6 s
+    misses = _jacobi_trudi_terms.cache_info().misses
+    start = time.perf_counter()
+    assert jacobi_trudi_coeff((3,) * 20, (3,) * 20, (1,)) == 1
+    assert jacobi_trudi_coeff((2,) * 20, (37, 3), (1,)) == 0
+    assert jacobi_trudi_coeff((2,) * 20, (1,), (2,) * 20) == 1
+    assert time.perf_counter() - start < 1.0
+    assert _jacobi_trudi_terms.cache_info().misses == misses
+
+
+def test_one_box_shortcut_matches_power_sum_tables():
+    for n in range(1, 13):
+        shapes = list(partitions_of(n))
+        for mu in shapes:
+            outer = plethysm_schur_table(mu, (1,))
+            inner = plethysm_schur_table((1,), mu)
+            assert outer == inner == {mu: 1}
+            for lam in shapes:
+                assert jacobi_trudi_coeff(lam, mu, (1,)) == jacobi_trudi_coeff(lam, (1,), mu) == outer.get(lam, 0)
+
+
+def outside_the_box(lam, mu, nu):
+    """lam has more than |mu|*len(nu) rows or more than |mu|*nu_1 columns,
+    so it is outside the Littlewood-Richardson support of s_nu^|mu|."""
+    return len(lam) > sum(mu) * len(nu) or lam[0] > sum(mu) * nu[0]
+
+
+def test_support_box_against_power_sum_tables():
+    # the power-sum tables apply no support bound, so every lam the box
+    # rules out is checked against an independent computation
+    cases = outside = 0
+    for n in range(1, 15):
+        shapes = list(partitions_of(n))
+        for mu, nu in pairs_of_size(n):
+            table = plethysm_schur_table(mu, nu)
+            for lam in shapes:
+                cases += 1
+                if outside_the_box(lam, mu, nu):
+                    outside += 1
+                    assert lam not in table, (lam, mu, nu)
+                    assert jacobi_trudi_coeff(lam, mu, nu) == 0
+    assert (cases, outside) == (97981, 40311)
+
+
+def test_weight_bound_against_direct_counts():
+    # kappa_1 > |mu|*nu_1 is a zero weight space; counted here without the
+    # bound, from the Kostka numbers or the letters of every nu-tableau
+    # weight (nu = (1) has no kappa beyond it: kappa_1 <= |kappa| = |mu|)
+    cases = beyond = 0
+    for n in range(1, 11):
+        for mu, nu in pairs_of_size(n):
+            for kappa in partitions_of(n):
+                cases += 1
+                if kappa[0] <= sum(mu) * nu[0]:
+                    continue
+                beyond += 1
+                if mu == (1,):
+                    direct = kostka(nu, kappa)
+                else:
+                    direct = count_weighted_ssyt(mu, ssyt_weights(nu, len(kappa), bound=kappa), kappa)
+                assert direct == 0, (mu, nu, kappa)
+                assert weight_multiplicity(mu, nu, kappa, len(kappa)) == 0
+                assert (mu, nu, kappa) not in coefficients._q_cache
+    assert (cases, beyond) == (9201, 1969)
+
+
+def test_support_box_builds_no_term_table():
+    # (3^20) has 20 rows and 5 * len((12,)) = 5; its term table would have
+    # 659 817 terms
+    misses = _jacobi_trudi_terms.cache_info().misses
+    assert jacobi_trudi_coeff((3,) * 20, (5,), (12,)) == 0
+    assert _jacobi_trudi_terms.cache_info().misses == misses
+
+
+@st.composite
+def pair_and_shape_outside_the_box(draw):
+    """(mu, nu) with 15 <= |mu||nu| <= 20 and |nu| >= 2 (for nu = (1) the box
+    holds every lam of the size), and a lam of that size outside the box."""
+    n = draw(st.integers(15, 20))
+    b = draw(st.sampled_from([b for b in range(2, n + 1) if n % b == 0]))
+    mu = draw(st.sampled_from(list(partitions_of(n // b))))
+    nu = draw(st.sampled_from(list(partitions_of(b))))
+    lam = draw(st.sampled_from([lam for lam in partitions_of(n) if outside_the_box(lam, mu, nu)]))
+    return lam, mu, nu
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(case=pair_and_shape_outside_the_box())
+def test_support_box_past_the_exhaustive_range(case):
+    assert plethysm_schur_multiplicity(*case) == 0
 
 
 PLETHYSM_COEFF_EXAMPLES = [
