@@ -1,9 +1,15 @@
 """Symmetric group characters and the power-sum route to plethysm.
 
 Characters are computed by the Murnaghan-Nakayama rule on beta-numbers
-(first-column hook lengths): removing a border strip of size t from the
-shape corresponds to replacing some beta-number b by b - t, with sign given
-by the number of beta-numbers jumped over.
+(first-column hook lengths lam_i + len(lam) - 1 - i), held as the set bits of
+one int.  Removing a border strip of size t moves a bead from some
+beta-number b down to an empty position b - t: the targets are the set bits
+of (mask >> t) & ~mask, and the sign is the parity of the beads jumped over,
+a popcount.  Trailing set bits (zero parts) are shifted off, so each
+partition has one mask, and that mask is the memo key.  Once only fixed
+points remain, chi_lam(1^n) = f^lam comes from the hook-length formula: the
+hooks of the row with beta-number b are b - h over the empty positions h < b,
+one factor per cell.  The recursion is one level per cycle of length >= 2.
 
 The same character tables drive an exact plethysm expansion: s_nu is
 expanded in power sums, p_r acts on power sums by stretching indices, and
@@ -26,27 +32,53 @@ CLASS_SIZES_MAXSIZE = 16
 EXPANSION_MAXSIZE = 256
 
 
-@lru_cache(maxsize=None)
-def _mn(lam: Partition, cycles: Partition) -> int:
-    if not cycles:
-        return 1 if not lam else 0
-    t = cycles[0]
-    rest = cycles[1:]
+def _beta_mask(lam: Partition) -> int:
+    """The beta-numbers of lam as the set bits of an int, zero parts dropped."""
     ell = len(lam)
-    betas = [lam[i] + (ell - 1 - i) for i in range(ell)]
-    beta_set = set(betas)
+    mask = 0
+    for i, part in enumerate(lam):
+        mask |= 1 << (part + ell - 1 - i)
+    # each zero part at the bottom is one trailing set bit
+    return mask >> ((mask ^ (mask + 1)).bit_length() - 1)
+
+
+def _hook_dim(mask: int) -> int:
+    """f^lam for the shape with beta-set mask, by the hook-length formula."""
+    holes: list[int] = []
+    cells = 0
+    hooks = 1
+    for pos, bit in enumerate(bin(mask)[:1:-1]):
+        if bit == "1":
+            for h in holes:
+                hooks *= pos - h
+            cells += len(holes)
+        else:
+            holes.append(pos)
+    return factorial(cells) // hooks
+
+
+@lru_cache(maxsize=None)
+def _mn(mask: int, cycles: Partition) -> int:
+    """chi_lam(cycles) for the shape whose beta-set is mask (see _beta_mask),
+    cycles a nonincreasing tuple of the same size."""
+    if not cycles:
+        return 1 if not mask else 0
+    t = cycles[0]
+    if t == 1:
+        return _hook_dim(mask)
+    rest = cycles[1:]
     total = 0
-    for b in betas:
-        nb = b - t
-        if nb < 0 or nb in beta_set:
-            continue
-        jumped = sum(1 for x in betas if nb < x < b)
-        new_betas = sorted((x for x in betas if x != b), reverse=True)
-        new_betas.append(nb)
-        new_betas.sort(reverse=True)
-        m = len(new_betas)
-        new_lam = canonical(new_betas[i] - (m - 1 - i) for i in range(m))
-        total += (-1) ** jumped * _mn(new_lam, rest)
+    moves = (mask >> t) & ~mask
+    while moves:
+        low = moves & -moves
+        moves ^= low
+        new = mask ^ low ^ (low << t)
+        if new & 1:
+            new >>= (new ^ (new + 1)).bit_length() - 1
+        if (mask & ((low << t) - low)).bit_count() & 1:
+            total -= _mn(new, rest)
+        else:
+            total += _mn(new, rest)
     return total
 
 
@@ -58,7 +90,7 @@ def sn_character(lam: Partition, cycle_type: Partition) -> int:
         raise ValueError("character arguments must be partitions")
     if sum(lam) != sum(tau):
         raise ValueError(f"size mismatch: |{lam}| != |{tau}|")
-    return _mn(lam, tau)
+    return _mn(_beta_mask(lam), tau)
 
 
 def centralizer_order(tau: Partition) -> int:
@@ -83,23 +115,32 @@ def _pair(weighted, lam: Partition, n: int) -> int:
     """Inner product of chi_lam with a class function of S_n given as
     class-weighted values (omega, (n!/z_omega) * f(omega)): one integer sum
     and one exact division by n!."""
-    total = sum(w * _mn(lam, omega) for omega, w in weighted)
+    mask = _beta_mask(lam)
+    total = sum(w * _mn(mask, omega) for omega, w in weighted)
     value, rem = divmod(total, factorial(n))
     if rem:
         raise ArithmeticError(f"inner product with chi_{lam} is not integral")
     return value
 
 
-def kronecker(mu: Partition, nu: Partition, rho: Partition) -> int:
-    """Kronecker coefficient k(mu,nu,rho) as the S_n character inner product
-    (1/n!) sum over classes of |class| * chi_mu chi_nu chi_rho."""
+def kronecker_shapes(mu: Partition, nu: Partition, rho: Partition) -> tuple[Partition, Partition, Partition]:
+    """The arguments of a Kronecker coefficient in canonical form; raises
+    ValueError unless they are partitions of one size."""
     mu, nu, rho = canonical(mu), canonical(nu), canonical(rho)
     if not (is_partition(mu) and is_partition(nu) and is_partition(rho)):
         raise ValueError("kronecker arguments must be partitions")
-    n = sum(mu)
-    if sum(nu) != n or sum(rho) != n:
+    if not sum(mu) == sum(nu) == sum(rho):
         raise ValueError("kronecker arguments must have equal sizes")
-    weighted = ((tau, size * _mn(mu, tau) * _mn(nu, tau)) for tau, size in _class_sizes(n))
+    return mu, nu, rho
+
+
+def kronecker(mu: Partition, nu: Partition, rho: Partition) -> int:
+    """Kronecker coefficient k(mu,nu,rho) as the S_n character inner product
+    (1/n!) sum over classes of |class| * chi_mu chi_nu chi_rho."""
+    mu, nu, rho = kronecker_shapes(mu, nu, rho)
+    n = sum(mu)
+    mu_mask, nu_mask = _beta_mask(mu), _beta_mask(nu)
+    weighted = ((tau, size * _mn(mu_mask, tau) * _mn(nu_mask, tau)) for tau, size in _class_sizes(n))
     return _pair(weighted, rho, n)
 
 
@@ -124,12 +165,13 @@ def plethysm_power_expansion(mu: Partition, nu: Partition) -> tuple[tuple[Partit
     mu, nu = canonical(mu), canonical(nu)
     a, b = sum(mu), sum(nu)
     bfact = factorial(b)
-    inner = [(tau, size * c) for tau, size in _class_sizes(b) if (c := _mn(nu, tau))]
+    mu_mask, nu_mask = _beta_mask(mu), _beta_mask(nu)
+    inner = [(tau, size * c) for tau, size in _class_sizes(b) if (c := _mn(nu_mask, tau))]
     # the inner classes with every cycle stretched r-fold, for each outer cycle length r
     stretched = {r: [(tuple(r * t for t in tau), coeff) for tau, coeff in inner] for r in range(1, a + 1)}
     numer: dict[Partition, int] = {}
     for sigma, size in _class_sizes(a):
-        c_sigma = _mn(mu, sigma)
+        c_sigma = _mn(mu_mask, sigma)
         if not c_sigma:
             continue
         prod: dict[Partition, int] = {(): size * c_sigma * bfact ** (a - len(sigma))}

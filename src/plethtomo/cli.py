@@ -8,8 +8,10 @@ Exit codes: 0 success, 1 verification failure, 2 malformed input,
 3 semantic gate failure (infeasible instance, failed promise, ...) or an
 instance over the size cap: a 3dxray count whose marginals exceed
 tomography.AXIS_STATE_CAP is refused before it starts, so is
-`verify bounds` with --n-max above VERIFY_BOUNDS_N_MAX, and, as a last
-resort, a RecursionError anywhere is reported the same way.
+`verify bounds` with --n-max above VERIFY_BOUNDS_N_MAX and `kron` on
+shapes of size above KRON_N_MAX (unless one shape is a single row or
+column, which is answered directly), and, as a last resort, a
+RecursionError anywhere is reported the same way.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import json
 import sys
 
 from . import __version__
-from .coefficients import check_duality, general_plethysm, kronecker, m2_closed_form, plethysm_coeff
+from .coefficients import check_duality, general_plethysm, kronecker, m2_closed_form, plethysm_coeff, trivial_kronecker
 from .partitions import format_partition, parse_partition, partitions_of, transpose
 from .reductions import (
     embed_pyramid_3d,
@@ -51,6 +53,12 @@ EXIT_GATE_FAILED = 3
 # in both cones, which took about 3 s at n = 5 and 43 s at n = 6 on a shared
 # 2-vCPU x86_64 host, almost all of it in count_point_sets
 VERIFY_BOUNDS_N_MAX = 6
+# largest n for `kron` on the character route: on the same host a cold
+# character sum over the p(n) classes took 1.2-1.5 s on two-row and hook
+# triples at n = 40, and up to 3.5 s and 220 MB of memo on shapes with more
+# border strips (rectangles, staircases), about tenfold per 10 boxes;
+# one-row and one-column triples are answered at any size
+KRON_N_MAX = 40
 
 
 class GateError(Exception):
@@ -97,7 +105,10 @@ def _cmd_coeff(args, out) -> int:
 
 
 def _cmd_kron(args, out) -> int:
-    res = kronecker(parse_partition(args.mu), parse_partition(args.nu), parse_partition(args.rho))
+    mu, nu, rho = (parse_partition(p) for p in (args.mu, args.nu, args.rho))
+    if trivial_kronecker(mu, nu, rho) is None and sum(mu) > KRON_N_MAX:
+        raise SizeCapError(f"kron on shapes of size {sum(mu)} is over the cap of {KRON_N_MAX}")
+    res = kronecker(mu, nu, rho)
     _emit({"value": res.value, "method": res.method}, args.format, out)
     return EXIT_OK
 

@@ -24,6 +24,10 @@ second above; agreement of the two is one of the repository's standing
 self-checks.  The power-sum route applies neither support bound, so every
 zero the bounds predict is checked against a computation that does not
 assume them.
+
+kronecker answers a triple with a one-row or one-column shape directly
+(the trivial and the sign character) and sends every other triple to the
+character sum over the p(n) classes (characters.kronecker).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from functools import lru_cache
 from typing import Literal
 
 from .characters import kronecker as _kronecker_raw
-from .characters import plethysm_schur_multiplicity
+from .characters import kronecker_shapes, plethysm_schur_multiplicity
 from .partitions import Composition, Partition, canonical, is_partition, partitions_of, transpose
 from .tableaux import count_weighted_ssyt, dim_weyl, kostka, ssyt_weights
 
@@ -277,8 +281,27 @@ def check_duality(n: int, m: int) -> tuple[bool, list[str]]:
     return (not report, report)
 
 
+def trivial_kronecker(mu: Partition, nu: Partition, rho: Partition) -> int | None:
+    """k(mu, nu, rho) when one argument is a single row or a single column,
+    else None: chi_(n) is trivial and chi_(1^n) the sign character, so
+    k((n), a, b) = [a = b] and k((1^n), a, b) = [a = b'].  Raises
+    ValueError unless the arguments are partitions of one size."""
+    mu, nu, rho = kronecker_shapes(mu, nu, rho)
+    for shape, a, b in ((mu, nu, rho), (nu, mu, rho), (rho, mu, nu)):
+        if len(shape) == 1:
+            return int(a == b)
+        if shape and shape[0] == 1:
+            return int(a == transpose(b))
+    return None
+
+
 def kronecker(mu: Partition, nu: Partition, rho: Partition) -> CoefficientResult:
-    """Kronecker coefficient via the symmetric group character inner product."""
+    """Kronecker coefficient: answered directly when a shape is one row or
+    one column (method "one-row-or-column"), else by the symmetric group
+    character inner product ("character-sum")."""
+    value = trivial_kronecker(mu, nu, rho)
+    if value is not None:
+        return CoefficientResult(value, "one-row-or-column")
     return CoefficientResult(_kronecker_raw(mu, nu, rho), "character-sum")
 
 

@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+from plethtomo.characters import kronecker as character_kronecker
 from plethtomo.coefficients import (
     check_duality,
     general_plethysm,
@@ -76,8 +77,11 @@ def test_criterion_01_example_one_end_to_end():
     # the a-side plethysm instance is the reference 32-part shape
     assert trip.a_instance.lam == REFERENCE_LAMBDA_32
     assert trip.a_instance.n == 55 and trip.a_instance.m == 3 and trip.a_instance.variant == "a"
+    # rho = (1,1,1) is one column, so k is [mu = nu'] without characters;
+    # the character sum agrees
     k = kronecker(trip.mu, trip.nu, trip.rho)
-    assert k.method == "character-sum" and k.value == 1
+    assert k.method == "one-row-or-column" and k.value == 1
+    assert character_kronecker(trip.mu, trip.nu, trip.rho) == 1
     a = resolve_coefficient(trip.a_instance)
     assert a.method == "promise-pyramid-count" and a.value == 1
     # the promise really collapses the bounds at this scale
@@ -236,6 +240,7 @@ def test_criterion_08_parsimony_of_the_chain():
             assert count_point_sets(emb.marginal, emb.cone) == cnt
         trip = kronecker_plethysm_triple(inst)
         assert kronecker(trip.mu, trip.nu, trip.rho).value == cnt
+        assert character_kronecker(trip.mu, trip.nu, trip.rho) == cnt
         assert resolve_coefficient(trip.a_instance).value == cnt
         assert resolve_coefficient(trip.b_instance).value == cnt
         n_range_one += 1

@@ -1,11 +1,15 @@
 import itertools
-from math import factorial
+from math import comb, factorial
 
 import pytest
+from character_oracle import list_character
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plethtomo.characters import (
     CLASS_SIZES_MAXSIZE,
     EXPANSION_MAXSIZE,
+    _beta_mask,
     _class_sizes,
     centralizer_order,
     kronecker,
@@ -63,6 +67,40 @@ def test_character_orthogonality():
                     for tau in classes
                 )
                 assert inner == (nfact if lam == mu else 0)
+
+
+def test_character_matches_list_oracle():
+    pairs = [(lam, tau) for n in range(13) for lam in partitions_of(n) for tau in partitions_of(n)]
+    assert len(pairs) == 12648
+    for lam, tau in pairs:
+        assert sn_character(lam, tau) == list_character(lam, tau), (lam, tau)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_character_matches_list_oracle_past_twelve(data):
+    shapes = list(partitions_of(data.draw(st.integers(13, 20))))
+    lam, tau = data.draw(st.sampled_from(shapes)), data.draw(st.sampled_from(shapes))
+    assert sn_character(lam, tau) == list_character(lam, tau)
+
+
+def test_zero_parts_share_the_mask():
+    assert _beta_mask((3, 1, 0, 0)) == _beta_mask((3, 1)) == 0b10010
+    assert _beta_mask((0, 0)) == _beta_mask(()) == 0
+    assert sn_character((3, 1, 0), (2, 1, 1)) == sn_character((3, 1), (2, 1, 1)) == 1
+
+
+def test_fixed_points_take_the_hook_length_formula():
+    # the recursion goes one level per cycle of length >= 2, so 1100 fixed
+    # points need none; f^(1^n) = f^(n) = 1, f^(k,k) is the Catalan number
+    # and f^(n-k,1^k) = C(n-1,k)
+    assert sn_character((1,) * 1100, (1,) * 1100) == 1
+    assert sn_character((1100,), (1,) * 1100) == 1
+    assert sn_character((1,) * 1100, (2,) + (1,) * 1098) == -1
+    assert sn_character((1100,), (2,) + (1,) * 1098) == 1
+    for k in (1, 2, 10, 300):
+        assert sn_character((k, k), (1,) * (2 * k)) == comb(2 * k, k) // (k + 1)
+        assert sn_character((k + 1,) + (1,) * k, (1,) * (2 * k + 1)) == comb(2 * k, k)
 
 
 def test_character_rejects_size_mismatch():

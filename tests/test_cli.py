@@ -1,11 +1,13 @@
 import io
 import json
 import time
+from pathlib import Path
 
 import pytest
 
-from plethtomo.cli import EXIT_GATE_FAILED, EXIT_INPUT_ERROR, EXIT_OK, VERIFY_BOUNDS_N_MAX, GateError, main
+from plethtomo.cli import EXIT_GATE_FAILED, EXIT_INPUT_ERROR, EXIT_OK, KRON_N_MAX, VERIFY_BOUNDS_N_MAX, GateError, main
 from plethtomo.coefficients import jacobi_trudi_coeff
+from plethtomo.partitions import format_partition, parse_partition
 from plethtomo.tomography import SizeCapError, count_2dxray, count_sym_2dxray, in_cone, instance_from_dict, sum_marginal, xi
 
 
@@ -86,6 +88,50 @@ def test_kron(capsys, monkeypatch):
     code, out, _ = run(["kron", "[2,1]", "[2,1]", "[1,1,1]"], capsys=capsys)
     assert code == EXIT_OK
     assert "value: 1" in out
+
+
+def test_kron_one_row_answers_at_any_size(capsys):
+    t0 = time.time()
+    code, out, err = run(["kron", "[70]", "[70]", "[70]", "--format", "json"], capsys=capsys)
+    assert code == EXIT_OK, err
+    assert json.loads(out) == {"value": 1, "method": "one-row-or-column"}
+    assert time.time() - t0 < 1.0
+
+
+def test_kron_over_the_cap_evaluates_no_character(capsys, monkeypatch):
+    def no_character(*args):
+        raise AssertionError("kron evaluated a character over its cap")
+
+    monkeypatch.setattr("plethtomo.characters._mn", no_character)
+    monkeypatch.setattr("plethtomo.characters.kronecker", no_character)
+    monkeypatch.setattr("plethtomo.coefficients._kronecker_raw", no_character)
+    assert KRON_N_MAX == 40
+    n = KRON_N_MAX + 1
+    code, out, err = run(["kron", f"[{n - 1},1]", f"[{n - 1},1]", f"[{n - 2},2]"], capsys=capsys)
+    assert code == EXIT_GATE_FAILED
+    assert out == ""
+    assert err.startswith("over the size cap:") and len(err.splitlines()) == 1
+    # one row or one column is answered first, at any size
+    hook = (n - 1, 1)
+    code, out, _ = run(["kron", f"[{n}]", format_partition(hook), format_partition(hook)], capsys=capsys)
+    assert code == EXIT_OK and "value: 1" in out
+    column = format_partition((1,) * n)
+    code, out, _ = run(["kron", format_partition(hook), column, format_partition((2,) + (1,) * (n - 2))], capsys=capsys)
+    assert code == EXIT_OK and "value: 1" in out
+    # malformed input is still an input error over the cap
+    code, _, err = run(["kron", f"[{n}]", f"[{n - 1}]", f"[{n}]"], capsys=capsys)
+    assert code == EXIT_INPUT_ERROR and err.startswith("input error")
+    # the cap itself takes the character route
+    monkeypatch.setattr("plethtomo.coefficients._kronecker_raw", lambda *args: 7)
+    n = KRON_N_MAX
+    code, out, _ = run(["kron", f"[{n - 1},1]", f"[{n - 1},1]", f"[{n - 2},2]"], capsys=capsys)
+    assert code == EXIT_OK and "value: 7" in out and "character-sum" in out
+
+
+def test_kron_cap_admits_every_benchmark_query():
+    pool = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "cli_pool.json").read_text())
+    sizes = [sum(parse_partition(q["argv"][1])) for q in pool["queries"]["kron"]]
+    assert sizes and max(sizes) <= KRON_N_MAX
 
 
 def test_count_stdin(capsys, monkeypatch):

@@ -9,10 +9,12 @@ from test_characters import pairs_of_size
 from test_tableaux import filled_ssyt_weights, unpruned_weighted_count
 
 from plethtomo import coefficients
+from plethtomo.characters import kronecker as character_kronecker
 from plethtomo.characters import plethysm_schur_multiplicity, plethysm_schur_table
 from plethtomo.coefficients import (
     JACOBI_TRUDI_MAX_ROWS,
     JT_TERMS_MAXSIZE,
+    CoefficientResult,
     _jacobi_trudi_terms,
     check_duality,
     dim_plethysm_module,
@@ -21,6 +23,7 @@ from plethtomo.coefficients import (
     kronecker,
     m2_closed_form,
     plethysm_coeff,
+    trivial_kronecker,
     weight_multiplicity,
 )
 from plethtomo.partitions import canonical, partitions_of, transpose
@@ -384,8 +387,32 @@ def test_dimension_conservation():
             assert lhs == dim_plethysm_module(mu, nu, k)
 
 
+def test_one_row_or_column_kronecker_against_character_sum():
+    checked = 0
+    for n in range(1, 10):
+        shapes = list(partitions_of(n))
+        for trivial in ((n,), (1,) * n):
+            for a, b in itertools.product(shapes, repeat=2):
+                want = CoefficientResult(character_kronecker(trivial, a, b), "one-row-or-column")
+                for args in ((trivial, a, b), (a, trivial, b), (a, b, trivial)):
+                    assert kronecker(*args) == want, args
+                    checked += 1
+    assert checked == 6 * sum(len(list(partitions_of(n))) ** 2 for n in range(1, 10))
+
+
+def test_other_kronecker_triples_take_the_character_sum():
+    for n in range(7):
+        inner = [lam for lam in partitions_of(n) if len(lam) > 1 and lam[0] > 1]
+        for args in itertools.product(inner, repeat=3):
+            assert trivial_kronecker(*args) is None
+            assert kronecker(*args) == CoefficientResult(character_kronecker(*args), "character-sum")
+
+
 def test_kronecker_result_wrapper():
-    res = kronecker((2, 1), (2, 1), (1, 1, 1))
+    res = kronecker((2, 1), (2, 1), (2, 1))
     assert res.value == 1
     assert res.method == "character-sum"
     assert int(res) == 1
+    res = kronecker((2, 1), (2, 1), (1, 1, 1))
+    assert res.value == 1
+    assert res.method == "one-row-or-column"

@@ -11,8 +11,10 @@ from pathlib import Path
 
 import plethtomo
 
-# _mn recurses once per cycle part; the Jacobi-Trudi terms are built by a
-# loop over rows, and their permutation walk lives in tests/ as an oracle
+# _mn recurses once per cycle of length >= 2 (fixed points close by the
+# hook-length formula, so 1100 of them need no recursion, but (2,)*550
+# still runs out of stack); the Jacobi-Trudi terms are built by a loop over
+# rows, and their permutation walk lives in tests/ as an oracle
 KNOWN_RECURSION = ["characters._mn"]
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from plethtomo.characters import kronecker as character_kronecker
 from plethtomo.coefficients import kronecker, plethysm_coeff
 from plethtomo.partitions import add, compositions_of, partitions_of, transpose
 from plethtomo.reductions import (
@@ -244,6 +245,7 @@ def test_end_to_end_kronecker_equality_range_one():
     for inst in all_feasible_instances(1, 3):
         trip = kronecker_plethysm_triple(inst)
         assert kronecker(trip.mu, trip.nu, trip.rho).value == count_2dxray(inst)
+        assert character_kronecker(trip.mu, trip.nu, trip.rho) == count_2dxray(inst)
 
 
 def test_triple_pads_with_the_simplex_marginals():
