@@ -10,7 +10,8 @@ instance over the size cap: a 3dxray count whose marginals exceed
 tomography.AXIS_STATE_CAP is refused before it starts, so is
 `verify bounds` with --n-max above VERIFY_BOUNDS_N_MAX and `kron` on
 shapes of size above KRON_N_MAX (unless one shape is a single row or
-column, which is answered directly), and, as a last resort, a
+column, which is answered directly), as is `reduce --resolve` whose
+Kronecker triple is over that cap, and, as a last resort, a
 RecursionError anywhere is reported the same way.
 """
 
@@ -104,10 +105,16 @@ def _cmd_coeff(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_kron(args, out) -> int:
-    mu, nu, rho = (parse_partition(p) for p in (args.mu, args.nu, args.rho))
+def _check_kron_cap(mu, nu, rho) -> None:
+    """SizeCapError for a triple that takes the character route with
+    shapes of size above KRON_N_MAX; nothing is evaluated."""
     if trivial_kronecker(mu, nu, rho) is None and sum(mu) > KRON_N_MAX:
         raise SizeCapError(f"kron on shapes of size {sum(mu)} is over the cap of {KRON_N_MAX}")
+
+
+def _cmd_kron(args, out) -> int:
+    mu, nu, rho = (parse_partition(p) for p in (args.mu, args.nu, args.rho))
+    _check_kron_cap(mu, nu, rho)
     res = kronecker(mu, nu, rho)
     _emit({"value": res.value, "method": res.method}, args.format, out)
     return EXIT_OK
@@ -121,6 +128,10 @@ def _cmd_count(args, out) -> int:
 
 
 def _reduce_stages(inst: XRayInstance2D, target: str, resolve: bool) -> list[dict]:
+    trip = kronecker_plethysm_triple(inst) if target == "kron-triple" else None
+    if resolve and trip is not None:
+        # refuse an over-cap triple before any stage is resolved
+        _check_kron_cap(trip.mu, trip.nu, trip.rho)
     stages: list[dict] = [
         {
             "stage": "2dxray",
@@ -163,7 +174,6 @@ def _reduce_stages(inst: XRayInstance2D, target: str, resolve: bool) -> list[dic
         stages.append(entry)
     if target == "plethysm":
         return stages
-    trip = kronecker_plethysm_triple(inst)
     entry = {
         "stage": "kron-triple",
         "mu": list(trip.mu),

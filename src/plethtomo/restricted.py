@@ -19,7 +19,7 @@ from typing import Literal
 
 from .partitions import Composition, Partition, canonical, compositions_of, is_partition, subtract, transpose
 from .tableaux import count_weighted_ssyt
-from .tomography import ConeKind, Point, _candidates, coordinate_sum, in_cone, iota, pyramid_marginal, xi
+from .tomography import ConeKind, Point, _candidates, coordinate_sum, count_point_sets, in_cone, iota, pyramid_marginal, xi
 
 PlethysmVariant = Literal["sym", "wedge"]
 
@@ -151,7 +151,12 @@ def count_cone_ssyt(mu: Partition, lam: Composition, variant: PlethysmVariant, t
     which count_weighted_ssyt computes by its horizontal-strip DP.  Only the
     points whose marginal fits under lam can appear, and those are the
     letters.  The coefficient is symmetric in the letters, so the count does
-    not depend on ``tiebreak``; it is still checked to be a known order."""
+    not depend on ``tiebreak``; it is still checked to be a known order.
+
+    A single column mu = (1^n) is counted as point sets instead: its
+    column-strict fillings are the sets of n distinct cone points with
+    pooled marginal lam, so count_point_sets answers it without the strip
+    DP, which is exponential in the column height."""
     if tiebreak not in _TIEBREAKS:
         raise ValueError(f"unknown tiebreak {tiebreak!r}")
     kind = _kind(variant)
@@ -159,5 +164,7 @@ def count_cone_ssyt(mu: Partition, lam: Composition, variant: PlethysmVariant, t
     if not psi_membership(mu, nu, lam):
         raise ValueError(f"({mu}, {nu}, {canonical(lam)}) is not a restricted instance")
     lam = canonical(lam)
+    if set(canonical(mu)) == {1}:
+        return count_point_sets(lam, kind)
     letters = [tuple(p.count(i) for i in range(len(lam))) for p in _candidates(lam, kind)]
     return count_weighted_ssyt(mu, letters, lam)

@@ -8,14 +8,25 @@ marginals on a triangular grid layer or in all of N^3.
 
 Sum-marginal instances, whole-cone or restricted to one grid layer, are
 counted exactly by one engine, at every distance ("excess") above the
-minimum coordinate sum.  Whole-cone counts first peel a forced prefix: an
-n-point instance at excess e contains every cone point of coordinate sum
-below floor = iota(n) - e, because a set missing a point of layer j pays at
-least beta(n) + iota(n) - j, which exceeds beta(n) + e when j < floor.  That
-complete pyramid's marginal is subtracted up front, so a promise instance
-(excess 0) counts from its top layer only.  The engine then runs one
-forward DP over the remaining candidates in level order (coordinate sum,
-then lexicographic): each candidate is skipped or taken, and states that
+minimum coordinate sum, with every point inside a level window [floor,
+ceiling].  An n-point instance at excess e (coordinate sum B = beta(n) + e)
+has the window [iota(n) - e, iota(n) + e]:
+
+* it contains every cone point of coordinate sum below floor = iota(n) - e,
+  because a set missing a point of layer j pays at least
+  beta(n) + iota(n) - j, which exceeds beta(n) + e when j < floor;
+* it has no point above ceiling = iota(n) + e, because dropping a point p
+  leaves n - 1 points, so B - level(p) >= beta(n - 1) = beta(n) - iota(n),
+  that is, level(p) <= iota(n) + e.
+
+The complete pyramid below floor is subtracted up front, so a promise
+instance (excess 0) counts from its top layer only, the window of one grid
+layer.  The counts are memoized on (residual marginal, cone, pyramids
+only, floor, ceiling), so the layer count of the reduction chain, the
+promise instance it embeds into and the coefficient that instance resolves
+to run one DP between them.  The engine runs one forward DP over the
+candidates in the window in level order (coordinate sum, then
+lexicographic): each candidate is skipped or taken, and states that
 agree merge at every candidate, so the work is bounded by the number of
 distinct states rather than by the number of solutions.  Each successor
 must still be able to spend exactly its remaining coordinate sum on the
@@ -133,8 +144,27 @@ def complete_pyramid(r: int, kind: ConeKind) -> frozenset[Point]:
 
 @functools.lru_cache(maxsize=256)
 def pyramid_marginal(r: int, kind: ConeKind) -> Composition:
-    """sum_marginal(complete_pyramid(r, kind)), built once per (r, kind)."""
-    return sum_marginal(complete_pyramid(r, kind))
+    """sum_marginal(complete_pyramid(r, kind)), built once per (r, kind).
+
+    Counted over the (x, y) pairs of the pyramid without listing its
+    points: the pair's column holds the z in [0, zmax], so x and y each gain
+    zmax + 1 slots and every value in [0, zmax] gains one z slot, which a
+    difference array adds up in O(r^2)."""
+    if kind not in ("open", "closed"):
+        raise ValueError(f"unknown cone kind {kind!r}")
+    strict = kind == "open"
+    s = [0] * (r + 1)
+    zs = [0] * (r + 2)
+    for x in range(r + 1):
+        for y in range(min(x - strict, r - x) + 1):
+            zmax = min(y - strict, r - x - y)
+            if zmax < 0:
+                continue
+            s[x] += zmax + 1
+            s[y] += zmax + 1
+            zs[zmax + 1] -= 1
+            zs[0] += 1
+    return canonical(v + z for v, z in zip(s, itertools.accumulate(zs)))
 
 
 def full_simplex(r: int) -> frozenset[Point]:
@@ -213,24 +243,29 @@ def is_promise_instance(lam: Composition, kind: ConeKind) -> bool:
 # ---------------------------------------------------------------------------
 # counting engines
 
+COUNT_MEMO_SIZE = 4096
+"""The most sum-marginal counts _count_levelwise keeps, keyed by (residual
+marginal, cone, pyramids_only, floor, ceiling)."""
 
-def _candidates(lam: tuple[int, ...], kind: ConeKind, layer: int | None = None, floor: int = 0) -> list[Point]:
+
+def _candidates(lam: tuple[int, ...], kind: ConeKind, floor: int = 0, ceiling: float = math.inf) -> list[Point]:
     """Cone points whose own marginal fits under lam, in lexicographic
-    order, with coordinate sum exactly layer if given, else at least floor.
+    order, with coordinate sum in the level window [floor, ceiling].
     Coordinates range over the support of lam only, so the fit needs
     checking only where coordinates repeat."""
     support = [i for i, v in enumerate(lam) if v > 0]
     weak = kind == "closed"
-    lo, hi = (floor, math.inf) if layer is None else (layer, layer)
     out = []
     for a, x in enumerate(support):
-        # z <= y, so y >= (lo - x) / 2
-        for b in range(bisect_left(support, (lo - x + 1) // 2), a + weak):
+        if x > ceiling:
+            break
+        # z <= y, so y >= (floor - x) / 2
+        for b in range(bisect_left(support, (floor - x + 1) // 2), a + weak):
             y = support[b]
-            if x + y > hi:
+            if x + y > ceiling:
                 break
             zend = b + weak
-            for c in range(bisect_left(support, lo - x - y, 0, zend), bisect_right(support, hi - x - y, 0, zend)):
+            for c in range(bisect_left(support, floor - x - y, 0, zend), bisect_right(support, ceiling - x - y, 0, zend)):
                 z = support[c]
                 if (x == y or y == z) and lam[y] < 1 + (x == y) + (y == z):
                     continue
@@ -260,18 +295,21 @@ def _closure_filter(
     return kept, dom
 
 
-def _count_levelwise(
-    lam: tuple[int, ...], kind: ConeKind, pyramids_only: bool, layer: int | None = None, floor: int = 0
-) -> int:
-    """Count point sets (or pyramids) with sum-marginal lam by one forward
-    DP over the candidates in level order (coordinate sum, then
-    lexicographic).  With layer given, only the points of that coordinate
-    sum are candidates.  With floor given, lam is what remains once the
-    complete pyramid below floor is taken: _count peels it at floor =
-    iota(n) - excess, below which every solution is complete (missing a
-    point of layer j costs at least iota(n) - j more than beta(n), over the
-    excess when j < floor).  Only points of coordinate sum >= floor are
-    candidates then, and pyramid closure treats the layers below as present.
+@functools.lru_cache(maxsize=COUNT_MEMO_SIZE)
+def _count_levelwise(lam: tuple[int, ...], kind: ConeKind, pyramids_only: bool, floor: int, ceiling: int) -> int:
+    """Count point sets (or pyramids) with sum-marginal lam and every point
+    in the level window [floor, ceiling] by one forward DP over the
+    candidates in level order (coordinate sum, then lexicographic).  Only
+    the points whose coordinate sum lies in the window are candidates, and
+    pyramid closure treats the layers below floor as present: lam is what
+    remains once the complete pyramid below floor is taken.  _count passes
+    the window [iota(n) - e, iota(n) + e] of an n-point instance at excess
+    e (module docstring), count_sym_2dxray the single layer [r, r].
+
+    Memoized on all five arguments (at most COUNT_MEMO_SIZE entries): a
+    promise instance's window is its top layer alone, so its count, the
+    layer count it was embedded from and its resolved coefficient are one
+    entry.
 
     A state is (m, B_res, residual marginal, recent), mapped to its number
     of partial sets: m points are still to place, spending coordinate sum
@@ -288,7 +326,7 @@ def _count_levelwise(
     down, so nothing older needs keeping, and it is dropped at each new
     layer.
     """
-    cands = _candidates(lam, kind, layer, floor)
+    cands = _candidates(lam, kind, floor, ceiling)
     covers: dict[Point, tuple[Point, ...]] = {}
     if pyramids_only:
         cands, covers = _closure_filter(cands, kind, floor)
@@ -345,6 +383,9 @@ def _count_levelwise(
 
 
 def _count(lam: Composition, kind: ConeKind, pyramids_only: bool) -> int:
+    """Whole-cone count of an n-point instance at excess e: peel the
+    complete pyramid below floor = iota(n) - e, then count the rest with
+    every point at level <= ceiling = iota(n) + e (module docstring)."""
     lam = canonical(lam)
     if not lam:
         return 1
@@ -355,8 +396,6 @@ def _count(lam: Composition, kind: ConeKind, pyramids_only: bool) -> int:
     excess = coordinate_sum(lam) - least
     if excess < 0:
         return 0
-    # every solution contains the complete pyramid below floor (module
-    # docstring): take its marginal out and count the rest above it
     floor = max(fill - excess, 0)
     if floor:
         lam = subtract(lam, pyramid_marginal(floor - 1, kind))
@@ -364,7 +403,7 @@ def _count(lam: Composition, kind: ConeKind, pyramids_only: bool) -> int:
             return 0
         if not lam:
             return 1
-    return _count_levelwise(lam, kind, pyramids_only, floor=floor)
+    return _count_levelwise(lam, kind, pyramids_only, floor, fill + excess)
 
 
 def count_point_sets(lam: Composition, kind: ConeKind) -> int:
@@ -479,7 +518,7 @@ def count_sym_2dxray(lam: Composition, r: int, kind: ConeKind) -> int:
     n = total // 3
     if coordinate_sum(lam) != r * n:
         return 0
-    return _count_levelwise(lam, kind, False, layer=r)
+    return _count_levelwise(lam, kind, False, r, r)
 
 
 AXIS_STATE_CAP = 1 << 18

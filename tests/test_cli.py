@@ -8,6 +8,7 @@ import pytest
 from plethtomo.cli import EXIT_GATE_FAILED, EXIT_INPUT_ERROR, EXIT_OK, KRON_N_MAX, VERIFY_BOUNDS_N_MAX, GateError, main
 from plethtomo.coefficients import jacobi_trudi_coeff
 from plethtomo.partitions import format_partition, parse_partition
+from plethtomo.reductions import kronecker_plethysm_triple
 from plethtomo.tomography import SizeCapError, count_2dxray, count_sym_2dxray, in_cone, instance_from_dict, sum_marginal, xi
 
 
@@ -132,6 +133,42 @@ def test_kron_cap_admits_every_benchmark_query():
     pool = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "cli_pool.json").read_text())
     sizes = [sum(parse_partition(q["argv"][1])) for q in pool["queries"]["kron"]]
     assert sizes and max(sizes) <= KRON_N_MAX
+
+
+def test_reduce_resolve_caps_the_kronecker_stage(capsys, monkeypatch):
+    # range 6, one point: the triple has size 57, over KRON_N_MAX
+    data = json.dumps({"kind": "2dxray", "r": 6, "marginals": {"x": [0, 0, 0, 0, 0, 0, 1], "y": [1], "z": [1]}})
+    code, out, err = run(["reduce", data, "--to", "plethysm", "--resolve", "--format", "json"], capsys=capsys)
+    assert code == EXIT_OK, err
+    assert [stage["value"] for stage in json.loads(out) if "value" in stage] == [1, 1]
+
+    def no_work(*args):
+        raise AssertionError("reduce resolved a stage over the Kronecker cap")
+
+    monkeypatch.setattr("plethtomo.characters._mn", no_work)
+    monkeypatch.setattr("plethtomo.coefficients._kronecker_raw", no_work)
+    monkeypatch.setattr("plethtomo.cli.resolve_coefficient", no_work)
+    code, out, err = run(["reduce", data, "--resolve"], capsys=capsys)
+    assert code == EXIT_GATE_FAILED
+    assert out == ""
+    assert err.startswith("over the size cap:") and "57" in err
+    # without --resolve the triple is only printed
+    code, out, _ = run(["reduce", data, "--format", "json"], capsys=capsys)
+    assert code == EXIT_OK
+    triple = json.loads(out)[-1]
+    assert triple["stage"] == "kron-triple" and sum(triple["mu"]) == 57 and "value" not in triple
+
+
+def test_reduce_cap_admits_every_benchmark_query():
+    pool = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "cli_pool.json").read_text())
+    sizes = [
+        sum(kronecker_plethysm_triple(inst).mu)
+        for kind, queries in pool["queries"].items()
+        if kind.startswith("reduce")
+        for q in queries
+        if (inst := instance_from_dict(json.loads(q["argv"][1]))).passes_gate()
+    ]
+    assert len(sizes) == 120 and max(sizes) <= KRON_N_MAX
 
 
 def test_count_stdin(capsys, monkeypatch):

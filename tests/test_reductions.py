@@ -279,6 +279,25 @@ def test_chain_stage_parsimony_range_two_sample():
             assert count_point_sets(emb.marginal, kind) == cnt
 
 
+def test_every_chain_stage_on_range_three():
+    # all 528 feasible range-3 instances of total 1-3 through every stage,
+    # each against the axis-marginal DP
+    insts = [i for i in all_feasible_instances(3, 3) if sum(i.mu) > 0]
+    assert len(insts) == 528
+    for inst in insts:
+        cnt = count_2dxray(inst)
+        for kind in ("open", "closed"):
+            sym = symmetrize_2d(inst, kind)
+            assert count_sym_2dxray(sym.marginal, sym.grid_r, kind) == cnt, (inst, kind)
+            emb = embed_pyramid_3d(sym.marginal, sym.grid_r, kind)
+            assert is_promise_instance(emb.marginal, kind), (inst, kind)
+            assert count_point_sets(emb.marginal, kind) == cnt, (inst, kind)
+        trip = kronecker_plethysm_triple(inst)
+        assert resolve_coefficient(trip.a_instance).value == cnt, inst
+        assert resolve_coefficient(trip.b_instance).value == cnt, inst
+        assert kronecker(trip.mu, trip.nu, trip.rho).value == cnt, inst
+
+
 def test_stage_three_oracle_equality_small_promise():
     # the tomography count of a small promise instance equals the oracle
     # value of the coefficient the reduction outputs

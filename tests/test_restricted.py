@@ -14,7 +14,8 @@ from plethtomo.restricted import (
     psi_splits,
     pyramid_size,
 )
-from plethtomo.tomography import complete_pyramid, coordinate_sum, count_pyramids, sum_marginal
+from plethtomo.tableaux import count_weighted_ssyt
+from plethtomo.tomography import _candidates, complete_pyramid, coordinate_sum, count_point_sets, count_pyramids, sum_marginal
 from tableau_oracles import enumerate_cone_ssyt, tableau_layers_check
 
 
@@ -203,6 +204,39 @@ def test_single_column_matches_pyramid_count():
         mu = (1,) * n
         for lam in psi_instances(mu, "sym"):
             assert count_cone_ssyt(mu, lam, "sym") == count_pyramids(lam, "closed"), (n, lam)
+
+
+def test_one_column_strip_count_is_the_point_set_count():
+    # every lam |- 3n, n <= 4, both cones: the strip DP over cone-point
+    # letters on (1^n), which single columns no longer take, equals the
+    # point-set count they take instead
+    checked = 0
+    for n in range(1, 5):
+        for lam in partitions_of(3 * n):
+            for variant, kind in (("sym", "closed"), ("wedge", "open")):
+                letters = [tuple(p.count(i) for i in range(len(lam))) for p in _candidates(lam, kind)]
+                want = count_weighted_ssyt((1,) * n, letters, lam)
+                assert count_point_sets(lam, kind) == want, (lam, kind)
+                if psi_membership((1,) * n, (3,) if variant == "sym" else (1, 1, 1), lam):
+                    assert count_cone_ssyt((1,) * n, lam, variant) == want, (lam, variant)
+                checked += 1
+    assert checked == 242
+
+
+def test_hundred_box_column_is_counted_as_point_sets(monkeypatch):
+    # the closed pyramid below layer 12 (83 points) and 17 of the 19 points
+    # of layer 12; the strip DP ran past 15 s on it
+    def no_strips(*args):
+        raise AssertionError("a single column took the strip DP")
+
+    monkeypatch.setattr("plethtomo.restricted.count_weighted_ssyt", no_strips)
+    top = sorted(p for p in complete_pyramid(12, "closed") if sum(p) == 12)
+    for chosen in (top[:17], top[2:]):
+        lam = sum_marginal(complete_pyramid(11, "closed") | set(chosen))
+        t0 = time.perf_counter()
+        assert count_cone_ssyt((1,) * 100, lam, "sym") == 1, lam
+        assert time.perf_counter() - t0 < 1.0, lam
+        assert count_pyramids(lam, "closed") == 1
 
 
 def test_twenty_box_column_counts_in_under_a_second():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from plethtomo.partitions import add, canonical, compositions_of, is_partition, partitions_of, transpose
 from plethtomo.coefficients import plethysm_coeff
-from plethtomo.reductions import embed_pyramid_3d, symmetrize_2d
+from plethtomo.reductions import embed_pyramid_3d, promise_to_plethysm, resolve_coefficient, symmetrize_2d
 from plethtomo.tomography import (
     AXIS_STATE_CAP,
     SizeCapError,
@@ -140,6 +140,10 @@ def test_pyramid_marginal_matches_the_complete_pyramid():
         for r in range(-1, 41):
             assert pyramid_marginal(r, kind) == sum_marginal(complete_pyramid(r, kind)), (r, kind)
     assert pyramid_marginal.cache_info().maxsize is not None
+    # the kind is checked before any counting, so also on an empty pyramid
+    for r in (-2, -1, 0, 7):
+        with pytest.raises(ValueError):
+            pyramid_marginal(r, "half-open")
 
 
 def test_coordinate_sum():
@@ -237,6 +241,12 @@ def _naive_candidates(lam, kind):
         if in_cone(p, kind) and all(p.count(i) <= lam[i] for i in set(p)):
             out.append(p)
     return out
+
+
+def _unwindowed(lam, kind, pyramids_only):
+    """The level engine on the whole cone: floor 0 and a ceiling no point
+    of a solution can pass (its level is at most the coordinate sum)."""
+    return _count_levelwise(lam, kind, pyramids_only, 0, coordinate_sum(lam))
 
 
 def _count_reference(lam, kind, pyramids_only, found=None):
@@ -348,7 +358,7 @@ def test_counting_engines_agree():
                 for kind in ("open", "closed"):
                     for pyr in (False, True):
                         ref = _count_reference(lam, kind, pyr)
-                        assert _count_levelwise(lam, kind, pyr) == ref
+                        assert _unwindowed(lam, kind, pyr) == ref
                         assert _count_by_index(lam, kind, pyr) == ref
 
 
@@ -361,8 +371,8 @@ def test_counting_engines_agree_on_larger_partitions():
     pool = [lam for lam in partitions_of(12) if len(lam) <= 6]
     for lam in rng.sample(pool, 8) + [(2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)]:
         for kind in ("open", "closed"):
-            assert _count_levelwise(lam, kind, False) == _count_by_index(lam, kind, False), (lam, kind)
-            assert _count_levelwise(lam, kind, True) == _count_by_index(lam, kind, True), (lam, kind)
+            assert _unwindowed(lam, kind, False) == _count_by_index(lam, kind, False), (lam, kind)
+            assert _unwindowed(lam, kind, True) == _count_by_index(lam, kind, True), (lam, kind)
 
 
 @st.composite
@@ -384,11 +394,12 @@ def test_level_engine_matches_oracle_and_index_engine(comp, kind):
     naive = _naive_candidates(lam, kind)
     assert _candidates(lam, kind) == naive
     for s in range(3 * len(lam)):
-        assert _candidates(lam, kind, floor=s) == [p for p in naive if sum(p) >= s]
-        assert _candidates(lam, kind, layer=s) == [p for p in naive if sum(p) == s]
+        assert _candidates(lam, kind, s) == [p for p in naive if sum(p) >= s]
+        for t in range(s, 3 * len(lam)):
+            assert _candidates(lam, kind, s, t) == [p for p in naive if s <= sum(p) <= t]
     for pyramids_only, count in ((False, count_point_sets), (True, count_pyramids)):
         ref = _count_reference(lam, kind, pyramids_only)
-        assert _count_levelwise(lam, kind, pyramids_only) == ref
+        assert _unwindowed(lam, kind, pyramids_only) == ref
         assert _count_by_index(lam, kind, pyramids_only) == ref
         assert count(lam, kind) == (ref if sum(lam) % 3 == 0 else 0)
 
@@ -414,7 +425,7 @@ def test_engines_agree_on_forced_layers():
                     lam = add(base, vec)
                     for pyramids_only in (False, True):
                         ref = _count_reference(lam, kind, pyramids_only)
-                        assert _count_levelwise(lam, kind, pyramids_only) == ref, (lam, kind, pyramids_only)
+                        assert _unwindowed(lam, kind, pyramids_only) == ref, (lam, kind, pyramids_only)
                         assert _count_by_index(lam, kind, pyramids_only) == ref, (lam, kind, pyramids_only)
                         checked += ref > 0
     assert checked >= 20
@@ -473,6 +484,61 @@ def test_every_solution_contains_the_pyramid_below_the_floor():
     assert checked >= 100
 
 
+@st.composite
+def _cone_point_sets(draw):
+    """A minimum-sum n-point set (the first n cone points by level) with
+    up to four points each swapped for a random cone point of level <= 14."""
+    kind = draw(st.sampled_from(["open", "closed"]))
+    pool = sorted((p for p in full_simplex(14) if in_cone(p, kind)), key=sum)
+    points = set(pool[: draw(st.integers(1, 40))])
+    for _ in range(draw(st.integers(0, 4))):
+        points.remove(draw(st.sampled_from(sorted(points))))
+        points.add(draw(st.sampled_from([p for p in pool if p not in points])))
+    return frozenset(points), kind
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=_cone_point_sets())
+def test_every_point_set_lies_in_its_level_window(case):
+    # the window the whole-cone counters search: at excess e an n-point set
+    # holds the complete pyramid below iota(n) - e and no point above
+    # iota(n) + e
+    points, kind = case
+    n = len(points)
+    excess = sum(map(sum, points)) - beta(n, kind)
+    top = iota(n, kind)
+    assert max(map(sum, points)) <= top + excess
+    assert complete_pyramid(top - excess - 1, kind) <= points
+
+
+def test_windowed_counts_match_unwindowed_counts():
+    # every lam |- 3n, n <= 4: the counters (peeled below iota(n) - e,
+    # nothing above iota(n) + e) against the engine on the whole cone
+    for n in range(1, 5):
+        for lam in partitions_of(3 * n):
+            for kind in ("open", "closed"):
+                for pyramids_only, count in ((False, count_point_sets), (True, count_pyramids)):
+                    assert count(lam, kind) == _unwindowed(lam, kind, pyramids_only), (lam, kind, pyramids_only)
+
+
+def test_chain_stages_share_one_memo_entry():
+    # a layer instance, its promise embedding and the coefficient that
+    # embedding resolves to all have the window [r, r] and one residual
+    info = _count_levelwise.cache_info
+    assert info().maxsize is not None
+    inst = XRayInstance2D(3, (2, 1, 1), (2, 1, 1), (1, 1, 1, 1))
+    for kind in ("open", "closed"):
+        sym = symmetrize_2d(inst, kind)
+        want = count_sym_2dxray(sym.marginal, sym.grid_r, kind)
+        assert want == 2
+        emb = embed_pyramid_3d(sym.marginal, sym.grid_r, kind)
+        before = info()
+        assert count_point_sets(emb.marginal, kind) == want == count_2dxray(inst)
+        assert resolve_coefficient(promise_to_plethysm(emb.marginal, kind)).value == want
+        after = info()
+        assert (after.hits, after.misses) == (before.hits + 2, before.misses), kind
+
+
 def test_range_three_promise_instance_under_a_low_recursion_limit():
     inst = XRayInstance2D(3, (2, 1, 1), (2, 1, 1), (1, 1, 1, 1))
     sym = symmetrize_2d(inst, "closed")
@@ -526,7 +592,7 @@ def test_closure_filter_matches_naive_filter(comp, kind):
     assert set(dom) == set(kept)
     # above a floor, the points below it count as present
     for floor in range(1, 7):
-        above = _candidates(lam, kind, floor=floor)
+        above = _candidates(lam, kind, floor)
         present = set(above) | complete_pyramid(floor - 1, kind)
         kept, dom = _closure_filter(above, kind, floor)
         assert kept == [p for p in above if present.issuperset(_dominated(p, kind))]
