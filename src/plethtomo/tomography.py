@@ -243,9 +243,13 @@ def is_promise_instance(lam: Composition, kind: ConeKind) -> bool:
 # ---------------------------------------------------------------------------
 # counting engines
 
-COUNT_MEMO_SIZE = 4096
+COUNT_MEMO_SIZE = 256
 """The most sum-marginal counts _count_levelwise keeps, keyed by (residual
-marginal, cone, pyramids_only, floor, ceiling)."""
+marginal, cone, pyramids_only, floor, ceiling).  A chain caller needs two
+live entries (the layer count of one cone and its promise embedding share
+one; the other cone has the other), and a whole round of the benchmark's
+chain_resolve or bounds_sandwich workload makes 204 and 251 distinct keys,
+so 256 keeps every repeat those rounds make."""
 
 
 def _candidates(lam: tuple[int, ...], kind: ConeKind, floor: int = 0, ceiling: float = math.inf) -> list[Point]:

@@ -1,5 +1,6 @@
 import itertools
 import time
+from functools import partial
 
 import pytest
 
@@ -199,11 +200,22 @@ def test_count_matches_the_enumerated_tableaux():
     assert checked == 155
 
 
+def _strip_count(mu, lam, kind):
+    """The strip DP over cone-point letters, as count_cone_ssyt runs it on
+    every shape but a single column."""
+    letters = [tuple(p.count(i) for i in range(len(lam))) for p in _candidates(lam, kind)]
+    return count_weighted_ssyt(mu, letters, lam)
+
+
 def test_single_column_matches_pyramid_count():
+    # both the point-set route count_cone_ssyt takes on (1^n) and the strip
+    # DP it takes on taller multi-column shapes
     for n in range(1, 13):
         mu = (1,) * n
         for lam in psi_instances(mu, "sym"):
-            assert count_cone_ssyt(mu, lam, "sym") == count_pyramids(lam, "closed"), (n, lam)
+            want = count_pyramids(lam, "closed")
+            assert count_cone_ssyt(mu, lam, "sym") == want, (n, lam)
+            assert _strip_count(mu, lam, "closed") == want, (n, lam)
 
 
 def test_one_column_strip_count_is_the_point_set_count():
@@ -214,8 +226,7 @@ def test_one_column_strip_count_is_the_point_set_count():
     for n in range(1, 5):
         for lam in partitions_of(3 * n):
             for variant, kind in (("sym", "closed"), ("wedge", "open")):
-                letters = [tuple(p.count(i) for i in range(len(lam))) for p in _candidates(lam, kind)]
-                want = count_weighted_ssyt((1,) * n, letters, lam)
+                want = _strip_count((1,) * n, lam, kind)
                 assert count_point_sets(lam, kind) == want, (lam, kind)
                 if psi_membership((1,) * n, (3,) if variant == "sym" else (1, 1, 1), lam):
                     assert count_cone_ssyt((1,) * n, lam, variant) == want, (lam, variant)
@@ -245,10 +256,12 @@ def test_twenty_box_column_counts_in_under_a_second():
     members = list(psi_instances(mu, "sym"))
     assert len(members) == 201
     for lam in members[::10]:
-        t0 = time.perf_counter()
-        count = count_cone_ssyt(mu, lam, "sym")
-        assert time.perf_counter() - t0 < 1.0, lam
-        assert count == count_pyramids(lam, "closed"), lam
+        want = count_pyramids(lam, "closed")
+        for count_column in (partial(count_cone_ssyt, variant="sym"), partial(_strip_count, kind="closed")):
+            t0 = time.perf_counter()
+            count = count_column(mu, lam)
+            assert time.perf_counter() - t0 < 1.0, (lam, count_column)
+            assert count == want, (lam, count_column)
 
 
 def test_tableau_layers_structure():

@@ -544,12 +544,15 @@ def test_range_three_promise_instance_under_a_low_recursion_limit():
     sym = symmetrize_2d(inst, "closed")
     lam = embed_pyramid_3d(sym.marginal, sym.grid_r, "closed").marginal
     assert is_promise_instance(lam, "closed")
+    misses = _count_levelwise.cache_info().misses
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(400)
     try:
         got = count_point_sets(lam, "closed")
     finally:
         sys.setrecursionlimit(limit)
+    # the DP ran under the limit, not a memo entry
+    assert _count_levelwise.cache_info().misses == misses + 1
     assert got == count_2dxray(inst) == 2
 
 
