@@ -8,7 +8,8 @@ Exit codes: 0 success, 1 verification failure, 2 malformed input,
 3 semantic gate failure (infeasible instance, failed promise, ...) or an
 instance over the size cap: a 3dxray count whose marginals exceed
 tomography.AXIS_STATE_CAP is refused before it starts, so is
-`verify bounds` with --n-max above VERIFY_BOUNDS_N_MAX and `kron` on
+`verify bounds` with --n-max above VERIFY_BOUNDS_N_MAX, `verify parsimony`
+with --rprime-max above VERIFY_PARSIMONY_RP_MAX and `kron` on
 shapes of size above KRON_N_MAX (unless one shape is a single row or
 column, which is answered directly), as is `reduce --resolve` whose
 Kronecker triple is over that cap, and, as a last resort, a
@@ -24,13 +25,7 @@ import sys
 from . import __version__
 from .coefficients import check_duality, general_plethysm, kronecker, m2_closed_form, plethysm_coeff, trivial_kronecker
 from .partitions import format_partition, parse_partition, partitions_of, transpose
-from .reductions import (
-    embed_pyramid_3d,
-    kronecker_plethysm_triple,
-    promise_to_plethysm,
-    resolve_coefficient,
-    symmetrize_2d,
-)
+from .reductions import embed_pyramid_3d, kronecker_plethysm_triple, resolve_coefficient, symmetrize_2d
 from .tomography import (
     SizeCapError,
     XRayInstance2D,
@@ -40,7 +35,6 @@ from .tomography import (
     count_pyramids,
     count_sym_2dxray,
     instance_from_dict,
-    is_promise_instance,
     xi,
     xi_by_enumeration,
 )
@@ -54,6 +48,10 @@ EXIT_GATE_FAILED = 3
 # in both cones, which took about 3 s at n = 5 and 43 s at n = 6 on a shared
 # 2-vCPU x86_64 host, almost all of it in count_point_sets
 VERIFY_BOUNDS_N_MAX = 6
+# largest r' for `verify parsimony`: it counts every feasible instance of
+# range up to r' through two chain stages in both cones, which took about
+# 1.4 s at r' = 3, 10 s at r' = 4 and 66 s at r' = 5 on the same host
+VERIFY_PARSIMONY_RP_MAX = 4
 # largest n for `kron` on the character route: on the same host a cold
 # character sum over the p(n) classes took 1.2-1.5 s on two-row and hook
 # triples at n = 40, and up to 3.5 s and 220 MB of memo on shapes with more
@@ -128,10 +126,10 @@ def _cmd_count(args, out) -> int:
 
 
 def _reduce_stages(inst: XRayInstance2D, target: str, resolve: bool) -> list[dict]:
-    trip = kronecker_plethysm_triple(inst) if target == "kron-triple" else None
-    if resolve and trip is not None:
+    chain = kronecker_plethysm_triple(inst)
+    if resolve and target == "kron-triple":
         # refuse an over-cap triple before any stage is resolved
-        _check_kron_cap(trip.mu, trip.nu, trip.rho)
+        _check_kron_cap(chain.mu, chain.nu, chain.rho)
     stages: list[dict] = [
         {
             "stage": "2dxray",
@@ -139,26 +137,18 @@ def _reduce_stages(inst: XRayInstance2D, target: str, resolve: bool) -> list[dic
             "marginals": {"x": list(inst.mu), "y": list(inst.nu), "z": list(inst.rho)},
         }
     ]
-    syms = {kind: symmetrize_2d(inst, kind) for kind in ("open", "closed")}
-    for kind in ("open", "closed"):
-        stages.append(
-            {"stage": "sym2d", "cone": kind, "r": syms[kind].grid_r, "marginal": list(syms[kind].marginal)}
-        )
+    for kind, sym in chain.sym2d.items():
+        stages.append({"stage": "sym2d", "cone": kind, "r": sym.grid_r, "marginal": list(sym.marginal)})
     if target == "sym2d":
         return stages
-    embs = {kind: embed_pyramid_3d(syms[kind].marginal, syms[kind].grid_r, kind) for kind in ("open", "closed")}
-    for kind in ("open", "closed"):
-        promise = is_promise_instance(embs[kind].marginal, kind)
-        if not promise:
+    for kind, emb in chain.promise3d.items():
+        if not chain.promise[kind]:
             raise GateError(f"promise gate failed for the {kind} cone embedding")
-        stages.append(
-            {"stage": "promise3d", "cone": kind, "marginal": list(embs[kind].marginal), "promise": promise}
-        )
+        stages.append({"stage": "promise3d", "cone": kind, "marginal": list(emb.marginal), "promise": True})
     if target == "promise3d":
         return stages
-    queries = {kind: promise_to_plethysm(embs[kind].marginal, kind) for kind in ("open", "closed")}
-    for kind in ("open", "closed"):
-        q = queries[kind]
+    for kind in chain.promise3d:
+        q = chain.query(kind)
         entry = {
             "stage": "plethysm",
             "cone": kind,
@@ -174,14 +164,9 @@ def _reduce_stages(inst: XRayInstance2D, target: str, resolve: bool) -> list[dic
         stages.append(entry)
     if target == "plethysm":
         return stages
-    entry = {
-        "stage": "kron-triple",
-        "mu": list(trip.mu),
-        "nu": list(trip.nu),
-        "rho": list(trip.rho),
-    }
+    entry = {"stage": "kron-triple", "mu": list(chain.mu), "nu": list(chain.nu), "rho": list(chain.rho)}
     if resolve:
-        entry["value"] = kronecker(trip.mu, trip.nu, trip.rho).value
+        entry["value"] = kronecker(chain.mu, chain.nu, chain.rho).value
     stages.append(entry)
     return stages
 
@@ -260,6 +245,8 @@ def _verify_closed_forms(n_max: int) -> list[str]:
 def _verify_parsimony(rp_max: int) -> list[str]:
     from .partitions import compositions_of
 
+    if rp_max > VERIFY_PARSIMONY_RP_MAX:
+        raise SizeCapError(f"verify parsimony --rprime-max {rp_max} is over the cap of {VERIFY_PARSIMONY_RP_MAX}")
     bad = []
     for rp in range(1, rp_max + 1):
         tot_max = 3 if rp == 1 else 4

@@ -16,7 +16,7 @@ coefficients all equal the instance's solution count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal
 
 from .coefficients import CoefficientResult, plethysm_coeff
@@ -126,16 +126,17 @@ def embed_pyramid_3d(lam_hat: Composition, r: int, kind: ConeKind) -> SymInstanc
     return SymInstance(lam, kind, None)
 
 
-def promise_to_plethysm(lam: Composition, kind: ConeKind) -> PlethysmInstance:
+def promise_to_plethysm(lam: Composition, kind: ConeKind, promise: bool | None = None) -> PlethysmInstance:
     """Final stage: a promise instance becomes a single coefficient query
     (closed cone: b at lam; open cone: a at the transpose).  Marginals that
     are not partitions, or whose size is not a multiple of 3, have no
-    solutions and map to the fixed no-instance.
+    solutions and map to the fixed no-instance.  A caller that has already
+    decided is_promise_instance(lam, kind) passes it as `promise`.
     """
     lam = canonical(lam)
     if not is_partition(lam) or sum(lam) % 3 != 0:
         return TRIVIAL_NO_INSTANCE
-    if not is_promise_instance(lam, kind):
+    if not (is_promise_instance(lam, kind) if promise is None else promise):
         raise ValueError(f"{lam} is not a promise instance for the {kind} cone")
     n = sum(lam) // 3
     if kind == "closed":
@@ -174,24 +175,38 @@ def resolve_coefficient(inst: PlethysmInstance) -> CoefficientResult:
 
 @dataclass(frozen=True)
 class KroneckerPlethysmTriple:
+    """The reduction chain of one feasible axis-marginal instance.  Per cone
+    ("open", then "closed"): `sym2d` is its spread layer instance,
+    `promise3d` that layer's pyramid embedding, `promise` whether the
+    embedding is a promise instance, and `query(kind)` its plethysm query
+    (open: a_instance, closed: b_instance).  (mu, nu, rho) is the triple."""
+
     mu: Partition
     nu: Partition
     rho: Partition
     a_instance: PlethysmInstance
     b_instance: PlethysmInstance
+    sym2d: dict[ConeKind, SymInstance] = field(hash=False)
+    promise3d: dict[ConeKind, SymInstance] = field(hash=False)
+    promise: dict[ConeKind, bool] = field(hash=False)
+
+    def query(self, kind: ConeKind) -> PlethysmInstance:
+        return self.a_instance if kind == "open" else self.b_instance
 
 
 def kronecker_plethysm_triple(inst: XRayInstance2D) -> KroneckerPlethysmTriple:
-    """For a feasible axis-marginal instance, the Kronecker coefficient of
-    the simplex-padded, sorted, transposed marginals equals both the a- and
-    the b-coefficient produced by the reduction chain, and all three count
-    the instance's solutions.
+    """Run the reduction chain on a feasible axis-marginal instance of range
+    r >= 1 and return it as one record: every stage, and the a-, b- and
+    Kronecker coefficients, count the instance's solutions.  Each cone's
+    promise is decided once.  An embedding off the promise has no solutions
+    (it is the fixed zero instance, or asks for more points than its top
+    layer holds), so its query is the no-instance.
 
-    The marginals are padded with those of the radius r-1 simplex: that is
-    the choice under which the character oracle matches the solution count
-    on every feasible instance (see README).  Sorting the padded marginals
-    is count-neutral: relabeling the values along one axis of a spatial
-    instance permutes its solutions bijectively.
+    The triple pads the marginals with those of the radius r-1 simplex: that
+    is the choice under which the character oracle matches the solution
+    count on every feasible instance (see README).  Sorting the padded
+    marginals is count-neutral: relabeling the values along one axis of a
+    spatial instance permutes its solutions bijectively.
     """
     r = inst.r
     if r < 1:
@@ -201,9 +216,11 @@ def kronecker_plethysm_triple(inst: XRayInstance2D) -> KroneckerPlethysmTriple:
     # every axis marginal of the radius r-1 simplex: a slice at value i
     # holds the (r-i)(r-i+1)/2 points of the plane simplex of radius r-1-i
     sq = tuple((r - i) * (r - i + 1) // 2 for i in range(r))
-    mu = transpose(tuple(sorted(add(inst.mu, sq), reverse=True)))
-    nu = transpose(tuple(sorted(add(inst.nu, sq), reverse=True)))
-    rho = transpose(tuple(sorted(add(inst.rho, sq), reverse=True)))
-    open_inst = promise_to_plethysm(embed_pyramid_3d(symmetrize_2d(inst, "open").marginal, 13 * r, "open").marginal, "open")
-    closed_inst = promise_to_plethysm(embed_pyramid_3d(symmetrize_2d(inst, "closed").marginal, 13 * r, "closed").marginal, "closed")
-    return KroneckerPlethysmTriple(mu, nu, rho, open_inst, closed_inst)
+    mu, nu, rho = (transpose(tuple(sorted(add(m, sq), reverse=True))) for m in (inst.mu, inst.nu, inst.rho))
+    sym2d, promise3d, promise, query = {}, {}, {}, {}
+    for kind in ("open", "closed"):
+        sym2d[kind] = sym = symmetrize_2d(inst, kind)
+        promise3d[kind] = emb = embed_pyramid_3d(sym.marginal, sym.grid_r, kind)
+        promise[kind] = is_promise_instance(emb.marginal, kind)
+        query[kind] = promise_to_plethysm(emb.marginal, kind, promise=True) if promise[kind] else TRIVIAL_NO_INSTANCE
+    return KroneckerPlethysmTriple(mu, nu, rho, query["open"], query["closed"], sym2d, promise3d, promise)

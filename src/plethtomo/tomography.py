@@ -202,6 +202,7 @@ def xi_by_enumeration(i: int, kind: ConeKind) -> int:
     return count
 
 
+@functools.lru_cache(maxsize=256)
 def _greedy_fill(n: int, kind: ConeKind) -> tuple[int, int]:
     """(beta(n), iota(n)) from one walk: fill layers greedily from the
     origin outward until n points are placed.  The level is -1 for n = 0."""

@@ -5,11 +5,33 @@ from pathlib import Path
 
 import pytest
 
-from plethtomo.cli import EXIT_GATE_FAILED, EXIT_INPUT_ERROR, EXIT_OK, KRON_N_MAX, VERIFY_BOUNDS_N_MAX, GateError, main
+from plethtomo.cli import (
+    EXIT_GATE_FAILED,
+    EXIT_INPUT_ERROR,
+    EXIT_OK,
+    KRON_N_MAX,
+    VERIFY_BOUNDS_N_MAX,
+    VERIFY_PARSIMONY_RP_MAX,
+    GateError,
+    main,
+)
 from plethtomo.coefficients import jacobi_trudi_coeff
-from plethtomo.partitions import format_partition, parse_partition
-from plethtomo.reductions import kronecker_plethysm_triple
-from plethtomo.tomography import SizeCapError, count_2dxray, count_sym_2dxray, in_cone, instance_from_dict, sum_marginal, xi
+from plethtomo.partitions import add, format_partition, parse_partition, transpose
+from plethtomo.reductions import embed_pyramid_3d, kronecker_plethysm_triple, promise_to_plethysm, symmetrize_2d
+from plethtomo.tomography import (
+    SizeCapError,
+    axis_marginals,
+    count_2dxray,
+    count_sym_2dxray,
+    full_simplex,
+    in_cone,
+    instance_from_dict,
+    is_promise_instance,
+    sum_marginal,
+    xi,
+)
+
+BENCHMARK_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "cli_pool.json"
 
 
 def run(argv, stdin_text=None, monkeypatch=None, capsys=None):
@@ -18,6 +40,19 @@ def run(argv, stdin_text=None, monkeypatch=None, capsys=None):
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def feasible_reduce_queries():
+    """(instance JSON, instance) of every gate-feasible reduce query in the
+    benchmark's CLI pool."""
+    pool = json.loads(BENCHMARK_POOL.read_text())
+    return [
+        (q["argv"][1], inst)
+        for kind, queries in pool["queries"].items()
+        if kind.startswith("reduce")
+        for q in queries
+        if (inst := instance_from_dict(json.loads(q["argv"][1]))).passes_gate()
+    ]
 
 
 def test_coeff_a(capsys, monkeypatch):
@@ -130,7 +165,7 @@ def test_kron_over_the_cap_evaluates_no_character(capsys, monkeypatch):
 
 
 def test_kron_cap_admits_every_benchmark_query():
-    pool = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "cli_pool.json").read_text())
+    pool = json.loads(BENCHMARK_POOL.read_text())
     sizes = [sum(parse_partition(q["argv"][1])) for q in pool["queries"]["kron"]]
     assert sizes and max(sizes) <= KRON_N_MAX
 
@@ -160,15 +195,63 @@ def test_reduce_resolve_caps_the_kronecker_stage(capsys, monkeypatch):
 
 
 def test_reduce_cap_admits_every_benchmark_query():
-    pool = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "cli_pool.json").read_text())
-    sizes = [
-        sum(kronecker_plethysm_triple(inst).mu)
-        for kind, queries in pool["queries"].items()
-        if kind.startswith("reduce")
-        for q in queries
-        if (inst := instance_from_dict(json.loads(q["argv"][1]))).passes_gate()
-    ]
+    sizes = [sum(kronecker_plethysm_triple(inst).mu) for _, inst in feasible_reduce_queries()]
     assert len(sizes) == 120 and max(sizes) <= KRON_N_MAX
+
+
+def stages_by_the_stage_functions(inst):
+    """The `reduce --format json` stages of a feasible instance, assembled
+    from the stage functions directly, with the triple padded by the axis
+    marginals of the enumerated radius r-1 simplex."""
+    cones = ("open", "closed")
+    syms = {kind: symmetrize_2d(inst, kind) for kind in cones}
+    embs = {kind: embed_pyramid_3d(syms[kind].marginal, syms[kind].grid_r, kind) for kind in cones}
+    queries = {kind: promise_to_plethysm(embs[kind].marginal, kind) for kind in cones}
+    margs = (inst.mu, inst.nu, inst.rho)
+    mu, nu, rho = (transpose(tuple(sorted(add(m, pad), reverse=True))) for m, pad in zip(margs, axis_marginals(full_simplex(inst.r - 1))))
+    return [
+        {"stage": "2dxray", "r": inst.r, "marginals": {"x": list(inst.mu), "y": list(inst.nu), "z": list(inst.rho)}},
+        *({"stage": "sym2d", "cone": k, "r": syms[k].grid_r, "marginal": list(syms[k].marginal)} for k in cones),
+        *(
+            {"stage": "promise3d", "cone": k, "marginal": list(embs[k].marginal), "promise": is_promise_instance(embs[k].marginal, k)}
+            for k in cones
+        ),
+        *(
+            {"stage": "plethysm", "cone": k, "family": q.variant, "shape": list(q.lam), "n": q.n, "m": q.m}
+            for k, q in queries.items()
+        ),
+        {"stage": "kron-triple", "mu": list(mu), "nu": list(nu), "rho": list(rho)},
+    ]
+
+
+def test_reduce_targets_are_prefixes_of_the_stage_functions(capsys):
+    # every feasible reduce query of the benchmark pool at each --to target:
+    # a shorter target prints a prefix of the kron-triple stages, and those
+    # are what the stage functions give when applied one by one
+    queries = feasible_reduce_queries()
+    assert len(queries) == 120
+    for data, inst in queries:
+        want = stages_by_the_stage_functions(inst)
+        for target, length in (("sym2d", 3), ("promise3d", 5), ("plethysm", 7), ("kron-triple", 8)):
+            code, out, err = run(["reduce", data, "--to", target, "--format", "json"], capsys=capsys)
+            assert code == EXIT_OK, err
+            assert json.loads(out) == want[:length], (target, inst)
+
+
+def test_reduce_off_the_promise_fails_the_gate(capsys):
+    # feasible, with count 0: its 15 points exceed the 14 of open layer 13,
+    # so the open cone's embedding is not a promise instance
+    data = json.dumps({"kind": "2dxray", "r": 1, "marginals": {"x": [15], "y": [15], "z": [0, 15]}})
+    assert xi(13, "open") == 14
+    code, out, err = run(["reduce", data, "--to", "sym2d", "--format", "json"], capsys=capsys)
+    assert code == EXIT_OK, err
+    assert [stage["stage"] for stage in json.loads(out)] == ["2dxray", "sym2d", "sym2d"]
+    for target in ("promise3d", "plethysm", "kron-triple"):
+        for resolve in ([], ["--resolve"]):
+            code, out, err = run(["reduce", data, "--to", target, *resolve], capsys=capsys)
+            assert code == EXIT_GATE_FAILED, (target, resolve)
+            assert out == ""
+            assert err.startswith("gate failure:") and len(err.splitlines()) == 1
 
 
 def test_count_stdin(capsys, monkeypatch):
@@ -363,6 +446,23 @@ def test_verify_bounds_over_the_cap_counts_nothing(capsys, monkeypatch):
     # the cap itself is allowed; with no shapes to check it passes at once
     monkeypatch.setattr("plethtomo.cli.partitions_of", lambda n: [])
     code, out, _ = run(["verify", "bounds", "--n-max", str(VERIFY_BOUNDS_N_MAX)], capsys=capsys)
+    assert code == EXIT_OK and "PASS" in out
+
+
+def test_verify_parsimony_over_the_cap_counts_nothing(capsys, monkeypatch):
+    def no_count(*args):
+        raise AssertionError("verify parsimony started counting over its cap")
+
+    monkeypatch.setattr("plethtomo.cli.count_2dxray", no_count)
+    monkeypatch.setattr("plethtomo.cli.symmetrize_2d", no_count)
+    code, out, err = run(["verify", "parsimony", "--rprime-max", str(VERIFY_PARSIMONY_RP_MAX + 1)], capsys=capsys)
+    assert VERIFY_PARSIMONY_RP_MAX == 4
+    assert code == EXIT_GATE_FAILED
+    assert out == ""
+    assert err.startswith("over the size cap:") and len(err.splitlines()) == 1
+    # the cap itself is allowed; with no instances to check it passes at once
+    monkeypatch.setattr("plethtomo.partitions.compositions_of", lambda total, length: [])
+    code, out, _ = run(["verify", "parsimony", "--rprime-max", str(VERIFY_PARSIMONY_RP_MAX)], capsys=capsys)
     assert code == EXIT_OK and "PASS" in out
 
 

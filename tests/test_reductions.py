@@ -1,6 +1,10 @@
+import functools
 import random
+from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plethtomo.characters import kronecker as character_kronecker
 from plethtomo.coefficients import kronecker, plethysm_coeff
@@ -26,6 +30,7 @@ from plethtomo.tomography import (
     count_2dxray,
     count_point_sets,
     count_sym_2dxray,
+    coordinate_sum,
     full_simplex,
     is_promise_instance,
     sum_marginal,
@@ -296,6 +301,48 @@ def test_every_chain_stage_on_range_three():
         assert resolve_coefficient(trip.a_instance).value == cnt, inst
         assert resolve_coefficient(trip.b_instance).value == cnt, inst
         assert kronecker(trip.mu, trip.nu, trip.rho).value == cnt, inst
+
+
+def test_chain_off_the_promise_maps_to_the_no_instance():
+    # feasible, with count 0: its 15 points exceed the 14 of open layer 13
+    inst = XRayInstance2D(1, (15,), (15,), (0, 15))
+    assert inst.passes_gate() and count_2dxray(inst) == 0
+    chain = kronecker_plethysm_triple(inst)
+    assert chain.promise == {"open": False, "closed": True}
+    assert chain.a_instance == chain.b_instance == TRIVIAL_NO_INSTANCE
+    assert resolve_coefficient(chain.a_instance).value == resolve_coefficient(chain.b_instance).value == 0
+
+
+@functools.lru_cache(maxsize=None)
+def feasible_marginals(r, total):
+    """(mu, nu, rho) of every gate-feasible range-r instance of the total."""
+    comps = list(compositions_of(total, r + 1))
+    by_coordinate_sum = defaultdict(list)
+    for rho in comps:
+        by_coordinate_sum[coordinate_sum(rho)].append(rho)
+    return [
+        (mu, nu, rho)
+        for mu in comps
+        for nu in comps
+        for rho in by_coordinate_sum[r * total - coordinate_sum(mu) - coordinate_sum(nu)]
+    ]
+
+
+@pytest.mark.parametrize("r, total", [(r, t) for r in (1, 2, 3) for t in (4, 5, 6)] + [(4, t) for t in (1, 2, 3, 4)])
+@settings(max_examples=20, deadline=None, database=None)
+@given(data=st.data())
+def test_every_chain_stage_preserves_the_count(r, total, data):
+    # past the exhaustive families: each stage read off the chain record
+    # counts the instance's solutions
+    inst = XRayInstance2D(r, *data.draw(st.sampled_from(feasible_marginals(r, total))))
+    want = count_2dxray(inst)
+    chain = kronecker_plethysm_triple(inst)
+    for kind, sym in chain.sym2d.items():
+        assert count_sym_2dxray(sym.marginal, sym.grid_r, kind) == want, kind
+        assert chain.promise[kind], kind
+        assert count_point_sets(chain.promise3d[kind].marginal, kind) == want, kind
+        assert resolve_coefficient(chain.query(kind)).value == want, kind
+    assert kronecker(chain.mu, chain.nu, chain.rho).value == want
 
 
 def test_stage_three_oracle_equality_small_promise():
