@@ -207,21 +207,18 @@ def stages_by_the_stage_functions(inst):
     syms = {kind: symmetrize_2d(inst, kind) for kind in cones}
     embs = {kind: embed_pyramid_3d(syms[kind].marginal, syms[kind].grid_r, kind) for kind in cones}
     queries = {kind: promise_to_plethysm(embs[kind].marginal, kind) for kind in cones}
-    margs = (inst.mu, inst.nu, inst.rho)
-    mu, nu, rho = (transpose(tuple(sorted(add(m, pad), reverse=True))) for m, pad in zip(margs, axis_marginals(full_simplex(inst.r - 1))))
-    return [
-        {"stage": "2dxray", "r": inst.r, "marginals": {"x": list(inst.mu), "y": list(inst.nu), "z": list(inst.rho)}},
-        *({"stage": "sym2d", "cone": k, "r": syms[k].grid_r, "marginal": list(syms[k].marginal)} for k in cones),
-        *(
-            {"stage": "promise3d", "cone": k, "marginal": list(embs[k].marginal), "promise": is_promise_instance(embs[k].marginal, k)}
-            for k in cones
-        ),
-        *(
-            {"stage": "plethysm", "cone": k, "family": q.variant, "shape": list(q.lam), "n": q.n, "m": q.m}
-            for k, q in queries.items()
-        ),
-        {"stage": "kron-triple", "mu": list(mu), "nu": list(nu), "rho": list(rho)},
-    ]
+    pads = axis_marginals(full_simplex(inst.r - 1))
+    triple = [transpose(tuple(sorted(add(m, pad), reverse=True))) for m, pad in zip((inst.mu, inst.nu, inst.rho), pads)]
+    stages = [{"stage": "2dxray", "r": inst.r, "marginals": {"x": list(inst.mu), "y": list(inst.nu), "z": list(inst.rho)}}]
+    for k in cones:
+        stages.append({"stage": "sym2d", "cone": k, "r": syms[k].grid_r, "marginal": list(syms[k].marginal)})
+    for k in cones:
+        promise = is_promise_instance(embs[k].marginal, k)
+        stages.append({"stage": "promise3d", "cone": k, "marginal": list(embs[k].marginal), "promise": promise})
+    for k, q in queries.items():
+        stages.append({"stage": "plethysm", "cone": k, "family": q.variant, "shape": list(q.lam), "n": q.n, "m": q.m})
+    stages.append({"stage": "kron-triple", **{name: list(p) for name, p in zip(("mu", "nu", "rho"), triple)}})
+    return stages
 
 
 def test_reduce_targets_are_prefixes_of_the_stage_functions(capsys):

@@ -237,13 +237,25 @@ def test_triple_rejects_infeasible():
         kronecker_plethysm_triple(XRayInstance2D(0, (1,), (1,), (1,)))
 
 
+@functools.lru_cache(maxsize=None)
+def feasible_marginals(r, total):
+    """(mu, nu, rho) of every gate-feasible range-r instance of the total."""
+    comps = list(compositions_of(total, r + 1))
+    by_coordinate_sum = defaultdict(list)
+    for rho in comps:
+        by_coordinate_sum[coordinate_sum(rho)].append(rho)
+    return [
+        (mu, nu, rho)
+        for mu in comps
+        for nu in comps
+        for rho in by_coordinate_sum[r * total - coordinate_sum(mu) - coordinate_sum(nu)]
+    ]
+
+
 def all_feasible_instances(r, max_total):
     for tot in range(max_total + 1):
-        for mu in compositions_of(tot, r + 1):
-            for nu in compositions_of(tot, r + 1):
-                for rho in compositions_of(tot, r + 1):
-                    if sum(i * (mu[i] + nu[i] + rho[i]) for i in range(r + 1)) == r * tot:
-                        yield XRayInstance2D(r, mu, nu, rho)
+        for marginals in feasible_marginals(r, tot):
+            yield XRayInstance2D(r, *marginals)
 
 
 def test_end_to_end_kronecker_equality_range_one():
@@ -311,21 +323,6 @@ def test_chain_off_the_promise_maps_to_the_no_instance():
     assert chain.promise == {"open": False, "closed": True}
     assert chain.a_instance == chain.b_instance == TRIVIAL_NO_INSTANCE
     assert resolve_coefficient(chain.a_instance).value == resolve_coefficient(chain.b_instance).value == 0
-
-
-@functools.lru_cache(maxsize=None)
-def feasible_marginals(r, total):
-    """(mu, nu, rho) of every gate-feasible range-r instance of the total."""
-    comps = list(compositions_of(total, r + 1))
-    by_coordinate_sum = defaultdict(list)
-    for rho in comps:
-        by_coordinate_sum[coordinate_sum(rho)].append(rho)
-    return [
-        (mu, nu, rho)
-        for mu in comps
-        for nu in comps
-        for rho in by_coordinate_sum[r * total - coordinate_sum(mu) - coordinate_sum(nu)]
-    ]
 
 
 @pytest.mark.parametrize("r, total", [(r, t) for r in (1, 2, 3) for t in (4, 5, 6)] + [(4, t) for t in (1, 2, 3, 4)])
