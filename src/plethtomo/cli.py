@@ -147,8 +147,7 @@ def _reduce_stages(inst: XRayInstance2D, target: str, resolve: bool) -> list[dic
         stages.append({"stage": "promise3d", "cone": kind, "marginal": list(emb.marginal), "promise": True})
     if target == "promise3d":
         return stages
-    for kind in chain.promise3d:
-        q = chain.query(kind)
+    for kind, q in chain.queries.items():
         entry = {
             "stage": "plethysm",
             "cone": kind,

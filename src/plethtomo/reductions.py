@@ -16,7 +16,8 @@ coefficients all equal the instance's solution count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal
 
 from .coefficients import CoefficientResult, plethysm_coeff
@@ -126,17 +127,16 @@ def embed_pyramid_3d(lam_hat: Composition, r: int, kind: ConeKind) -> SymInstanc
     return SymInstance(lam, kind, None)
 
 
-def promise_to_plethysm(lam: Composition, kind: ConeKind, promise: bool | None = None) -> PlethysmInstance:
+def promise_to_plethysm(lam: Composition, kind: ConeKind) -> PlethysmInstance:
     """Final stage: a promise instance becomes a single coefficient query
     (closed cone: b at lam; open cone: a at the transpose).  Marginals that
     are not partitions, or whose size is not a multiple of 3, have no
-    solutions and map to the fixed no-instance.  A caller that has already
-    decided is_promise_instance(lam, kind) passes it as `promise`.
+    solutions and map to the fixed no-instance.
     """
     lam = canonical(lam)
     if not is_partition(lam) or sum(lam) % 3 != 0:
         return TRIVIAL_NO_INSTANCE
-    if not (is_promise_instance(lam, kind) if promise is None else promise):
+    if not is_promise_instance(lam, kind):
         raise ValueError(f"{lam} is not a promise instance for the {kind} cone")
     n = sum(lam) // 3
     if kind == "closed":
@@ -175,32 +175,56 @@ def resolve_coefficient(inst: PlethysmInstance) -> CoefficientResult:
 
 @dataclass(frozen=True)
 class KroneckerPlethysmTriple:
-    """The reduction chain of one feasible axis-marginal instance.  Per cone
+    """The reduction chain of one feasible axis-marginal instance `inst`.
+    Each stage is built when it is first read, and only once.  Per cone
     ("open", then "closed"): `sym2d` is its spread layer instance,
     `promise3d` that layer's pyramid embedding, `promise` whether the
-    embedding is a promise instance, and `query(kind)` its plethysm query
-    (open: a_instance, closed: b_instance).  (mu, nu, rho) is the triple."""
+    embedding is a promise instance, and `queries` its plethysm query
+    (open: a_instance, closed: b_instance).  `triple` is (mu, nu, rho)."""
 
-    mu: Partition
-    nu: Partition
-    rho: Partition
-    a_instance: PlethysmInstance
-    b_instance: PlethysmInstance
-    sym2d: dict[ConeKind, SymInstance] = field(hash=False)
-    promise3d: dict[ConeKind, SymInstance] = field(hash=False)
-    promise: dict[ConeKind, bool] = field(hash=False)
+    inst: XRayInstance2D
 
-    def query(self, kind: ConeKind) -> PlethysmInstance:
-        return self.a_instance if kind == "open" else self.b_instance
+    @cached_property
+    def sym2d(self) -> dict[ConeKind, SymInstance]:
+        return {kind: symmetrize_2d(self.inst, kind) for kind in ("open", "closed")}
+
+    @cached_property
+    def promise3d(self) -> dict[ConeKind, SymInstance]:
+        return {kind: embed_pyramid_3d(sym.marginal, sym.grid_r, kind) for kind, sym in self.sym2d.items()}
+
+    @cached_property
+    def promise(self) -> dict[ConeKind, bool]:
+        return {kind: is_promise_instance(emb.marginal, kind) for kind, emb in self.promise3d.items()}
+
+    @cached_property
+    def queries(self) -> dict[ConeKind, PlethysmInstance]:
+        return {
+            kind: promise_to_plethysm(emb.marginal, kind) if self.promise[kind] else TRIVIAL_NO_INSTANCE
+            for kind, emb in self.promise3d.items()
+        }
+
+    @cached_property
+    def triple(self) -> tuple[Partition, Partition, Partition]:
+        # every axis marginal of the radius r-1 simplex: a slice at value i
+        # holds the (r-i)(r-i+1)/2 points of the plane simplex of radius r-1-i
+        r = self.inst.r
+        sq = tuple((r - i) * (r - i + 1) // 2 for i in range(r))
+        return tuple(transpose(tuple(sorted(add(m, sq), reverse=True))) for m in (self.inst.mu, self.inst.nu, self.inst.rho))
+
+    mu = property(lambda self: self.triple[0])
+    nu = property(lambda self: self.triple[1])
+    rho = property(lambda self: self.triple[2])
+    a_instance = property(lambda self: self.queries["open"])
+    b_instance = property(lambda self: self.queries["closed"])
 
 
 def kronecker_plethysm_triple(inst: XRayInstance2D) -> KroneckerPlethysmTriple:
-    """Run the reduction chain on a feasible axis-marginal instance of range
-    r >= 1 and return it as one record: every stage, and the a-, b- and
-    Kronecker coefficients, count the instance's solutions.  Each cone's
-    promise is decided once.  An embedding off the promise has no solutions
-    (it is the fixed zero instance, or asks for more points than its top
-    layer holds), so its query is the no-instance.
+    """The reduction chain of a feasible axis-marginal instance of range
+    r >= 1, as one record (stages built as they are read): every stage, and
+    the a-, b- and Kronecker coefficients, count the instance's solutions.
+    Each cone's promise is decided once.  An embedding off the promise has
+    no solutions (it is the fixed zero instance, or asks for more points
+    than its top layer holds), so its query is the no-instance.
 
     The triple pads the marginals with those of the radius r-1 simplex: that
     is the choice under which the character oracle matches the solution
@@ -208,19 +232,8 @@ def kronecker_plethysm_triple(inst: XRayInstance2D) -> KroneckerPlethysmTriple:
     marginals is count-neutral: relabeling the values along one axis of a
     spatial instance permutes its solutions bijectively.
     """
-    r = inst.r
-    if r < 1:
+    if inst.r < 1:
         raise ValueError("range-0 instances are counted directly, not reduced")
     if not inst.passes_gate():
         raise ValueError("instance fails the feasibility gate (marginal totals / coordinate sum)")
-    # every axis marginal of the radius r-1 simplex: a slice at value i
-    # holds the (r-i)(r-i+1)/2 points of the plane simplex of radius r-1-i
-    sq = tuple((r - i) * (r - i + 1) // 2 for i in range(r))
-    mu, nu, rho = (transpose(tuple(sorted(add(m, sq), reverse=True))) for m in (inst.mu, inst.nu, inst.rho))
-    sym2d, promise3d, promise, query = {}, {}, {}, {}
-    for kind in ("open", "closed"):
-        sym2d[kind] = sym = symmetrize_2d(inst, kind)
-        promise3d[kind] = emb = embed_pyramid_3d(sym.marginal, sym.grid_r, kind)
-        promise[kind] = is_promise_instance(emb.marginal, kind)
-        query[kind] = promise_to_plethysm(emb.marginal, kind, promise=True) if promise[kind] else TRIVIAL_NO_INSTANCE
-    return KroneckerPlethysmTriple(mu, nu, rho, query["open"], query["closed"], sym2d, promise3d, promise)
+    return KroneckerPlethysmTriple(inst)

@@ -202,7 +202,13 @@ def xi_by_enumeration(i: int, kind: ConeKind) -> int:
     return count
 
 
-@functools.lru_cache(maxsize=256)
+# One chain walks the same size several times: each cone's promise check,
+# its point-set count and its coefficient route all read beta.  In one round
+# of the benchmark's chain_resolve and bounds_sandwich workloads, 806 and 492
+# walks cover 27 and 10 distinct (n, kind) keys, at most 4 in one cli_cold
+# process, and no repeat needs more than 9 live entries to hit; 32 keeps
+# every key of such a round.
+@functools.lru_cache(maxsize=32)
 def _greedy_fill(n: int, kind: ConeKind) -> tuple[int, int]:
     """(beta(n), iota(n)) from one walk: fill layers greedily from the
     origin outward until n points are placed.  The level is -1 for n = 0."""

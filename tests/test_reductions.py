@@ -315,6 +315,15 @@ def test_every_chain_stage_on_range_three():
         assert kronecker(trip.mu, trip.nu, trip.rho).value == cnt, inst
 
 
+def test_chain_builds_only_the_stages_read():
+    # the spread stage is linear in r, the pyramid embedding quadratic in 13r:
+    # reading sym2d at range 1000 must not build the stages after it
+    r = 1000
+    chain = kronecker_plethysm_triple(XRayInstance2D(r, (0,) * r + (1,), (1,), (1,)))
+    assert [sym.grid_r for sym in chain.sym2d.values()] == [13 * r, 13 * r]
+    assert set(vars(chain)) == {"inst", "sym2d"}
+
+
 def test_chain_off_the_promise_maps_to_the_no_instance():
     # feasible, with count 0: its 15 points exceed the 14 of open layer 13
     inst = XRayInstance2D(1, (15,), (15,), (0, 15))
@@ -338,7 +347,7 @@ def test_every_chain_stage_preserves_the_count(r, total, data):
         assert count_sym_2dxray(sym.marginal, sym.grid_r, kind) == want, kind
         assert chain.promise[kind], kind
         assert count_point_sets(chain.promise3d[kind].marginal, kind) == want, kind
-        assert resolve_coefficient(chain.query(kind)).value == want, kind
+        assert resolve_coefficient(chain.queries[kind]).value == want, kind
     assert kronecker(chain.mu, chain.nu, chain.rho).value == want
 
 
