@@ -8,12 +8,13 @@ Exit codes: 0 success, 1 verification failure, 2 malformed input,
 3 semantic gate failure (infeasible instance, failed promise, ...) or an
 instance over the size cap: a 3dxray count whose marginals exceed
 tomography.AXIS_STATE_CAP is refused before it starts, so is
-`verify bounds` with --n-max above VERIFY_BOUNDS_N_MAX, `verify parsimony`
-with --rprime-max above VERIFY_PARSIMONY_RP_MAX and `kron` on
-shapes of size above KRON_N_MAX (unless one shape is a single row or
-column, which is answered directly), as is `reduce --resolve` whose
-Kronecker triple is over that cap, and, as a last resort, a
-RecursionError anywhere is reported the same way.
+`verify xi` with --i-max above VERIFY_XI_I_MAX, `verify bounds` with
+--n-max above VERIFY_BOUNDS_N_MAX, `verify parsimony` with --rprime-max
+above VERIFY_PARSIMONY_RP_MAX, `reduce` past --to sym2d on a range above
+REDUCE_R_MAX, and `kron` on shapes of size above KRON_N_MAX (unless one
+shape is a single row or column, which is answered directly), as is
+`reduce --resolve` whose Kronecker triple is over that cap, and, as a last
+resort, a RecursionError anywhere is reported the same way.
 """
 
 from __future__ import annotations
@@ -44,9 +45,14 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_GATE_FAILED = 3
 
+# largest i for `verify xi`: it walks every point of each layer up to i in
+# both cones, which took about 3.5 s at i = 400, 6.3 s at 500, 11 s at 600
+# and 20 s at 800 on a shared 2-vCPU x86_64 host
+VERIFY_XI_I_MAX = 500
 # largest n for `verify bounds`: it counts the point sets of every lam |- 3n
-# in both cones, which took about 3 s at n = 5 and 43 s at n = 6 on a shared
-# 2-vCPU x86_64 host, almost all of it in count_point_sets
+# in both cones, which took about 2.5-2.8 s at n = 5 and 61 s at n = 6 on a
+# shared 2-vCPU x86_64 host, almost all of it in count_point_sets on the
+# long and tall lam (under cProfile at n = 6, 121 of 123 s)
 VERIFY_BOUNDS_N_MAX = 6
 # largest r' for `verify parsimony`: it counts every feasible instance of
 # range up to r' through two chain stages in both cones, which took about
@@ -58,6 +64,12 @@ VERIFY_PARSIMONY_RP_MAX = 4
 # border strips (rectangles, staircases), about tenfold per 10 boxes;
 # one-row and one-column triples are answered at any size
 KRON_N_MAX = 40
+# largest range r for `reduce` past --to sym2d: the pyramid embedding sums
+# the marginal of the complete pyramid below layer 13r, quadratic in r, and
+# on the same host `--to promise3d` took about 0.5 s at r = 100 and 2.8 s at
+# r = 200, `--to plethysm` 1.4 s and 6.1 s; `--to sym2d` is linear in r and
+# answers at any range
+REDUCE_R_MAX = 100
 
 
 class GateError(Exception):
@@ -126,6 +138,8 @@ def _cmd_count(args, out) -> int:
 
 
 def _reduce_stages(inst: XRayInstance2D, target: str, resolve: bool) -> list[dict]:
+    if target != "sym2d" and inst.r > REDUCE_R_MAX:
+        raise SizeCapError(f"reduce --to {target} at range {inst.r} is over the cap of {REDUCE_R_MAX}")
     chain = kronecker_plethysm_triple(inst)
     if resolve and target == "kron-triple":
         # refuse an over-cap triple before any stage is resolved
@@ -192,6 +206,8 @@ def _cmd_reduce(args, out) -> int:
 
 
 def _verify_xi(i_max: int) -> list[str]:
+    if i_max > VERIFY_XI_I_MAX:
+        raise SizeCapError(f"verify xi --i-max {i_max} is over the cap of {VERIFY_XI_I_MAX}")
     bad = []
     for i in range(i_max + 1):
         for kind in ("open", "closed"):

@@ -15,7 +15,12 @@ Two independent routes compute every general plethysm coefficient:
   nu-tableau holds each value at most once per column, so each of the |mu|
   letters adds at most nu_1 to a coordinate and q_kappa is 0 when
   kappa_1 > |mu|*nu_1 (no letter alphabet is built).  The one-box shapes
-  are answered directly: s_mu[s_1] = s_1[s_mu] = s_mu;
+  are answered directly: s_mu[s_1] = s_1[s_mu] = s_mu.  So is a single
+  column over a degree-3 row or column: the weight-kappa space of
+  wedge^n Sym^3 (wedge^n wedge^3) has a basis of wedges of n distinct
+  monomials x_a x_b x_c with a >= b >= c (a > b > c), that is, of the
+  n-point sets of the closed (open) cone with sum-marginal kappa, which
+  tomography.count_point_sets counts without the strip DP;
 * the power-sum expansion of the plethysm paired against
   Murnaghan-Nakayama characters (characters.plethysm_schur_multiplicity).
 
@@ -40,6 +45,7 @@ from .characters import kronecker as _kronecker_raw
 from .characters import kronecker_shapes, plethysm_schur_multiplicity
 from .partitions import Composition, Partition, canonical, is_partition, partitions_of, transpose
 from .tableaux import count_weighted_ssyt, dim_weyl, kostka, ssyt_weights
+from .tomography import ConeKind, count_point_sets
 
 JACOBI_TRUDI_MAX_ROWS = 9
 # bound of the Jacobi-Trudi term table: one entry per lam, shared by every
@@ -60,6 +66,9 @@ class CoefficientResult:
 
 _q_cache: dict[tuple[Partition, Partition, Partition], int] = {}
 
+# the inner shapes whose single-column weight spaces are cone point sets
+_CONE_OF_INNER: dict[Partition, ConeKind] = {(3,): "closed", (1, 1, 1): "open"}
+
 
 def weight_multiplicity(mu: Partition, nu: Partition, kappa: Composition, k: int) -> int:
     """q_kappa(mu,nu): the dimension of the weight-kappa subspace of the
@@ -71,8 +80,9 @@ def weight_multiplicity(mu: Partition, nu: Partition, kappa: Composition, k: int
     letters are not enumerated as tableaux: they are the compositions w of
     |nu| with w <= kappa entrywise (one over kappa can never be used), each
     repeated K_{nu,w} times, the number of nu-tableaux of weight w
-    (tableaux.ssyt_weights).  The value only depends on the multiset of
-    entries of kappa.
+    (tableaux.ssyt_weights).  A single column mu = (1^n) over nu = (3) or
+    (1,1,1) is counted as cone point sets instead (module docstring).  The
+    value only depends on the multiset of entries of kappa.
     """
     mu, nu = canonical(mu), canonical(nu)
     kappa = canonical(kappa)
@@ -103,6 +113,10 @@ def _weight_multiplicity_sorted(mu: Partition, nu: Partition, key: Partition) ->
         val = kostka(mu, key)
     elif mu == (1,):
         val = kostka(nu, key)
+    elif nu in _CONE_OF_INNER and mu == (1,) * len(mu):
+        # one basis vector per n-point set of the cone (module docstring);
+        # a monomial coefficient of e_n[h_3] (e_n[e_3]), so symmetric in key
+        val = count_point_sets(key, _CONE_OF_INNER[nu])
     else:
         letters = ssyt_weights(nu, len(key), bound=key)
         val = count_weighted_ssyt(mu, letters, key)

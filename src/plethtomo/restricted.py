@@ -4,9 +4,12 @@ For outer shapes whose columns are split into a complete-pyramid part and a
 single-layer part, and inner degree 3, the plethysm coefficient equals the
 number of semistandard tableaux filled with cone points, ordered by
 coordinate sum.  This module builds the column decomposition, recognizes
-the admissible (mu, nu, lam) triples, and counts the tableaux with the
-weighted horizontal-strip DP of tableaux.count_weighted_ssyt, one letter
-per cone point; no tableau is filled.  Membership is one forward pass over
+the admissible (mu, nu, lam) triples, and counts the tableaux.  The cone
+points that fit under lam are exactly the weights of the inner tableaux
+under lam, so the count is the weight multiplicity q_lam(mu, nu) of
+coefficients.weight_multiplicity, and shares its memo: a single column is
+counted as point sets, any other shape by the weighted horizontal-strip DP
+over those letters; no tableau is filled.  Membership is one forward pass over
 the columns: with the pyramids' marginals taken out of lam, each column
 spends a layer vector from the residual, and partial splits that leave
 equal residuals are kept together.  Nothing recurses.
@@ -17,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
+from .coefficients import weight_multiplicity
 from .partitions import Composition, Partition, canonical, compositions_of, is_partition, subtract, transpose
-from .tableaux import count_weighted_ssyt
-from .tomography import ConeKind, Point, _candidates, coordinate_sum, count_point_sets, in_cone, iota, pyramid_marginal, xi
+from .tomography import ConeKind, Point, coordinate_sum, in_cone, iota, pyramid_marginal, xi
 
 PlethysmVariant = Literal["sym", "wedge"]
 
@@ -147,24 +150,18 @@ def count_cone_ssyt(mu: Partition, lam: Composition, variant: PlethysmVariant, t
     of lam in the mu-functor of the degree-3 inner module.
 
     Each cone point is a letter weighted by its sum-marginal vector, so the
-    count is the coefficient of x^lam in s_mu at those letters' monomials,
-    which count_weighted_ssyt computes by its horizontal-strip DP.  Only the
-    points whose marginal fits under lam can appear, and those are the
-    letters.  The coefficient is symmetric in the letters, so the count does
-    not depend on ``tiebreak``; it is still checked to be a known order.
-
-    A single column mu = (1^n) is counted as point sets instead: its
-    column-strict fillings are the sets of n distinct cone points with
-    pooled marginal lam, so count_point_sets answers it without the strip
-    DP, which is exponential in the column height."""
+    count is the coefficient of x^lam in s_mu at those letters' monomials.
+    The points whose marginal fits under lam are exactly the weights of the
+    inner tableaux under lam, so that coefficient is the weight
+    multiplicity q_lam(mu, nu) of coefficients.weight_multiplicity, and the
+    count reads the same memo as the plethysm coefficient it is checked
+    against (a single column as point sets, any other shape by the strip
+    DP).  The coefficient is symmetric in the letters, so ``tiebreak`` never
+    reaches the count; it is still checked to be a known order."""
     if tiebreak not in _TIEBREAKS:
         raise ValueError(f"unknown tiebreak {tiebreak!r}")
-    kind = _kind(variant)
+    _kind(variant)  # an unknown variant is a ValueError
     nu = _INNER[variant]
     if not psi_membership(mu, nu, lam):
         raise ValueError(f"({mu}, {nu}, {canonical(lam)}) is not a restricted instance")
-    lam = canonical(lam)
-    if set(canonical(mu)) == {1}:
-        return count_point_sets(lam, kind)
-    letters = [tuple(p.count(i) for i in range(len(lam))) for p in _candidates(lam, kind)]
-    return count_weighted_ssyt(mu, letters, lam)
+    return weight_multiplicity(mu, nu, lam, len(lam))

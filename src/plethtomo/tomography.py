@@ -365,12 +365,14 @@ def _count_levelwise(lam: tuple[int, ...], kind: ConeKind, pyramids_only: bool, 
         # bracket of the m remaining candidates after this one: the m
         # cheapest spend spend[k+1+m] - cheap, the m dearest dear - spend[total-m]
         left, cheap, dear = total - k - 1, spend[k + 1], spend[total]
-        new: dict[tuple[int, int, tuple[int, ...], int], int] = {}
-        get = new.get
-        for key, c in states.items():
+        get = states.get
+        # updated in place: a skip keeps its state where the bracket holds,
+        # and a take lands only on a state whose own skip bracket holds, so
+        # no take is deleted; the snapshot counts let each state take once
+        for key, c in list(states.items()):
             m, b, res, recent = key
-            if m <= left and spend[k + 1 + m] - cheap <= b <= dear - spend[total - m]:
-                new[key] = get(key, 0) + c
+            if not (m <= left and spend[k + 1 + m] - cheap <= b <= dear - spend[total - m]):
+                del states[key]
             if not (m and res[x] and res[y] and res[z] and recent & need == need):
                 continue
             m -= 1
@@ -386,8 +388,7 @@ def _count_levelwise(lam: tuple[int, ...], kind: ConeKind, pyramids_only: bool, 
             if r[y] < 0 or r[z] < 0:
                 continue
             key = (m, b, tuple(r), recent | bit)
-            new[key] = get(key, 0) + c
-        states = new
+            states[key] = get(key, 0) + c
         if not states:
             return 0
     return sum(c for (_, _, res, _), c in states.items() if not any(res))

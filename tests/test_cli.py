@@ -10,8 +10,10 @@ from plethtomo.cli import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
     KRON_N_MAX,
+    REDUCE_R_MAX,
     VERIFY_BOUNDS_N_MAX,
     VERIFY_PARSIMONY_RP_MAX,
+    VERIFY_XI_I_MAX,
     GateError,
     main,
 )
@@ -195,8 +197,38 @@ def test_reduce_resolve_caps_the_kronecker_stage(capsys, monkeypatch):
 
 
 def test_reduce_cap_admits_every_benchmark_query():
-    sizes = [sum(kronecker_plethysm_triple(inst).mu) for _, inst in feasible_reduce_queries()]
+    queries = feasible_reduce_queries()
+    sizes = [sum(kronecker_plethysm_triple(inst).mu) for _, inst in queries]
     assert len(sizes) == 120 and max(sizes) <= KRON_N_MAX
+    assert max(inst.r for _, inst in queries) <= REDUCE_R_MAX
+
+
+def one_point_reduce_query(r):
+    """A feasible range-r instance with one point, (r, 0, 0)."""
+    return json.dumps({"kind": "2dxray", "r": r, "marginals": {"x": [0] * r + [1], "y": [1], "z": [1]}})
+
+
+def test_reduce_over_the_range_cap_embeds_nothing(capsys, monkeypatch):
+    # the cap itself is allowed
+    code, out, err = run(["reduce", one_point_reduce_query(REDUCE_R_MAX), "--to", "promise3d", "--format", "json"], capsys=capsys)
+    assert code == EXIT_OK, err
+    assert [stage["promise"] for stage in json.loads(out) if stage["stage"] == "promise3d"] == [True, True]
+
+    def no_embedding(*args):
+        raise AssertionError("reduce built a pyramid embedding over its range cap")
+
+    monkeypatch.setattr("plethtomo.reductions.embed_pyramid_3d", no_embedding)
+    data = one_point_reduce_query(REDUCE_R_MAX + 1)
+    for target in ("promise3d", "plethysm", "kron-triple"):
+        for resolve in ([], ["--resolve"]):
+            code, out, err = run(["reduce", data, "--to", target, *resolve], capsys=capsys)
+            assert code == EXIT_GATE_FAILED, (target, resolve)
+            assert out == ""
+            assert err.startswith("over the size cap:") and len(err.splitlines()) == 1
+    # the layer instance answers at any range
+    code, out, err = run(["reduce", data, "--to", "sym2d", "--format", "json"], capsys=capsys)
+    assert code == EXIT_OK, err
+    assert [stage["r"] for stage in json.loads(out)] == [REDUCE_R_MAX + 1] + [13 * (REDUCE_R_MAX + 1)] * 2
 
 
 def stages_by_the_stage_functions(inst):
@@ -443,6 +475,23 @@ def test_verify_bounds_over_the_cap_counts_nothing(capsys, monkeypatch):
     # the cap itself is allowed; with no shapes to check it passes at once
     monkeypatch.setattr("plethtomo.cli.partitions_of", lambda n: [])
     code, out, _ = run(["verify", "bounds", "--n-max", str(VERIFY_BOUNDS_N_MAX)], capsys=capsys)
+    assert code == EXIT_OK and "PASS" in out
+
+
+def test_verify_xi_over_the_cap_enumerates_nothing(capsys, monkeypatch):
+    def no_layer(*args):
+        raise AssertionError("verify xi enumerated a layer over its cap")
+
+    monkeypatch.setattr("plethtomo.cli.xi_by_enumeration", no_layer)
+    code, out, err = run(["verify", "xi", "--i-max", str(VERIFY_XI_I_MAX + 1)], capsys=capsys)
+    assert VERIFY_XI_I_MAX == 500
+    assert code == EXIT_GATE_FAILED
+    assert out == ""
+    assert err.startswith("over the size cap:") and len(err.splitlines()) == 1
+    # the cap itself is allowed; with the closed form as its own check it
+    # passes at once
+    monkeypatch.setattr("plethtomo.cli.xi_by_enumeration", xi)
+    code, out, _ = run(["verify", "xi", "--i-max", str(VERIFY_XI_I_MAX)], capsys=capsys)
     assert code == EXIT_OK and "PASS" in out
 
 

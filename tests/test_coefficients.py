@@ -71,6 +71,19 @@ def test_weight_multiplicity_matches_tableau_letter_oracle(data):
     assert weight_multiplicity(mu, nu, kappa, len(kappa)) == want
 
 
+@pytest.mark.parametrize("nu", [(3,), (1, 1, 1)])
+def test_single_column_weight_spaces_are_point_set_counts(nu):
+    # every kappa |- 3n, n <= 5: the point-set count that (1^n) takes
+    # against the strip DP over the inner tableaux' weights, kept as oracle
+    checked = 0
+    for n in range(1, 6):
+        for kappa in partitions_of(3 * n):
+            want = count_weighted_ssyt((1,) * n, ssyt_weights(nu, len(kappa), kappa), kappa)
+            assert weight_multiplicity((1,) * n, nu, kappa, len(kappa)) == want, (nu, kappa)
+            checked += 1
+    assert checked == 297
+
+
 def test_weight_multiplicity_symmetric_in_kappa():
     assert weight_multiplicity((2,), (2,), (1, 2, 1), 3) == weight_multiplicity((2,), (2,), (2, 1, 1), 3)
 

@@ -4,7 +4,7 @@ from functools import partial
 
 import pytest
 
-from plethtomo.coefficients import general_plethysm
+from plethtomo.coefficients import general_plethysm, weight_multiplicity
 from plethtomo.partitions import add, compositions_of, is_partition, partitions_of
 from plethtomo.restricted import (
     PsiDecomposition,
@@ -15,7 +15,7 @@ from plethtomo.restricted import (
     psi_splits,
     pyramid_size,
 )
-from plethtomo.tableaux import count_weighted_ssyt
+from plethtomo.tableaux import count_weighted_ssyt, ssyt_weights
 from plethtomo.tomography import _candidates, complete_pyramid, coordinate_sum, count_point_sets, count_pyramids, sum_marginal
 from tableau_oracles import enumerate_cone_ssyt, tableau_layers_check
 
@@ -201,8 +201,9 @@ def test_count_matches_the_enumerated_tableaux():
 
 
 def _strip_count(mu, lam, kind):
-    """The strip DP over cone-point letters, as count_cone_ssyt runs it on
-    every shape but a single column."""
+    """The strip DP over one letter per cone point that fits under lam;
+    count_cone_ssyt runs it, through weight_multiplicity, over the same
+    letters on every shape but a single column."""
     letters = [tuple(p.count(i) for i in range(len(lam))) for p in _candidates(lam, kind)]
     return count_weighted_ssyt(mu, letters, lam)
 
@@ -234,20 +235,50 @@ def test_one_column_strip_count_is_the_point_set_count():
     assert checked == 242
 
 
-def test_hundred_box_column_is_counted_as_point_sets(monkeypatch):
-    # the closed pyramid below layer 12 (83 points) and 17 of the 19 points
-    # of layer 12; the strip DP ran past 15 s on it
-    def no_strips(*args):
-        raise AssertionError("a single column took the strip DP")
-
-    monkeypatch.setattr("plethtomo.restricted.count_weighted_ssyt", no_strips)
+def hundred_box_instances():
+    """The closed pyramid below layer 12 (83 points) and 17 of the 19
+    points of layer 12, in two ways; each has one solution."""
     top = sorted(p for p in complete_pyramid(12, "closed") if sum(p) == 12)
-    for chosen in (top[:17], top[2:]):
-        lam = sum_marginal(complete_pyramid(11, "closed") | set(chosen))
+    return [sum_marginal(complete_pyramid(11, "closed") | set(chosen)) for chosen in (top[:17], top[2:])]
+
+
+def no_strips(*args):
+    raise AssertionError("a single column took the strip DP")
+
+
+def test_hundred_box_column_is_counted_as_point_sets(monkeypatch):
+    # the strip DP ran past 15 s on these
+    monkeypatch.setattr("plethtomo.coefficients.count_weighted_ssyt", no_strips)
+    for lam in hundred_box_instances():
         t0 = time.perf_counter()
         assert count_cone_ssyt((1,) * 100, lam, "sym") == 1, lam
         assert time.perf_counter() - t0 < 1.0, lam
         assert count_pyramids(lam, "closed") == 1
+
+
+def test_hundred_box_weight_space_is_counted_as_point_sets(monkeypatch):
+    # the same weight spaces of wedge^100 Sym^3, asked of the plethysm side
+    monkeypatch.setattr("plethtomo.coefficients.count_weighted_ssyt", no_strips)
+    for lam in hundred_box_instances():
+        t0 = time.perf_counter()
+        assert weight_multiplicity((1,) * 100, (3,), lam, len(lam)) == 1, lam
+        assert time.perf_counter() - t0 < 1.0, lam
+
+
+def test_cone_tableau_count_is_the_weight_multiplicity():
+    # every class member with |mu| <= 4: the cone points that fit under lam
+    # are, letter for letter, the inner tableaux' weights under lam, so the
+    # cone-tableau count is the weight multiplicity q_lam(mu, nu)
+    checked = 0
+    for variant, nu, kind in (("sym", (3,), "closed"), ("wedge", (1, 1, 1), "open")):
+        for musize in range(1, 5):
+            for mu in partitions_of(musize):
+                for lam in psi_instances(mu, variant):
+                    letters = [tuple(p.count(i) for i in range(len(lam))) for p in _candidates(lam, kind)]
+                    assert sorted(letters) == sorted(ssyt_weights(nu, len(lam), lam)), (variant, mu, lam)
+                    assert count_cone_ssyt(mu, lam, variant) == weight_multiplicity(mu, nu, lam, len(lam)), (variant, mu, lam)
+                    checked += 1
+    assert checked == 26
 
 
 def test_twenty_box_column_counts_in_under_a_second():
