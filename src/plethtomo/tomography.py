@@ -328,7 +328,9 @@ def _count_levelwise(lam: tuple[int, ...], kind: ConeKind, pyramids_only: bool, 
     successor survives only while at least m candidates are left and the m
     cheapest and the m dearest of them bracket B_res; the levels are sorted,
     so prefix sums give both in O(1).  Where the bound forbids skipping any
-    point of a layer, the whole layer is taken.
+    point of a layer, the whole layer is taken.  With fewer candidates than
+    points to place, the count is 0 before the DP is set up.  The states
+    are updated in place at each candidate.
 
     Point sets: m and B_res are functions of the residual, and recent is
     always 0.  Pyramids: recent holds the chosen candidates of the current
@@ -341,6 +343,8 @@ def _count_levelwise(lam: tuple[int, ...], kind: ConeKind, pyramids_only: bool, 
     covers: dict[Point, tuple[Point, ...]] = {}
     if pyramids_only:
         cands, covers = _closure_filter(cands, kind, floor)
+    if len(cands) < sum(lam) // 3:
+        return 0
     cands.sort(key=lambda p: (p[0] + p[1] + p[2], p))
     index = {p: k for k, p in enumerate(cands)}
     levels = [p[0] + p[1] + p[2] for p in cands]
