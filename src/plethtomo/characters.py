@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from .partitions import Partition, canonical, is_partition, partitions_of
+from .partitions import Partition, canonical, nonincreasing, partitions_of
 
 # bounds of the memo tables: class sizes hold one entry per order n, the
 # plethysm expansion one per (mu, nu) pair
@@ -86,7 +86,7 @@ def sn_character(lam: Partition, cycle_type: Partition) -> int:
     """Irreducible S_n character chi_lam evaluated on the class of cycle_type."""
     lam = canonical(lam)
     tau = canonical(cycle_type)
-    if not is_partition(lam) or not is_partition(tau):
+    if not nonincreasing(lam) or not nonincreasing(tau):
         raise ValueError("character arguments must be partitions")
     if sum(lam) != sum(tau):
         raise ValueError(f"size mismatch: |{lam}| != |{tau}|")
@@ -127,7 +127,7 @@ def kronecker_shapes(mu: Partition, nu: Partition, rho: Partition) -> tuple[Part
     """The arguments of a Kronecker coefficient in canonical form; raises
     ValueError unless they are partitions of one size."""
     mu, nu, rho = canonical(mu), canonical(nu), canonical(rho)
-    if not (is_partition(mu) and is_partition(nu) and is_partition(rho)):
+    if not (nonincreasing(mu) and nonincreasing(nu) and nonincreasing(rho)):
         raise ValueError("kronecker arguments must be partitions")
     if not sum(mu) == sum(nu) == sum(rho):
         raise ValueError("kronecker arguments must have equal sizes")

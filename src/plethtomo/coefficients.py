@@ -43,11 +43,19 @@ from typing import Literal
 
 from .characters import kronecker as _kronecker_raw
 from .characters import kronecker_shapes, plethysm_schur_multiplicity
-from .partitions import Composition, Partition, canonical, is_partition, partitions_of, transpose
+from .partitions import Composition, Partition, _transpose, canonical, nonincreasing, partitions_of
 from .tableaux import count_weighted_ssyt, dim_weyl, kostka, ssyt_weights
-from .tomography import ConeKind, count_point_sets
+from .tomography import ConeKind, SizeCapError, count_point_sets
 
 JACOBI_TRUDI_MAX_ROWS = 9
+JACOBI_TRUDI_ROWS_CAP = 10
+"""The most rows jacobi_trudi_coeff builds a term table for; a taller lam
+that neither the support box nor a one-box shape answers raises
+SizeCapError before the table is built.  The table's cost grows with the
+rows' freedom to permute: on a shared 2-vCPU host the worst shape, the
+square (l^l), took 0.4 s at 9 rows, 3.3 s at 10 and 27 s at 11 (the
+staircase 0.2, 0.9 and 5.6 s at 10, 11 and 12 rows; (3^l) 0.2 s at 11).
+general_plethysm sends at most JACOBI_TRUDI_MAX_ROWS rows here."""
 # bound of the Jacobi-Trudi term table: one entry per lam, shared by every
 # (mu, nu); a sweep over all lam with at most 9 rows and |lam| <= 12 touches 264
 JT_TERMS_MAXSIZE = 256
@@ -194,14 +202,21 @@ def jacobi_trudi_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     |mu|*nu_1 box gives 0 (s_mu[s_nu] is a summand of s_nu^|mu|, whose
     Littlewood-Richardson support lies in that box), and a one-box mu or
     nu gives [lam equal to the other shape] (s_mu[s_1] = s_1[s_mu] = s_mu).
-    Inside the sum, a composition whose largest entry exceeds |mu|*nu_1
-    has q = 0 (a nu-tableau holds each value at most once per column).
+    Past those, lam with more than JACOBI_TRUDI_ROWS_CAP rows raises
+    SizeCapError.  Inside the sum, a composition whose largest entry
+    exceeds |mu|*nu_1 has q = 0 (a nu-tableau holds each value at most once
+    per column).
     """
     lam, mu, nu = canonical(lam), canonical(mu), canonical(nu)
     if sum(lam) != sum(mu) * sum(nu):
         raise ValueError("size mismatch: |lam| must equal |mu|*|nu|")
+    return _jacobi_trudi(lam, mu, nu)
+
+
+def _jacobi_trudi(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """jacobi_trudi_coeff on canonical lam, mu, nu with |lam| = |mu|*|nu|."""
     if not lam:
-        return 1 if sum(mu) * sum(nu) == 0 else 0
+        return 1
     outer = sum(mu)
     if len(lam) > outer * len(nu) or lam[0] > outer * nu[0]:
         return 0
@@ -209,6 +224,8 @@ def jacobi_trudi_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
         return int(lam == mu)
     if mu == (1,):
         return int(lam == nu)
+    if len(lam) > JACOBI_TRUDI_ROWS_CAP:
+        raise SizeCapError(f"a Jacobi-Trudi term table of {len(lam)} rows is over the cap of {JACOBI_TRUDI_ROWS_CAP}")
     return sum(c * _weight_multiplicity_sorted(mu, nu, key) for key, c in _jacobi_trudi_terms(lam))
 
 
@@ -217,12 +234,12 @@ def general_plethysm(lam: Partition, mu: Partition, nu: Partition) -> Coefficien
     functor with the nu one.  Dispatches on height: the Jacobi-Trudi sum up
     to JACOBI_TRUDI_MAX_ROWS rows, the power-sum character pairing above."""
     lam, mu, nu = canonical(lam), canonical(mu), canonical(nu)
-    if not (is_partition(lam) and is_partition(mu) and is_partition(nu)):
+    if not (nonincreasing(lam) and nonincreasing(mu) and nonincreasing(nu)):
         raise ValueError("plethysm arguments must be partitions")
     if sum(lam) != sum(mu) * sum(nu):
         return CoefficientResult(0, "degree-mismatch")
     if len(lam) <= JACOBI_TRUDI_MAX_ROWS:
-        value = jacobi_trudi_coeff(lam, mu, nu)
+        value = _jacobi_trudi(lam, mu, nu)
         method = "jacobi-trudi"
     else:
         value = plethysm_schur_multiplicity(lam, mu, nu)
@@ -256,7 +273,7 @@ def m2_closed_form(n: int, variant: Variant) -> set[Partition]:
             if all(part % 2 == 0 for part in lam):
                 out.add(lam)
         elif variant == "b":
-            t = transpose(lam)
+            t = _transpose(lam)
             ok = True
             for i, part in enumerate(lam):
                 if part >= i + 1 and part != t[i] + 1:
@@ -283,7 +300,7 @@ def check_duality(n: int, m: int) -> tuple[bool, list[str]]:
     wedge_wedge = {lam: general_plethysm(lam, (1,) * n, wedge_m).value for lam in partitions_of(n * m)}
     sym_wedge = {lam: general_plethysm(lam, (n,), wedge_m).value for lam in partitions_of(n * m)}
     for lam in partitions_of(n * m):
-        lam_t = transpose(lam)
+        lam_t = _transpose(lam)
         a_val = plethysm_coeff(lam_t, n, m, "a").value
         b_val = plethysm_coeff(lam_t, n, m, "b").value
         expect_ww = a_val if m % 2 == 1 else b_val
@@ -305,7 +322,7 @@ def trivial_kronecker(mu: Partition, nu: Partition, rho: Partition) -> int | Non
         if len(shape) == 1:
             return int(a == b)
         if shape and shape[0] == 1:
-            return int(a == transpose(b))
+            return int(a == _transpose(b))
     return None
 
 

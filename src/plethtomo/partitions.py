@@ -4,10 +4,22 @@ A composition is a finite tuple of nonnegative integers with no trailing
 zeros; a partition additionally has nonincreasing entries.  Everything is
 indexed from 0.  All values are plain Python ints, so entries and sizes are
 arbitrary precision.
+
+Validation happens once, at the public boundary.  Public functions
+canonicalize what they are given and check it, raising ValueError on a
+negative entry or, where a partition is required, on a non-partition.
+The `_`-prefixed internals, here and in the other modules, take canonical
+tuples (partitions, where they say so) as they are, and are called only on
+data that a public entry has already checked; `nonincreasing` is the
+partition test for such a tuple.  The per-entry loops run in C builtins
+(min, map, bisect) rather than in Python loops.
 """
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_left
+from itertools import islice, repeat
 from typing import Iterable, Iterator
 
 Composition = tuple[int, ...]
@@ -16,19 +28,27 @@ Partition = tuple[int, ...]
 
 def canonical(parts: Iterable[int]) -> Composition:
     """Drop trailing zeros and validate nonnegativity."""
-    out = list(parts)
-    for v in out:
-        if v < 0:
-            raise ValueError(f"negative entry {v} in composition {out}")
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    out = tuple(parts)
+    if out and min(out) < 0:
+        v = next(v for v in out if v < 0)
+        raise ValueError(f"negative entry {v} in composition {list(out)}")
+    if out and out[-1] == 0:
+        end = len(out) - 1
+        while end and out[end - 1] == 0:
+            end -= 1
+        out = out[:end]
+    return out
+
+
+def nonincreasing(p: Composition) -> bool:
+    """True iff the tuple's entries never increase: for a canonical tuple,
+    that it is a partition."""
+    return all(map(operator.ge, p, islice(p, 1, None)))
 
 
 def is_partition(c: Iterable[int]) -> bool:
     """True iff the canonical form of ``c`` is nonincreasing."""
-    p = canonical(c)
-    return all(p[i] >= p[i + 1] for i in range(len(p) - 1))
+    return nonincreasing(canonical(c))
 
 
 def size(c: Iterable[int]) -> int:
@@ -47,12 +67,24 @@ def width(p: Composition) -> int:
 def transpose(p: Iterable[int]) -> Partition:
     """Conjugate partition: exchange rows and columns of the Young diagram."""
     lam = canonical(p)
-    if not is_partition(lam):
+    if not nonincreasing(lam):
         raise ValueError(f"{lam} is not a partition")
-    # the columns in [lam[k], lam[k-1]) have height k; O(lam[0] + len(lam))
+    return _transpose(lam)
+
+
+def _transpose(lam: Partition) -> Partition:
+    """transpose of a canonical partition, with O(min(len, lam_1)) Python
+    steps.  With more rows than columns, column j (from 0) has as many
+    cells as lam has parts above j: one bisection of the ascending parts
+    per column, all inside map.  Otherwise the columns in [lam[k],
+    lam[k-1]) have height k: one run per row."""
+    ell = len(lam)
+    if ell and ell > lam[0]:
+        ascending = lam[::-1]
+        return tuple(map(ell.__sub__, map(bisect_left, repeat(ascending), range(1, lam[0] + 1))))
     out: list[int] = []
-    for k in range(len(lam), 0, -1):
-        out += [k] * (lam[k - 1] - (lam[k] if k < len(lam) else 0))
+    for k in range(ell, 0, -1):
+        out += [k] * (lam[k - 1] - (lam[k] if k < ell else 0))
     return tuple(out)
 
 
@@ -118,15 +150,22 @@ def pad(c: Composition, length: int) -> tuple[int, ...]:
 
 
 def add(a: Composition, b: Composition) -> Composition:
-    n = max(len(a), len(b))
-    return canonical(x + y for x, y in zip(pad(a, n), pad(b, n)))
+    return canonical(_add(a, b))
+
+
+def _add(a: Composition, b: Composition) -> Composition:
+    """a + b entrywise, the shorter one padded with zeros: canonical when a
+    and b are."""
+    if len(a) < len(b):
+        a, b = b, a
+    return tuple(map(operator.add, a, b)) + a[len(b) :]
 
 
 def subtract(a: Composition, b: Composition) -> Composition | None:
     """a - b entrywise, or None if any entry would go negative."""
-    n = max(len(a), len(b))
-    out = [x - y for x, y in zip(pad(a, n), pad(b, n))]
-    if any(v < 0 for v in out):
+    # one of the two tails is empty
+    out = tuple(map(operator.sub, a, b)) + a[len(b) :] + tuple(map(operator.neg, b[len(a) :]))
+    if out and min(out) < 0:
         return None
     return canonical(out)
 

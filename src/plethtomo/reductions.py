@@ -21,16 +21,16 @@ from functools import cached_property
 from typing import Literal
 
 from .coefficients import CoefficientResult, plethysm_coeff
-from .partitions import Composition, Partition, add, canonical, is_partition, pad, transpose
+from .partitions import Composition, Partition, _add, _transpose, canonical, nonincreasing, pad, transpose
 from .tomography import (
     ConeKind,
     Point,
     SymInstance,
     XRayInstance2D,
+    _is_promise,
     coordinate_sum,
     count_point_sets,
     count_pyramids,
-    is_promise_instance,
     pyramid_marginal,
 )
 
@@ -62,7 +62,7 @@ def inner_lift(lam: Partition, n: int, m: int, variant: Literal["a", "b"]) -> Pl
     Shapes taller than n carry coefficient 0 and are reported as such.
     """
     lam = canonical(lam)
-    if not is_partition(lam):
+    if not nonincreasing(lam):
         raise ValueError(f"{lam} is not a partition")
     if sum(lam) != n * m:
         raise ValueError(f"|lam|={sum(lam)} != n*m={n * m}")
@@ -70,7 +70,7 @@ def inner_lift(lam: Partition, n: int, m: int, variant: Literal["a", "b"]) -> Pl
         raise ValueError(f"variant must be 'a' or 'b', got {variant!r}")
     if len(lam) > n:
         return TriviallyZero(f"height {len(lam)} exceeds outer degree {n}")
-    pi = transpose((n,) + transpose(lam))
+    pi = transpose((n,) + _transpose(lam))
     return PlethysmInstance(pi, n, m + 1, "b" if variant == "a" else "a")
 
 
@@ -87,7 +87,7 @@ def symmetrize_2d(inst: XRayInstance2D, kind: ConeKind = "closed") -> SymInstanc
     nu = pad(inst.nu, rp + 1)
     rho = pad(inst.rho, rp + 1)
     lam = rho + (0,) * (2 * rp - 1) + nu + (0,) * (5 * rp - 1) + mu + (0,) * (3 * rp)
-    return SymInstance(canonical(lam), kind, 13 * rp)
+    return SymInstance(lam, kind, 13 * rp)
 
 
 def gamma_embed(points: frozenset[Point] | set[Point], rp: int) -> frozenset[Point]:
@@ -119,12 +119,15 @@ def embed_pyramid_3d(lam_hat: Composition, r: int, kind: ConeKind) -> SymInstanc
 
     Infeasible layer marginals map to a fixed zero-count 3D instance.
     """
-    lam_hat = canonical(lam_hat)
+    return _embed_pyramid_3d(canonical(lam_hat), r, kind)
+
+
+def _embed_pyramid_3d(lam_hat: Composition, r: int, kind: ConeKind) -> SymInstance:
+    """embed_pyramid_3d on a canonical lam_hat."""
     total = sum(lam_hat)
     if total % 3 != 0 or len(lam_hat) > r + 1 or coordinate_sum(lam_hat) != r * (total // 3):
         return CANONICAL_ZERO_3D[kind]
-    lam = add(pyramid_marginal(r - 1, kind), lam_hat)
-    return SymInstance(lam, kind, None)
+    return SymInstance(_add(pyramid_marginal(r - 1, kind), lam_hat), kind, None)
 
 
 def promise_to_plethysm(lam: Composition, kind: ConeKind) -> PlethysmInstance:
@@ -134,14 +137,22 @@ def promise_to_plethysm(lam: Composition, kind: ConeKind) -> PlethysmInstance:
     solutions and map to the fixed no-instance.
     """
     lam = canonical(lam)
-    if not is_partition(lam) or sum(lam) % 3 != 0:
+    if sum(lam) % 3 != 0:
         return TRIVIAL_NO_INSTANCE
-    if not is_promise_instance(lam, kind):
+    if nonincreasing(lam) and not _is_promise(lam, kind):
         raise ValueError(f"{lam} is not a promise instance for the {kind} cone")
+    return _promise_query(lam, kind)
+
+
+def _promise_query(lam: Composition, kind: ConeKind) -> PlethysmInstance:
+    """promise_to_plethysm on a canonical lam that is a promise instance of
+    the cone, or is no partition."""
+    if not nonincreasing(lam):
+        return TRIVIAL_NO_INSTANCE
     n = sum(lam) // 3
     if kind == "closed":
         return PlethysmInstance(lam, n, 3, "b")
-    return PlethysmInstance(transpose(lam), n, 3, "a")
+    return PlethysmInstance(_transpose(lam), n, 3, "a")
 
 
 def resolve_coefficient(inst: PlethysmInstance) -> CoefficientResult:
@@ -160,7 +171,7 @@ def resolve_coefficient(inst: PlethysmInstance) -> CoefficientResult:
     if inst.m == 3:
         marg = lam if inst.variant == "b" else transpose(lam)
         kind: ConeKind = "closed" if inst.variant == "b" else "open"
-        if is_promise_instance(marg, kind):
+        if _is_promise(marg, kind):
             return CoefficientResult(count_point_sets(marg, kind), "promise-pyramid-count")
     if sum(lam) <= ORACLE_SIZE_CAP:
         return plethysm_coeff(lam, inst.n, inst.m, inst.variant)
@@ -190,16 +201,16 @@ class KroneckerPlethysmTriple:
 
     @cached_property
     def promise3d(self) -> dict[ConeKind, SymInstance]:
-        return {kind: embed_pyramid_3d(sym.marginal, sym.grid_r, kind) for kind, sym in self.sym2d.items()}
+        return {kind: _embed_pyramid_3d(sym.marginal, sym.grid_r, kind) for kind, sym in self.sym2d.items()}
 
     @cached_property
     def promise(self) -> dict[ConeKind, bool]:
-        return {kind: is_promise_instance(emb.marginal, kind) for kind, emb in self.promise3d.items()}
+        return {kind: _is_promise(emb.marginal, kind) for kind, emb in self.promise3d.items()}
 
     @cached_property
     def queries(self) -> dict[ConeKind, PlethysmInstance]:
         return {
-            kind: promise_to_plethysm(emb.marginal, kind) if self.promise[kind] else TRIVIAL_NO_INSTANCE
+            kind: _promise_query(emb.marginal, kind) if self.promise[kind] else TRIVIAL_NO_INSTANCE
             for kind, emb in self.promise3d.items()
         }
 
@@ -209,7 +220,9 @@ class KroneckerPlethysmTriple:
         # holds the (r-i)(r-i+1)/2 points of the plane simplex of radius r-1-i
         r = self.inst.r
         sq = tuple((r - i) * (r - i + 1) // 2 for i in range(r))
-        return tuple(transpose(tuple(sorted(add(m, sq), reverse=True))) for m in (self.inst.mu, self.inst.nu, self.inst.rho))
+        # sq is positive below index r and a marginal is canonical, so every
+        # entry of a padded marginal is positive: sorted, it is a partition
+        return tuple(_transpose(tuple(sorted(_add(m, sq), reverse=True))) for m in (self.inst.mu, self.inst.nu, self.inst.rho))
 
     mu = property(lambda self: self.triple[0])
     nu = property(lambda self: self.triple[1])

@@ -16,7 +16,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .partitions import Composition, Partition, canonical, compositions_of, pad, partitions_of
+from .partitions import Composition, Partition, _transpose, canonical, compositions_of, nonincreasing, pad, partitions_of
 
 
 def _horizontal_strips(alpha: tuple[int, ...], mu: tuple[int, ...], strip_size: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -37,12 +37,38 @@ def _horizontal_strips(alpha: tuple[int, ...], mu: tuple[int, ...], strip_size: 
     return (beta for beta in strips if sum(beta) == size)
 
 
+def _column_strips(alpha: tuple[int, ...], heights: tuple[int, ...], strip_size: int) -> Iterator[tuple[int, ...]]:
+    """_horizontal_strips of size ``strip_size`` in column heights: the
+    shapes beta with alpha <= beta <= heights, all given by their column
+    heights, and beta/alpha a horizontal strip, in no fixed order.
+
+    A horizontal strip adds at most one box per column.  Within a run of
+    equal heights of alpha, the grown columns are a prefix (beta stays a
+    partition), and so are the columns with room (heights is a partition);
+    so a strip is one prefix length per run, and the strips are the
+    product of those ranges, kept at size ``strip_size``.
+    """
+    runs = []  # (first column, height, columns with room)
+    for h, cols in itertools.groupby(range(len(alpha)), alpha.__getitem__):
+        cols = list(cols)
+        runs.append((cols[0], h, sum(heights[j] > h for j in cols)))
+    for fill in itertools.product(*(range(room + 1) for _, _, room in runs)):
+        if sum(fill) == strip_size:
+            beta = list(alpha)
+            for (first, h, _), t in zip(runs, fill):
+                beta[first : first + t] = [h + 1] * t
+            yield tuple(beta)
+
+
 @lru_cache(maxsize=None)
 def kostka(mu: Partition, weight: Composition) -> int:
     """Number of SSYT of shape mu and weight ``weight`` (Kostka number).
 
     Computed by a horizontal-strip DP over the letters of the weight, one
-    letter at a time; no tableaux are materialized.
+    letter at a time; no tableaux are materialized.  A state is a subshape
+    by its row lengths, or, when mu has more rows than columns, by its
+    column heights (_column_strips), so a state has min(len(mu), mu_1)
+    entries.
     """
     mu = canonical(mu)
     w = canonical(weight)
@@ -50,16 +76,20 @@ def kostka(mu: Partition, weight: Composition) -> int:
         raise ValueError(f"|mu|={sum(mu)} != |weight|={sum(w)}")
     if not mu:
         return 1
-    states: dict[tuple[int, ...], int] = {(0,) * len(mu): 1}
+    shape, strips = mu, _horizontal_strips
+    # a mu that is no partition has no column heights; it keeps the row DP
+    if len(mu) > mu[0] and nonincreasing(mu):
+        shape, strips = _transpose(mu), _column_strips
+    states: dict[tuple[int, ...], int] = {(0,) * len(shape): 1}
     for letter_count in w:
         new: dict[tuple[int, ...], int] = {}
         for alpha, cnt in states.items():
-            for beta in _horizontal_strips(alpha, mu, letter_count):
+            for beta in strips(alpha, shape, letter_count):
                 new[beta] = new.get(beta, 0) + cnt
         states = new
         if not states:
             return 0
-    return states.get(mu, 0)
+    return states.get(shape, 0)
 
 
 def ssyt_weights(shape: Partition, k: int, bound: Composition | None = None) -> list[tuple[int, ...]]:

@@ -58,6 +58,7 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import mul
 from typing import Literal, Sequence
 
 from .partitions import Composition, canonical, subtract
@@ -107,7 +108,7 @@ def axis_marginals(points: Sequence[Point] | frozenset[Point] | set[Point]) -> t
 def coordinate_sum(c: Composition) -> int:
     """B(lambda) = sum_i i*lambda_i; equals the total coordinate sum of any
     realizing point set."""
-    return sum(i * v for i, v in enumerate(c))
+    return sum(map(mul, itertools.count(), c))
 
 
 def _lower_covers(p: Point, kind: ConeKind) -> tuple[Point, ...]:
@@ -240,11 +241,13 @@ def beta(n: int, kind: ConeKind) -> int:
 def is_promise_instance(lam: Composition, kind: ConeKind) -> bool:
     """True iff the instance size is a multiple of 3 and its coordinate sum
     attains the minimum for that size."""
-    lam = canonical(lam)
+    return _is_promise(canonical(lam), kind)
+
+
+def _is_promise(lam: Composition, kind: ConeKind) -> bool:
+    """is_promise_instance on a canonical lam."""
     total = sum(lam)
-    if total % 3 != 0:
-        return False
-    return coordinate_sum(lam) == beta(total // 3, kind)
+    return total % 3 == 0 and coordinate_sum(lam) == _greedy_fill(total // 3, kind)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +404,8 @@ def _count_levelwise(lam: tuple[int, ...], kind: ConeKind, pyramids_only: bool, 
 def _count(lam: Composition, kind: ConeKind, pyramids_only: bool) -> int:
     """Whole-cone count of an n-point instance at excess e: peel the
     complete pyramid below floor = iota(n) - e, then count the rest with
-    every point at level <= ceiling = iota(n) + e (module docstring)."""
-    lam = canonical(lam)
+    every point at level <= ceiling = iota(n) + e (module docstring).
+    lam is canonical."""
     if not lam:
         return 1
     total = sum(lam)
@@ -424,12 +427,12 @@ def _count(lam: Composition, kind: ConeKind, pyramids_only: bool) -> int:
 
 def count_point_sets(lam: Composition, kind: ConeKind) -> int:
     """Exact number of point sets in the cone with the given sum-marginal."""
-    return _count(lam, kind, pyramids_only=False)
+    return _count(canonical(lam), kind, pyramids_only=False)
 
 
 def count_pyramids(lam: Composition, kind: ConeKind) -> int:
     """Exact number of pyramids in the cone with the given sum-marginal."""
-    return _count(lam, kind, pyramids_only=True)
+    return _count(canonical(lam), kind, pyramids_only=True)
 
 
 # ---------------------------------------------------------------------------

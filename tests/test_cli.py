@@ -217,7 +217,8 @@ def test_reduce_over_the_range_cap_embeds_nothing(capsys, monkeypatch):
     def no_embedding(*args):
         raise AssertionError("reduce built a pyramid embedding over its range cap")
 
-    monkeypatch.setattr("plethtomo.reductions.embed_pyramid_3d", no_embedding)
+    # the body that embed_pyramid_3d and the chain record's promise3d share
+    monkeypatch.setattr("plethtomo.reductions._embed_pyramid_3d", no_embedding)
     data = one_point_reduce_query(REDUCE_R_MAX + 1)
     for target in ("promise3d", "plethysm", "kron-triple"):
         for resolve in ([], ["--resolve"]):
@@ -531,13 +532,21 @@ def test_output_determinism(capsys, monkeypatch):
 
 
 def test_console_script_entry_point():
+    import os
     import subprocess
     import sys
 
+    import plethtomo
+
+    # the child imports the same package as this process, whether it came
+    # from PYTHONPATH or from pytest's pythonpath setting
+    src = str(Path(plethtomo.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH", "")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "plethtomo", "coeff", "a", "[4]", "2", "2", "--format", "json"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == EXIT_OK
     assert json.loads(proc.stdout)["value"] == 1

@@ -13,6 +13,7 @@ from plethtomo.characters import kronecker as character_kronecker
 from plethtomo.characters import plethysm_schur_multiplicity, plethysm_schur_table
 from plethtomo.coefficients import (
     JACOBI_TRUDI_MAX_ROWS,
+    JACOBI_TRUDI_ROWS_CAP,
     JT_TERMS_MAXSIZE,
     CoefficientResult,
     _jacobi_trudi_terms,
@@ -29,6 +30,7 @@ from plethtomo.coefficients import (
 from plethtomo.partitions import canonical, partitions_of, transpose
 from plethtomo.sympoly import decompose_schur, plethysm_poly
 from plethtomo.tableaux import count_weighted_ssyt, dim_weyl, kostka, ssyt_weights
+from plethtomo.tomography import SizeCapError
 
 
 def test_weight_multiplicity_examples():
@@ -202,6 +204,21 @@ def test_one_box_shapes_skip_the_term_table():
     assert jacobi_trudi_coeff((2,) * 20, (1,), (2,) * 20) == 1
     assert time.perf_counter() - start < 1.0
     assert _jacobi_trudi_terms.cache_info().misses == misses
+
+
+def test_tall_term_tables_are_refused_before_they_are_built():
+    # inside the support box, past the one-box answers: (3^20) took 38 s
+    # to tabulate, the staircase of 12 rows 5.6 s
+    assert JACOBI_TRUDI_MAX_ROWS < JACOBI_TRUDI_ROWS_CAP
+    misses = _jacobi_trudi_terms.cache_info().misses
+    for lam, mu, nu in (((3,) * 20, (1,) * 20, (3,)), (tuple(range(12, 0, -1)), (13,), (6,)), ((2,) * 11, (1,) * 11, (2,))):
+        start = time.perf_counter()
+        with pytest.raises(SizeCapError, match="over the cap of"):
+            jacobi_trudi_coeff(lam, mu, nu)
+        assert time.perf_counter() - start < 0.1
+    assert _jacobi_trudi_terms.cache_info().misses == misses
+    # at the cap the table is built
+    assert jacobi_trudi_coeff((1,) * JACOBI_TRUDI_ROWS_CAP, (1, 1), (1,) * 5) == 1
 
 
 def test_one_box_shortcut_matches_power_sum_tables():

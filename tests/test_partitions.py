@@ -1,4 +1,14 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from partition_oracles import (
+    loop_add,
+    loop_canonical,
+    loop_coordinate_sum,
+    loop_is_partition,
+    loop_subtract,
+    loop_transpose,
+)
 
 from plethtomo.partitions import (
     add,
@@ -14,6 +24,7 @@ from plethtomo.partitions import (
     transpose,
     width,
 )
+from plethtomo.tomography import coordinate_sum
 
 
 def brute_transpose(lam):
@@ -158,3 +169,81 @@ def test_partitions_of_many_parts():
 def test_compositions_of():
     assert len(list(compositions_of(3, 2))) == 4
     assert set(compositions_of(2, 2)) == {(2, 0), (1, 1), (0, 2)}
+
+
+# -- the kernels against their loop versions (tests/partition_oracles.py) ----
+
+
+def outcome(fn, *args):
+    """fn's value, or the text of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+entries = st.lists(st.integers(-3, 6), max_size=40)
+# nonnegative, with zeros inside and trailing
+compositions = st.lists(st.integers(0, 6), max_size=40).map(tuple)
+
+
+@st.composite
+def small_shapes(draw):
+    """A partition drawn as runs of equal parts."""
+    values = draw(st.lists(st.integers(1, 12), unique=True, max_size=6))
+    return tuple(v for v in sorted(values, reverse=True) for _ in range(draw(st.integers(1, 12))))
+
+
+# 1000+ parts over at most 12 columns, and a first row of 1000+ cells
+tall_shapes = st.tuples(small_shapes(), st.integers(1000, 1500)).map(lambda t: t[0] + (1,) * t[1])
+wide_shapes = st.tuples(st.integers(1000, 5000), small_shapes()).map(lambda t: (t[0],) + t[1])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(xs=entries)
+def test_canonical_and_is_partition_match_the_loops(xs):
+    for fn, oracle in ((canonical, loop_canonical), (is_partition, loop_is_partition)):
+        want = outcome(oracle, xs)
+        assert outcome(fn, xs) == want
+        assert outcome(fn, tuple(xs)) == want
+        assert outcome(fn, iter(xs)) == want
+        assert outcome(fn, (v for v in xs)) == want
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(lam=st.one_of(tall_shapes, wide_shapes, small_shapes()), zeros=st.integers(0, 3))
+def test_transpose_matches_the_loop_and_round_trips(lam, zeros):
+    # a tall lam takes the column-bisection branch and its transpose the
+    # row loop; a wide lam the other way round
+    want = loop_transpose(lam)
+    padded = lam + (0,) * zeros
+    assert transpose(lam) == want
+    assert transpose(list(padded)) == want
+    assert transpose(v for v in padded) == want
+    assert transpose(want) == lam
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(xs=entries)
+def test_transpose_rejects_what_the_loop_rejects(xs):
+    # non-partitions and negative entries, with the same message
+    assert outcome(transpose, xs) == outcome(loop_transpose, xs)
+    assert outcome(transpose, iter(xs)) == outcome(loop_transpose, xs)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(a=compositions, b=compositions)
+def test_add_subtract_coordinate_sum_match_the_loops(a, b):
+    assert add(a, b) == loop_add(a, b)
+    assert subtract(a, b) == loop_subtract(a, b)
+    assert subtract(add(a, b), b) == canonical(a)
+    assert coordinate_sum(a) == loop_coordinate_sum(a)
+    assert coordinate_sum(v for v in a) == loop_coordinate_sum(a)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(a=entries.map(tuple), b=compositions)
+def test_add_rejects_negative_entries_as_the_loop_does(a, b):
+    assert outcome(add, a, b) == outcome(loop_add, a, b)
+    assert outcome(add, b, a) == outcome(loop_add, b, a)
+    assert outcome(subtract, a, b) == outcome(loop_subtract, a, b)

@@ -1,11 +1,13 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plethtomo.partitions import canonical, pad, partitions_of
+from plethtomo.partitions import canonical, compositions_of, is_partition, pad, partitions_of, transpose
 from plethtomo.tableaux import (
+    _column_strips,
     _horizontal_strips,
     count_weighted_ssyt,
     dim_weyl,
@@ -231,3 +233,37 @@ def test_dim_weyl_edge_cases():
     assert dim_weyl((), 3) == 1
     assert dim_weyl((1, 1, 1, 1), 3) == 0
     assert dim_weyl((3,), 2) == 4
+
+
+def test_column_strips_are_the_transposed_horizontal_strips():
+    # the same strips as _horizontal_strips, in column heights, for every
+    # alpha inside every mu with |mu| <= 8
+    pairs = 0
+    for n in range(9):
+        for mu in partitions_of(n):
+            heights = transpose(mu)
+            for alpha in itertools.product(*(range(m + 1) for m in mu)):
+                if not is_partition(alpha):
+                    continue
+                pairs += 1
+                cols = pad(transpose(alpha), len(heights))
+                for size in range(n - sum(alpha) + 2):
+                    want = {pad(transpose(beta), len(heights)) for beta in _horizontal_strips(alpha, mu, size)}
+                    got = list(_column_strips(cols, heights, size))
+                    assert len(got) == len(want) and set(got) == want, (alpha, mu, size)
+    assert pairs == 862
+
+
+def test_kostka_on_tall_shapes_matches_enumeration():
+    # more rows than columns takes the column-height DP; weights are
+    # compositions, zeros inside included
+    checked = 0
+    for n in range(1, 7):
+        for mu in partitions_of(n):
+            if len(mu) <= mu[0]:
+                continue
+            by_weight = Counter(tableau_weight(t, n + 1) for t in enumerate_ssyt(mu, n + 1))
+            for weight in compositions_of(n, n + 1):
+                assert kostka(mu, canonical(weight)) == by_weight[weight], (mu, weight)
+                checked += 1
+    assert checked == 5542
