@@ -137,7 +137,11 @@ def kronecker_shapes(mu: Partition, nu: Partition, rho: Partition) -> tuple[Part
 def kronecker(mu: Partition, nu: Partition, rho: Partition) -> int:
     """Kronecker coefficient k(mu,nu,rho) as the S_n character inner product
     (1/n!) sum over classes of |class| * chi_mu chi_nu chi_rho."""
-    mu, nu, rho = kronecker_shapes(mu, nu, rho)
+    return _kronecker(*kronecker_shapes(mu, nu, rho))
+
+
+def _kronecker(mu: Partition, nu: Partition, rho: Partition) -> int:
+    """kronecker on shapes already checked by kronecker_shapes."""
     n = sum(mu)
     mu_mask, nu_mask = _beta_mask(mu), _beta_mask(nu)
     weighted = ((tau, size * _mn(mu_mask, tau) * _mn(nu_mask, tau)) for tau, size in _class_sizes(n))

@@ -11,10 +11,11 @@ tomography.AXIS_STATE_CAP is refused before it starts, so is
 `verify xi` with --i-max above VERIFY_XI_I_MAX, `verify bounds` with
 --n-max above VERIFY_BOUNDS_N_MAX, `verify parsimony` with --rprime-max
 above VERIFY_PARSIMONY_RP_MAX, `reduce` past --to sym2d on a range above
-REDUCE_R_MAX, and `kron` on shapes of size above KRON_N_MAX (unless one
-shape is a single row or column, which is answered directly), as is
-`reduce --resolve` whose Kronecker triple is over that cap, and, as a last
-resort, a RecursionError anywhere is reported the same way.
+REDUCE_R_MAX, and `kron` or `reduce --resolve` on a Kronecker triple of
+size above coefficients.KRON_N_MAX, which coefficients.kronecker refuses
+(a triple with a single-row or single-column shape is answered at any
+size), and, as a last resort, a RecursionError anywhere is reported the
+same way.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import json
 import sys
 
 from . import __version__
-from .coefficients import check_duality, general_plethysm, kronecker, m2_closed_form, plethysm_coeff, trivial_kronecker
+from .coefficients import check_duality, general_plethysm, kronecker, m2_closed_form, plethysm_coeff
 from .partitions import format_partition, parse_partition, partitions_of, transpose
 from .reductions import embed_pyramid_3d, kronecker_plethysm_triple, resolve_coefficient, symmetrize_2d
 from .tomography import (
@@ -58,12 +59,6 @@ VERIFY_BOUNDS_N_MAX = 6
 # range up to r' through two chain stages in both cones, which took about
 # 1.4 s at r' = 3, 10 s at r' = 4 and 66 s at r' = 5 on the same host
 VERIFY_PARSIMONY_RP_MAX = 4
-# largest n for `kron` on the character route: on the same host a cold
-# character sum over the p(n) classes took 1.2-1.5 s on two-row and hook
-# triples at n = 40, and up to 3.5 s and 220 MB of memo on shapes with more
-# border strips (rectangles, staircases), about tenfold per 10 boxes;
-# one-row and one-column triples are answered at any size
-KRON_N_MAX = 40
 # largest range r for `reduce` past --to sym2d: the pyramid embedding sums
 # the marginal of the complete pyramid below layer 13r, quadratic in r, and
 # on the same host `--to promise3d` took about 0.5 s at r = 100 and 2.8 s at
@@ -115,16 +110,8 @@ def _cmd_coeff(args, out) -> int:
     return EXIT_OK
 
 
-def _check_kron_cap(mu, nu, rho) -> None:
-    """SizeCapError for a triple that takes the character route with
-    shapes of size above KRON_N_MAX; nothing is evaluated."""
-    if trivial_kronecker(mu, nu, rho) is None and sum(mu) > KRON_N_MAX:
-        raise SizeCapError(f"kron on shapes of size {sum(mu)} is over the cap of {KRON_N_MAX}")
-
-
 def _cmd_kron(args, out) -> int:
     mu, nu, rho = (parse_partition(p) for p in (args.mu, args.nu, args.rho))
-    _check_kron_cap(mu, nu, rho)
     res = kronecker(mu, nu, rho)
     _emit({"value": res.value, "method": res.method}, args.format, out)
     return EXIT_OK
@@ -141,9 +128,6 @@ def _reduce_stages(inst: XRayInstance2D, target: str, resolve: bool) -> list[dic
     if target != "sym2d" and inst.r > REDUCE_R_MAX:
         raise SizeCapError(f"reduce --to {target} at range {inst.r} is over the cap of {REDUCE_R_MAX}")
     chain = kronecker_plethysm_triple(inst)
-    if resolve and target == "kron-triple":
-        # refuse an over-cap triple before any stage is resolved
-        _check_kron_cap(chain.mu, chain.nu, chain.rho)
     stages: list[dict] = [
         {
             "stage": "2dxray",
@@ -161,6 +145,9 @@ def _reduce_stages(inst: XRayInstance2D, target: str, resolve: bool) -> list[dic
         stages.append({"stage": "promise3d", "cone": kind, "marginal": list(emb.marginal), "promise": True})
     if target == "promise3d":
         return stages
+    if resolve and target == "kron-triple":
+        # an over-cap triple is refused before any stage is resolved
+        kron = kronecker(chain.mu, chain.nu, chain.rho)
     for kind, q in chain.queries.items():
         entry = {
             "stage": "plethysm",
@@ -179,7 +166,7 @@ def _reduce_stages(inst: XRayInstance2D, target: str, resolve: bool) -> list[dic
         return stages
     entry = {"stage": "kron-triple", "mu": list(chain.mu), "nu": list(chain.nu), "rho": list(chain.rho)}
     if resolve:
-        entry["value"] = kronecker(chain.mu, chain.nu, chain.rho).value
+        entry["value"] = kron.value
     stages.append(entry)
     return stages
 

@@ -30,9 +30,10 @@ self-checks.  The power-sum route applies neither support bound, so every
 zero the bounds predict is checked against a computation that does not
 assume them.
 
-kronecker answers a triple with a one-row or one-column shape directly
-(the trivial and the sign character) and sends every other triple to the
-character sum over the p(n) classes (characters.kronecker).
+kronecker checks a triple once, answers one with a one-row or one-column
+shape directly (the trivial and the sign character), refuses any other
+above KRON_N_MAX and sends the rest to the character sum over the p(n)
+classes (characters.kronecker).
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
 
-from .characters import kronecker as _kronecker_raw
-from .characters import kronecker_shapes, plethysm_schur_multiplicity
+from .characters import _kronecker, kronecker_shapes, plethysm_schur_multiplicity
 from .partitions import Composition, Partition, _transpose, canonical, nonincreasing, partitions_of
 from .tableaux import count_weighted_ssyt, dim_weyl, kostka, ssyt_weights
 from .tomography import ConeKind, SizeCapError, count_point_sets
@@ -56,6 +56,12 @@ rows' freedom to permute: on a shared 2-vCPU host the worst shape, the
 square (l^l), took 0.4 s at 9 rows, 3.3 s at 10 and 27 s at 11 (the
 staircase 0.2, 0.9 and 5.6 s at 10, 11 and 12 rows; (3^l) 0.2 s at 11).
 general_plethysm sends at most JACOBI_TRUDI_MAX_ROWS rows here."""
+KRON_N_MAX = 40
+"""The largest size kronecker takes the character route at.  On a shared
+2-vCPU host a cold character sum over the p(n) classes took 1.2-1.5 s on
+two-row and hook triples at n = 40, and up to 3.5 s and 220 MB of memo on
+shapes with more border strips (rectangles, staircases), about tenfold per
+10 boxes.  One-row and one-column triples are answered at any size."""
 # bound of the Jacobi-Trudi term table: one entry per lam, shared by every
 # (mu, nu); a sweep over all lam with at most 9 rows and |lam| <= 12 touches 264
 JT_TERMS_MAXSIZE = 256
@@ -74,7 +80,9 @@ class CoefficientResult:
 
 _q_cache: dict[tuple[Partition, Partition, Partition], int] = {}
 
-# the inner shapes whose single-column weight spaces are cone point sets
+# the cone of each degree-3 inner shape, whose single-column weight spaces
+# are its point sets: Sym^3 holds multisets of three letters, the weakly
+# decreasing triples, and wedge^3 3-sets, the strictly decreasing ones
 _CONE_OF_INNER: dict[Partition, ConeKind] = {(3,): "closed", (1, 1, 1): "open"}
 
 
@@ -312,28 +320,21 @@ def check_duality(n: int, m: int) -> tuple[bool, list[str]]:
     return (not report, report)
 
 
-def trivial_kronecker(mu: Partition, nu: Partition, rho: Partition) -> int | None:
-    """k(mu, nu, rho) when one argument is a single row or a single column,
-    else None: chi_(n) is trivial and chi_(1^n) the sign character, so
-    k((n), a, b) = [a = b] and k((1^n), a, b) = [a = b'].  Raises
-    ValueError unless the arguments are partitions of one size."""
+def kronecker(mu: Partition, nu: Partition, rho: Partition) -> CoefficientResult:
+    """Kronecker coefficient.  chi_(n) is trivial and chi_(1^n) the sign, so
+    k((n), a, b) = [a = b] and k((1^n), a, b) = [a = b'] ("one-row-or-column");
+    any other triple is the character inner product ("character-sum"), or a
+    SizeCapError above KRON_N_MAX.  ValueError unless the arguments are
+    partitions of one size."""
     mu, nu, rho = kronecker_shapes(mu, nu, rho)
     for shape, a, b in ((mu, nu, rho), (nu, mu, rho), (rho, mu, nu)):
         if len(shape) == 1:
-            return int(a == b)
+            return CoefficientResult(int(a == b), "one-row-or-column")
         if shape and shape[0] == 1:
-            return int(a == _transpose(b))
-    return None
-
-
-def kronecker(mu: Partition, nu: Partition, rho: Partition) -> CoefficientResult:
-    """Kronecker coefficient: answered directly when a shape is one row or
-    one column (method "one-row-or-column"), else by the symmetric group
-    character inner product ("character-sum")."""
-    value = trivial_kronecker(mu, nu, rho)
-    if value is not None:
-        return CoefficientResult(value, "one-row-or-column")
-    return CoefficientResult(_kronecker_raw(mu, nu, rho), "character-sum")
+            return CoefficientResult(int(a == _transpose(b)), "one-row-or-column")
+    if sum(mu) > KRON_N_MAX:
+        raise SizeCapError(f"kron on shapes of size {sum(mu)} is over the cap of {KRON_N_MAX}")
+    return CoefficientResult(_kronecker(mu, nu, rho), "character-sum")
 
 
 def dim_plethysm_module(mu: Partition, nu: Partition, k: int) -> int:

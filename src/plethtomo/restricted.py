@@ -20,15 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-from .coefficients import weight_multiplicity
+from .coefficients import _CONE_OF_INNER, weight_multiplicity
 from .partitions import Composition, Partition, canonical, compositions_of, is_partition, subtract, transpose
 from .tomography import ConeKind, Point, coordinate_sum, in_cone, iota, pyramid_marginal, xi
 
 PlethysmVariant = Literal["sym", "wedge"]
 
-# Sym^3 holds multisets of three letters, the weakly decreasing triples of
-# the closed cone; wedge^3 holds 3-sets, the strictly decreasing triples of
-# the open cone
+# the inner shape of each variant; its cone is coefficients._CONE_OF_INNER
 _INNER: dict[PlethysmVariant, Partition] = {"sym": (3,), "wedge": (1, 1, 1)}
 
 
@@ -36,7 +34,7 @@ def _kind(variant: PlethysmVariant) -> ConeKind:
     """Cone kind of a variant; an unknown variant is a ValueError."""
     if variant not in _INNER:
         raise ValueError(f"unknown variant {variant!r}, expected one of {sorted(_INNER)}")
-    return "closed" if len(_INNER[variant]) == 1 else "open"
+    return _CONE_OF_INNER[_INNER[variant]]
 
 
 def variant_of_inner(nu: Partition) -> PlethysmVariant:

@@ -18,6 +18,12 @@ from typing import Iterator, Sequence
 
 from .partitions import Composition, Partition, _transpose, canonical, compositions_of, nonincreasing, pad, partitions_of
 
+# bound of the Kostka memo: a round of the benchmark's plethysm_sweep,
+# bounds_sandwich and chain_resolve touches 458, 18 and 0 keys; the Schur
+# peeling self-check over all |mu||nu| <= 12 touches 13184, rereading each
+# Kostka row once per (mu, nu), and ran 3x slower at a bound of 1024
+KOSTKA_MAXSIZE = 16384
+
 
 def _horizontal_strips(alpha: tuple[int, ...], mu: tuple[int, ...], strip_size: int | None = None) -> Iterator[tuple[int, ...]]:
     """Shapes beta with alpha <= beta <= mu and beta/alpha a horizontal strip.
@@ -60,7 +66,7 @@ def _column_strips(alpha: tuple[int, ...], heights: tuple[int, ...], strip_size:
             yield tuple(beta)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=KOSTKA_MAXSIZE)
 def kostka(mu: Partition, weight: Composition) -> int:
     """Number of SSYT of shape mu and weight ``weight`` (Kostka number).
 

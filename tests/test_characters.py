@@ -6,6 +6,7 @@ from character_oracle import list_character
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plethtomo import coefficients
 from plethtomo.characters import (
     CLASS_SIZES_MAXSIZE,
     EXPANSION_MAXSIZE,
@@ -151,12 +152,19 @@ def test_kronecker_rejects_size_mismatch():
         kronecker((2,), (1, 1), (1,))
 
 
-@pytest.mark.parametrize("args", [((0, 0, 2), (2,), (1, 1)), ((0, 1, 3), (4,), (4,)), ((2,), (1, 2), (2,))])
-def test_kronecker_rejects_non_partitions(args):
+NON_PARTITION_TRIPLES = [((0, 0, 2), (2,), (1, 1)), ((0, 1, 3), (4,), (4,)), ((2,), (1, 2), (2,))]
+
+
+@pytest.mark.parametrize(
+    "args,kron",
+    [pytest.param(args, kronecker, id=f"args{i}") for i, args in enumerate(NON_PARTITION_TRIPLES)]
+    + [pytest.param(args, coefficients.kronecker, id=f"args{i}-coefficients") for i, args in enumerate(NON_PARTITION_TRIPLES)],
+)
+def test_kronecker_rejects_non_partitions(args, kron):
     # (0,0,2) used to read as a shape and answer 2; (0,1,3) ended in a
     # non-integral inner product
     with pytest.raises(ValueError, match="partitions"):
-        kronecker(*args)
+        kron(*args)
 
 
 CLASSICAL_PLETHYSMS = [

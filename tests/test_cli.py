@@ -9,7 +9,6 @@ from plethtomo.cli import (
     EXIT_GATE_FAILED,
     EXIT_INPUT_ERROR,
     EXIT_OK,
-    KRON_N_MAX,
     REDUCE_R_MAX,
     VERIFY_BOUNDS_N_MAX,
     VERIFY_PARSIMONY_RP_MAX,
@@ -17,7 +16,7 @@ from plethtomo.cli import (
     GateError,
     main,
 )
-from plethtomo.coefficients import jacobi_trudi_coeff
+from plethtomo.coefficients import KRON_N_MAX, jacobi_trudi_coeff
 from plethtomo.partitions import add, format_partition, parse_partition, transpose
 from plethtomo.reductions import embed_pyramid_3d, kronecker_plethysm_triple, promise_to_plethysm, symmetrize_2d
 from plethtomo.tomography import (
@@ -142,7 +141,7 @@ def test_kron_over_the_cap_evaluates_no_character(capsys, monkeypatch):
 
     monkeypatch.setattr("plethtomo.characters._mn", no_character)
     monkeypatch.setattr("plethtomo.characters.kronecker", no_character)
-    monkeypatch.setattr("plethtomo.coefficients._kronecker_raw", no_character)
+    monkeypatch.setattr("plethtomo.coefficients._kronecker", no_character)
     assert KRON_N_MAX == 40
     n = KRON_N_MAX + 1
     code, out, err = run(["kron", f"[{n - 1},1]", f"[{n - 1},1]", f"[{n - 2},2]"], capsys=capsys)
@@ -160,7 +159,7 @@ def test_kron_over_the_cap_evaluates_no_character(capsys, monkeypatch):
     code, _, err = run(["kron", f"[{n}]", f"[{n - 1}]", f"[{n}]"], capsys=capsys)
     assert code == EXIT_INPUT_ERROR and err.startswith("input error")
     # the cap itself takes the character route
-    monkeypatch.setattr("plethtomo.coefficients._kronecker_raw", lambda *args: 7)
+    monkeypatch.setattr("plethtomo.coefficients._kronecker", lambda *args: 7)
     n = KRON_N_MAX
     code, out, _ = run(["kron", f"[{n - 1},1]", f"[{n - 1},1]", f"[{n - 2},2]"], capsys=capsys)
     assert code == EXIT_OK and "value: 7" in out and "character-sum" in out
@@ -183,7 +182,7 @@ def test_reduce_resolve_caps_the_kronecker_stage(capsys, monkeypatch):
         raise AssertionError("reduce resolved a stage over the Kronecker cap")
 
     monkeypatch.setattr("plethtomo.characters._mn", no_work)
-    monkeypatch.setattr("plethtomo.coefficients._kronecker_raw", no_work)
+    monkeypatch.setattr("plethtomo.coefficients._kronecker", no_work)
     monkeypatch.setattr("plethtomo.cli.resolve_coefficient", no_work)
     code, out, err = run(["reduce", data, "--resolve"], capsys=capsys)
     assert code == EXIT_GATE_FAILED

@@ -10,11 +10,12 @@ from test_tableaux import filled_ssyt_weights, unpruned_weighted_count
 
 from plethtomo import coefficients
 from plethtomo.characters import kronecker as character_kronecker
-from plethtomo.characters import plethysm_schur_multiplicity, plethysm_schur_table
+from plethtomo.characters import kronecker_shapes, plethysm_schur_multiplicity, plethysm_schur_table
 from plethtomo.coefficients import (
     JACOBI_TRUDI_MAX_ROWS,
     JACOBI_TRUDI_ROWS_CAP,
     JT_TERMS_MAXSIZE,
+    KRON_N_MAX,
     CoefficientResult,
     _jacobi_trudi_terms,
     check_duality,
@@ -24,7 +25,6 @@ from plethtomo.coefficients import (
     kronecker,
     m2_closed_form,
     plethysm_coeff,
-    trivial_kronecker,
     weight_multiplicity,
 )
 from plethtomo.partitions import canonical, partitions_of, transpose
@@ -434,8 +434,63 @@ def test_other_kronecker_triples_take_the_character_sum():
     for n in range(7):
         inner = [lam for lam in partitions_of(n) if len(lam) > 1 and lam[0] > 1]
         for args in itertools.product(inner, repeat=3):
-            assert trivial_kronecker(*args) is None
             assert kronecker(*args) == CoefficientResult(character_kronecker(*args), "character-sum")
+
+
+def test_kronecker_cap_evaluates_no_character(monkeypatch):
+    def no_character(*args):
+        raise AssertionError("kronecker evaluated a character over its cap")
+
+    monkeypatch.setattr("plethtomo.characters._mn", no_character)
+    monkeypatch.setattr("plethtomo.characters._kronecker", no_character)
+    monkeypatch.setattr("plethtomo.coefficients._kronecker", no_character)
+    n = KRON_N_MAX + 1
+    hook = (n - 1, 1)
+    with pytest.raises(SizeCapError, match=f"size {n} is over the cap of {KRON_N_MAX}"):
+        kronecker(hook, hook, (n - 2, 2))
+    # one row or one column is answered at any size
+    assert kronecker((n,), hook, hook) == CoefficientResult(1, "one-row-or-column")
+    assert kronecker(hook, (1,) * n, transpose(hook)) == CoefficientResult(1, "one-row-or-column")
+    assert kronecker(hook, hook, (1,) * n) == CoefficientResult(0, "one-row-or-column")
+    # the cap itself takes the character route
+    monkeypatch.setattr("plethtomo.coefficients._kronecker", lambda *args: 7)
+    n = KRON_N_MAX
+    assert kronecker((n - 1, 1), (n - 1, 1), (n - 2, 2)) == CoefficientResult(7, "character-sum")
+
+
+def test_kronecker_checks_the_triple_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return kronecker_shapes(*args)
+
+    # characters.kronecker would check again through its own module's name
+    monkeypatch.setattr("plethtomo.coefficients.kronecker_shapes", counted)
+    monkeypatch.setattr("plethtomo.characters.kronecker_shapes", counted)
+    for args, method in [
+        (((2, 1), (2, 1), (2, 1)), "character-sum"),
+        (((3,), (2, 1), (2, 1)), "one-row-or-column"),
+        (((2, 1), (1, 1, 1), (2, 1)), "one-row-or-column"),
+    ]:
+        calls.clear()
+        assert kronecker(*args).method == method
+        assert len(calls) == 1, (args, calls)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(*[st.sampled_from(list(partitions_of(n)))] * 3)))
+def test_kronecker_routes_agree_with_the_character_sum_and_its_symmetries(triple):
+    # k is symmetric in its arguments and k(a, b, c) = k(a', b', c):
+    # conjugating two shapes moves triples between the two routes
+    mu, nu, rho = triple
+    value = kronecker(mu, nu, rho).value
+    assert value == character_kronecker(mu, nu, rho)
+    for perm in itertools.permutations(triple):
+        assert kronecker(*perm).value == value, perm
+    assert kronecker(transpose(mu), transpose(nu), rho).value == value
+    assert kronecker(transpose(mu), nu, transpose(rho)).value == value
+    assert kronecker(mu, transpose(nu), transpose(rho)).value == value
 
 
 def test_kronecker_result_wrapper():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from plethtomo.partitions import canonical, compositions_of, is_partition, pad, partitions_of, transpose
 from plethtomo.tableaux import (
+    KOSTKA_MAXSIZE,
     _column_strips,
     _horizontal_strips,
     count_weighted_ssyt,
@@ -98,6 +99,10 @@ def test_kostka_matches_enumeration():
 def test_kostka_rejects_size_mismatch():
     with pytest.raises(ValueError):
         kostka((2, 1), (1, 1))
+
+
+def test_kostka_memo_is_bounded():
+    assert kostka.cache_info().maxsize == KOSTKA_MAXSIZE
 
 
 def test_kostka_row_is_monomial_expansion():
