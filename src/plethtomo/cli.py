@@ -14,8 +14,9 @@ above VERIFY_PARSIMONY_RP_MAX, `reduce` past --to sym2d on a range above
 REDUCE_R_MAX, and `kron` or `reduce --resolve` on a Kronecker triple of
 size above coefficients.KRON_N_MAX, which coefficients.kronecker refuses
 (a triple with a single-row or single-column shape is answered at any
-size), and, as a last resort, a RecursionError anywhere is reported the
-same way.
+size), `coeff` on a shape of over nine rows and size above
+coefficients.POWER_SUM_N_MAX (general_plethysm's power-sum cap), and, as a
+last resort, a RecursionError anywhere is reported the same way.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import sys
 
 from . import __version__
 from .coefficients import check_duality, general_plethysm, kronecker, m2_closed_form, plethysm_coeff
-from .partitions import format_partition, parse_partition, partitions_of, transpose
-from .reductions import embed_pyramid_3d, kronecker_plethysm_triple, resolve_coefficient, symmetrize_2d
+from .partitions import format_partition, parse_partition, partitions_of
+from .reductions import _family_cone, kronecker_plethysm_triple, resolve_coefficient
 from .tomography import (
     SizeCapError,
     XRayInstance2D,
@@ -209,15 +210,12 @@ def _verify_bounds(n_max: int) -> list[str]:
     bad = []
     for n in range(1, n_max + 1):
         for lam in partitions_of(3 * n):
-            a = plethysm_coeff(lam, n, 3, "a").value
-            b = plethysm_coeff(lam, n, 3, "b").value
-            lam_t = transpose(lam)
-            lo_a, hi_a = count_pyramids(lam_t, "open"), count_point_sets(lam_t, "open")
-            lo_b, hi_b = count_pyramids(lam, "closed"), count_point_sets(lam, "closed")
-            if not lo_a <= a <= hi_a:
-                bad.append(f"a-bounds fail at lam={lam}: {lo_a} <= {a} <= {hi_a}")
-            if not lo_b <= b <= hi_b:
-                bad.append(f"b-bounds fail at lam={lam}: {lo_b} <= {b} <= {hi_b}")
+            for variant in ("a", "b"):
+                value = plethysm_coeff(lam, n, 3, variant).value
+                marg, kind = _family_cone(lam, variant)
+                lo, hi = count_pyramids(marg, kind), count_point_sets(marg, kind)
+                if not lo <= value <= hi:
+                    bad.append(f"{variant}-bounds fail at lam={lam}: {lo} <= {value} <= {hi}")
     return bad
 
 
@@ -260,14 +258,13 @@ def _verify_parsimony(rp_max: int) -> list[str]:
                         if not inst.passes_gate():
                             continue
                         cnt = count_2dxray(inst)
-                        for kind in ("open", "closed"):
-                            sym = symmetrize_2d(inst, kind)
+                        chain = kronecker_plethysm_triple(inst)
+                        for kind, sym in chain.sym2d.items():
                             c1 = count_sym_2dxray(sym.marginal, sym.grid_r, kind)
                             if c1 != cnt:
                                 bad.append(f"symmetrize ({kind}) broke count at {(rp, mu, nu, rho)}: {cnt} -> {c1}")
                                 continue
-                            emb = embed_pyramid_3d(sym.marginal, sym.grid_r, kind)
-                            c2 = count_point_sets(emb.marginal, emb.cone)
+                            c2 = count_point_sets(chain.promise3d[kind].marginal, kind)
                             if c2 != cnt:
                                 bad.append(f"embedding ({kind}) broke count at {(rp, mu, nu, rho)}: {cnt} -> {c2}")
     return bad

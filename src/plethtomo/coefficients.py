@@ -25,10 +25,10 @@ Two independent routes compute every general plethysm coefficient:
   Murnaghan-Nakayama characters (characters.plethysm_schur_multiplicity).
 
 general_plethysm takes the first up to JACOBI_TRUDI_MAX_ROWS rows and the
-second above; agreement of the two is one of the repository's standing
-self-checks.  The power-sum route applies neither support bound, so every
-zero the bounds predict is checked against a computation that does not
-assume them.
+second above, where it refuses lam of size above POWER_SUM_N_MAX; agreement
+of the two is one of the repository's standing self-checks.  The power-sum
+route applies neither support bound, so every zero the bounds predict is
+checked against a computation that does not assume them.
 
 kronecker checks a triple once, answers one with a one-row or one-column
 shape directly (the trivial and the sign character), refuses any other
@@ -62,6 +62,11 @@ KRON_N_MAX = 40
 two-row and hook triples at n = 40, and up to 3.5 s and 220 MB of memo on
 shapes with more border strips (rectangles, staircases), about tenfold per
 10 boxes.  One-row and one-column triples are answered at any size."""
+POWER_SUM_N_MAX = 40
+"""The largest |lam| general_plethysm pairs over the p(|lam|) classes (lam
+taller than JACOBI_TRUDI_MAX_ROWS).  On a shared 2-vCPU host a cold a, b or
+general query took 0.1-1.2 s and up to 65 MB at size 40, 1.7 s and 70 MB at
+44, and 2.9-3.2 s and 120 MB at 48, about twice per 4 boxes."""
 # bound of the Jacobi-Trudi term table: one entry per lam, shared by every
 # (mu, nu); a sweep over all lam with at most 9 rows and |lam| <= 12 touches 264
 JT_TERMS_MAXSIZE = 256
@@ -240,7 +245,8 @@ def _jacobi_trudi(lam: Partition, mu: Partition, nu: Partition) -> int:
 def general_plethysm(lam: Partition, mu: Partition, nu: Partition) -> CoefficientResult:
     """Multiplicity of the lam-irreducible in the plethysm of the mu-Schur
     functor with the nu one.  Dispatches on height: the Jacobi-Trudi sum up
-    to JACOBI_TRUDI_MAX_ROWS rows, the power-sum character pairing above."""
+    to JACOBI_TRUDI_MAX_ROWS rows, the power-sum character pairing above,
+    which raises SizeCapError above POWER_SUM_N_MAX before any class."""
     lam, mu, nu = canonical(lam), canonical(mu), canonical(nu)
     if not (nonincreasing(lam) and nonincreasing(mu) and nonincreasing(nu)):
         raise ValueError("plethysm arguments must be partitions")
@@ -250,6 +256,8 @@ def general_plethysm(lam: Partition, mu: Partition, nu: Partition) -> Coefficien
         value = _jacobi_trudi(lam, mu, nu)
         method = "jacobi-trudi"
     else:
+        if sum(lam) > POWER_SUM_N_MAX:
+            raise SizeCapError(f"a power-sum plethysm of size {sum(lam)} is over the cap of {POWER_SUM_N_MAX}")
         value = plethysm_schur_multiplicity(lam, mu, nu)
         method = "power-sum"
     if value < 0:

@@ -30,11 +30,8 @@ from .tomography import (
     _is_promise,
     coordinate_sum,
     count_point_sets,
-    count_pyramids,
     pyramid_marginal,
 )
-
-ORACLE_SIZE_CAP = 18
 
 
 @dataclass(frozen=True)
@@ -132,9 +129,9 @@ def _embed_pyramid_3d(lam_hat: Composition, r: int, kind: ConeKind) -> SymInstan
 
 def promise_to_plethysm(lam: Composition, kind: ConeKind) -> PlethysmInstance:
     """Final stage: a promise instance becomes a single coefficient query
-    (closed cone: b at lam; open cone: a at the transpose).  Marginals that
-    are not partitions, or whose size is not a multiple of 3, have no
-    solutions and map to the fixed no-instance.
+    (_family_cone, read backwards).  Marginals that are not partitions, or
+    whose size is not a multiple of 3, have no solutions and map to the
+    fixed no-instance.
     """
     lam = canonical(lam)
     if sum(lam) % 3 != 0:
@@ -144,44 +141,40 @@ def promise_to_plethysm(lam: Composition, kind: ConeKind) -> PlethysmInstance:
     return _promise_query(lam, kind)
 
 
+def _family_cone(lam: Partition, variant: str) -> tuple[Partition, ConeKind]:
+    """The cone instance of a degree-3 family on a partition lam: b at lam
+    is the closed cone at lam, a at lam the open cone at lam' (and back, as
+    transposition is an involution)."""
+    if variant == "b":
+        return lam, "closed"
+    return _transpose(lam), "open"
+
+
 def _promise_query(lam: Composition, kind: ConeKind) -> PlethysmInstance:
     """promise_to_plethysm on a canonical lam that is a promise instance of
     the cone, or is no partition."""
     if not nonincreasing(lam):
         return TRIVIAL_NO_INSTANCE
-    n = sum(lam) // 3
-    if kind == "closed":
-        return PlethysmInstance(lam, n, 3, "b")
-    return PlethysmInstance(_transpose(lam), n, 3, "a")
+    variant = "b" if kind == "closed" else "a"
+    return PlethysmInstance(_family_cone(lam, variant)[0], sum(lam) // 3, 3, variant)
 
 
 def resolve_coefficient(inst: PlethysmInstance) -> CoefficientResult:
-    """Exact value of a plethysm instance, by the cheapest sound route:
+    """Exact value of a plethysm instance, by one of two routes:
 
-    * promise instances at inner degree 3 are counted as point sets (every
+    * at inner degree 3, a partition lam of 3n whose cone instance
+      (_family_cone) is a promise instance is counted as point sets: every
       solution of a promise instance is a pyramid, so this equals the
-      pyramid count there, and the coefficient);
-    * anything small enough goes to the symmetric-function oracle;
-    * otherwise, if the pyramid/point-set bounds coincide the coefficient
-      is pinned between them.
+      pyramid count there, and the coefficient;
+    * anything else is coefficients.plethysm_coeff, which answers a degree
+      mismatch with 0 and raises SizeCapError over its caps.
     """
     lam = canonical(inst.lam)
-    if sum(lam) != inst.n * inst.m:
-        return CoefficientResult(0, "degree-mismatch")
-    if inst.m == 3:
-        marg = lam if inst.variant == "b" else transpose(lam)
-        kind: ConeKind = "closed" if inst.variant == "b" else "open"
+    if inst.m == 3 and sum(lam) == 3 * inst.n and nonincreasing(lam):
+        marg, kind = _family_cone(lam, inst.variant)
         if _is_promise(marg, kind):
             return CoefficientResult(count_point_sets(marg, kind), "promise-pyramid-count")
-    if sum(lam) <= ORACLE_SIZE_CAP:
-        return plethysm_coeff(lam, inst.n, inst.m, inst.variant)
-    if inst.m == 3:
-        lo = count_pyramids(marg, kind)
-        hi = count_point_sets(marg, kind)
-        if lo == hi:
-            return CoefficientResult(lo, "bounds-collapse")
-        raise ValueError(f"coefficient not determined: pyramid bound {lo} < point-set bound {hi}")
-    raise ValueError(f"instance too large for the oracle: |lam|={sum(lam)}, m={inst.m}")
+    return plethysm_coeff(lam, inst.n, inst.m, inst.variant)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from plethtomo.cli import (
     EXIT_GATE_FAILED,
     EXIT_INPUT_ERROR,
     EXIT_OK,
+    EXIT_VERIFY_FAILED,
     REDUCE_R_MAX,
     VERIFY_BOUNDS_N_MAX,
     VERIFY_PARSIMONY_RP_MAX,
@@ -16,7 +17,7 @@ from plethtomo.cli import (
     GateError,
     main,
 )
-from plethtomo.coefficients import KRON_N_MAX, jacobi_trudi_coeff
+from plethtomo.coefficients import KRON_N_MAX, POWER_SUM_N_MAX, jacobi_trudi_coeff
 from plethtomo.partitions import add, format_partition, parse_partition, transpose
 from plethtomo.reductions import embed_pyramid_3d, kronecker_plethysm_triple, promise_to_plethysm, symmetrize_2d
 from plethtomo.tomography import (
@@ -119,6 +120,39 @@ def test_coeff_p_tall_shape_takes_power_sum(capsys, monkeypatch):
     assert code == EXIT_OK, err
     assert json.loads(out) == {"value": jacobi_trudi_coeff((10, 1, 1), (2, 1, 1), (3,)), "method": "power-sum"}
     assert json.loads(out)["value"] == 1
+
+
+def test_coeff_tall_over_the_power_sum_cap_builds_no_class(capsys, monkeypatch):
+    def no_class(*args):
+        raise AssertionError("coeff built a class over the power-sum cap")
+
+    monkeypatch.setattr("plethtomo.characters.plethysm_power_expansion", no_class)
+    # twelve rows of 4: 48 boxes on the power-sum route
+    code, out, err = run(["coeff", "a", format_partition((4,) * 12), "16", "3"], capsys=capsys)
+    assert code == EXIT_GATE_FAILED
+    assert out == ""
+    assert err.startswith("over the size cap:") and "48" in err and len(err.splitlines()) == 1
+
+
+def test_power_sum_cap_admits_every_benchmark_query():
+    pool = json.loads(BENCHMARK_POOL.read_text())
+    sizes = [sum(parse_partition(q["argv"][2])) for kind in ("coeff-a", "coeff-b", "coeff-p") for q in pool["queries"][kind]]
+    assert sizes and max(sizes) <= POWER_SUM_N_MAX
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["coeff", "a", "[4]", "2", "2"], "method,value\njacobi-trudi,1\n"),
+        (["kron", "[2,1]", "[2,1]", "[2,1]"], "method,value\ncharacter-sum,1\n"),
+        (["count", json.dumps({"kind": "sym3d", "cone": "closed", "marginals": {"sum": [3]}})], "count\n1\n"),
+    ],
+    ids=["coeff", "kron", "count"],
+)
+def test_csv_format(capsys, argv, want):
+    code, out, err = run([*argv, "--format", "csv"], capsys=capsys)
+    assert code == EXIT_OK, err
+    assert out == want
 
 
 def test_kron(capsys, monkeypatch):
@@ -388,6 +422,19 @@ def test_reduce_trace(capsys, monkeypatch):
     assert a_stage["n"] == 55 and a_stage["value"] == 1
 
 
+def test_reduce_text_format(capsys):
+    inst = json.dumps({"kind": "2dxray", "r": 1, "marginals": {"x": [1, 1], "y": [1, 1], "z": [2, 0]}})
+    code, out, err = run(["reduce", inst, "--to", "promise3d"], capsys=capsys)
+    assert code == EXIT_OK, err
+    lines = out.splitlines()
+    assert lines[0] == "stage        cone     detail"
+    assert lines[1] == "2dxray       -        marginals={'x': [1, 1], 'y': [1, 1], 'z': [2]}, r=1"
+    code, out, _ = run(["reduce", inst, "--to", "promise3d", "--format", "json"], capsys=capsys)
+    stages = json.loads(out)
+    assert [line.split()[:2] for line in lines[2:]] == [[st["stage"], st["cone"]] for st in stages[1:]]
+    assert lines[-1].endswith(f"marginal={stages[-1]['marginal']}, promise=True")
+
+
 def test_reduce_gate_failure(capsys, monkeypatch):
     inst = json.dumps({"kind": "2dxray", "r": 1, "marginals": {"x": [1, 1], "y": [1, 1], "z": [1, 1]}})
     code, _, err = run(["reduce", inst], capsys=capsys)
@@ -461,6 +508,33 @@ def test_verify_suites_pass(capsys, monkeypatch):
         assert "PASS" in out
 
 
+def test_verify_failure_is_reported_with_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr("plethtomo.cli.xi", lambda i, kind: xi(i, kind) + 1)
+    code, out, err = run(["verify", "xi", "--i-max", "40"], capsys=capsys)
+    assert code == EXIT_VERIFY_FAILED
+    assert err == ""
+    lines = out.splitlines()
+    # every i from 0 to 40 in both cones, reported by its first ten problems
+    assert lines[0] == "verify xi: FAIL (82 problems)"
+    assert len(lines) == 11
+    assert lines[1] == "  xi(0,open): formula 1 != enumeration 0"
+    assert all(line.startswith("  xi(") for line in lines[1:])
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [(["frobnicate"], EXIT_INPUT_ERROR), (["coeff", "a", "[4]", "2", "2", "--format", "xml"], EXIT_INPUT_ERROR), (["--version"], EXIT_OK)],
+    ids=["unknown-subcommand", "unknown-format", "version"],
+)
+def test_argparse_exits_through_main(capsys, argv, want):
+    code, out, err = run(argv, capsys=capsys)
+    assert code == want
+    if want == EXIT_OK:
+        assert out.startswith("plethtomo ")
+    else:
+        assert out == "" and err.startswith("usage: plethtomo")
+
+
 def test_verify_bounds_over_the_cap_counts_nothing(capsys, monkeypatch):
     def no_count(*args):
         raise AssertionError("verify bounds started counting over its cap")
@@ -500,7 +574,7 @@ def test_verify_parsimony_over_the_cap_counts_nothing(capsys, monkeypatch):
         raise AssertionError("verify parsimony started counting over its cap")
 
     monkeypatch.setattr("plethtomo.cli.count_2dxray", no_count)
-    monkeypatch.setattr("plethtomo.cli.symmetrize_2d", no_count)
+    monkeypatch.setattr("plethtomo.cli.kronecker_plethysm_triple", no_count)
     code, out, err = run(["verify", "parsimony", "--rprime-max", str(VERIFY_PARSIMONY_RP_MAX + 1)], capsys=capsys)
     assert VERIFY_PARSIMONY_RP_MAX == 4
     assert code == EXIT_GATE_FAILED

@@ -16,6 +16,7 @@ from plethtomo.coefficients import (
     JACOBI_TRUDI_ROWS_CAP,
     JT_TERMS_MAXSIZE,
     KRON_N_MAX,
+    POWER_SUM_N_MAX,
     CoefficientResult,
     _jacobi_trudi_terms,
     check_duality,
@@ -344,6 +345,26 @@ def test_general_plethysm_dispatch_routes():
     short = general_plethysm((12,), (4,), (3,))
     assert short.method == "jacobi-trudi"
     assert res.value == jacobi_trudi_coeff(tall, (4,), (3,))
+
+
+def test_power_sum_cap_builds_no_class(monkeypatch):
+    def no_class(*args):
+        raise AssertionError("general_plethysm built a class over the power-sum cap")
+
+    monkeypatch.setattr("plethtomo.characters.plethysm_power_expansion", no_class)
+    n = POWER_SUM_N_MAX + 1
+    with pytest.raises(SizeCapError, match=f"size {n} is over the cap of {POWER_SUM_N_MAX}"):
+        general_plethysm((1,) * n, (n,), (1,))
+    with pytest.raises(SizeCapError, match="size 48"):
+        plethysm_coeff((4,) * 12, 16, 3, "a")
+    # at most JACOBI_TRUDI_MAX_ROWS rows take Jacobi-Trudi at any size
+    assert general_plethysm((48,), (16,), (3,)) == CoefficientResult(1, "jacobi-trudi")
+    # a degree mismatch is answered before the route is picked
+    assert general_plethysm((1,) * n, (n,), (2,)) == CoefficientResult(0, "degree-mismatch")
+    # the cap itself takes the power-sum route
+    monkeypatch.setattr("plethtomo.coefficients.plethysm_schur_multiplicity", lambda *args: 7)
+    n = POWER_SUM_N_MAX
+    assert general_plethysm((1,) * n, (n,), (1,)) == CoefficientResult(7, "power-sum")
 
 
 # shapes taller than JACOBI_TRUDI_MAX_ROWS take the power-sum route; the

@@ -14,6 +14,8 @@ from plethtomo.reductions import (
     TRIVIAL_NO_INSTANCE,
     PlethysmInstance,
     TriviallyZero,
+    _family_cone,
+    _promise_query,
     embed_pyramid_3d,
     gamma_embed,
     gamma_extract,
@@ -194,6 +196,40 @@ def test_promise_to_plethysm_open_transposes():
 
 def test_trivial_no_instance_value():
     assert resolve_coefficient(TRIVIAL_NO_INSTANCE).value == 0
+
+
+def test_family_cone_and_promise_query_invert_each_other():
+    checked = {"open": 0, "closed": 0}
+    for total in (3, 6, 9, 12, 15, 18):
+        for lam in partitions_of(total):
+            for kind in ("open", "closed"):
+                if not is_promise_instance(lam, kind):
+                    continue
+                query = _promise_query(lam, kind)
+                assert (query.n, query.m, query.variant) == (total // 3, 3, "b" if kind == "closed" else "a")
+                assert _family_cone(query.lam, query.variant) == (lam, kind)
+                assert _promise_query(*_family_cone(query.lam, query.variant)) == query
+                assert resolve_coefficient(query).method == "promise-pyramid-count"
+                checked[kind] += 1
+    assert min(checked.values()) >= 10, checked
+
+
+# partitions of 21 with at most nine rows whose cone instance is no promise
+# instance: at n = 7 they go to the Jacobi-Trudi route
+@pytest.mark.parametrize(
+    "lam, variant",
+    [((13, 6, 2), "a"), ((15, 6), "a"), ((8, 8, 5), "a"), ((7, 7, 7), "b"), ((10, 5, 3, 2, 1), "b"), ((12, 9), "b")],
+)
+def test_non_promise_instances_resolve_by_plethysm_coeff(lam, variant):
+    inst = PlethysmInstance(lam, 7, 3, variant)
+    assert not is_promise_instance(*_family_cone(lam, variant))
+    assert resolve_coefficient(inst) == plethysm_coeff(lam, 7, 3, variant)
+    assert resolve_coefficient(inst).method == "jacobi-trudi"
+
+
+def test_degree_mismatch_resolves_to_zero():
+    assert resolve_coefficient(PlethysmInstance((4, 2), 3, 3, "b")).method == "degree-mismatch"
+    assert resolve_coefficient(PlethysmInstance((4, 2), 3, 3, "b")).value == 0
 
 
 # ---------------------------------------------------------------------------
