@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from .partitions import Partition, canonical, nonincreasing, partitions_of
+from .partitions import Partition, partition, partitions_of
 
 # bounds of the memo tables: class sizes hold one entry per order n, the
 # plethysm expansion one per (mu, nu) pair
@@ -84,10 +84,7 @@ def _mn(mask: int, cycles: Partition) -> int:
 
 def sn_character(lam: Partition, cycle_type: Partition) -> int:
     """Irreducible S_n character chi_lam evaluated on the class of cycle_type."""
-    lam = canonical(lam)
-    tau = canonical(cycle_type)
-    if not nonincreasing(lam) or not nonincreasing(tau):
-        raise ValueError("character arguments must be partitions")
+    lam, tau = partition(lam), partition(cycle_type)
     if sum(lam) != sum(tau):
         raise ValueError(f"size mismatch: |{lam}| != |{tau}|")
     return _mn(_beta_mask(lam), tau)
@@ -126,9 +123,7 @@ def _pair(weighted, lam: Partition, n: int) -> int:
 def kronecker_shapes(mu: Partition, nu: Partition, rho: Partition) -> tuple[Partition, Partition, Partition]:
     """The arguments of a Kronecker coefficient in canonical form; raises
     ValueError unless they are partitions of one size."""
-    mu, nu, rho = canonical(mu), canonical(nu), canonical(rho)
-    if not (nonincreasing(mu) and nonincreasing(nu) and nonincreasing(rho)):
-        raise ValueError("kronecker arguments must be partitions")
+    mu, nu, rho = partition(mu), partition(nu), partition(rho)
     if not sum(mu) == sum(nu) == sum(rho):
         raise ValueError("kronecker arguments must have equal sizes")
     return mu, nu, rho
@@ -166,7 +161,7 @@ def plethysm_power_expansion(mu: Partition, nu: Partition) -> tuple[tuple[Partit
     then takes one exact division, chi_P(omega) = z_omega * numerator /
     denominator, which raises ArithmeticError if it does not divide.
     """
-    mu, nu = canonical(mu), canonical(nu)
+    mu, nu = partition(mu), partition(nu)
     a, b = sum(mu), sum(nu)
     bfact = factorial(b)
     mu_mask, nu_mask = _beta_mask(mu), _beta_mask(nu)
@@ -205,14 +200,14 @@ def plethysm_power_expansion(mu: Partition, nu: Partition) -> tuple[tuple[Partit
 def plethysm_schur_multiplicity(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Multiplicity of s_lam in the plethysm of s_mu with s_nu: the inner
     product of chi_lam with the class-weighted plethysm character."""
-    mu, nu = canonical(mu), canonical(nu)
+    mu, nu = partition(mu), partition(nu)
     n = sum(mu) * sum(nu)
-    return _pair(plethysm_power_expansion(mu, nu), canonical(lam), n)
+    return _pair(plethysm_power_expansion(mu, nu), partition(lam), n)
 
 
 def plethysm_schur_table(mu: Partition, nu: Partition) -> dict[Partition, int]:
     """Full Schur expansion of the plethysm of s_mu with s_nu."""
-    mu, nu = canonical(mu), canonical(nu)
+    mu, nu = partition(mu), partition(nu)
     n = sum(mu) * sum(nu)
     expansion = plethysm_power_expansion(mu, nu)
     table: dict[Partition, int] = {}

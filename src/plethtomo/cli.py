@@ -284,10 +284,8 @@ def _cmd_verify(args, out) -> int:
         bad = _verify_duality(pairs)
     elif suite == "closed-forms":
         bad = _verify_closed_forms(args.n_max)
-    elif suite == "parsimony":
+    else:  # parsimony; argparse's choices admit no other suite
         bad = _verify_parsimony(args.rprime_max)
-    else:
-        raise ValueError(f"unknown suite {suite!r}")
     if bad:
         out.write(f"verify {suite}: FAIL ({len(bad)} problems)\n")
         for line in bad[:10]:

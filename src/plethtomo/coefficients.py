@@ -43,8 +43,8 @@ from functools import lru_cache
 from typing import Literal
 
 from .characters import _kronecker, kronecker_shapes, plethysm_schur_multiplicity
-from .partitions import Composition, Partition, _transpose, canonical, nonincreasing, partitions_of
-from .tableaux import count_weighted_ssyt, dim_weyl, kostka, ssyt_weights
+from .partitions import Composition, Partition, _transpose, canonical, partition, partitions_of
+from .tableaux import count_weighted_ssyt, dim_weyl, ssyt_weights
 from .tomography import ConeKind, SizeCapError, count_point_sets
 
 JACOBI_TRUDI_MAX_ROWS = 9
@@ -91,7 +91,7 @@ _q_cache: dict[tuple[Partition, Partition, Partition], int] = {}
 _CONE_OF_INNER: dict[Partition, ConeKind] = {(3,): "closed", (1, 1, 1): "open"}
 
 
-def weight_multiplicity(mu: Partition, nu: Partition, kappa: Composition, k: int) -> int:
+def weight_multiplicity(mu: Partition, nu: Partition, kappa: Composition) -> int:
     """q_kappa(mu,nu): the dimension of the weight-kappa subspace of the
     plethysm of the mu-Schur functor applied to the nu-th one, i.e. the
     h_kappa coordinate of the composed character.
@@ -103,14 +103,13 @@ def weight_multiplicity(mu: Partition, nu: Partition, kappa: Composition, k: int
     repeated K_{nu,w} times, the number of nu-tableaux of weight w
     (tableaux.ssyt_weights).  A single column mu = (1^n) over nu = (3) or
     (1,1,1) is counted as cone point sets instead (module docstring).  The
-    value only depends on the multiset of entries of kappa.
+    value only depends on the multiset of entries of kappa, and not on how
+    many variables beyond len(kappa) there are.
     """
-    mu, nu = canonical(mu), canonical(nu)
+    mu, nu = partition(mu), partition(nu)
     kappa = canonical(kappa)
     if sum(kappa) != sum(mu) * sum(nu):
         raise ValueError(f"|kappa|={sum(kappa)} != |mu|*|nu|={sum(mu) * sum(nu)}")
-    if len(kappa) > k:
-        raise ValueError(f"kappa={kappa} needs more than k={k} variables")
     return _weight_multiplicity_sorted(mu, nu, canonical(sorted(kappa, reverse=True)))
 
 
@@ -128,12 +127,6 @@ def _weight_multiplicity_sorted(mu: Partition, nu: Partition, key: Partition) ->
         # closes key[0] last and would find this zero only at its end.  The
         # zero is not memoized: this test answers it again at no cost
         return 0
-    elif nu == (1,):
-        # the alphabet is the variables themselves, so the composed module
-        # is the plain Schur module and its weight dimensions are Kostka
-        val = kostka(mu, key)
-    elif mu == (1,):
-        val = kostka(nu, key)
     elif nu in _CONE_OF_INNER and mu == (1,) * len(mu):
         # one basis vector per n-point set of the cone (module docstring);
         # a monomial coefficient of e_n[h_3] (e_n[e_3]), so symmetric in key
@@ -220,7 +213,7 @@ def jacobi_trudi_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     exceeds |mu|*nu_1 has q = 0 (a nu-tableau holds each value at most once
     per column).
     """
-    lam, mu, nu = canonical(lam), canonical(mu), canonical(nu)
+    lam, mu, nu = partition(lam), partition(mu), partition(nu)
     if sum(lam) != sum(mu) * sum(nu):
         raise ValueError("size mismatch: |lam| must equal |mu|*|nu|")
     return _jacobi_trudi(lam, mu, nu)
@@ -247,9 +240,7 @@ def general_plethysm(lam: Partition, mu: Partition, nu: Partition) -> Coefficien
     functor with the nu one.  Dispatches on height: the Jacobi-Trudi sum up
     to JACOBI_TRUDI_MAX_ROWS rows, the power-sum character pairing above,
     which raises SizeCapError above POWER_SUM_N_MAX before any class."""
-    lam, mu, nu = canonical(lam), canonical(mu), canonical(nu)
-    if not (nonincreasing(lam) and nonincreasing(mu) and nonincreasing(nu)):
-        raise ValueError("plethysm arguments must be partitions")
+    lam, mu, nu = partition(lam), partition(mu), partition(nu)
     if sum(lam) != sum(mu) * sum(nu):
         return CoefficientResult(0, "degree-mismatch")
     if len(lam) <= JACOBI_TRUDI_MAX_ROWS:
@@ -347,4 +338,4 @@ def kronecker(mu: Partition, nu: Partition, rho: Partition) -> CoefficientResult
 
 def dim_plethysm_module(mu: Partition, nu: Partition, k: int) -> int:
     """Dimension of the plethysm module on a k-dimensional space."""
-    return dim_weyl(canonical(mu), dim_weyl(canonical(nu), k))
+    return dim_weyl(mu, dim_weyl(nu, k))

@@ -7,19 +7,23 @@ arbitrary precision.
 
 Validation happens once, at the public boundary.  Public functions
 canonicalize what they are given and check it, raising ValueError on a
-negative entry or, where a partition is required, on a non-partition.
-The `_`-prefixed internals, here and in the other modules, take canonical
+negative entry.  Every shape argument (a partition by definition: mu, nu,
+lam of a plethysm or Kronecker coefficient, the shape of a tableau or a
+character) goes through one helper, `partition`, the only code in the
+package that raises ValueError("... is not a partition"); weights, targets
+and marginals stay compositions and go through `canonical`.  The
+`_`-prefixed internals, here and in the other modules, take canonical
 tuples (partitions, where they say so) as they are, and are called only on
 data that a public entry has already checked; `nonincreasing` is the
 partition test for such a tuple.  The per-entry loops run in C builtins
-(min, map, bisect) rather than in Python loops.
+(min, map, sorted, bisect) rather than in Python loops.
 """
 
 from __future__ import annotations
 
 import operator
 from bisect import bisect_left
-from itertools import islice, repeat
+from itertools import repeat
 from typing import Iterable, Iterator
 
 Composition = tuple[int, ...]
@@ -43,7 +47,16 @@ def canonical(parts: Iterable[int]) -> Composition:
 def nonincreasing(p: Composition) -> bool:
     """True iff the tuple's entries never increase: for a canonical tuple,
     that it is a partition."""
-    return all(map(operator.ge, p, islice(p, 1, None)))
+    return list(p) == sorted(p, reverse=True)
+
+
+def partition(parts: Iterable[int]) -> Partition:
+    """The canonical form of a shape argument; ValueError unless it is a
+    partition."""
+    lam = canonical(parts)
+    if not nonincreasing(lam):
+        raise ValueError(f"{lam} is not a partition")
+    return lam
 
 
 def is_partition(c: Iterable[int]) -> bool:
@@ -66,10 +79,7 @@ def width(p: Composition) -> int:
 
 def transpose(p: Iterable[int]) -> Partition:
     """Conjugate partition: exchange rows and columns of the Young diagram."""
-    lam = canonical(p)
-    if not nonincreasing(lam):
-        raise ValueError(f"{lam} is not a partition")
-    return _transpose(lam)
+    return _transpose(partition(p))
 
 
 def _transpose(lam: Partition) -> Partition:

@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Literal
 
 from .coefficients import CoefficientResult, plethysm_coeff
-from .partitions import Composition, Partition, _add, _transpose, canonical, nonincreasing, pad, transpose
+from .partitions import Composition, Partition, _add, _transpose, canonical, nonincreasing, pad, partition, transpose
 from .tomography import (
     ConeKind,
     Point,
@@ -58,9 +58,7 @@ def inner_lift(lam: Partition, n: int, m: int, variant: Literal["a", "b"]) -> Pl
 
     Shapes taller than n carry coefficient 0 and are reported as such.
     """
-    lam = canonical(lam)
-    if not nonincreasing(lam):
-        raise ValueError(f"{lam} is not a partition")
+    lam = partition(lam)
     if sum(lam) != n * m:
         raise ValueError(f"|lam|={sum(lam)} != n*m={n * m}")
     if variant not in ("a", "b"):

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .coefficients import _CONE_OF_INNER, weight_multiplicity
-from .partitions import Composition, Partition, canonical, compositions_of, is_partition, subtract, transpose
-from .tomography import ConeKind, Point, coordinate_sum, in_cone, iota, pyramid_marginal, xi
+from .partitions import Composition, Partition, _transpose, canonical, compositions_of, nonincreasing, partition, subtract
+from .tomography import ConeKind, coordinate_sum, iota, pyramid_marginal, xi
 
 PlethysmVariant = Literal["sym", "wedge"]
 
@@ -73,11 +73,9 @@ def psi_decompose(mu: Partition, variant: PlethysmVariant) -> PsiDecomposition:
     n_j < pyramid_size(r_j), which is iota(n_j + 1): the column holds the
     full pyramid below r_j plus n_j - pyramid_size(r_j - 1) boxes on layer
     r_j."""
-    mu = canonical(mu)
-    if not is_partition(mu):
-        raise ValueError(f"{mu} is not a partition")
+    mu = partition(mu)
     kind = _kind(variant)
-    heights = transpose(mu)
+    heights = _transpose(mu)
     thresholds = tuple(iota(n_j + 1, kind) for n_j in heights)
     pyr = tuple(pyramid_size(r_j - 1, kind) for r_j in thresholds)
     layer = tuple(n_j - below for n_j, below in zip(heights, pyr))
@@ -94,7 +92,7 @@ def psi_splits(mu: Partition, nu: Partition, lam: Composition) -> list[tuple[tup
     partial splits that leave it; the splits are those left at ()."""
     decomp = psi_decompose(mu, variant_of_inner(nu))
     lam = canonical(lam)
-    if not is_partition(lam) or sum(lam) != 3 * sum(mu):
+    if not nonincreasing(lam) or sum(lam) != 3 * sum(mu):
         return []
     kind = decomp.kind
     remainder: Composition | None = lam
@@ -120,28 +118,6 @@ def psi_membership(mu: Partition, nu: Partition, lam: Composition) -> bool:
     return bool(psi_splits(mu, nu, lam))
 
 
-_TIEBREAKS = {
-    "lex": lambda p: (p[0] + p[1] + p[2], p),
-    "revlex": lambda p: (p[0] + p[1] + p[2], tuple(-c for c in p)),
-}
-
-
-def cone_alphabet(kind: ConeKind, coord_bound: int, tiebreak: str = "lex") -> list[Point]:
-    """Cone points with all coordinates < coord_bound, totally ordered by
-    coordinate sum with the given tiebreak inside each layer.  Any tiebreak
-    yields the same tableau counts; two are provided to test that."""
-    if tiebreak not in _TIEBREAKS:
-        raise ValueError(f"unknown tiebreak {tiebreak!r}")
-    pts = [
-        (x, y, z)
-        for x in range(coord_bound)
-        for y in range(coord_bound)
-        for z in range(coord_bound)
-        if in_cone((x, y, z), kind)
-    ]
-    return sorted(pts, key=_TIEBREAKS[tiebreak])
-
-
 def count_cone_ssyt(mu: Partition, lam: Composition, variant: PlethysmVariant, tiebreak: str = "lex") -> int:
     """Number of cone-point tableaux of shape mu and pooled marginal lam;
     on restricted instances this equals the general plethysm coefficient
@@ -155,11 +131,12 @@ def count_cone_ssyt(mu: Partition, lam: Composition, variant: PlethysmVariant, t
     count reads the same memo as the plethysm coefficient it is checked
     against (a single column as point sets, any other shape by the strip
     DP).  The coefficient is symmetric in the letters, so ``tiebreak`` never
-    reaches the count; it is still checked to be a known order."""
-    if tiebreak not in _TIEBREAKS:
+    reaches the count; it is still checked to name a known order of the
+    letters within a layer, "lex" or "revlex"."""
+    if tiebreak not in ("lex", "revlex"):
         raise ValueError(f"unknown tiebreak {tiebreak!r}")
     _kind(variant)  # an unknown variant is a ValueError
     nu = _INNER[variant]
     if not psi_membership(mu, nu, lam):
         raise ValueError(f"({mu}, {nu}, {canonical(lam)}) is not a restricted instance")
-    return weight_multiplicity(mu, nu, lam, len(lam))
+    return weight_multiplicity(mu, nu, lam)

@@ -10,7 +10,7 @@ immediate.
 from __future__ import annotations
 
 from .characters import plethysm_schur_table
-from .partitions import Composition, Partition, canonical
+from .partitions import Composition, Partition, canonical, partition
 from .tableaux import kostka_row
 
 
@@ -66,7 +66,7 @@ class SymPoly:
 def schur_poly(nu: Partition, k: int) -> SymPoly:
     """Schur polynomial s_nu in k variables; coefficient of m_pi is the
     Kostka number K_{nu,pi}.  Zero when the shape is taller than k."""
-    nu = canonical(nu)
+    nu = partition(nu)
     if len(nu) > k:
         return SymPoly(k, {})
     return SymPoly(k, dict(kostka_row(nu, k)))

@@ -16,7 +16,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .partitions import Composition, Partition, _transpose, canonical, compositions_of, nonincreasing, pad, partitions_of
+from .partitions import Composition, Partition, _transpose, canonical, compositions_of, pad, partition, partitions_of
 
 # bound of the Kostka memo: a round of the benchmark's plethysm_sweep,
 # bounds_sandwich and chain_resolve touches 458, 18 and 0 keys; the Schur
@@ -76,15 +76,14 @@ def kostka(mu: Partition, weight: Composition) -> int:
     column heights (_column_strips), so a state has min(len(mu), mu_1)
     entries.
     """
-    mu = canonical(mu)
+    mu = partition(mu)
     w = canonical(weight)
     if sum(mu) != sum(w):
         raise ValueError(f"|mu|={sum(mu)} != |weight|={sum(w)}")
     if not mu:
         return 1
     shape, strips = mu, _horizontal_strips
-    # a mu that is no partition has no column heights; it keeps the row DP
-    if len(mu) > mu[0] and nonincreasing(mu):
+    if len(mu) > mu[0]:
         shape, strips = _transpose(mu), _column_strips
     states: dict[tuple[int, ...], int] = {(0,) * len(shape): 1}
     for letter_count in w:
@@ -106,7 +105,7 @@ def ssyt_weights(shape: Partition, k: int, bound: Composition | None = None) -> 
     every composition w of |shape| appears K_{shape,w} times, and Kostka
     numbers are symmetric in the weight, so they are looked up sorted.
     """
-    shape = canonical(shape)
+    shape = partition(shape)
     return [w for w in compositions_of(sum(shape), k, bound) for _ in range(kostka(shape, tuple(sorted(w, reverse=True))))]
 
 
@@ -139,7 +138,7 @@ def count_weighted_ssyt(mu: Partition, letter_weights: Sequence[tuple[int, ...]]
     addition, a coordinate over its target sets its field's top bit, and a
     coordinate at its target reads 2^b - 1.
     """
-    mu = canonical(mu)
+    mu = partition(mu)
     target = tuple(target)
     if not mu:
         return 1 if all(v == 0 for v in target) else 0
@@ -215,7 +214,7 @@ def dim_weyl(lam: Partition, k: int) -> int:
     (number of SSYT of shape lam over a k-letter alphabet), by the
     hook-content formula.
     """
-    lam = canonical(lam)
+    lam = partition(lam)
     if not lam:
         return 1
     if len(lam) > k:
@@ -233,7 +232,7 @@ def dim_weyl(lam: Partition, k: int) -> int:
 def kostka_row(nu: Partition, k: int) -> dict[Partition, int]:
     """All nonzero Kostka numbers K_{nu,pi} over partitions pi of |nu| with
     at most k parts, i.e. the monomial expansion of the Schur polynomial."""
-    nu = canonical(nu)
+    nu = partition(nu)
     out: dict[Partition, int] = {}
     for pi in partitions_of(sum(nu), max_parts=k):
         val = kostka(nu, pi)

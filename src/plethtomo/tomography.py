@@ -417,11 +417,11 @@ def _count(lam: Composition, kind: ConeKind, pyramids_only: bool) -> int:
         return 0
     floor = max(fill - excess, 0)
     if floor:
+        # the levels below floor <= iota(n) hold fewer than n points, so
+        # some of lam is always left after the peel
         lam = subtract(lam, pyramid_marginal(floor - 1, kind))
         if lam is None:
             return 0
-        if not lam:
-            return 1
     return _count_levelwise(lam, kind, pyramids_only, floor, fill + excess)
 
 

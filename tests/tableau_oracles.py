@@ -4,11 +4,37 @@ The library counts tableaux without filling any (tableaux.kostka and
 tableaux.count_weighted_ssyt, which restricted.count_cone_ssyt runs on).
 These enumerators list the fillings themselves, one recursion frame per
 box, so the tests can check the counts and the tableaux' structure against
-them on small shapes.  They are exponential and are not part of the library.
+them on small shapes; cone_alphabet lists their letters, the cone points in
+a layer-by-layer order.  They are exponential and are not part of the
+library.
 """
 
 from plethtomo.partitions import canonical
-from plethtomo.restricted import _kind, cone_alphabet
+from plethtomo.restricted import _kind
+from plethtomo.tomography import in_cone
+
+# orders of the cone points within a layer: count_cone_ssyt accepts these
+# names, and its count is the same under either
+_TIEBREAKS = {
+    "lex": lambda p: (p[0] + p[1] + p[2], p),
+    "revlex": lambda p: (p[0] + p[1] + p[2], tuple(-c for c in p)),
+}
+
+
+def cone_alphabet(kind, coord_bound, tiebreak="lex"):
+    """Cone points with all coordinates < coord_bound, totally ordered by
+    coordinate sum with the given tiebreak inside each layer.  Any tiebreak
+    yields the same tableau counts; two are provided to test that."""
+    if tiebreak not in _TIEBREAKS:
+        raise ValueError(f"unknown tiebreak {tiebreak!r}")
+    pts = [
+        (x, y, z)
+        for x in range(coord_bound)
+        for y in range(coord_bound)
+        for z in range(coord_bound)
+        if in_cone((x, y, z), kind)
+    ]
+    return sorted(pts, key=_TIEBREAKS[tiebreak])
 
 
 def enumerate_ssyt(shape, alphabet_size):

@@ -163,7 +163,7 @@ NON_PARTITION_TRIPLES = [((0, 0, 2), (2,), (1, 1)), ((0, 1, 3), (4,), (4,)), ((2
 def test_kronecker_rejects_non_partitions(args, kron):
     # (0,0,2) used to read as a shape and answer 2; (0,1,3) ended in a
     # non-integral inner product
-    with pytest.raises(ValueError, match="partitions"):
+    with pytest.raises(ValueError, match="is not a partition"):
         kron(*args)
 
 

@@ -17,7 +17,7 @@ from plethtomo.cli import (
     GateError,
     main,
 )
-from plethtomo.coefficients import KRON_N_MAX, POWER_SUM_N_MAX, jacobi_trudi_coeff
+from plethtomo.coefficients import KRON_N_MAX, POWER_SUM_N_MAX, CoefficientResult, jacobi_trudi_coeff
 from plethtomo.partitions import add, format_partition, parse_partition, transpose
 from plethtomo.reductions import embed_pyramid_3d, kronecker_plethysm_triple, promise_to_plethysm, symmetrize_2d
 from plethtomo.tomography import (
@@ -435,6 +435,12 @@ def test_reduce_text_format(capsys):
     assert lines[-1].endswith(f"marginal={stages[-1]['marginal']}, promise=True")
 
 
+def test_reduce_rejects_other_instance_kinds(capsys):
+    code, out, err = run(["reduce", json.dumps(SYM2D_CLOSED)], capsys=capsys)
+    assert code == EXIT_INPUT_ERROR
+    assert out == "" and err == "input error: reduce expects a 2dxray instance\n"
+
+
 def test_reduce_gate_failure(capsys, monkeypatch):
     inst = json.dumps({"kind": "2dxray", "r": 1, "marginals": {"x": [1, 1], "y": [1, 1], "z": [1, 1]}})
     code, _, err = run(["reduce", inst], capsys=capsys)
@@ -519,6 +525,60 @@ def test_verify_failure_is_reported_with_exit_1(capsys, monkeypatch):
     assert len(lines) == 11
     assert lines[1] == "  xi(0,open): formula 1 != enumeration 0"
     assert all(line.startswith("  xi(") for line in lines[1:])
+
+
+VERIFY_FAILURES = [
+    (
+        ["verify", "bounds", "--n-max", "1"],
+        "plethysm_coeff",
+        lambda lam, n, m, variant: CoefficientResult(-1, "wrong"),
+        "verify bounds: FAIL (6 problems)",
+        "a-bounds fail at lam=(3,): 1 <= -1 <= 1",
+    ),
+    (
+        ["verify", "duality", "--nm", "2,2;2,3"],
+        "check_duality",
+        lambda n, m: (False, ["one", "two", "three", "four"]),
+        "verify duality: FAIL (2 problems)",
+        "duality (2,2): one; two; three",
+    ),
+    (
+        ["verify", "closed-forms", "--n-max", "1"],
+        "general_plethysm",
+        lambda lam, mu, nu: CoefficientResult(7, "wrong"),
+        "verify closed-forms: FAIL (4 problems)",
+        "m=2 closed form (a, n=1) at (2,): coefficient 7, predicted 1",
+    ),
+    (
+        ["verify", "parsimony", "--rprime-max", "1"],
+        "count_sym_2dxray",
+        lambda lam, r, kind: -1,
+        "verify parsimony: FAIL (40 problems)",
+        "symmetrize (open) broke count at (1, (0, 0), (0, 0), (0, 0)): 1 -> -1",
+    ),
+    (
+        ["verify", "parsimony", "--rprime-max", "1"],
+        "count_point_sets",
+        lambda lam, kind: -1,
+        "verify parsimony: FAIL (40 problems)",
+        "embedding (open) broke count at (1, (0, 0), (0, 0), (0, 0)): 1 -> -1",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,name,wrong,head,first", VERIFY_FAILURES, ids=["bounds", "duality", "closed-forms", "parsimony-symmetrize", "parsimony-embedding"]
+)
+def test_verify_suite_reports_its_problems(capsys, monkeypatch, argv, name, wrong, head, first):
+    # the function a suite checks gives a wrong value: exit 1, a count of
+    # the problems and the first of them
+    monkeypatch.setattr(f"plethtomo.cli.{name}", wrong)
+    code, out, err = run(argv, capsys=capsys)
+    assert code == EXIT_VERIFY_FAILED
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[0] == head
+    assert lines[1] == "  " + first
 
 
 @pytest.mark.parametrize(

@@ -35,10 +35,10 @@ from plethtomo.tomography import SizeCapError
 
 
 def test_weight_multiplicity_examples():
-    assert weight_multiplicity((1,), (3,), (3,), 1) == 1
-    assert weight_multiplicity((2,), (2,), (2, 2), 2) == 2
+    assert weight_multiplicity((1,), (3,), (3,)) == 1
+    assert weight_multiplicity((2,), (2,), (2, 2)) == 2
     # frozen from brute enumeration of 2-subsets of cubic monomials in 4 vars
-    assert weight_multiplicity((1, 1), (3,), (2, 2, 1, 1), 4) == 5
+    assert weight_multiplicity((1, 1), (3,), (2, 2, 1, 1)) == 5
 
 
 def test_weight_multiplicity_brute_force_cross_check():
@@ -51,7 +51,7 @@ def test_weight_multiplicity_brute_force_cross_check():
                 w[v] += 1
             if tuple(w) == kappa + (0,) * (4 - len(kappa)):
                 brute += 1
-        assert weight_multiplicity((1, 1), (3,), kappa, 4) == brute
+        assert weight_multiplicity((1, 1), (3,), kappa) == brute
 
 
 LETTER_PAIRS = [(mu, nu) for a in range(2, 5) for b in range(2, 8 // a + 1) for mu in partitions_of(a) for nu in partitions_of(b)]
@@ -71,7 +71,7 @@ def test_weight_multiplicity_matches_tableau_letter_oracle(data):
     coefficients._q_cache.clear()
     _jacobi_trudi_terms.cache_clear()
     kostka.cache_clear()
-    assert weight_multiplicity(mu, nu, kappa, len(kappa)) == want
+    assert weight_multiplicity(mu, nu, kappa) == want
 
 
 @pytest.mark.parametrize("nu", [(3,), (1, 1, 1)])
@@ -82,27 +82,37 @@ def test_single_column_weight_spaces_are_point_set_counts(nu):
     for n in range(1, 6):
         for kappa in partitions_of(3 * n):
             want = count_weighted_ssyt((1,) * n, ssyt_weights(nu, len(kappa), kappa), kappa)
-            assert weight_multiplicity((1,) * n, nu, kappa, len(kappa)) == want, (nu, kappa)
+            assert weight_multiplicity((1,) * n, nu, kappa) == want, (nu, kappa)
             checked += 1
     assert checked == 297
 
 
 def test_weight_multiplicity_symmetric_in_kappa():
-    assert weight_multiplicity((2,), (2,), (1, 2, 1), 3) == weight_multiplicity((2,), (2,), (2, 1, 1), 3)
+    assert weight_multiplicity((2,), (2,), (1, 2, 1)) == weight_multiplicity((2,), (2,), (2, 1, 1))
 
 
 def test_weight_multiplicity_extra_variables_do_not_matter():
-    # guard for the fixed variable-count choice: appending variables (and
-    # zero entries) never changes a weight multiplicity
-    assert weight_multiplicity((2,), (3,), (4, 2), 2) == weight_multiplicity((2,), (3,), (4, 2, 0, 0), 7)
-    assert weight_multiplicity((1, 1), (3,), (3, 3), 2) == weight_multiplicity((1, 1), (3,), (3, 3), 9)
+    # trailing zero entries (variables of exponent 0) never change a weight
+    # multiplicity, which is why it takes no variable count
+    assert weight_multiplicity((2,), (3,), (4, 2)) == weight_multiplicity((2,), (3,), (4, 2, 0, 0))
+    assert weight_multiplicity((1, 1), (3,), (3, 3)) == weight_multiplicity((1, 1), (3,), (3, 3, 0, 0, 0, 0, 0, 0, 0))
+
+
+def test_one_box_weight_spaces_are_kostka_numbers():
+    # s_mu[s_1] = s_1[s_mu] = s_mu: the strip DP over the one-box alphabet
+    # (unit vectors) and over the single letters of one nu-tableau each
+    # gives the Kostka numbers
+    for n in range(1, 7):
+        for shape in partitions_of(n):
+            for kappa in partitions_of(n):
+                want = kostka(shape, kappa)
+                assert weight_multiplicity(shape, (1,), kappa) == want, (shape, kappa)
+                assert weight_multiplicity((1,), shape, kappa) == want, (shape, kappa)
 
 
 def test_weight_multiplicity_rejects_bad_sizes():
     with pytest.raises(ValueError):
-        weight_multiplicity((2,), (2,), (3,), 1)
-    with pytest.raises(ValueError):
-        weight_multiplicity((2,), (2,), (2, 1, 1), 2)
+        weight_multiplicity((2,), (2,), (3,))
 
 
 JACOBI_TRUDI_EXAMPLES = [
@@ -273,7 +283,7 @@ def test_weight_bound_against_direct_counts():
                 else:
                     direct = count_weighted_ssyt(mu, ssyt_weights(nu, len(kappa), bound=kappa), kappa)
                 assert direct == 0, (mu, nu, kappa)
-                assert weight_multiplicity(mu, nu, kappa, len(kappa)) == 0
+                assert weight_multiplicity(mu, nu, kappa) == 0
                 assert (mu, nu, kappa) not in coefficients._q_cache
     assert (cases, beyond) == (9201, 1969)
 
@@ -410,6 +420,21 @@ def test_m2_closed_form_examples():
     assert m2_closed_form(2, "a") == {(4,), (2, 2)}
     assert m2_closed_form(1, "b") == {(2,)}
     assert m2_closed_form(3, "b") == {(3, 3), (4, 1, 1)}
+
+
+def test_empty_shapes_give_one():
+    assert general_plethysm((), (), (3,)).value == 1
+    assert weight_multiplicity((), (3,), ()) == 1
+
+
+@pytest.mark.parametrize(
+    "query",
+    [lambda: plethysm_coeff((2,), 1, 2, "c"), lambda: m2_closed_form(2, "c")],
+    ids=["plethysm_coeff", "m2_closed_form"],
+)
+def test_unknown_variant_is_a_value_error(query):
+    with pytest.raises(ValueError, match="variant must be 'a' or 'b'"):
+        query()
 
 
 def test_m2_closed_form_matches_oracle():

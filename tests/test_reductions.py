@@ -71,6 +71,11 @@ def test_inner_lift_rejects_size_mismatch():
         inner_lift((3,), 2, 2, "a")
 
 
+def test_inner_lift_rejects_unknown_variant():
+    with pytest.raises(ValueError, match="variant must be 'a' or 'b'"):
+        inner_lift((4,), 2, 2, "c")
+
+
 def _lift_value(lam, n, m, variant):
     lifted = inner_lift(lam, n, m, variant)
     if isinstance(lifted, TriviallyZero):

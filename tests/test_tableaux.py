@@ -144,6 +144,11 @@ def test_count_weighted_ssyt_rejects_letters_of_another_length():
         count_weighted_ssyt((2,), [(1, 0, 5)], (2, 0))
 
 
+def test_count_weighted_ssyt_empty_shape_and_negative_target():
+    assert count_weighted_ssyt((), [], ()) == 1
+    assert count_weighted_ssyt((1,), [(1,)], (-1,)) == 0
+
+
 def filled_ssyt_weights(shape, k, bound=None):
     """Test oracle: the weight vectors (length k) of all SSYT of ``shape``
     over 0..k-1, one per tableau, filled box by box; with ``bound``, only

@@ -812,6 +812,8 @@ def test_count_sym_2dxray():
     assert count_sym_2dxray((3,), 0, "closed") == 1
     # wrong layer coordinate sum
     assert count_sym_2dxray((0, 0, 3), 1, "closed") == 0
+    # a size that is not a multiple of 3 holds no point set
+    assert count_sym_2dxray((2, 2), 1, "closed") == 0
 
 
 def test_count_3dxray():
