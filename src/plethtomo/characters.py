@@ -199,10 +199,13 @@ def plethysm_power_expansion(mu: Partition, nu: Partition) -> tuple[tuple[Partit
 
 def plethysm_schur_multiplicity(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Multiplicity of s_lam in the plethysm of s_mu with s_nu: the inner
-    product of chi_lam with the class-weighted plethysm character."""
-    mu, nu = partition(mu), partition(nu)
+    product of chi_lam with the class-weighted plethysm character; 0 when
+    |lam| != |mu||nu|, where the plethysm has no degree-|lam| part."""
+    lam, mu, nu = partition(lam), partition(mu), partition(nu)
     n = sum(mu) * sum(nu)
-    return _pair(plethysm_power_expansion(mu, nu), partition(lam), n)
+    if sum(lam) != n:
+        return 0
+    return _pair(plethysm_power_expansion(mu, nu), lam, n)
 
 
 def plethysm_schur_table(mu: Partition, nu: Partition) -> dict[Partition, int]:

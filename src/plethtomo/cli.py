@@ -51,11 +51,12 @@ EXIT_GATE_FAILED = 3
 # both cones, which took about 3.5 s at i = 400, 6.3 s at 500, 11 s at 600
 # and 20 s at 800 on a shared 2-vCPU x86_64 host
 VERIFY_XI_I_MAX = 500
-# largest n for `verify bounds`: it counts the point sets of every lam |- 3n
-# in both cones, which took about 2.5-2.8 s at n = 5 and 61 s at n = 6 on a
-# shared 2-vCPU x86_64 host, almost all of it in count_point_sets on the
-# long and tall lam (under cProfile at n = 6, 121 of 123 s)
-VERIFY_BOUNDS_N_MAX = 6
+# largest n for `verify bounds`: it resolves a and b and counts the pyramids
+# and point sets of every lam |- 3n in both cones, which took about 0.8 s at
+# n = 6, 3.6 s at n = 7 and 15 s at n = 8 on a shared 2-vCPU x86_64 host;
+# at n = 8, 21 of 33 s under cProfile go to the Jacobi-Trudi coefficients
+# and 7 s to the pyramid counts
+VERIFY_BOUNDS_N_MAX = 7
 # largest r' for `verify parsimony`: it counts every feasible instance of
 # range up to r' through two chain stages in both cones, which took about
 # 1.4 s at r' = 3, 10 s at r' = 4 and 66 s at r' = 5 on the same host

@@ -97,6 +97,13 @@ def kostka(mu: Partition, weight: Composition) -> int:
     return states.get(shape, 0)
 
 
+def _letter_count(k: int) -> int:
+    """k as the size of an alphabet: ValueError if it is negative."""
+    if k < 0:
+        raise ValueError(f"negative letter count {k}")
+    return k
+
+
 def ssyt_weights(shape: Partition, k: int, bound: Composition | None = None) -> list[tuple[int, ...]]:
     """Weight vectors (length k) of all SSYT of ``shape`` over 0..k-1.
 
@@ -105,7 +112,7 @@ def ssyt_weights(shape: Partition, k: int, bound: Composition | None = None) -> 
     every composition w of |shape| appears K_{shape,w} times, and Kostka
     numbers are symmetric in the weight, so they are looked up sorted.
     """
-    shape = partition(shape)
+    shape, k = partition(shape), _letter_count(k)
     return [w for w in compositions_of(sum(shape), k, bound) for _ in range(kostka(shape, tuple(sorted(w, reverse=True))))]
 
 
@@ -214,7 +221,7 @@ def dim_weyl(lam: Partition, k: int) -> int:
     (number of SSYT of shape lam over a k-letter alphabet), by the
     hook-content formula.
     """
-    lam = partition(lam)
+    lam, k = partition(lam), _letter_count(k)
     if not lam:
         return 1
     if len(lam) > k:
@@ -232,7 +239,7 @@ def dim_weyl(lam: Partition, k: int) -> int:
 def kostka_row(nu: Partition, k: int) -> dict[Partition, int]:
     """All nonzero Kostka numbers K_{nu,pi} over partitions pi of |nu| with
     at most k parts, i.e. the monomial expansion of the Schur polynomial."""
-    nu = partition(nu)
+    nu, k = partition(nu), _letter_count(k)
     out: dict[Partition, int] = {}
     for pi in partitions_of(sum(nu), max_parts=k):
         val = kostka(nu, pi)

@@ -7,7 +7,7 @@ realize a prescribed sum-marginal, and how many realize prescribed per-axis
 marginals on a triangular grid layer or in all of N^3.
 
 Sum-marginal instances, whole-cone or restricted to one grid layer, are
-counted exactly by one engine, at every distance ("excess") above the
+counted exactly by the level engine, at every distance ("excess") above the
 minimum coordinate sum, with every point inside a level window [floor,
 ceiling].  An n-point instance at excess e (coordinate sum B = beta(n) + e)
 has the window [iota(n) - e, iota(n) + e]:
@@ -41,6 +41,23 @@ three lower covers in the cone, which lie one layer down and generate its
 whole dominated set, and lower layers are already decided and closed.
 The tests check the engine against an exponential oracle and against an
 independent index-order search.
+
+Whole-cone point sets far above the minimum, at excess e > 2n, go to a
+second counter instead, because there the window is wide and the level
+engine's states blow up.  A point set with sum-marginal lam is a set of n
+distinct 3-multisets (closed cone) or 3-subsets (open cone) of letters in
+which letter i occurs lam_i times.  Relabelling the letters maps such sets
+one to one, so the count depends only on the multiset of lam's nonzero
+entries.  The letter counter works on that multiset as a sorted tuple of
+residual degrees: it places every point that holds the letter of smallest
+degree at once (a small forward DP over those points), sorts what remains
+and merges equal outcomes, and one forward DP over the tuples, longest
+first, sums the paths down to the empty tuple.  The rest stays on the level
+engine: pyramids, whose closure depends on the coordinates themselves; the
+single grid layer of count_sym_2dxray; and every instance at e <= 2n,
+promise instances included, where the window is narrow and the letter
+counter loses by orders of magnitude (the promise instance of the complete
+closed pyramid of level 6 took 351 ms on it against 0.15 ms).
 
 Axis-marginal instances, on one grid layer or in all of N^3, are counted
 by one forward DP over the cells in x-major order, whose states are the
@@ -261,6 +278,14 @@ one; the other cone has the other), and a whole round of the benchmark's
 chain_resolve or bounds_sandwich workload makes 204 and 251 distinct keys,
 so 256 keeps every repeat those rounds make."""
 
+LETTER_MEMO_SIZE = 4096
+"""The most letter-elimination steps _eliminate_letter keeps, keyed by
+(sorted residual degrees, cone).  A round of the benchmark's
+bounds_sandwich workload makes 85 distinct keys, and counting the point
+sets of every lam |- 3n in both cones makes 817, 1879 and 4046 up to n = 6,
+7 and 8; 4096 keeps every key of the n <= 8 sweep, which ran 2.3x slower
+at a bound of 256."""
+
 
 def _candidates(lam: tuple[int, ...], kind: ConeKind, floor: int = 0, ceiling: float = math.inf) -> list[Point]:
     """Cone points whose own marginal fits under lam, in lexicographic
@@ -401,11 +426,77 @@ def _count_levelwise(lam: tuple[int, ...], kind: ConeKind, pyramids_only: bool, 
     return sum(c for (_, _, res, _), c in states.items() if not any(res))
 
 
+@functools.lru_cache(maxsize=LETTER_MEMO_SIZE)
+def _eliminate_letter(degrees: tuple[int, ...], kind: ConeKind) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The ways to place every point that holds the letter of smallest
+    degree: pairs (residual degrees of the other letters, sorted and
+    zero-free, number of ways), one per distinct residual.
+
+    degrees is sorted and zero-free, so that letter t comes first, with
+    degree d.  The points holding t are {t,t,t}, {t,t,u}, {t,u,u} and
+    {t,u,v} in the closed cone and {t,u,v} with u != v in the open one; a
+    forward DP over them takes or skips each, with states (t-degree left,
+    residual degrees of the others), and keeps the states that spend
+    exactly d.  Memoized (at most LETTER_MEMO_SIZE entries)."""
+    d, rest = degrees[0], degrees[1:]
+    others = range(len(rest))
+    moves = [(1, (u, v)) for u in others for v in others if u < v]
+    if kind == "closed":
+        moves += [(3, ())] + [(2, (u,)) for u in others] + [(1, (u, u)) for u in others]
+    # t-degree the moves after each one can still spend
+    room = list(itertools.accumulate((tdeg for tdeg, _ in reversed(moves)), initial=0))[::-1]
+    states = {(d, rest): 1}
+    get = states.get
+    for k, (tdeg, used) in enumerate(moves):
+        # updated in place over a snapshot, so each state takes a move once
+        for key, c in list(states.items()):
+            left, res = key
+            if left > room[k + 1]:
+                del states[key]
+            if left < tdeg:
+                continue
+            r = list(res)
+            for u in used:
+                r[u] -= 1
+            if used and (r[used[0]] < 0 or r[used[-1]] < 0):
+                continue
+            key = (left - tdeg, tuple(r))
+            states[key] = get(key, 0) + c
+    out: dict[tuple[int, ...], int] = {}
+    for (left, res), c in states.items():
+        if not left:
+            key = tuple(sorted(v for v in res if v))
+            out[key] = out.get(key, 0) + c
+    return tuple(out.items())
+
+
+def _count_by_letters(lam: Composition, kind: ConeKind) -> int:
+    """Point sets with sum-marginal lam by letter elimination.
+
+    A point set is a set of distinct 3-multisets (closed cone) or 3-subsets
+    (open cone) of letters in which letter i occurs lam_i times, and
+    relabelling the letters maps such sets one to one, so the count depends
+    only on the multiset of lam's nonzero entries.  A state is that multiset
+    as a sorted tuple of residual degrees; _eliminate_letter places every
+    point of its smallest letter and leaves a shorter state.  One forward
+    DP over the states, longest first, sums the paths to the empty tuple."""
+    start = tuple(sorted(v for v in lam if v))
+    buckets: list[dict[tuple[int, ...], int]] = [{} for _ in range(len(start) + 1)]
+    buckets[-1][start] = 1
+    for bucket in reversed(buckets[1:]):
+        for degrees, c in bucket.items():
+            for rest, ways in _eliminate_letter(degrees, kind):
+                nxt = buckets[len(rest)]
+                nxt[rest] = nxt.get(rest, 0) + c * ways
+    return buckets[0].get((), 0)
+
+
 def _count(lam: Composition, kind: ConeKind, pyramids_only: bool) -> int:
     """Whole-cone count of an n-point instance at excess e: peel the
     complete pyramid below floor = iota(n) - e, then count the rest with
     every point at level <= ceiling = iota(n) + e (module docstring).
-    lam is canonical."""
+    Point sets at e > 2n go to letter elimination instead.  lam is
+    canonical."""
     if not lam:
         return 1
     total = sum(lam)
@@ -415,6 +506,8 @@ def _count(lam: Composition, kind: ConeKind, pyramids_only: bool) -> int:
     excess = coordinate_sum(lam) - least
     if excess < 0:
         return 0
+    if not pyramids_only and excess > 2 * (total // 3):
+        return _count_by_letters(lam, kind)
     floor = max(fill - excess, 0)
     if floor:
         # the levels below floor <= iota(n) hold fewer than n points, so

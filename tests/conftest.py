@@ -1,12 +1,13 @@
 import pytest
 
-from plethtomo.tomography import _count_levelwise
+from plethtomo.tomography import _count_levelwise, _eliminate_letter
 
 
 @pytest.fixture(autouse=True)
 def empty_count_memo():
-    """Every test starts with an empty sum-marginal count memo, so a test
+    """Every test starts with empty sum-marginal count memos, so a test
     that pins how a count runs (recursion limit, time, patched internals)
     runs the DP instead of reading an entry an earlier test left."""
     _count_levelwise.cache_clear()
+    _eliminate_letter.cache_clear()
     yield

@@ -215,6 +215,14 @@ def test_plethysm_multiplicity_nonnegative():
                 assert plethysm_schur_multiplicity(lam, mu, nu) >= 0
 
 
+@pytest.mark.parametrize("lam, mu, nu", [((3,), (1,), (2,)), ((2,), (1,), (3,)), ((4,), (1,), (2,))])
+def test_plethysm_multiplicity_is_zero_off_degree(lam, mu, nu):
+    # s_mu[s_nu] is homogeneous of degree |mu||nu|, as general_plethysm's
+    # degree-mismatch route says
+    assert plethysm_schur_multiplicity(lam, mu, nu) == 0
+    assert coefficients.general_plethysm(lam, mu, nu).value == 0
+
+
 def test_power_expansion_is_fraction_oracle_times_n_factorial():
     assert len(ORACLE_PAIRS) == 348
     for mu, nu in ORACLE_PAIRS:

@@ -357,6 +357,17 @@ def test_count_range_45_layer(capsys, monkeypatch):
     assert json.loads(out) == {"count": 1}
 
 
+def test_count_tall_sym3d_by_letters(capsys):
+    # (1^18) closed sits far above the minimum coordinate sum, where the
+    # letter counter answers and the level engine took seconds
+    data = {"kind": "sym3d", "cone": "closed", "marginals": {"sum": [1] * 18}}
+    t0 = time.perf_counter()
+    code, out, err = run(["count", json.dumps(data)], capsys=capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == EXIT_OK, err
+    assert out == "count: 190590400\n"
+
+
 def test_count_3dxray_over_the_size_cap(capsys, monkeypatch):
     # 4^12 residual pairs: refused before the DP starts
     ones = [1] * 12
@@ -602,7 +613,7 @@ def test_verify_bounds_over_the_cap_counts_nothing(capsys, monkeypatch):
     monkeypatch.setattr("plethtomo.cli.plethysm_coeff", no_count)
     monkeypatch.setattr("plethtomo.cli.count_point_sets", no_count)
     code, out, err = run(["verify", "bounds", "--n-max", str(VERIFY_BOUNDS_N_MAX + 1)], capsys=capsys)
-    assert VERIFY_BOUNDS_N_MAX == 6
+    assert VERIFY_BOUNDS_N_MAX == 7
     assert code == EXIT_GATE_FAILED
     assert out == ""
     assert err.startswith("over the size cap:") and len(err.splitlines()) == 1

@@ -245,6 +245,12 @@ def test_dim_weyl_edge_cases():
     assert dim_weyl((3,), 2) == 4
 
 
+@pytest.mark.parametrize("entry", [lambda: ssyt_weights((2,), -1), lambda: dim_weyl((2, 1), -1), lambda: kostka_row((2,), -1)], ids=["ssyt_weights", "dim_weyl", "kostka_row"])
+def test_negative_letter_counts_raise(entry):
+    with pytest.raises(ValueError, match="negative letter count -1"):
+        entry()
+
+
 def test_column_strips_are_the_transposed_horizontal_strips():
     # the same strips as _horizontal_strips, in column heights, for every
     # alpha inside every mu with |mu| <= 8

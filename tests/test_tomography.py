@@ -35,7 +35,8 @@ from plethtomo.tomography import (
     xi,
     xi_by_enumeration,
 )
-from plethtomo.tomography import _candidates, _closure_filter, _count_levelwise, _greedy_fill
+from plethtomo import tomography
+from plethtomo.tomography import _candidates, _closure_filter, _count_by_letters, _count_levelwise, _greedy_fill
 
 
 def _dominated(p, kind):
@@ -373,6 +374,62 @@ def test_counting_engines_agree_on_larger_partitions():
         for kind in ("open", "closed"):
             assert _unwindowed(lam, kind, False) == _count_by_index(lam, kind, False), (lam, kind)
             assert _unwindowed(lam, kind, True) == _count_by_index(lam, kind, True), (lam, kind)
+
+
+def test_letter_counter_matches_level_engine_up_to_n5():
+    for n in range(1, 6):
+        for lam in partitions_of(3 * n):
+            for kind in ("open", "closed"):
+                assert _count_by_letters(lam, kind) == _unwindowed(lam, kind, False), (lam, kind)
+
+
+def _at_excess(n, kind, excesses):
+    """The partitions of 3n whose excess in the cone lies in excesses."""
+    least = beta(n, kind)
+    return [lam for lam in partitions_of(3 * n) if coordinate_sum(lam) - least in excesses]
+
+
+@pytest.mark.parametrize("kind", ["open", "closed"])
+def test_letter_counter_at_the_dispatch_threshold(kind, monkeypatch):
+    # e = 2n stays on the level engine and e = 2n + 1 goes to the letter
+    # counter; both engines agree on both sides of the line
+    checked = 0
+    for n in range(1, 8):
+        for lam in _at_excess(n, kind, (2 * n, 2 * n + 1)):
+            want = _unwindowed(lam, kind, False)
+            assert _count_by_letters(lam, kind) == want, (lam, kind)
+            checked += 1
+    assert checked >= 30
+    # and each side runs its own engine only
+    for excess, banned in ((0, "_count_by_letters"), (1, "_count_levelwise")):
+        for n in range(1, 8):
+            for lam in _at_excess(n, kind, (2 * n + excess,)):
+                with monkeypatch.context() as m:
+                    m.setattr(tomography, banned, None)
+                    assert count_point_sets(lam, kind) == _unwindowed(lam, kind, False)
+
+
+@st.composite
+def _relabelled(draw):
+    """A composition of at most 12 boxes and one with the same nonzero
+    entries, permuted, with zeros placed between them."""
+    drawn = draw(st.lists(st.integers(1, 12), min_size=1, max_size=12))
+    entries = [v for v, total in zip(drawn, itertools.accumulate(drawn)) if total <= 12]
+    shuffled = draw(st.permutations(entries))
+    gaps = draw(st.lists(st.integers(0, 3), min_size=len(entries), max_size=len(entries)))
+    spread = tuple(v for gap, entry in zip(gaps, shuffled) for v in (0,) * gap + (entry,))
+    return tuple(entries), spread
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(pair=_relabelled(), kind=st.sampled_from(["open", "closed"]))
+def test_point_set_count_depends_only_on_the_nonzero_entries(pair, kind):
+    # the letter counter assumes this symmetry; the level engine works on
+    # the coordinates themselves, so it checks the symmetry independently
+    comp, spread = pair
+    count = count_point_sets(comp, kind)
+    assert count_point_sets(spread, kind) == count
+    assert _unwindowed(canonical(spread), kind, False) == (count if sum(comp) % 3 == 0 else 0)
 
 
 @st.composite
