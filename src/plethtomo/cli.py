@@ -9,7 +9,9 @@ Exit codes: 0 success, 1 verification failure, 2 malformed input,
 instance over the size cap: a 3dxray count whose marginals exceed
 tomography.AXIS_STATE_CAP is refused before it starts, so is
 `verify xi` with --i-max above VERIFY_XI_I_MAX, `verify bounds` with
---n-max above VERIFY_BOUNDS_N_MAX, `verify parsimony` with --rprime-max
+--n-max above VERIFY_BOUNDS_N_MAX, `verify closed-forms` with --n-max above
+VERIFY_CLOSED_FORMS_N_MAX, `verify duality` with a pair (n, m) whose n*m is
+above VERIFY_DUALITY_NM_MAX, `verify parsimony` with --rprime-max
 above VERIFY_PARSIMONY_RP_MAX, `reduce` past --to sym2d on a range above
 REDUCE_R_MAX, and `kron` or `reduce --resolve` on a Kronecker triple of
 size above coefficients.KRON_N_MAX, which coefficients.kronecker refuses
@@ -57,6 +59,15 @@ VERIFY_XI_I_MAX = 500
 # at n = 8, 21 of 33 s under cProfile go to the Jacobi-Trudi coefficients
 # and 7 s to the pyramid counts
 VERIFY_BOUNDS_N_MAX = 7
+# largest n for `verify closed-forms`: it computes a and b at inner degree 2
+# for every lam |- 2n' with n' <= n, which took about 0.8 s at n = 8, 5 s at
+# n = 10 and 21.5 s at n = 12 on the same host
+VERIFY_CLOSED_FORMS_N_MAX = 10
+# largest n*m of a pair for `verify duality`: check_duality(n, m) computes
+# four coefficients for every lam |- n*m, which took at most 4.4 s over the
+# pairs with n*m = 20 ((10, 2), (5, 4), (4, 5), (2, 10)), 6.9 s at (7, 3),
+# 9.4 s at (11, 2), 22 s at (6, 4) and 45 s at (8, 3) on the same host
+VERIFY_DUALITY_NM_MAX = 20
 # largest r' for `verify parsimony`: it counts every feasible instance of
 # range up to r' through two chain stages in both cones, which took about
 # 1.4 s at r' = 3, 10 s at r' = 4 and 66 s at r' = 5 on the same host
@@ -221,6 +232,9 @@ def _verify_bounds(n_max: int) -> list[str]:
 
 
 def _verify_duality(pairs: list[tuple[int, int]]) -> list[str]:
+    for n, m in pairs:
+        if n * m > VERIFY_DUALITY_NM_MAX:
+            raise SizeCapError(f"verify duality --nm {n},{m}: n*m = {n * m} is over the cap of {VERIFY_DUALITY_NM_MAX}")
     bad = []
     for n, m in pairs:
         ok, report = check_duality(n, m)
@@ -230,13 +244,14 @@ def _verify_duality(pairs: list[tuple[int, int]]) -> list[str]:
 
 
 def _verify_closed_forms(n_max: int) -> list[str]:
+    if n_max > VERIFY_CLOSED_FORMS_N_MAX:
+        raise SizeCapError(f"verify closed-forms --n-max {n_max} is over the cap of {VERIFY_CLOSED_FORMS_N_MAX}")
     bad = []
     for n in range(1, n_max + 1):
         for variant in ("a", "b"):
-            mu = (n,) if variant == "a" else (1,) * n
             support = m2_closed_form(n, variant)
             for lam in partitions_of(2 * n):
-                got = general_plethysm(lam, mu, (2,)).value
+                got = plethysm_coeff(lam, n, 2, variant).value
                 want = 1 if lam in support else 0
                 if got != want:
                     bad.append(f"m=2 closed form ({variant}, n={n}) at {lam}: coefficient {got}, predicted {want}")

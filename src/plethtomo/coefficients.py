@@ -30,6 +30,11 @@ of the two is one of the repository's standing self-checks.  The power-sum
 route applies neither support bound, so every zero the bounds predict is
 checked against a computation that does not assume them.
 
+Inner or outer degree 0 is answered by s_mu[s_()] = s_mu[1] = [len(mu) <= 1]
+and s_()[s_nu] = 1.  A coefficient family, 'a' (the n-th symmetric power)
+or 'b' (the n-th exterior power), is checked once, by outer_shape, the only
+code in the package that raises for an unknown family.
+
 kronecker checks a triple once, answers one with a one-row or one-column
 shape directly (the trivial and the sign character), refuses any other
 above KRON_N_MAX and sends the rest to the character sum over the p(n)
@@ -120,7 +125,8 @@ def _weight_multiplicity_sorted(mu: Partition, nu: Partition, key: Partition) ->
     if got is not None:
         return got
     if not key:
-        val = 1 if sum(mu) == 0 else 0
+        # |mu|*|nu| = 0: the weight-0 space of s_mu[1], or of s_()[s_nu] = 1
+        val = int(len(mu) <= 1)
     elif key[0] > sum(mu) * nu[0]:
         # each of the |mu| letters adds at most nu_1 to a coordinate (a
         # nu-tableau holds a value at most once per column); the strip DP
@@ -222,7 +228,8 @@ def jacobi_trudi_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
 def _jacobi_trudi(lam: Partition, mu: Partition, nu: Partition) -> int:
     """jacobi_trudi_coeff on canonical lam, mu, nu with |lam| = |mu|*|nu|."""
     if not lam:
-        return 1
+        # |mu|*|nu| = 0: s_mu[s_()] = s_mu[1] = [len(mu) <= 1], and s_()[s_nu] = 1
+        return int(len(mu) <= 1)
     outer = sum(mu)
     if len(lam) > outer * len(nu) or lam[0] > outer * nu[0]:
         return 0
@@ -256,15 +263,24 @@ def general_plethysm(lam: Partition, mu: Partition, nu: Partition) -> Coefficien
     return CoefficientResult(value, method)
 
 
+def outer_shape(n: int, variant: Variant) -> Partition:
+    """The outer shape of a coefficient family: mu = (n) for the
+    a-coefficients (the n-th symmetric power), (1^n) for the b-coefficients
+    (the n-th exterior power).  The one check of a family argument:
+    ValueError for any other variant, and for n < 0."""
+    if variant != "a" and variant != "b":
+        raise ValueError(f"variant must be 'a' or 'b', got {variant!r}")
+    if n < 0:
+        raise ValueError(f"outer degree n must be >= 0, got {n}")
+    if variant == "a":
+        return (n,) if n else ()
+    return (1,) * n
+
+
 def plethysm_coeff(lam: Partition, n: int, m: int, variant: Variant) -> CoefficientResult:
     """a_lam(n,m) (multiplicity in the n-th symmetric power of the m-th) or
     b_lam(n,m) (n-th exterior power of the m-th symmetric power)."""
-    if variant == "a":
-        mu: Partition = (n,) if n else ()
-    elif variant == "b":
-        mu = (1,) * n
-    else:
-        raise ValueError(f"variant must be 'a' or 'b', got {variant!r}")
+    mu = outer_shape(n, variant)
     nu: Partition = (m,) if m else ()
     return general_plethysm(lam, mu, nu)
 
@@ -274,22 +290,14 @@ def m2_closed_form(n: int, variant: Variant) -> set[Partition]:
     variant 'a' gives the all-even partitions of 2n, variant 'b' the
     partitions of 2n whose diagonal hooks have arm = leg + 1 (row i of
     length >= i+1 satisfies lam_i = lam^t_i + 1, indices from 0)."""
+    outer_shape(n, variant)
+    if variant == "a":
+        return {lam for lam in partitions_of(2 * n) if all(part % 2 == 0 for part in lam)}
     out: set[Partition] = set()
     for lam in partitions_of(2 * n):
-        if variant == "a":
-            if all(part % 2 == 0 for part in lam):
-                out.add(lam)
-        elif variant == "b":
-            t = _transpose(lam)
-            ok = True
-            for i, part in enumerate(lam):
-                if part >= i + 1 and part != t[i] + 1:
-                    ok = False
-                    break
-            if ok:
-                out.add(lam)
-        else:
-            raise ValueError(f"variant must be 'a' or 'b', got {variant!r}")
+        t = _transpose(lam)
+        if all(part == t[i] + 1 for i, part in enumerate(lam) if part >= i + 1):
+            out.add(lam)
     return out
 
 

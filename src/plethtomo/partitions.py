@@ -68,15 +68,6 @@ def size(c: Iterable[int]) -> int:
     return sum(c)
 
 
-def height(p: Composition) -> int:
-    """Number of nonzero parts (for canonical partitions: the length)."""
-    return sum(1 for v in p if v > 0)
-
-
-def width(p: Composition) -> int:
-    return p[0] if p else 0
-
-
 def transpose(p: Iterable[int]) -> Partition:
     """Conjugate partition: exchange rows and columns of the Young diagram."""
     return _transpose(partition(p))

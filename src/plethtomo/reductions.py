@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal
 
-from .coefficients import CoefficientResult, plethysm_coeff
+from .coefficients import CoefficientResult, Variant, outer_shape, plethysm_coeff
 from .partitions import Composition, Partition, _add, _transpose, canonical, nonincreasing, pad, partition, transpose
 from .tomography import (
     ConeKind,
@@ -28,6 +27,7 @@ from .tomography import (
     SymInstance,
     XRayInstance2D,
     _is_promise,
+    cone_kind,
     coordinate_sum,
     count_point_sets,
     pyramid_marginal,
@@ -39,7 +39,7 @@ class PlethysmInstance:
     lam: Partition
     n: int
     m: int
-    variant: Literal["a", "b"]
+    variant: Variant
 
 
 @dataclass(frozen=True)
@@ -51,30 +51,30 @@ class TriviallyZero:
 TRIVIAL_NO_INSTANCE = PlethysmInstance((2, 1), 1, 3, "b")
 
 
-def inner_lift(lam: Partition, n: int, m: int, variant: Literal["a", "b"]) -> PlethysmInstance | TriviallyZero:
+def inner_lift(lam: Partition, n: int, m: int, variant: Variant) -> PlethysmInstance | TriviallyZero:
     """Trade the inner degree m for m+1 while swapping the coefficient
     family: the a-coefficient of lam at (n,m) equals the b-coefficient at
     (n,m+1) of the transpose of (n, lam^t), and symmetrically.
 
     Shapes taller than n carry coefficient 0 and are reported as such.
     """
+    outer_shape(n, variant)
     lam = partition(lam)
     if sum(lam) != n * m:
         raise ValueError(f"|lam|={sum(lam)} != n*m={n * m}")
-    if variant not in ("a", "b"):
-        raise ValueError(f"variant must be 'a' or 'b', got {variant!r}")
     if len(lam) > n:
         return TriviallyZero(f"height {len(lam)} exceeds outer degree {n}")
     pi = transpose((n,) + _transpose(lam))
     return PlethysmInstance(pi, n, m + 1, "b" if variant == "a" else "a")
 
 
-def symmetrize_2d(inst: XRayInstance2D, kind: ConeKind = "closed") -> SymInstance:
+def symmetrize_2d(inst: XRayInstance2D, kind: ConeKind) -> SymInstance:
     """Spread the three axis marginals over the range [0, 13r'] so that a
     single sum-marginal carries the same information: the Z-marginal sits at
     [0, r'], the Y-marginal at [3r', 4r'], the X-marginal at [9r', 10r'].
     Solution counts agree via the witness map gamma.
     """
+    cone_kind(kind)
     rp = inst.r
     if rp == 0:
         raise ValueError("range-0 instances degenerate under symmetrization; count them directly")
@@ -114,7 +114,7 @@ def embed_pyramid_3d(lam_hat: Composition, r: int, kind: ConeKind) -> SymInstanc
 
     Infeasible layer marginals map to a fixed zero-count 3D instance.
     """
-    return _embed_pyramid_3d(canonical(lam_hat), r, kind)
+    return _embed_pyramid_3d(canonical(lam_hat), r, cone_kind(kind))
 
 
 def _embed_pyramid_3d(lam_hat: Composition, r: int, kind: ConeKind) -> SymInstance:
@@ -131,6 +131,7 @@ def promise_to_plethysm(lam: Composition, kind: ConeKind) -> PlethysmInstance:
     whose size is not a multiple of 3, have no solutions and map to the
     fixed no-instance.
     """
+    cone_kind(kind)
     lam = canonical(lam)
     if sum(lam) % 3 != 0:
         return TRIVIAL_NO_INSTANCE
@@ -139,7 +140,7 @@ def promise_to_plethysm(lam: Composition, kind: ConeKind) -> PlethysmInstance:
     return _promise_query(lam, kind)
 
 
-def _family_cone(lam: Partition, variant: str) -> tuple[Partition, ConeKind]:
+def _family_cone(lam: Partition, variant: Variant) -> tuple[Partition, ConeKind]:
     """The cone instance of a degree-3 family on a partition lam: b at lam
     is the closed cone at lam, a at lam the open cone at lam' (and back, as
     transposition is an involution)."""
@@ -166,7 +167,11 @@ def resolve_coefficient(inst: PlethysmInstance) -> CoefficientResult:
       pyramid count there, and the coefficient;
     * anything else is coefficients.plethysm_coeff, which answers a degree
       mismatch with 0 and raises SizeCapError over its caps.
+
+    The family and n are checked first (coefficients.outer_shape), so an
+    unknown family never reaches the promise count.
     """
+    outer_shape(inst.n, inst.variant)
     lam = canonical(inst.lam)
     if inst.m == 3 and sum(lam) == 3 * inst.n and nonincreasing(lam):
         marg, kind = _family_cone(lam, inst.variant)

@@ -22,7 +22,7 @@ from typing import Literal
 
 from .coefficients import _CONE_OF_INNER, weight_multiplicity
 from .partitions import Composition, Partition, _transpose, canonical, compositions_of, nonincreasing, partition, subtract
-from .tomography import ConeKind, coordinate_sum, iota, pyramid_marginal, xi
+from .tomography import ConeKind, cone_kind, coordinate_sum, iota, pyramid_marginal, xi
 
 PlethysmVariant = Literal["sym", "wedge"]
 
@@ -47,6 +47,7 @@ def variant_of_inner(nu: Partition) -> PlethysmVariant:
 
 def pyramid_size(r: int, kind: ConeKind) -> int:
     """Number of points in the complete pyramid of all layers <= r."""
+    cone_kind(kind)
     return sum(xi(i, kind) for i in range(r + 1)) if r >= 0 else 0
 
 

@@ -2,7 +2,10 @@
 
 A SymPoly in k variables is a sparse map from partitions (of height <= k)
 to integer coefficients: the coefficient at kappa is the coefficient of the
-monomial X^kappa, equivalently the m_kappa coordinate.  This is the
+monomial X^kappa, equivalently the m_kappa coordinate.  A key is a shape
+(partitions.partition checks it); a read at a composition kappa reads the
+coefficient at kappa sorted, as a symmetric polynomial has the same
+coefficient at every rearrangement of kappa.  This is the
 representation in which plethysm composition and weight-space reads are
 immediate.
 """
@@ -30,7 +33,7 @@ class SymPoly:
         self.coeffs: dict[Partition, int] = {}
         if coeffs:
             for key, val in coeffs.items():
-                key = canonical(key)
+                key = partition(key)
                 if len(key) > k:
                     raise ValueError(f"key {key} taller than variable count {k}")
                 if val:
@@ -48,7 +51,7 @@ class SymPoly:
         return not self.coeffs
 
     def coefficient(self, kappa: Composition) -> int:
-        return self.coeffs.get(canonical(kappa), 0)
+        return self.coeffs.get(canonical(sorted(kappa, reverse=True)), 0)
 
     def add_scaled(self, other: "SymPoly", scale: int) -> "SymPoly":
         if other.k != self.k:

@@ -4,7 +4,10 @@ The cone of weakly decreasing triples is "closed", that of strictly
 decreasing triples "open".  The sum-marginal of a point set pools the three
 coordinate histograms; counters answer how many point sets (or pyramids)
 realize a prescribed sum-marginal, and how many realize prescribed per-axis
-marginals on a triangular grid layer or in all of N^3.
+marginals on a triangular grid layer or in all of N^3.  Every public
+entry that takes a cone kind checks it once, before any shortcut, with
+cone_kind, the only code in the package that raises for an unknown kind;
+the _-prefixed internals take a checked kind.
 
 Sum-marginal instances, whole-cone or restricted to one grid layer, are
 counted exactly by the level engine, at every distance ("excess") above the
@@ -84,15 +87,20 @@ Point = tuple[int, int, int]
 ConeKind = Literal["open", "closed"]
 
 
-def in_cone(p: Point, kind: ConeKind) -> bool:
-    x, y, z = p
-    if min(p) < 0:
-        return False
-    if kind == "closed":
-        return x >= y >= z
-    if kind == "open":
-        return x > y > z
+def cone_kind(kind: str) -> ConeKind:
+    """The one check of a cone-kind argument: kind itself when it names a
+    cone, "closed" or "open", else ValueError."""
+    if kind == "closed" or kind == "open":
+        return kind
     raise ValueError(f"unknown cone kind {kind!r}")
+
+
+def in_cone(p: Point, kind: ConeKind) -> bool:
+    cone_kind(kind)
+    x, y, z = p
+    if kind == "closed":
+        return x >= y >= z >= 0
+    return x > y > z >= 0
 
 
 def sum_marginal(points: Sequence[Point] | frozenset[Point] | set[Point]) -> Composition:
@@ -141,6 +149,7 @@ def is_pyramid(points: frozenset[Point] | set[Point] | Sequence[Point], kind: Co
     """True iff the set is downward closed inside the cone, that is, holds
     the lower covers of each of its points.  Raises if some point lies
     outside the cone."""
+    cone_kind(kind)
     pset = set(points)
     for p in pset:
         if not in_cone(p, kind):
@@ -150,6 +159,7 @@ def is_pyramid(points: frozenset[Point] | set[Point] | Sequence[Point], kind: Co
 
 def complete_pyramid(r: int, kind: ConeKind) -> frozenset[Point]:
     """All cone points with coordinate sum <= r."""
+    cone_kind(kind)
     pts = set()
     for x in range(r + 1):
         for y in range(min(x, r - x) + 1):
@@ -168,9 +178,7 @@ def pyramid_marginal(r: int, kind: ConeKind) -> Composition:
     points: the pair's column holds the z in [0, zmax], so x and y each gain
     zmax + 1 slots and every value in [0, zmax] gains one z slot, which a
     difference array adds up in O(r^2)."""
-    if kind not in ("open", "closed"):
-        raise ValueError(f"unknown cone kind {kind!r}")
-    strict = kind == "open"
+    strict = cone_kind(kind) == "open"
     s = [0] * (r + 1)
     zs = [0] * (r + 2)
     for x in range(r + 1):
@@ -199,18 +207,18 @@ def xi(i: int, kind: ConeKind) -> int:
     """Number of single cone points with coordinate sum exactly i, by the
     closed forms round((i+3)^2/12) and round(i^2/12).  The fractional part
     is never 1/2, so integer rounding is unambiguous."""
+    cone_kind(kind)
     if i < 0:
         return 0
     if kind == "closed":
         return ((i + 3) ** 2 + 6) // 12
-    if kind == "open":
-        return (i * i + 6) // 12
-    raise ValueError(f"unknown cone kind {kind!r}")
+    return (i * i + 6) // 12
 
 
 def xi_by_enumeration(i: int, kind: ConeKind) -> int:
     """Same count by direct layer enumeration; the closed form is tested
     against this."""
+    cone_kind(kind)
     count = 0
     for x in range(i + 1):
         for y in range(min(x, i - x) + 1):
@@ -242,6 +250,7 @@ def _greedy_fill(n: int, kind: ConeKind) -> tuple[int, int]:
 
 def iota(n: int, kind: ConeKind) -> int:
     """Smallest level whose cumulative layer capacity reaches n."""
+    cone_kind(kind)
     if n < 1:
         raise ValueError("iota is defined for n >= 1")
     return _greedy_fill(n, kind)[1]
@@ -250,6 +259,7 @@ def iota(n: int, kind: ConeKind) -> int:
 def beta(n: int, kind: ConeKind) -> int:
     """Minimum coordinate sum of any n-point set in the cone: fill layers
     greedily from the origin outward."""
+    cone_kind(kind)
     if n < 0:
         raise ValueError("beta is defined for n >= 0")
     return _greedy_fill(n, kind)[0]
@@ -258,7 +268,7 @@ def beta(n: int, kind: ConeKind) -> int:
 def is_promise_instance(lam: Composition, kind: ConeKind) -> bool:
     """True iff the instance size is a multiple of 3 and its coordinate sum
     attains the minimum for that size."""
-    return _is_promise(canonical(lam), kind)
+    return _is_promise(canonical(lam), cone_kind(kind))
 
 
 def _is_promise(lam: Composition, kind: ConeKind) -> bool:
@@ -520,12 +530,12 @@ def _count(lam: Composition, kind: ConeKind, pyramids_only: bool) -> int:
 
 def count_point_sets(lam: Composition, kind: ConeKind) -> int:
     """Exact number of point sets in the cone with the given sum-marginal."""
-    return _count(canonical(lam), kind, pyramids_only=False)
+    return _count(canonical(lam), cone_kind(kind), pyramids_only=False)
 
 
 def count_pyramids(lam: Composition, kind: ConeKind) -> int:
     """Exact number of pyramids in the cone with the given sum-marginal."""
-    return _count(canonical(lam), kind, pyramids_only=True)
+    return _count(canonical(lam), cone_kind(kind), pyramids_only=True)
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +578,7 @@ class SymInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "marginal", canonical(self.marginal))
-        if self.cone not in ("open", "closed"):
-            raise ValueError(f"unknown cone kind {self.cone!r}")
+        cone_kind(self.cone)
 
 
 def _count_axis(mu: Composition, nu: Composition, rho: Composition, layer: int | None = None) -> int:
@@ -619,8 +628,7 @@ def count_2dxray(inst: XRayInstance2D) -> int:
 def count_sym_2dxray(lam: Composition, r: int, kind: ConeKind) -> int:
     """Point sets inside the cone slice of the layer x+y+z = r with the
     given sum-marginal."""
-    if kind not in ("open", "closed"):
-        raise ValueError(f"unknown cone kind {kind!r}")
+    cone_kind(kind)
     lam = canonical(lam)
     if not lam:
         return 1

@@ -12,6 +12,8 @@ from plethtomo.cli import (
     EXIT_VERIFY_FAILED,
     REDUCE_R_MAX,
     VERIFY_BOUNDS_N_MAX,
+    VERIFY_CLOSED_FORMS_N_MAX,
+    VERIFY_DUALITY_NM_MAX,
     VERIFY_PARSIMONY_RP_MAX,
     VERIFY_XI_I_MAX,
     GateError,
@@ -93,6 +95,21 @@ def test_coeff_missing_args(capsys, monkeypatch):
     assert code == EXIT_INPUT_ERROR
     code, _, err = run(["coeff", "p", "[4]", "[2]"], capsys=capsys)
     assert code == EXIT_INPUT_ERROR
+
+
+def test_coeff_negative_outer_degree_is_an_input_error(capsys):
+    # (1^-2) used to be the empty shape, so this printed 1
+    code, out, err = run(["coeff", "b", "[]", "-2", "3"], capsys=capsys)
+    assert code == EXIT_INPUT_ERROR
+    assert out == "" and err.startswith("input error") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["coeff", "b", "[]", "2", "0"], ["coeff", "p", "[]", "[1,1]", "[]"]], ids=["b", "p"])
+def test_coeff_inner_degree_zero(capsys, argv):
+    # wedge^2 of a 1-dimensional space is 0
+    code, out, _ = run(argv, capsys=capsys)
+    assert code == EXIT_OK
+    assert "value: 0" in out
 
 
 def test_coeff_p_one_row_2400(capsys, monkeypatch):
@@ -555,8 +572,8 @@ VERIFY_FAILURES = [
     ),
     (
         ["verify", "closed-forms", "--n-max", "1"],
-        "general_plethysm",
-        lambda lam, mu, nu: CoefficientResult(7, "wrong"),
+        "plethysm_coeff",
+        lambda lam, n, m, variant: CoefficientResult(7, "wrong"),
         "verify closed-forms: FAIL (4 problems)",
         "m=2 closed form (a, n=1) at (2,): coefficient 7, predicted 1",
     ),
@@ -620,6 +637,41 @@ def test_verify_bounds_over_the_cap_counts_nothing(capsys, monkeypatch):
     # the cap itself is allowed; with no shapes to check it passes at once
     monkeypatch.setattr("plethtomo.cli.partitions_of", lambda n: [])
     code, out, _ = run(["verify", "bounds", "--n-max", str(VERIFY_BOUNDS_N_MAX)], capsys=capsys)
+    assert code == EXIT_OK and "PASS" in out
+
+
+def test_verify_closed_forms_over_the_cap_computes_nothing(capsys, monkeypatch):
+    def no_coefficient(*args):
+        raise AssertionError("verify closed-forms computed a coefficient over its cap")
+
+    monkeypatch.setattr("plethtomo.cli.plethysm_coeff", no_coefficient)
+    monkeypatch.setattr("plethtomo.cli.m2_closed_form", no_coefficient)
+    code, out, err = run(["verify", "closed-forms", "--n-max", str(VERIFY_CLOSED_FORMS_N_MAX + 1)], capsys=capsys)
+    assert VERIFY_CLOSED_FORMS_N_MAX == 10
+    assert code == EXIT_GATE_FAILED
+    assert out == ""
+    assert err.startswith("over the size cap:") and len(err.splitlines()) == 1
+    # the cap itself is allowed; with no shapes to check it passes at once
+    monkeypatch.setattr("plethtomo.cli.m2_closed_form", lambda n, variant: set())
+    monkeypatch.setattr("plethtomo.cli.partitions_of", lambda n: [])
+    code, out, _ = run(["verify", "closed-forms", "--n-max", str(VERIFY_CLOSED_FORMS_N_MAX)], capsys=capsys)
+    assert code == EXIT_OK and "PASS" in out
+
+
+def test_verify_duality_over_the_cap_computes_nothing(capsys, monkeypatch):
+    def no_check(*args):
+        raise AssertionError("verify duality computed a coefficient over its cap")
+
+    monkeypatch.setattr("plethtomo.cli.check_duality", no_check)
+    # one pair over the cap refuses the whole list, the pairs before it too
+    code, out, err = run(["verify", "duality", "--nm", f"2,2;{VERIFY_DUALITY_NM_MAX + 1},1"], capsys=capsys)
+    assert VERIFY_DUALITY_NM_MAX == 20
+    assert code == EXIT_GATE_FAILED
+    assert out == ""
+    assert err.startswith("over the size cap:") and len(err.splitlines()) == 1
+    # the cap itself is allowed; with every identity holding it passes at once
+    monkeypatch.setattr("plethtomo.cli.check_duality", lambda n, m: (True, []))
+    code, out, _ = run(["verify", "duality", "--nm", "10,2;5,4"], capsys=capsys)
     assert code == EXIT_OK and "PASS" in out
 
 

@@ -425,6 +425,20 @@ def test_m2_closed_form_examples():
 def test_empty_shapes_give_one():
     assert general_plethysm((), (), (3,)).value == 1
     assert weight_multiplicity((), (3,), ()) == 1
+    # s_()[s_nu] = 1, and s_mu[s_()] = s_mu[1] = [len(mu) <= 1]: on a
+    # 1-dimensional space only the one-row Schur functors are nonzero.  The
+    # module has degree 0, so its dimension is the coefficient at lam = ()
+    for size in range(7):
+        for shape in partitions_of(size):
+            for mu, nu in ((shape, ()), ((), shape)):
+                want = int(len(mu) <= 1)
+                assert general_plethysm((), mu, nu).value == want, (mu, nu)
+                assert jacobi_trudi_coeff((), mu, nu) == want, (mu, nu)
+                assert weight_multiplicity(mu, nu, ()) == want, (mu, nu)
+                assert plethysm_schur_multiplicity((), mu, nu) == want, (mu, nu)
+                assert dim_plethysm_module(mu, nu, 3) == want, (mu, nu)
+    assert plethysm_coeff((), 2, 0, "b").value == 0
+    assert plethysm_coeff((), 2, 0, "a").value == 1
 
 
 @pytest.mark.parametrize(

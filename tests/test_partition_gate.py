@@ -13,6 +13,12 @@ from plethtomo.tomography import count_point_sets
 
 NOT_A_PARTITION = (1, 2)
 
+
+def sympoly_key(k, key):
+    """The SymPoly constructor on a single key."""
+    return sympoly.SymPoly(k, {key: 1})
+
+
 # (entry, arguments it answers, the positions of its shape arguments)
 GATED = [
     (partition, ((2, 1),), [0]),
@@ -34,6 +40,7 @@ GATED = [
     (tableaux.dim_weyl, ((2, 1), 3), [0]),
     (tableaux.kostka_row, ((2, 1), 3), [0]),
     (sympoly.schur_poly, ((2, 1), 3), [0]),
+    (sympoly_key, (3, (2, 1)), [1]),
     (reductions.inner_lift, ((2, 1), 3, 1, "a"), [0]),
     (restricted.psi_decompose, ((2, 1), "sym"), [0]),
     (restricted.psi_splits, ((2, 1), (3,), (8, 1)), [0]),
@@ -44,7 +51,7 @@ GATED = [
 @pytest.mark.parametrize(
     "entry,args",
     [
-        pytest.param(entry, args[:i] + (NOT_A_PARTITION,) + args[i + 1 :], id=f"{entry.__module__.rsplit('.', 1)[1]}.{entry.__name__}-{i}")
+        pytest.param(entry, args[:i] + (NOT_A_PARTITION,) + args[i + 1 :], id=f"{entry.__module__.rsplit('.', 1)[-1]}.{entry.__name__}-{i}")
         for entry, args, positions in GATED
         for i in positions
     ],
@@ -63,9 +70,9 @@ def test_composition_arguments_stay_compositions():
     assert restricted.psi_splits((1,), (3,), (1, 2)) == []
 
 
-def test_the_gate_is_the_only_raise_that_names_a_non_partition():
-    # a raise whose message says a shape is not a partition, anywhere in
-    # the package, sits in partitions.partition
+def raises_naming(*phrases: str) -> list[tuple[str, str | None]]:
+    """(file, enclosing function) of every raise in the package whose
+    string constants contain one of the phrases."""
     package = Path(plethtomo.__file__).parent
     found = []
     for path in sorted(package.glob("*.py")):
@@ -75,6 +82,12 @@ def test_the_gate_is_the_only_raise_that_names_a_non_partition():
             if not isinstance(node, ast.Raise):
                 continue
             text = " ".join(c.value for c in ast.walk(node) if isinstance(c, ast.Constant) and isinstance(c.value, str))
-            if "not a partition" in text or "must be partitions" in text:
+            if any(phrase in text for phrase in phrases):
                 found.append((path.name, owner.get(id(node))))
-    assert found == [("partitions.py", "partition")]
+    return found
+
+
+def test_the_gate_is_the_only_raise_that_names_a_non_partition():
+    # a raise whose message says a shape is not a partition, anywhere in
+    # the package, sits in partitions.partition
+    assert raises_naming("not a partition", "must be partitions") == [("partitions.py", "partition")]

@@ -15,14 +15,12 @@ from plethtomo.partitions import (
     canonical,
     compositions_of,
     format_partition,
-    height,
     is_partition,
     parse_partition,
     partitions_of,
     size,
     subtract,
     transpose,
-    width,
 )
 from plethtomo.tomography import coordinate_sum
 
@@ -57,13 +55,6 @@ def test_transpose_involution_exhaustive():
         for lam in partitions_of(n):
             assert transpose(transpose(lam)) == lam
             assert size(transpose(lam)) == size(lam)
-
-
-def test_height_width_duality():
-    for n in range(15):
-        for lam in partitions_of(n):
-            assert height(lam) == width(transpose(lam))
-            assert width(lam) == height(transpose(lam))
 
 
 def test_transpose_rejects_non_partition():

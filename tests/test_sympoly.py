@@ -30,6 +30,16 @@ def test_sympoly_validation():
     assert p.coeffs == {(2, 1): 5}
 
 
+def test_sympoly_reads_a_composition_sorted():
+    # a symmetric polynomial has one coefficient per multiset of exponents
+    p = SymPoly(3, {(2, 1): 4, (1,): 2})
+    assert p.coefficient((1, 2)) == p.coefficient((0, 2, 1)) == p.coefficient((2, 1)) == 4
+    assert p.coefficient((0, 1)) == p.coefficient((0, 0, 1)) == 2
+    assert repr(p) == "SymPoly(k=3: 4*m[2, 1] + 2*m[1])"
+    with pytest.raises(ValueError, match="is not a partition"):
+        SymPoly(3, {(1, 2): 1})
+
+
 def test_plethysm_poly_identity():
     assert plethysm_poly((1,), (3,), 2) == schur_poly((3,), 2)
     assert plethysm_poly((3, 1), (1,), 4) == schur_poly((3, 1), 4)
