@@ -54,10 +54,12 @@ EXIT_GATE_FAILED = 3
 # and 20 s at 800 on a shared 2-vCPU x86_64 host
 VERIFY_XI_I_MAX = 500
 # largest n for `verify bounds`: it resolves a and b and counts the pyramids
-# and point sets of every lam |- 3n in both cones, which took about 0.8 s at
-# n = 6, 3.6 s at n = 7 and 15 s at n = 8 on a shared 2-vCPU x86_64 host;
-# at n = 8, 21 of 33 s under cProfile go to the Jacobi-Trudi coefficients
-# and 7 s to the pyramid counts
+# and point sets of every lam |- 3n in both cones, which took about 1.0 s at
+# n = 6, 3.5-4.7 s at n = 7 and 21-22 s at n = 8 on a shared 2-vCPU x86_64
+# host in an hour when counting pyramids on the level engine made n = 7
+# take 5.5-6.5 s; at n = 8, cProfile puts nearly all of it in the
+# coefficients and the point-set counts and 0.1 s in the pyramid counts,
+# which are table lookups
 VERIFY_BOUNDS_N_MAX = 7
 # largest n for `verify closed-forms`: it computes a and b at inner degree 2
 # for every lam |- 2n' with n' <= n, which took about 0.8 s at n = 8, 5 s at
@@ -293,11 +295,7 @@ def _cmd_verify(args, out) -> int:
     elif suite == "bounds":
         bad = _verify_bounds(args.n_max)
     elif suite == "duality":
-        pairs = []
-        for chunk in args.nm.split(";"):
-            n_str, m_str = chunk.split(",")
-            pairs.append((int(n_str), int(m_str)))
-        bad = _verify_duality(pairs)
+        bad = _verify_duality(args.nm)
     elif suite == "closed-forms":
         bad = _verify_closed_forms(args.n_max)
     else:  # parsimony; argparse's choices admit no other suite
@@ -351,6 +349,28 @@ def _cmd_table(args, out) -> int:
     return EXIT_OK
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type of every verify bound: decimal digits only, since a
+    negative bound would make an empty family and pass without checking
+    anything."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
+def _nm_pairs(text: str) -> list[tuple[int, int]]:
+    """argparse type of --nm: pairs "n,m" separated by ";", each entry a
+    nonnegative integer."""
+    pairs = []
+    for chunk in text.split(";"):
+        entries = chunk.split(",")
+        if len(entries) != 2:
+            raise argparse.ArgumentTypeError(f"expected a pair n,m, got {chunk!r}")
+        n, m = (_nonnegative_int(entry.strip()) for entry in entries)
+        pairs.append((n, m))
+    return pairs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="plethtomo", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -384,10 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an invariant suite")
     p.add_argument("suite", choices=["xi", "bounds", "duality", "closed-forms", "parsimony"])
-    p.add_argument("--i-max", type=int, default=40)
-    p.add_argument("--n-max", type=int, default=3)
-    p.add_argument("--nm", default="2,2;2,3;3,2")
-    p.add_argument("--rprime-max", type=int, default=1)
+    p.add_argument("--i-max", type=_nonnegative_int, default=40)
+    p.add_argument("--n-max", type=_nonnegative_int, default=3)
+    p.add_argument("--nm", type=_nm_pairs, default="2,2;2,3;3,2")
+    p.add_argument("--rprime-max", type=_nonnegative_int, default=1)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("table", help="summary rows for the three worked examples")

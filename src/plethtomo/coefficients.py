@@ -308,8 +308,11 @@ def check_duality(n: int, m: int) -> tuple[bool, list[str]]:
 
     For odd m the exterior-of-exterior multiplicities match a at the
     transpose and symmetric-of-exterior match b; for even m the two swap.
-    Returns (ok, mismatch report).
+    Returns (ok, mismatch report); ValueError if n or m is negative, where
+    every family would be empty.
     """
+    if n < 0 or m < 0:
+        raise ValueError(f"check_duality takes n, m >= 0, got ({n}, {m})")
     report: list[str] = []
     wedge_m: Partition = (1,) * m
     wedge_wedge = {lam: general_plethysm(lam, (1,) * n, wedge_m).value for lam in partitions_of(n * m)}

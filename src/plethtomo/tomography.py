@@ -55,12 +55,20 @@ entries.  The letter counter works on that multiset as a sorted tuple of
 residual degrees: it places every point that holds the letter of smallest
 degree at once (a small forward DP over those points), sorts what remains
 and merges equal outcomes, and one forward DP over the tuples, longest
-first, sums the paths down to the empty tuple.  The rest stays on the level
-engine: pyramids, whose closure depends on the coordinates themselves; the
-single grid layer of count_sym_2dxray; and every instance at e <= 2n,
-promise instances included, where the window is narrow and the letter
-counter loses by orders of magnitude (the promise instance of the complete
-closed pyramid of level 6 took 351 ms on it against 0.15 ms).
+first, sums the paths down to the empty tuple.  The rest of the point sets
+stays on the level engine: the single grid layer of count_sym_2dxray, and
+every instance at e <= 2n, promise instances included, where the window is
+narrow and the letter counter loses by orders of magnitude (the promise
+instance of the complete closed pyramid of level 6 took 351 ms on it
+against 0.15 ms).
+
+Small pyramids are few: each cone holds 1, 2, 3, 4, 6, 9, 12, 17, 24, 32
+and 44 pyramids of n = 2, ..., 12 points.  So pyramid counts with
+n <= PYRAMID_TABLE_N_MAX (12) are looked up in a table that lists the
+n-point pyramids once, growing each (n-1)-point pyramid by each point it
+can take, and maps each sum-marginal to the number of pyramids that have
+it.  Larger pyramids, the chain-scale promise instances among them, run on
+the level engine's pyramid mode.
 
 Axis-marginal instances, on one grid layer or in all of N^3, are counted
 by one forward DP over the cells in x-major order, whose states are the
@@ -77,9 +85,11 @@ import functools
 import itertools
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from operator import mul
-from typing import Literal, Sequence
+from types import MappingProxyType
+from typing import Literal, Mapping, Sequence
 
 from .partitions import Composition, canonical, subtract
 
@@ -137,12 +147,22 @@ def coordinate_sum(c: Composition) -> int:
 
 
 def _lower_covers(p: Point, kind: ConeKind) -> tuple[Point, ...]:
-    """The cone points one unit step below p: (x-1,y,z), (x,y-1,z) and
-    (x,y,z-1) where they lie in the cone.  They generate p's whole dominated
-    set inside the cone (lower z, then y, then x, and every step stays in
-    the cone)."""
+    """The cone points one unit step below p, a point of the cone: (x-1,y,z),
+    (x,y-1,z) and (x,y,z-1) where they lie in the cone.  They generate p's
+    whole dominated set inside the cone (lower z, then y, then x, and every
+    step stays in the cone).  Each step can leave the cone through one
+    inequality only, so that one is tested, against the gap the cone
+    needs (1 in the open cone, 0 in the closed one)."""
     x, y, z = p
-    return tuple(q for q in ((x - 1, y, z), (x, y - 1, z), (x, y, z - 1)) if in_cone(q, kind))
+    gap = kind == "open"
+    covers = []
+    if x - 1 - gap >= y:
+        covers.append((x - 1, y, z))
+    if y - 1 - gap >= z:
+        covers.append((x, y - 1, z))
+    if z:
+        covers.append((x, y, z - 1))
+    return tuple(covers)
 
 
 def is_pyramid(points: frozenset[Point] | set[Point] | Sequence[Point], kind: ConeKind) -> bool:
@@ -159,15 +179,13 @@ def is_pyramid(points: frozenset[Point] | set[Point] | Sequence[Point], kind: Co
 
 def complete_pyramid(r: int, kind: ConeKind) -> frozenset[Point]:
     """All cone points with coordinate sum <= r."""
-    cone_kind(kind)
-    pts = set()
-    for x in range(r + 1):
-        for y in range(min(x, r - x) + 1):
-            for z in range(min(y, r - x - y) + 1):
-                p = (x, y, z)
-                if in_cone(p, kind):
-                    pts.add(p)
-    return frozenset(pts)
+    gap = cone_kind(kind) == "open"
+    return frozenset(
+        (x, y, z)
+        for x in range(r + 1)
+        for y in range(min(x - gap, r - x) + 1)
+        for z in range(min(y - gap, r - x - y) + 1)
+    )
 
 
 @functools.lru_cache(maxsize=256)
@@ -230,7 +248,7 @@ def xi_by_enumeration(i: int, kind: ConeKind) -> int:
 
 # One chain walks the same size several times: each cone's promise check,
 # its point-set count and its coefficient route all read beta.  In one round
-# of the benchmark's chain_resolve and bounds_sandwich workloads, 806 and 492
+# of the benchmark's chain_resolve and bounds_sandwich workloads, 709 and 442
 # walks cover 27 and 10 distinct (n, kind) keys, at most 4 in one cli_cold
 # process, and no repeat needs more than 9 live entries to hit; 32 keeps
 # every key of such a round.
@@ -285,8 +303,9 @@ COUNT_MEMO_SIZE = 256
 marginal, cone, pyramids_only, floor, ceiling).  A chain caller needs two
 live entries (the layer count of one cone and its promise embedding share
 one; the other cone has the other), and a whole round of the benchmark's
-chain_resolve or bounds_sandwich workload makes 204 and 251 distinct keys,
-so 256 keeps every repeat those rounds make."""
+chain_resolve or bounds_sandwich workload makes 204 and 76 distinct keys
+(bounds_sandwich's pyramids are table lookups), so 256 keeps every repeat
+those rounds make."""
 
 LETTER_MEMO_SIZE = 4096
 """The most letter-elimination steps _eliminate_letter keeps, keyed by
@@ -501,22 +520,76 @@ def _count_by_letters(lam: Composition, kind: ConeKind) -> int:
     return buckets[0].get((), 0)
 
 
+PYRAMID_TABLE_N_MAX = 12
+"""The largest n whose pyramid counts _count reads off _pyramid_table, the
+largest at which one cold table build costs about one cold level-engine
+call, so that not even a single count gets slower.  Timed in pairs on a
+shared 2-vCPU x86_64 host (a cold count_pyramids on the level engine, then
+a cold build, for about 100 lam |- 3n spread over all of them), the median
+build against the median call was, over both cones and two runs, 0.2
+against 0.2-0.4 ms at n = 8, 0.9-1.4 against 0.7-1.5 ms at n = 12, 1.5-2.4
+against 1.2-1.9 ms at n = 14 and 2.9-4.6 against 1.9-2.8 ms at n = 16."""
+
+
+@functools.lru_cache(maxsize=2 * (PYRAMID_TABLE_N_MAX + 1))
+def _pyramid_table(n: int, kind: ConeKind) -> Mapping[Composition, int]:
+    """The n-point pyramids of the cone by sum-marginal: how many pyramids
+    have each marginal (every other marginal has none).
+
+    Grown one point at a time from the empty pyramid: each (k-1)-point
+    pyramid takes each of its addable points, the cone points outside it
+    whose lower covers all lie in it, and equal results merge.  Each
+    pyramid keeps its addable points: adding q drops q and adds the points
+    one unit step above q whose lower covers are now all present.  The
+    empty pyramid's one addable point is the cone's least point, and an
+    n-point pyramid holds a chain from it to each of its points, so every
+    point lies at most n - 1 levels above it.  Those points are numbered,
+    and a pyramid is keyed by an int with one bit per point it holds.
+    Distinct pyramids can share a marginal (two closed 23-point pyramids
+    share (23,19,12,7,5,3)), hence counts.  Memoized per (n, kind), read
+    only; _count asks only for n <= PYRAMID_TABLE_N_MAX."""
+    least = (2, 1, 0) if kind == "open" else (0, 0, 0)
+    points = list(complete_pyramid(sum(least) + n - 1, kind))
+    index = {p: k for k, p in enumerate(points)}
+    covers = [sum(1 << index[c] for c in _lower_covers(p, kind)) for p in points]
+    above: list[list[int]] = [[] for _ in points]
+    for k, p in enumerate(points):
+        for c in _lower_covers(p, kind):
+            above[index[c]].append(k)
+    # bits -> (addable point numbers, points held)
+    pyramids: dict[int, tuple[tuple[int, ...], tuple[Point, ...]]] = {0: ((index[least],) if n else (), ())}
+    for _ in range(n):
+        grown: dict[int, tuple[tuple[int, ...], tuple[Point, ...]]] = {}
+        for bits, (addable, held) in pyramids.items():
+            for k in addable:
+                bigger = bits | 1 << k
+                if bigger not in grown:
+                    freed = tuple(u for u in above[k] if bigger & covers[u] == covers[u])
+                    grown[bigger] = (tuple(a for a in addable if a != k) + freed, held + (points[k],))
+        pyramids = grown
+    return MappingProxyType(Counter(sum_marginal(held) for _, held in pyramids.values()))
+
+
 def _count(lam: Composition, kind: ConeKind, pyramids_only: bool) -> int:
     """Whole-cone count of an n-point instance at excess e: peel the
     complete pyramid below floor = iota(n) - e, then count the rest with
     every point at level <= ceiling = iota(n) + e (module docstring).
-    Point sets at e > 2n go to letter elimination instead.  lam is
+    Point sets at e > 2n go to letter elimination instead, and pyramids
+    with n <= PYRAMID_TABLE_N_MAX are looked up in _pyramid_table.  lam is
     canonical."""
     if not lam:
         return 1
     total = sum(lam)
     if total % 3 != 0:
         return 0
-    least, fill = _greedy_fill(total // 3, kind)
+    n = total // 3
+    if pyramids_only and n <= PYRAMID_TABLE_N_MAX:
+        return _pyramid_table(n, kind).get(lam, 0)
+    least, fill = _greedy_fill(n, kind)
     excess = coordinate_sum(lam) - least
     if excess < 0:
         return 0
-    if not pyramids_only and excess > 2 * (total // 3):
+    if not pyramids_only and excess > 2 * n:
         return _count_by_letters(lam, kind)
     floor = max(fill - excess, 0)
     if floor:

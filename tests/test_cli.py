@@ -623,6 +623,42 @@ def test_argparse_exits_through_main(capsys, argv, want):
         assert out == "" and err.startswith("usage: plethtomo")
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["verify", "xi", "--i-max", "-2"], "xi_by_enumeration"),
+        (["verify", "bounds", "--n-max", "-1"], "plethysm_coeff"),
+        (["verify", "duality", "--nm=2,2;-5,4"], "check_duality"),
+        (["verify", "closed-forms", "--n-max", "-3"], "m2_closed_form"),
+        (["verify", "parsimony", "--rprime-max", "-1"], "count_2dxray"),
+    ],
+    ids=["xi", "bounds", "duality", "closed-forms", "parsimony"],
+)
+def test_verify_rejects_a_negative_bound(capsys, monkeypatch, argv, name):
+    # a negative bound made an empty family that passed at once; now it is
+    # malformed input, refused before the suite computes anything
+    def no_work(*args):
+        raise AssertionError(f"{argv[1]} started on a negative bound")
+
+    monkeypatch.setattr(f"plethtomo.cli.{name}", no_work)
+    code, out, err = run(argv, capsys=capsys)
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert "expected a nonnegative integer" in err
+
+
+def test_verify_duality_reads_pairs_of_nonnegative_integers(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr("plethtomo.cli.check_duality", lambda n, m: seen.append((n, m)) or (True, []))
+    code, out, _ = run(["verify", "duality", "--nm", "2, 3;0,4"], capsys=capsys)
+    assert code == EXIT_OK and "PASS" in out
+    assert seen == [(2, 3), (0, 4)]
+    for nm in ("2,2;3", "2,x", "2,2,2", "1.5,2"):
+        code, out, err = run(["verify", "duality", "--nm", nm], capsys=capsys)
+        assert code == EXIT_INPUT_ERROR and out == "", nm
+    assert seen == [(2, 3), (0, 4)]
+
+
 def test_verify_bounds_over_the_cap_counts_nothing(capsys, monkeypatch):
     def no_count(*args):
         raise AssertionError("verify bounds started counting over its cap")

@@ -469,6 +469,14 @@ def test_duality(n, m):
     assert ok, report
 
 
+def test_duality_rejects_negative_sizes():
+    # partitions_of a negative size is empty, so these passed vacuously
+    for n, m in ((-5, 4), (2, -1), (-1, -1)):
+        with pytest.raises(ValueError, match="n, m >= 0"):
+            check_duality(n, m)
+    assert check_duality(0, 3) == (True, [])
+
+
 def test_dimension_conservation():
     for mu, nu in [((2,), (3,)), ((1, 1), (3,)), ((3,), (2,)), ((2, 1), (2,))]:
         table = plethysm_schur_table(mu, nu)

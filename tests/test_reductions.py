@@ -1,11 +1,12 @@
 import functools
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plethtomo import reductions
 from plethtomo.characters import kronecker as character_kronecker
 from plethtomo.coefficients import kronecker, plethysm_coeff
 from plethtomo.partitions import add, compositions_of, partitions_of, transpose
@@ -31,6 +32,7 @@ from plethtomo.tomography import (
     complete_pyramid,
     count_2dxray,
     count_point_sets,
+    count_pyramids,
     count_sym_2dxray,
     coordinate_sum,
     full_simplex,
@@ -365,6 +367,27 @@ def test_chain_builds_only_the_stages_read():
     assert set(vars(chain)) == {"inst", "sym2d"}
 
 
+def test_each_chain_stage_is_built_once(monkeypatch):
+    # every stage is one call of its builder per cone, however often read
+    calls = Counter()
+    for name in ("symmetrize_2d", "_embed_pyramid_3d", "_is_promise", "_promise_query"):
+        def counted(*args, _real=getattr(reductions, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(reductions, name, counted)
+    chain = kronecker_plethysm_triple(XRayInstance2D(1, (2, 1), (2, 1), (2, 1)))
+    stages = ("sym2d", "promise3d", "promise", "queries", "triple")
+    first = {name: getattr(chain, name) for name in stages}
+    for _ in range(3):
+        for name in stages:
+            assert getattr(chain, name) is first[name], name
+        assert (chain.mu, chain.nu, chain.rho) == first["triple"]
+        assert (chain.a_instance, chain.b_instance) == (first["queries"]["open"], first["queries"]["closed"])
+    assert calls == {"symmetrize_2d": 2, "_embed_pyramid_3d": 2, "_is_promise": 2, "_promise_query": 2}
+    assert set(vars(chain)) == {"inst", *stages}
+
+
 def test_chain_off_the_promise_maps_to_the_no_instance():
     # feasible, with count 0: its 15 points exceed the 14 of open layer 13
     inst = XRayInstance2D(1, (15,), (15,), (0, 15))
@@ -390,6 +413,25 @@ def test_every_chain_stage_preserves_the_count(r, total, data):
         assert count_point_sets(chain.promise3d[kind].marginal, kind) == want, kind
         assert resolve_coefficient(chain.queries[kind]).value == want, kind
     assert kronecker(chain.mu, chain.nu, chain.rho).value == want
+
+
+@st.composite
+def _partitions_of_multiples_of_three(draw):
+    """(n, lam) with lam |- 3n and n <= 6."""
+    n = draw(st.integers(1, 6))
+    return n, draw(st.sampled_from(list(partitions_of(3 * n))))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(case=_partitions_of_multiples_of_three())
+def test_bounds_sandwich(case):
+    # pyramids <= coefficient <= point sets: a on the open cone at lam', b on
+    # the closed cone at lam
+    n, lam = case
+    for variant in ("a", "b"):
+        marg, kind = _family_cone(lam, variant)
+        value = plethysm_coeff(lam, n, 3, variant).value
+        assert count_pyramids(marg, kind) <= value <= count_point_sets(marg, kind), (lam, variant)
 
 
 def test_stage_three_oracle_equality_small_promise():

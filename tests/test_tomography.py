@@ -36,7 +36,15 @@ from plethtomo.tomography import (
     xi_by_enumeration,
 )
 from plethtomo import tomography
-from plethtomo.tomography import _candidates, _closure_filter, _count_by_letters, _count_levelwise, _greedy_fill
+from plethtomo.tomography import (
+    PYRAMID_TABLE_N_MAX,
+    _candidates,
+    _closure_filter,
+    _count_by_letters,
+    _count_levelwise,
+    _greedy_fill,
+    _pyramid_table,
+)
 
 
 def _dominated(p, kind):
@@ -683,6 +691,59 @@ def test_pyramid_completions_depend_on_the_chosen_points():
     lam = sum_marginal(witness)
     assert lam == (24, 19, 12, 7, 7, 3) and is_pyramid(witness, "closed")
     assert count_pyramids(lam, "closed") == 1
+
+
+def _level_pyramids(lam, kind, monkeypatch):
+    """count_pyramids on the level engine, the table route switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(tomography, "PYRAMID_TABLE_N_MAX", -1)
+        return count_pyramids(lam, kind)
+
+
+@pytest.mark.parametrize("kind", ["open", "closed"])
+def test_pyramid_table_matches_the_level_engine(kind, monkeypatch):
+    # every lam |- 3n up to n = 8; above, up to two past the table's range,
+    # every marginal the table holds and every 150th of the others (all
+    # 248 284 pairs of lam |- 3n and cone up to n = 14 agreed in a one-off
+    # run of 8.5 minutes on a 2-vCPU host)
+    for n in range(PYRAMID_TABLE_N_MAX + 3):
+        table = _pyramid_table(n, kind)
+        assert sum(table.values()) == (1, 1, 1, 2, 3, 4, 6, 9, 12, 17, 24, 32, 44, 60, 80)[n]
+        lams = list(partitions_of(3 * n))
+        if n > 8:
+            lams = sorted(set(lams[::150]) | set(table))
+        for lam in lams:
+            assert table.get(lam, 0) == _level_pyramids(lam, kind, monkeypatch), (lam, kind)
+            if n <= PYRAMID_TABLE_N_MAX:
+                assert count_pyramids(lam, kind) == table.get(lam, 0)
+
+
+def test_pyramid_table_counts_shared_marginals():
+    # two closed 23-point pyramids share this marginal: the table counts,
+    # and agrees with the level engine
+    lam = (23, 19, 12, 7, 5, 3)
+    assert _pyramid_table(23, "closed")[lam] == 2 == count_pyramids(lam, "closed")
+
+
+def test_pyramid_counts_dispatch_on_size(monkeypatch):
+    # up to PYRAMID_TABLE_N_MAX points a pyramid count is a table lookup and
+    # never enters the level engine; above it, the level engine runs
+    for kind in ("open", "closed"):
+        found = 0
+        with monkeypatch.context() as m:
+            m.setattr(tomography, "_count_levelwise", None)
+            for n in range(1, PYRAMID_TABLE_N_MAX + 1):
+                for lam in list(partitions_of(3 * n))[::50] + list(_pyramid_table(n, kind)):
+                    found += count_pyramids(lam, kind)
+        assert found >= 155  # every pyramid of 1 to 12 points, and more
+        table = _pyramid_table(PYRAMID_TABLE_N_MAX + 1, kind)
+        with monkeypatch.context() as m:
+            m.setattr(tomography, "_pyramid_table", None)
+            for lam, want in table.items():
+                before = _count_levelwise.cache_info().misses
+                assert count_pyramids(lam, kind) == want
+                assert _count_levelwise.cache_info().misses == before + 1
+    assert _pyramid_table.cache_info().maxsize == 2 * (PYRAMID_TABLE_N_MAX + 1)
 
 
 def test_counting_leaves_no_reference_cycles():
