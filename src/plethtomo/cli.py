@@ -3,22 +3,23 @@
 Subcommands: coeff (plethysm coefficients), kron (Kronecker coefficients),
 count (tomography instances from JSON), reduce (stage-by-stage reduction
 traces), verify (invariant suites), table (worked-example summary rows).
+Each verify suite is a sub-command whose one bound follows its name: xi
+--i-max, bounds and closed-forms --n-max, duality --nm, parsimony --rprime-max.
 
-Exit codes: 0 success, 1 verification failure, 2 malformed input,
-3 semantic gate failure (infeasible instance, failed promise, ...) or an
-instance over the size cap: a 3dxray count whose marginals exceed
-tomography.AXIS_STATE_CAP is refused before it starts, so is
-`verify xi` with --i-max above VERIFY_XI_I_MAX, `verify bounds` with
---n-max above VERIFY_BOUNDS_N_MAX, `verify closed-forms` with --n-max above
-VERIFY_CLOSED_FORMS_N_MAX, `verify duality` with a pair (n, m) whose n*m is
-above VERIFY_DUALITY_NM_MAX, `verify parsimony` with --rprime-max
-above VERIFY_PARSIMONY_RP_MAX, `reduce` past --to sym2d on a range above
-REDUCE_R_MAX, and `kron` or `reduce --resolve` on a Kronecker triple of
-size above coefficients.KRON_N_MAX, which coefficients.kronecker refuses
-(a triple with a single-row or single-column shape is answered at any
-size), `coeff` on a shape of over nine rows and size above
-coefficients.POWER_SUM_N_MAX (general_plethysm's power-sum cap), and, as a
-last resort, a RecursionError anywhere is reported the same way.
+Exit codes: 0 success, 1 verification failure, 2 malformed input (another
+suite's flag, JSON nested too deeply to parse, ...), 3 semantic gate
+failure (infeasible instance, failed promise, ...) or an instance over the
+size cap: a 3dxray count whose marginals exceed tomography.AXIS_STATE_CAP
+is refused before it starts, so is a verify bound over its cap
+(VERIFY_XI_I_MAX, VERIFY_BOUNDS_N_MAX, VERIFY_CLOSED_FORMS_N_MAX,
+VERIFY_PARSIMONY_RP_MAX, and VERIFY_DUALITY_NM_MAX on n*m of each --nm
+pair), `reduce` past --to sym2d on a range above REDUCE_R_MAX, and `kron`
+or `reduce --resolve` on a Kronecker triple of size above
+coefficients.KRON_N_MAX, which coefficients.kronecker refuses (a triple
+with a single-row or single-column shape is answered at any size), `coeff`
+on a shape of over nine rows and size above coefficients.POWER_SUM_N_MAX
+(general_plethysm's power-sum cap), and, as a last resort, a
+RecursionError in the library is reported the same way.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ class GateError(Exception):
     """A semantic gate (feasibility, promise) rejected the input."""
 
 
-def _emit(payload: dict, fmt: str, out) -> None:
+def _emit(payload: dict | list, fmt: str, out) -> None:
     if fmt == "json":
         json.dump(payload, out, sort_keys=True, separators=(",", ":"))
         out.write("\n")
@@ -100,12 +101,15 @@ def _emit(payload: dict, fmt: str, out) -> None:
 
 
 def _load_instance(arg: str) -> dict:
-    if arg == "-":
-        return json.load(sys.stdin)
-    if arg.lstrip().startswith("{"):
-        return json.loads(arg)
-    with open(arg, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if arg == "-":
+            return json.load(sys.stdin)
+        if arg.lstrip().startswith("{"):
+            return json.loads(arg)
+        with open(arg, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:  # the parser recurses once per level of nesting
+        raise ValueError("the instance JSON is nested too deeply to parse") from None
 
 
 def _cmd_coeff(args, out) -> int:
@@ -195,8 +199,7 @@ def _cmd_reduce(args, out) -> int:
         raise GateError("instance fails the feasibility gate (marginal totals / coordinate sum)")
     stages = _reduce_stages(inst, args.to, args.resolve)
     if args.format == "json":
-        json.dump(stages, out, sort_keys=True, separators=(",", ":"))
-        out.write("\n")
+        _emit(stages, args.format, out)
     else:
         widths = ("stage", "cone", "detail")
         out.write(f"{widths[0]:<12} {widths[1]:<8} {widths[2]}\n")
@@ -289,23 +292,13 @@ def _verify_parsimony(rp_max: int) -> list[str]:
 
 
 def _cmd_verify(args, out) -> int:
-    suite = args.suite
-    if suite == "xi":
-        bad = _verify_xi(args.i_max)
-    elif suite == "bounds":
-        bad = _verify_bounds(args.n_max)
-    elif suite == "duality":
-        bad = _verify_duality(args.nm)
-    elif suite == "closed-forms":
-        bad = _verify_closed_forms(args.n_max)
-    else:  # parsimony; argparse's choices admit no other suite
-        bad = _verify_parsimony(args.rprime_max)
+    bad = args.check(args.bound)
     if bad:
-        out.write(f"verify {suite}: FAIL ({len(bad)} problems)\n")
+        out.write(f"verify {args.suite}: FAIL ({len(bad)} problems)\n")
         for line in bad[:10]:
             out.write("  " + line + "\n")
         return EXIT_VERIFY_FAILED
-    out.write(f"verify {suite}: PASS\n")
+    out.write(f"verify {args.suite}: PASS\n")
     return EXIT_OK
 
 
@@ -339,8 +332,7 @@ def _cmd_table(args, out) -> int:
             }
         )
     if args.format == "json":
-        json.dump(rows, out, sort_keys=True, separators=(",", ":"))
-        out.write("\n")
+        _emit(rows, args.format, out)
     else:
         cols = ["name", "count", "mu", "nu", "rho", "kronecker", "a_n", "a_value", "b_n", "b_value"]
         out.write(",".join(cols) + "\n")
@@ -403,12 +395,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("verify", help="run an invariant suite")
-    p.add_argument("suite", choices=["xi", "bounds", "duality", "closed-forms", "parsimony"])
-    p.add_argument("--i-max", type=_nonnegative_int, default=40)
-    p.add_argument("--n-max", type=_nonnegative_int, default=3)
-    p.add_argument("--nm", type=_nm_pairs, default="2,2;2,3;3,2")
-    p.add_argument("--rprime-max", type=_nonnegative_int, default=1)
     p.set_defaults(func=_cmd_verify)
+    suites = p.add_subparsers(dest="suite", required=True)
+    # one row per suite: its name, the one bound it reads, and its check
+    for suite, flag, kind, default, check in (
+        ("xi", "--i-max", _nonnegative_int, 40, _verify_xi),
+        ("bounds", "--n-max", _nonnegative_int, 3, _verify_bounds),
+        ("duality", "--nm", _nm_pairs, "2,2;2,3;3,2", _verify_duality),
+        ("closed-forms", "--n-max", _nonnegative_int, 3, _verify_closed_forms),
+        ("parsimony", "--rprime-max", _nonnegative_int, 1, _verify_parsimony),
+    ):
+        q = suites.add_parser(suite)
+        q.add_argument(flag, dest="bound", type=kind, default=default)
+        q.set_defaults(check=check)
 
     p = sub.add_parser("table", help="summary rows for the three worked examples")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -435,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("over the size cap: the instance needs deeper recursion than the interpreter allows", file=sys.stderr)
         return EXIT_GATE_FAILED
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -279,10 +279,16 @@ def outer_shape(n: int, variant: Variant) -> Partition:
 
 def plethysm_coeff(lam: Partition, n: int, m: int, variant: Variant) -> CoefficientResult:
     """a_lam(n,m) (multiplicity in the n-th symmetric power of the m-th) or
-    b_lam(n,m) (n-th exterior power of the m-th symmetric power)."""
-    mu = outer_shape(n, variant)
-    nu: Partition = (m,) if m else ()
-    return general_plethysm(lam, mu, nu)
+    b_lam(n,m) (n-th exterior power of the m-th symmetric power).  A
+    degree mismatch is answered before mu is built, as (1^n) has n parts;
+    a matching degree goes through general_plethysm's gate and nowhere
+    else, so the family, nu and the degree are each checked once."""
+    lam, nu = partition(lam), (m,) if m else ()
+    if sum(lam) == n * m:
+        return general_plethysm(lam, outer_shape(n, variant), nu)
+    outer_shape(min(n, 0), variant)  # the family gate, building no shape
+    partition(nu)
+    return CoefficientResult(0, "degree-mismatch")
 
 
 def m2_closed_form(n: int, variant: Variant) -> set[Partition]:
@@ -290,7 +296,7 @@ def m2_closed_form(n: int, variant: Variant) -> set[Partition]:
     variant 'a' gives the all-even partitions of 2n, variant 'b' the
     partitions of 2n whose diagonal hooks have arm = leg + 1 (row i of
     length >= i+1 satisfies lam_i = lam^t_i + 1, indices from 0)."""
-    outer_shape(n, variant)
+    outer_shape(min(n, 0), variant)
     if variant == "a":
         return {lam for lam in partitions_of(2 * n) if all(part % 2 == 0 for part in lam)}
     out: set[Partition] = set()

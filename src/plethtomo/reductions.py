@@ -167,10 +167,11 @@ def resolve_coefficient(inst: PlethysmInstance) -> CoefficientResult:
     * anything else is coefficients.plethysm_coeff, which answers a degree
       mismatch with 0 and raises SizeCapError over its caps.
 
-    The family and n are checked first (coefficients.outer_shape), so an
+    The family and n are checked first (coefficients.outer_shape, at
+    min(n, 0) so that no (1^n) is built for a chain query's n), so an
     unknown family never reaches the promise count.
     """
-    outer_shape(inst.n, inst.variant)
+    outer_shape(min(inst.n, 0), inst.variant)
     lam = canonical(inst.lam)
     if inst.m == 3 and sum(lam) == 3 * inst.n and nonincreasing(lam):
         marg, kind = _family_cone(lam, inst.variant)

@@ -17,6 +17,7 @@ from plethtomo.cli import (
     VERIFY_PARSIMONY_RP_MAX,
     VERIFY_XI_I_MAX,
     GateError,
+    build_parser,
     main,
 )
 from plethtomo.coefficients import KRON_N_MAX, POWER_SUM_N_MAX, CoefficientResult, jacobi_trudi_coeff
@@ -505,6 +506,30 @@ def test_recursion_error_maps_to_size_cap(capsys, monkeypatch):
     assert err.startswith("over the size cap") and len(err.splitlines()) == 1
 
 
+def test_deeply_nested_json_is_malformed_input(capsys, monkeypatch, tmp_path):
+    # a JSON parser that runs out of recursion (depth 3000 on CPython 3.11)
+    # used to exit 3 as an instance over the size cap; where it parses, the
+    # marginal check refuses the input, so either way the exit is 2
+    for depth in (500, 3000):
+        text = '{"kind":"sym3d","cone":"open","marginals":{"sum":' + "[" * depth + "]" * depth + "}}"
+        code, out, err = run(["count", text], capsys=capsys)
+        assert code == EXIT_INPUT_ERROR, depth
+        assert out == "" and err.startswith("input error") and len(err.splitlines()) == 1
+    # the parser's RecursionError itself, on any interpreter, inline and from a file
+    path = tmp_path / "deep.json"
+    path.write_text("{}", encoding="utf-8")
+
+    def too_deep(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded while decoding a JSON array")
+
+    monkeypatch.setattr(json, "loads", too_deep)
+    monkeypatch.setattr(json, "load", too_deep)
+    for arg in ("{}", str(path)):
+        code, out, err = run(["count", arg], capsys=capsys)
+        assert code == EXIT_INPUT_ERROR, arg
+        assert out == "" and err == "input error: the instance JSON is nested too deeply to parse\n"
+
+
 @pytest.mark.parametrize(
     "exc, want",
     [
@@ -611,8 +636,14 @@ def test_verify_suite_reports_its_problems(capsys, monkeypatch, argv, name, wron
 
 @pytest.mark.parametrize(
     "argv, want",
-    [(["frobnicate"], EXIT_INPUT_ERROR), (["coeff", "a", "[4]", "2", "2", "--format", "xml"], EXIT_INPUT_ERROR), (["--version"], EXIT_OK)],
-    ids=["unknown-subcommand", "unknown-format", "version"],
+    [
+        (["frobnicate"], EXIT_INPUT_ERROR),
+        (["coeff", "a", "[4]", "2", "2", "--format", "xml"], EXIT_INPUT_ERROR),
+        (["verify"], EXIT_INPUT_ERROR),
+        (["verify", "--n-max", "3", "bounds"], EXIT_INPUT_ERROR),
+        (["--version"], EXIT_OK),
+    ],
+    ids=["unknown-subcommand", "unknown-format", "verify-without-a-suite", "verify-bound-before-suite", "version"],
 )
 def test_argparse_exits_through_main(capsys, argv, want):
     code, out, err = run(argv, capsys=capsys)
@@ -623,25 +654,32 @@ def test_argparse_exits_through_main(capsys, argv, want):
         assert out == "" and err.startswith("usage: plethtomo")
 
 
-@pytest.mark.parametrize(
-    "argv, name",
-    [
-        (["verify", "xi", "--i-max", "-2"], "xi_by_enumeration"),
-        (["verify", "bounds", "--n-max", "-1"], "plethysm_coeff"),
-        (["verify", "duality", "--nm=2,2;-5,4"], "check_duality"),
-        (["verify", "closed-forms", "--n-max", "-3"], "m2_closed_form"),
-        (["verify", "parsimony", "--rprime-max", "-1"], "count_2dxray"),
-    ],
-    ids=["xi", "bounds", "duality", "closed-forms", "parsimony"],
-)
-def test_verify_rejects_a_negative_bound(capsys, monkeypatch, argv, name):
+# each verify suite, the function it computes first, and its own bound flag
+VERIFY_SUITES = {
+    "xi": ("xi_by_enumeration", "--i-max"),
+    "bounds": ("plethysm_coeff", "--n-max"),
+    "duality": ("check_duality", "--nm"),
+    "closed-forms": ("m2_closed_form", "--n-max"),
+    "parsimony": ("count_2dxray", "--rprime-max"),
+}
+
+
+def forbid_verify_work(monkeypatch, suite, why):
+    """Make the suite's first computation fail the test if it is reached."""
+
+    def no_work(*args):
+        raise AssertionError(f"verify {suite} started on {why}")
+
+    monkeypatch.setattr(f"plethtomo.cli.{VERIFY_SUITES[suite][0]}", no_work)
+
+
+@pytest.mark.parametrize("suite", VERIFY_SUITES)
+def test_verify_rejects_a_negative_bound(capsys, monkeypatch, suite):
     # a negative bound made an empty family that passed at once; now it is
     # malformed input, refused before the suite computes anything
-    def no_work(*args):
-        raise AssertionError(f"{argv[1]} started on a negative bound")
-
-    monkeypatch.setattr(f"plethtomo.cli.{name}", no_work)
-    code, out, err = run(argv, capsys=capsys)
+    flag = VERIFY_SUITES[suite][1]
+    forbid_verify_work(monkeypatch, suite, "a negative bound")
+    code, out, err = run(["verify", suite, f"{flag}=" + ("2,2;-5,4" if flag == "--nm" else "-1")], capsys=capsys)
     assert code == EXIT_INPUT_ERROR
     assert out == ""
     assert "expected a nonnegative integer" in err
@@ -743,6 +781,25 @@ def test_verify_parsimony_over_the_cap_counts_nothing(capsys, monkeypatch):
     monkeypatch.setattr("plethtomo.partitions.compositions_of", lambda total, length: [])
     code, out, _ = run(["verify", "parsimony", "--rprime-max", str(VERIFY_PARSIMONY_RP_MAX)], capsys=capsys)
     assert code == EXIT_OK and "PASS" in out
+
+
+@pytest.mark.parametrize("suite", VERIFY_SUITES)
+def test_verify_refuses_another_suites_flag(capsys, monkeypatch, suite):
+    # every suite took all four bound flags and ignored three of them, so
+    # `verify bounds --i-max 100000` passed; now each is malformed input,
+    # refused before the suite computes anything
+    forbid_verify_work(monkeypatch, suite, "another suite's flag")
+    foreign = {flag for _, flag in VERIFY_SUITES.values()} - {VERIFY_SUITES[suite][1]}
+    for flag in sorted(foreign):
+        code, out, err = run(["verify", suite, flag, "9,9" if flag == "--nm" else "99"], capsys=capsys)
+        assert code == EXIT_INPUT_ERROR, flag
+        assert out == "" and "unrecognized arguments" in err
+
+
+def test_verify_default_bounds():
+    parser = build_parser()
+    defaults = {suite: parser.parse_args(["verify", suite]).bound for suite in VERIFY_SUITES}
+    assert defaults == {"xi": 40, "bounds": 3, "duality": [(2, 2), (2, 3), (3, 2)], "closed-forms": 3, "parsimony": 1}
 
 
 def test_table_rows(capsys, monkeypatch):

@@ -2,10 +2,13 @@
 entry goes through tomography.cone_kind, and every a/b family argument
 through coefficients.outer_shape, each before any shortcut."""
 
+import tracemalloc
+
 import pytest
 from test_partition_gate import raises_naming
 
 from plethtomo import coefficients, reductions, restricted, tomography
+from plethtomo.coefficients import CoefficientResult
 from plethtomo.reductions import PlethysmInstance
 from plethtomo.tomography import XRayInstance2D
 
@@ -75,6 +78,23 @@ def test_the_family_gate_refuses_a_negative_outer_degree():
     ):
         with pytest.raises(ValueError, match=r"^outer degree n must be >= 0, got -[12]$"):
             query()
+
+
+def test_the_family_gate_builds_no_outer_shape():
+    # (1^n) at n = 10^6 is an 8 MB tuple, which the gate built and dropped
+    # on every query, and plethysm_coeff built before its degree check
+    n = 10**6
+    for query in (
+        lambda: coefficients.plethysm_coeff((1,), n, 3, "b"),
+        lambda: reductions.resolve_coefficient(PlethysmInstance((1,), n, 3, "b")),
+    ):
+        tracemalloc.start()
+        try:
+            assert query() == CoefficientResult(0, "degree-mismatch")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_outer_shapes():
