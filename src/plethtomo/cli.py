@@ -18,8 +18,10 @@ or `reduce --resolve` on a Kronecker triple of size above
 coefficients.KRON_N_MAX, which coefficients.kronecker refuses (a triple
 with a single-row or single-column shape is answered at any size), `coeff`
 on a shape of over nine rows and size above coefficients.POWER_SUM_N_MAX
-(general_plethysm's power-sum cap), and, as a last resort, a
-RecursionError in the library is reported the same way.
+(general_plethysm's power-sum cap; `coeff a|b` at m = 3 on a shape whose
+cone instance is a promise instance is answered by its point-set count at
+any size), and, as a last resort, a RecursionError or MemoryError in the
+library is reported the same way.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ import json
 import sys
 
 from . import __version__
-from .coefficients import check_duality, general_plethysm, kronecker, m2_closed_form, plethysm_coeff
+from .coefficients import _family_cone, check_duality, general_plethysm, kronecker, m2_closed_form, outer_shape, plethysm_coeff
 from .partitions import format_partition, parse_partition, partitions_of
-from .reductions import _family_cone, kronecker_plethysm_triple, resolve_coefficient
+from .reductions import kronecker_plethysm_triple, resolve_coefficient
 from .tomography import (
     SizeCapError,
     XRayInstance2D,
@@ -228,7 +230,8 @@ def _verify_bounds(n_max: int) -> list[str]:
     for n in range(1, n_max + 1):
         for lam in partitions_of(3 * n):
             for variant in ("a", "b"):
-                value = plethysm_coeff(lam, n, 3, variant).value
+                # not plethysm_coeff, which answers a promise shape by the point-set count
+                value = general_plethysm(lam, outer_shape(n, variant), (3,)).value
                 marg, kind = _family_cone(lam, variant)
                 lo, hi = count_pyramids(marg, kind), count_point_sets(marg, kind)
                 if not lo <= value <= hi:
@@ -431,8 +434,9 @@ def main(argv: list[str] | None = None) -> int:
     except SizeCapError as exc:
         print(f"over the size cap: {exc}", file=sys.stderr)
         return EXIT_GATE_FAILED
-    except RecursionError:
-        print("over the size cap: the instance needs deeper recursion than the interpreter allows", file=sys.stderr)
+    except (RecursionError, MemoryError) as exc:
+        need = "deeper recursion" if isinstance(exc, RecursionError) else "more memory"
+        print(f"over the size cap: the instance needs {need} than the interpreter allows", file=sys.stderr)
         return EXIT_GATE_FAILED
     except (ValueError, KeyError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

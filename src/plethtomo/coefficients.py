@@ -35,6 +35,11 @@ and s_()[s_nu] = 1.  A coefficient family, 'a' (the n-th symmetric power)
 or 'b' (the n-th exterior power), is checked once, by outer_shape, the only
 code in the package that raises for an unknown family.
 
+plethysm_coeff, the one entry for a_lam(n,m) and b_lam(n,m), answers by
+rows: a degree mismatch is 0; degree 0 is [len(mu) <= 1]; at m = 3, a lam
+whose cone instance (_family_cone) is a promise instance is its point-set
+count, as every point set there is a pyramid; the rest is general_plethysm.
+
 kronecker checks a triple once, answers one with a one-row or one-column
 shape directly (the trivial and the sign character), refuses any other
 above KRON_N_MAX and sends the rest to the character sum over the p(n)
@@ -50,7 +55,7 @@ from typing import Literal
 from .characters import _kronecker, kronecker_shapes, plethysm_schur_multiplicity
 from .partitions import Composition, Partition, _transpose, canonical, partition, partitions_of
 from .tableaux import count_weighted_ssyt, dim_weyl, ssyt_weights
-from .tomography import ConeKind, SizeCapError, count_point_sets
+from .tomography import ConeKind, SizeCapError, _is_promise, count_point_sets
 
 JACOBI_TRUDI_MAX_ROWS = 9
 JACOBI_TRUDI_ROWS_CAP = 10
@@ -94,6 +99,15 @@ _q_cache: dict[tuple[Partition, Partition, Partition], int] = {}
 # are its point sets: Sym^3 holds multisets of three letters, the weakly
 # decreasing triples, and wedge^3 3-sets, the strictly decreasing ones
 _CONE_OF_INNER: dict[Partition, ConeKind] = {(3,): "closed", (1, 1, 1): "open"}
+
+
+def _family_cone(lam: Partition, variant: Variant) -> tuple[Partition, ConeKind]:
+    """The cone instance of a degree-3 family on a partition lam: b at lam
+    is the closed cone at lam, a at lam the open cone at lam' (and back, as
+    transposition is an involution)."""
+    if variant == "b":
+        return lam, "closed"
+    return _transpose(lam), "open"
 
 
 def weight_multiplicity(mu: Partition, nu: Partition, kappa: Composition) -> int:
@@ -279,16 +293,22 @@ def outer_shape(n: int, variant: Variant) -> Partition:
 
 def plethysm_coeff(lam: Partition, n: int, m: int, variant: Variant) -> CoefficientResult:
     """a_lam(n,m) (multiplicity in the n-th symmetric power of the m-th) or
-    b_lam(n,m) (n-th exterior power of the m-th symmetric power).  A
-    degree mismatch is answered before mu is built, as (1^n) has n parts;
-    a matching degree goes through general_plethysm's gate and nowhere
-    else, so the family, nu and the degree are each checked once."""
-    lam, nu = partition(lam), (m,) if m else ()
-    if sum(lam) == n * m:
-        return general_plethysm(lam, outer_shape(n, variant), nu)
-    outer_shape(min(n, 0), variant)  # the family gate, building no shape
-    partition(nu)
-    return CoefficientResult(0, "degree-mismatch")
+    b_lam(n,m) (n-th exterior power of the m-th symmetric power).  lam, the
+    family (building no (1^n)) and nu = (m) are checked once; then the
+    first row that applies answers: |lam| != n*m is 0; m = 0 is s_mu[1] =
+    [len(mu) <= 1], by general_plethysm on (1^min(n,2)); at m = 3, a
+    promise instance of lam's cone is its point-set count; the rest is
+    general_plethysm, which raises SizeCapError over its caps."""
+    lam = partition(lam)
+    outer_shape(min(n, 0), variant)
+    nu = partition((m,) if m else ())
+    if sum(lam) != n * m:
+        return CoefficientResult(0, "degree-mismatch")
+    if m == 3:
+        marg, kind = _family_cone(lam, variant)
+        if _is_promise(marg, kind):
+            return CoefficientResult(count_point_sets(marg, kind), "promise-pyramid-count")
+    return general_plethysm(lam, outer_shape(n if m else min(n, 2), variant), nu)
 
 
 def m2_closed_form(n: int, variant: Variant) -> set[Partition]:

@@ -7,7 +7,8 @@ Stages, each preserving the exact solution count:
 2. sum-marginal grid instances to coordinate-sum-minimal ("promise")
    instances in the full cone, by stacking the complete pyramid under the
    layer;
-3. promise instances to single plethysm coefficients.
+3. promise instances to single plethysm coefficients (_family_cone read
+   backwards), which plethysm_coeff answers by the point-set count.
 
 Composing both cone variants with the simplex construction yields, for one
 axis-marginal instance, a Kronecker triple and two plethysm instances whose
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coefficients import CoefficientResult, Variant, outer_shape, plethysm_coeff
+from .coefficients import CoefficientResult, Variant, _family_cone, outer_shape, plethysm_coeff
 from .partitions import Composition, Partition, _add, _transpose, canonical, nonincreasing, pad, partition, transpose
 from .tomography import (
     ConeKind,
@@ -28,7 +29,6 @@ from .tomography import (
     _is_promise,
     cone_kind,
     coordinate_sum,
-    count_point_sets,
     pyramid_marginal,
 )
 
@@ -139,15 +139,6 @@ def promise_to_plethysm(lam: Composition, kind: ConeKind) -> PlethysmInstance:
     return _promise_query(lam, kind)
 
 
-def _family_cone(lam: Partition, variant: Variant) -> tuple[Partition, ConeKind]:
-    """The cone instance of a degree-3 family on a partition lam: b at lam
-    is the closed cone at lam, a at lam the open cone at lam' (and back, as
-    transposition is an involution)."""
-    if variant == "b":
-        return lam, "closed"
-    return _transpose(lam), "open"
-
-
 def _promise_query(lam: Composition, kind: ConeKind) -> PlethysmInstance:
     """promise_to_plethysm on a canonical lam that is a promise instance of
     the cone, or is no partition."""
@@ -158,26 +149,9 @@ def _promise_query(lam: Composition, kind: ConeKind) -> PlethysmInstance:
 
 
 def resolve_coefficient(inst: PlethysmInstance) -> CoefficientResult:
-    """Exact value of a plethysm instance, by one of two routes:
-
-    * at inner degree 3, a partition lam of 3n whose cone instance
-      (_family_cone) is a promise instance is counted as point sets: every
-      solution of a promise instance is a pyramid, so this equals the
-      pyramid count there, and the coefficient;
-    * anything else is coefficients.plethysm_coeff, which answers a degree
-      mismatch with 0 and raises SizeCapError over its caps.
-
-    The family and n are checked first (coefficients.outer_shape, at
-    min(n, 0) so that no (1^n) is built for a chain query's n), so an
-    unknown family never reaches the promise count.
-    """
-    outer_shape(min(inst.n, 0), inst.variant)
-    lam = canonical(inst.lam)
-    if inst.m == 3 and sum(lam) == 3 * inst.n and nonincreasing(lam):
-        marg, kind = _family_cone(lam, inst.variant)
-        if _is_promise(marg, kind):
-            return CoefficientResult(count_point_sets(marg, kind), "promise-pyramid-count")
-    return plethysm_coeff(lam, inst.n, inst.m, inst.variant)
+    """Exact value of a plethysm instance: coefficients.plethysm_coeff on
+    its fields, which counts a chain query's point sets."""
+    return plethysm_coeff(inst.lam, inst.n, inst.m, inst.variant)
 
 
 class _stage:

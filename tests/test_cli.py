@@ -152,6 +152,25 @@ def test_coeff_tall_over_the_power_sum_cap_builds_no_class(capsys, monkeypatch):
     assert err.startswith("over the size cap:") and "48" in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeff", "b", "[65,54,46,39,32,23,17,12,9,7,5,2,1]", "104", "3"],
+        ["coeff", "a", "[12,11,11,10,10,9,8,8,8,7,7,6,6,5,5,5,5,4,4,4,3,3,2,2,2,2,1,1,1,1,1,1]", "55", "3"],
+    ],
+    ids=["b", "a"],
+)
+def test_coeff_promise_shape_over_the_power_sum_cap(capsys, argv):
+    # worked example 1's chain queries: the b shape has 13 rows and 312
+    # boxes, the a shape 32 rows and 165, both over the power-sum cap, but
+    # each is a promise instance's point-set count
+    t0 = time.perf_counter()
+    code, out, err = run([*argv, "--format", "json"], capsys=capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == EXIT_OK, err
+    assert out == '{"method":"promise-pyramid-count","value":1}\n'
+
+
 def test_power_sum_cap_admits_every_benchmark_query():
     pool = json.loads(BENCHMARK_POOL.read_text())
     sizes = [sum(parse_partition(q["argv"][2])) for kind in ("coeff-a", "coeff-b", "coeff-p") for q in pool["queries"][kind]]
@@ -536,6 +555,7 @@ def test_deeply_nested_json_is_malformed_input(capsys, monkeypatch, tmp_path):
         (GateError("infeasible"), EXIT_GATE_FAILED),
         (SizeCapError("too many states"), EXIT_GATE_FAILED),
         (RecursionError("maximum recursion depth exceeded"), EXIT_GATE_FAILED),
+        (MemoryError(), EXIT_GATE_FAILED),
         (ValueError("bad shape"), EXIT_INPUT_ERROR),
         (KeyError("marginals"), EXIT_INPUT_ERROR),
         (OSError("no such file"), EXIT_INPUT_ERROR),
@@ -583,8 +603,8 @@ def test_verify_failure_is_reported_with_exit_1(capsys, monkeypatch):
 VERIFY_FAILURES = [
     (
         ["verify", "bounds", "--n-max", "1"],
-        "plethysm_coeff",
-        lambda lam, n, m, variant: CoefficientResult(-1, "wrong"),
+        "general_plethysm",
+        lambda lam, mu, nu: CoefficientResult(-1, "wrong"),
         "verify bounds: FAIL (6 problems)",
         "a-bounds fail at lam=(3,): 1 <= -1 <= 1",
     ),
@@ -657,7 +677,7 @@ def test_argparse_exits_through_main(capsys, argv, want):
 # each verify suite, the function it computes first, and its own bound flag
 VERIFY_SUITES = {
     "xi": ("xi_by_enumeration", "--i-max"),
-    "bounds": ("plethysm_coeff", "--n-max"),
+    "bounds": ("general_plethysm", "--n-max"),
     "duality": ("check_duality", "--nm"),
     "closed-forms": ("m2_closed_form", "--n-max"),
     "parsimony": ("count_2dxray", "--rprime-max"),
@@ -701,7 +721,7 @@ def test_verify_bounds_over_the_cap_counts_nothing(capsys, monkeypatch):
     def no_count(*args):
         raise AssertionError("verify bounds started counting over its cap")
 
-    monkeypatch.setattr("plethtomo.cli.plethysm_coeff", no_count)
+    monkeypatch.setattr("plethtomo.cli.general_plethysm", no_count)
     monkeypatch.setattr("plethtomo.cli.count_point_sets", no_count)
     code, out, err = run(["verify", "bounds", "--n-max", str(VERIFY_BOUNDS_N_MAX + 1)], capsys=capsys)
     assert VERIFY_BOUNDS_N_MAX == 7

@@ -82,15 +82,19 @@ def test_the_family_gate_refuses_a_negative_outer_degree():
 
 def test_the_family_gate_builds_no_outer_shape():
     # (1^n) at n = 10^6 is an 8 MB tuple, which the gate built and dropped
-    # on every query, and plethysm_coeff built before its degree check
+    # on every query, and plethysm_coeff built before its degree check and
+    # to answer s_mu[1] = [len(mu) <= 1] at m = 0
     n = 10**6
-    for query in (
-        lambda: coefficients.plethysm_coeff((1,), n, 3, "b"),
-        lambda: reductions.resolve_coefficient(PlethysmInstance((1,), n, 3, "b")),
+    mismatch = CoefficientResult(0, "degree-mismatch")
+    for query, want in (
+        (lambda: coefficients.plethysm_coeff((1,), n, 3, "b"), mismatch),
+        (lambda: reductions.resolve_coefficient(PlethysmInstance((1,), n, 3, "b")), mismatch),
+        (lambda: coefficients.plethysm_coeff((), n, 0, "a"), CoefficientResult(1, "jacobi-trudi")),
+        (lambda: coefficients.plethysm_coeff((), n, 0, "b"), CoefficientResult(0, "jacobi-trudi")),
     ):
         tracemalloc.start()
         try:
-            assert query() == CoefficientResult(0, "degree-mismatch")
+            assert query() == want
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

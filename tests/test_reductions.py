@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from plethtomo import reductions
 from plethtomo.characters import kronecker as character_kronecker
-from plethtomo.coefficients import kronecker, plethysm_coeff
+from plethtomo.coefficients import CoefficientResult, _family_cone, general_plethysm, kronecker, outer_shape, plethysm_coeff
 from plethtomo.partitions import add, compositions_of, partitions_of, transpose
 from plethtomo.reductions import (
     CANONICAL_ZERO_3D,
     TRIVIAL_NO_INSTANCE,
     PlethysmInstance,
     TriviallyZero,
-    _family_cone,
     _promise_query,
     embed_pyramid_3d,
     gamma_embed,
@@ -430,21 +429,26 @@ def test_bounds_sandwich(case):
     n, lam = case
     for variant in ("a", "b"):
         marg, kind = _family_cone(lam, variant)
-        value = plethysm_coeff(lam, n, 3, variant).value
+        # general_plethysm, not plethysm_coeff, which answers a promise shape
+        # by the point-set count the bound is checked against
+        value = general_plethysm(lam, outer_shape(n, variant), (3,)).value
         assert count_pyramids(marg, kind) <= value <= count_point_sets(marg, kind), (lam, variant)
 
 
 def test_stage_three_oracle_equality_small_promise():
     # the tomography count of a small promise instance equals the oracle
-    # value of the coefficient the reduction outputs
-    checked = 0
+    # value of the coefficient the reduction outputs, and plethysm_coeff
+    # answers that coefficient by the count
+    checked = Counter()
     for total in (3, 6, 9, 12, 15, 18):
         for lam in partitions_of(total):
             for kind in ("open", "closed"):
                 if not is_promise_instance(lam, kind):
                     continue
                 inst = promise_to_plethysm(lam, kind)
-                oracle = plethysm_coeff(inst.lam, inst.n, inst.m, inst.variant).value
-                assert oracle == count_point_sets(lam, kind), (lam, kind)
-                checked += 1
-    assert checked >= 30
+                oracle = general_plethysm(inst.lam, outer_shape(inst.n, inst.variant), (inst.m,)).value
+                count = count_point_sets(lam, kind)
+                assert oracle == count, (lam, kind)
+                assert plethysm_coeff(inst.lam, inst.n, inst.m, inst.variant) == CoefficientResult(count, "promise-pyramid-count")
+                checked[kind] += 1
+    assert checked.total() >= 30 and all(checked[kind] for kind in ("open", "closed")), checked
