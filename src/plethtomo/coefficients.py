@@ -36,9 +36,29 @@ or 'b' (the n-th exterior power), is checked once, by outer_shape, the only
 code in the package that raises for an unknown family.
 
 plethysm_coeff, the one entry for a_lam(n,m) and b_lam(n,m), answers by
-rows: a degree mismatch is 0; degree 0 is [len(mu) <= 1]; at m = 3, a lam
-whose cone instance (_family_cone) is a promise instance is its point-set
-count, as every point set there is a pyramid; the rest is general_plethysm.
+the first of these rows that applies, each naming its method:
+
+1. |lam| != n*m is 0 ("degree-mismatch");
+2. at m = 3, a lam whose cone instance (_family_cone) is a promise instance
+   is its point-set count, as every point set there is a pyramid
+   ("promise-pyramid-count");
+3. n >= 1 and len(lam) > n is 0 ("height-zero"): s_mu[h_m] is a summand of
+   h_m^n, whose Schur support is the lam with at most n rows (K_{lam,(m^n)}
+   is 0 on the rest);
+4. n >= 1 and len(lam) = n peels lam's first column: the paper's inner lift
+   (reductions.inner_lift) read backwards gives a_lam(n,m) =
+   b_{lam-(1^n)}(n,m-1) and b_lam(n,m) = a_{lam-(1^n)}(n,m-1), and the
+   peeled query goes back through rows 2-4 ("column-peel+" before the
+   method of the row that answers it);
+5. at m = 2, Littlewood's multiplicity-free closed forms (Macdonald,
+   Symmetric Functions, I.8 Ex. 6) in O(len(lam)): h_n[h_2] is the sum of
+   the s_lam with every part even and e_n[h_2] of those of Frobenius form
+   (alpha+1 | alpha) ("closed-form");
+6. the rest is general_plethysm ("jacobi-trudi" or "power-sum"), on which
+   degree 0 is s_mu[1] = [len(mu) <= 1].
+
+_jacobi_trudi and plethysm_schur_multiplicity never peel, so they stay the
+two independent routes that check these rows.
 
 kronecker checks a triple once, answers one with a one-row or one-column
 shape directly (the trivial and the sign character), refuses any other
@@ -48,14 +68,14 @@ classes (characters.kronecker).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Literal
 
 from .characters import _kronecker, kronecker_shapes, plethysm_schur_multiplicity
 from .partitions import Composition, Partition, _transpose, canonical, partition, partitions_of
 from .tableaux import count_weighted_ssyt, dim_weyl, ssyt_weights
-from .tomography import ConeKind, SizeCapError, _is_promise, count_point_sets
+from .tomography import ConeKind, SizeCapError, _attains_beta, _is_promise, count_point_sets
 
 JACOBI_TRUDI_MAX_ROWS = 9
 JACOBI_TRUDI_ROWS_CAP = 10
@@ -108,6 +128,14 @@ def _family_cone(lam: Partition, variant: Variant) -> tuple[Partition, ConeKind]
     if variant == "b":
         return lam, "closed"
     return _transpose(lam), "open"
+
+
+def _family_is_promise(lam: Partition, variant: Variant) -> bool:
+    """_is_promise(*_family_cone(lam, variant)) without the transpose: the
+    a family's marginal lam' has coordinate sum sum_j C(lam_j, 2)."""
+    if variant == "b":
+        return _is_promise(lam, "closed")
+    return _attains_beta(sum(lam), sum(part * (part - 1) for part in lam) >> 1, "open")
 
 
 def weight_multiplicity(mu: Partition, nu: Partition, kappa: Composition) -> int:
@@ -295,36 +323,62 @@ def plethysm_coeff(lam: Partition, n: int, m: int, variant: Variant) -> Coeffici
     """a_lam(n,m) (multiplicity in the n-th symmetric power of the m-th) or
     b_lam(n,m) (n-th exterior power of the m-th symmetric power).  lam, the
     family (building no (1^n)) and nu = (m) are checked once; then the
-    first row that applies answers: |lam| != n*m is 0; m = 0 is s_mu[1] =
-    [len(mu) <= 1], by general_plethysm on (1^min(n,2)); at m = 3, a
-    promise instance of lam's cone is its point-set count; the rest is
-    general_plethysm, which raises SizeCapError over its caps."""
+    first row of the module docstring's list that applies answers:
+    degree-mismatch, promise-pyramid-count (m = 3), height-zero
+    (len(lam) > n), column-peel+<method> (len(lam) = n, peeled while it
+    stays so), closed-form (m = 2), else general_plethysm, where degree 0
+    is s_mu[1] = [len(mu) <= 1] on (1^min(n,2)) and which raises
+    SizeCapError over its caps."""
     lam = partition(lam)
     outer_shape(min(n, 0), variant)
-    nu = partition((m,) if m else ())
+    partition((m,) if m else ())
     if sum(lam) != n * m:
         return CoefficientResult(0, "degree-mismatch")
-    if m == 3:
-        marg, kind = _family_cone(lam, variant)
-        if _is_promise(marg, kind):
-            return CoefficientResult(count_point_sets(marg, kind), "promise-pyramid-count")
-    return general_plethysm(lam, outer_shape(n if m else min(n, 2), variant), nu)
+    peeled = ""
+    while True:
+        if m == 3 and _family_is_promise(lam, variant):
+            return CoefficientResult(count_point_sets(*_family_cone(lam, variant)), peeled + "promise-pyramid-count")
+        if n == 0 or len(lam) < n:
+            break
+        if len(lam) > n:
+            return CoefficientResult(0, peeled + "height-zero")
+        # n rows hold at least n boxes, so m >= 1 here
+        lam = tuple(part - 1 for part in lam if part > 1)
+        m -= 1
+        variant = "b" if variant == "a" else "a"
+        peeled = "column-peel+"
+    if m == 2:
+        return CoefficientResult(int(_in_m2_support(lam, variant)), peeled + "closed-form")
+    res = general_plethysm(lam, outer_shape(n if m else min(n, 2), variant), (m,) if m else ())
+    return replace(res, method=peeled + res.method) if peeled else res
+
+
+def _in_m2_support(lam: Partition, variant: Variant) -> bool:
+    """Whether s_lam occurs in h_n[h_2] (a) or e_n[h_2] (b), |lam| = 2n, each
+    multiplicity-free: every part of lam is even (a), or lam has Frobenius
+    form (alpha+1 | alpha), i.e. lam_i = lam'_i + 1 on the diagonal (b).
+    O(len(lam)): lam'_i, the number of parts above i, is counted down as i
+    walks the diagonal."""
+    if variant == "a":
+        return all(part % 2 == 0 for part in lam)
+    taller = len(lam)
+    for i, part in enumerate(lam):
+        if part <= i:
+            break
+        while lam[taller - 1] <= i:
+            taller -= 1
+        if part != taller + 1:
+            return False
+    return True
 
 
 def m2_closed_form(n: int, variant: Variant) -> set[Partition]:
-    """Exact multiplicity-free support of the inner-degree-2 plethysms:
-    variant 'a' gives the all-even partitions of 2n, variant 'b' the
-    partitions of 2n whose diagonal hooks have arm = leg + 1 (row i of
-    length >= i+1 satisfies lam_i = lam^t_i + 1, indices from 0)."""
+    """Exact multiplicity-free support of the inner-degree-2 plethysms: the
+    partitions of 2n that _in_m2_support accepts.  Variant 'a' gives the
+    all-even ones, variant 'b' those whose diagonal hooks have arm = leg + 1
+    (row i of length >= i+1 satisfies lam_i = lam^t_i + 1, indices from 0)."""
     outer_shape(min(n, 0), variant)
-    if variant == "a":
-        return {lam for lam in partitions_of(2 * n) if all(part % 2 == 0 for part in lam)}
-    out: set[Partition] = set()
-    for lam in partitions_of(2 * n):
-        t = _transpose(lam)
-        if all(part == t[i] + 1 for i, part in enumerate(lam) if part >= i + 1):
-            out.add(lam)
-    return out
+    return {lam for lam in partitions_of(2 * n) if _in_m2_support(lam, variant)}
 
 
 def check_duality(n: int, m: int) -> tuple[bool, list[str]]:

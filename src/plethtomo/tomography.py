@@ -291,8 +291,13 @@ def is_promise_instance(lam: Composition, kind: ConeKind) -> bool:
 
 def _is_promise(lam: Composition, kind: ConeKind) -> bool:
     """is_promise_instance on a canonical lam."""
-    total = sum(lam)
-    return total % 3 == 0 and coordinate_sum(lam) == _greedy_fill(total // 3, kind)[0]
+    return _attains_beta(sum(lam), coordinate_sum(lam), kind)
+
+
+def _attains_beta(total: int, coords: int, kind: ConeKind) -> bool:
+    """Whether marginals of entry sum total and coordinate sum coords are a
+    promise instance of the cone: total = 3n and coords = beta(n)."""
+    return total % 3 == 0 and coords == _greedy_fill(total // 3, kind)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,24 @@ def test_coeff_promise_shape_over_the_power_sum_cap(capsys, argv):
     assert out == '{"method":"promise-pyramid-count","value":1}\n'
 
 
+@pytest.mark.parametrize(
+    "argv, method, value",
+    [
+        (["coeff", "b", "[6,5,5,4,4,3,3,2]", "8", "4"], "column-peel+closed-form", 0),
+        (["coeff", "a", "[4,4,4,4,4,4,4,4,4]", "9", "4"], "column-peel+jacobi-trudi", 1),
+        (["coeff", "a", "[10,10,10,10,10,10]", "30", "2"], "closed-form", 1),
+    ],
+    ids=["b-peeled-twice", "a-square-peeled-to-degree-0", "a-degree-2"],
+)
+def test_coeff_answers_by_column_peel_and_closed_form(capsys, argv, method, value):
+    # on the Jacobi-Trudi route these took 25 s, over 60 s and over 150 s
+    t0 = time.perf_counter()
+    code, out, err = run([*argv, "--format", "json"], capsys=capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == EXIT_OK, err
+    assert json.loads(out) == {"method": method, "value": value}
+
+
 def test_power_sum_cap_admits_every_benchmark_query():
     pool = json.loads(BENCHMARK_POOL.read_text())
     sizes = [sum(parse_partition(q["argv"][2])) for kind in ("coeff-a", "coeff-b", "coeff-p") for q in pool["queries"][kind]]
@@ -180,7 +198,7 @@ def test_power_sum_cap_admits_every_benchmark_query():
 @pytest.mark.parametrize(
     "argv, want",
     [
-        (["coeff", "a", "[4]", "2", "2"], "method,value\njacobi-trudi,1\n"),
+        (["coeff", "a", "[4]", "2", "2"], "method,value\nclosed-form,1\n"),
         (["kron", "[2,1]", "[2,1]", "[2,1]"], "method,value\ncharacter-sum,1\n"),
         (["count", json.dumps({"kind": "sym3d", "cone": "closed", "marginals": {"sum": [3]}})], "count\n1\n"),
     ],
@@ -617,10 +635,17 @@ VERIFY_FAILURES = [
     ),
     (
         ["verify", "closed-forms", "--n-max", "1"],
-        "plethysm_coeff",
-        lambda lam, n, m, variant: CoefficientResult(7, "wrong"),
+        "jacobi_trudi_coeff",
+        lambda lam, mu, nu: 7,
         "verify closed-forms: FAIL (4 problems)",
-        "m=2 closed form (a, n=1) at (2,): coefficient 7, predicted 1",
+        "m=2 closed form (a, n=1) at (2,): Jacobi-Trudi 7, predicted 1",
+    ),
+    (
+        ["verify", "closed-forms", "--n-max", "1"],
+        "plethysm_schur_multiplicity",
+        lambda lam, mu, nu: 7,
+        "verify closed-forms: FAIL (4 problems)",
+        "m=2 closed form (a, n=1) at (2,): power-sum 7, predicted 1",
     ),
     (
         ["verify", "parsimony", "--rprime-max", "1"],
@@ -640,7 +665,7 @@ VERIFY_FAILURES = [
 
 
 @pytest.mark.parametrize(
-    "argv,name,wrong,head,first", VERIFY_FAILURES, ids=["bounds", "duality", "closed-forms", "parsimony-symmetrize", "parsimony-embedding"]
+    "argv,name,wrong,head,first", VERIFY_FAILURES, ids=["bounds", "duality", "closed-forms", "closed-forms-power-sum", "parsimony-symmetrize", "parsimony-embedding"]
 )
 def test_verify_suite_reports_its_problems(capsys, monkeypatch, argv, name, wrong, head, first):
     # the function a suite checks gives a wrong value: exit 1, a count of
@@ -738,7 +763,8 @@ def test_verify_closed_forms_over_the_cap_computes_nothing(capsys, monkeypatch):
     def no_coefficient(*args):
         raise AssertionError("verify closed-forms computed a coefficient over its cap")
 
-    monkeypatch.setattr("plethtomo.cli.plethysm_coeff", no_coefficient)
+    monkeypatch.setattr("plethtomo.cli.jacobi_trudi_coeff", no_coefficient)
+    monkeypatch.setattr("plethtomo.cli.plethysm_schur_multiplicity", no_coefficient)
     monkeypatch.setattr("plethtomo.cli.m2_closed_form", no_coefficient)
     code, out, err = run(["verify", "closed-forms", "--n-max", str(VERIFY_CLOSED_FORMS_N_MAX + 1)], capsys=capsys)
     assert VERIFY_CLOSED_FORMS_N_MAX == 10

@@ -1,5 +1,6 @@
 import itertools
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +19,8 @@ from plethtomo.coefficients import (
     KRON_N_MAX,
     POWER_SUM_N_MAX,
     CoefficientResult,
+    _family_cone,
+    _family_is_promise,
     _jacobi_trudi_terms,
     check_duality,
     dim_plethysm_module,
@@ -25,13 +28,14 @@ from plethtomo.coefficients import (
     jacobi_trudi_coeff,
     kronecker,
     m2_closed_form,
+    outer_shape,
     plethysm_coeff,
     weight_multiplicity,
 )
 from plethtomo.partitions import canonical, partitions_of, transpose
 from plethtomo.sympoly import decompose_schur, plethysm_poly
 from plethtomo.tableaux import count_weighted_ssyt, dim_weyl, kostka, ssyt_weights
-from plethtomo.tomography import SizeCapError
+from plethtomo.tomography import SizeCapError, _is_promise
 
 
 def test_weight_multiplicity_examples():
@@ -336,6 +340,59 @@ def test_plethysm_coeff_wrong_size_is_zero():
     assert res.method == "degree-mismatch"
 
 
+def test_plethysm_coeff_rows_match_general_plethysm():
+    # every a/b query with n, m <= 6 and nm <= 18: the value is
+    # general_plethysm's, which never peels, and the method names the first
+    # row that applies; a peel ends on some other row, never on height-zero,
+    # as lam - (1^n) has at most n rows
+    methods = Counter()
+    for n in range(7):
+        for m in range(7):
+            if n * m > 18:
+                continue
+            for lam in partitions_of(n * m):
+                for variant in ("a", "b"):
+                    res = plethysm_coeff(lam, n, m, variant)
+                    want = general_plethysm(lam, outer_shape(n, variant), (m,) if m else ())
+                    assert res.value == want.value, (lam, n, m, variant)
+                    if m == 3 and _is_promise(*_family_cone(lam, variant)):
+                        assert res.method == "promise-pyramid-count"
+                    elif n and len(lam) > n:
+                        assert res.method == "height-zero"
+                    elif n and len(lam) == n:
+                        assert res.method in {f"column-peel+{row}" for row in ("promise-pyramid-count", "closed-form", "jacobi-trudi")}
+                    elif m == 2:
+                        assert res.method == "closed-form"
+                    else:
+                        assert res.method == want.method
+                    methods[res.method] += 1
+    assert methods == {
+        "height-zero": 2512,
+        "jacobi-trudi": 610,
+        "column-peel+jacobi-trudi": 277,
+        "column-peel+closed-form": 202,
+        "closed-form": 172,
+        "promise-pyramid-count": 32,
+        "column-peel+promise-pyramid-count": 27,
+    }
+
+
+def test_family_promise_test_needs_no_transpose(monkeypatch):
+    # the a family's cone instance is lam', whose coordinate sum is
+    # sum_j C(lam_j, 2): tested on lam, it agrees with the instance's own test
+    hits = Counter()
+    for n in range(1, 9):
+        for lam in partitions_of(3 * n):
+            for variant in ("a", "b"):
+                want = _is_promise(*_family_cone(lam, variant))
+                assert _family_is_promise(lam, variant) == want, (lam, variant)
+                hits[variant] += want
+    assert hits == {"a": 52, "b": 38}
+    # so a miss at m = 3 transposes nothing
+    monkeypatch.setattr("plethtomo.coefficients._transpose", None)
+    assert plethysm_coeff((5, 4, 3), 4, 3, "a") == general_plethysm((5, 4, 3), (4,), (3,))
+
+
 GENERAL_PLETHYSM_EXAMPLES = [
     (((4,), (2,), (2,)), 1),
     (((2, 1), (1,), (2, 1)), 1),
@@ -452,12 +509,14 @@ def test_unknown_variant_is_a_value_error(query):
 
 
 def test_m2_closed_form_matches_oracle():
-    for n in range(1, 5):
+    # the closed-form row against both un-peeled routes, |lam| <= 16
+    for n in range(1, 9):
         for variant, mu in (("a", (n,)), ("b", (1,) * n)):
             support = m2_closed_form(n, variant)
             for lam in partitions_of(2 * n):
                 want = 1 if lam in support else 0
-                assert general_plethysm(lam, mu, (2,)).value == want
+                assert jacobi_trudi_coeff(lam, mu, (2,)) == want, (lam, variant)
+                assert plethysm_schur_multiplicity(lam, mu, (2,)) == want, (lam, variant)
 
 
 DUALITY_CASES = [(2, 3), (2, 2), (3, 3), (3, 2)]

@@ -54,17 +54,19 @@ REFERENCE_LAMBDA_32 = (12, 11, 11, 10, 10, 9, 8, 8, 8, 7, 7, 6, 6, 5, 5, 5, 5,
 def test_inner_lift_example():
     lifted = inner_lift((4,), 2, 2, "a")
     assert lifted == PlethysmInstance((5, 1), 2, 3, "b")
-    assert plethysm_coeff((4,), 2, 2, "a").value == plethysm_coeff((5, 1), 2, 3, "b").value == 1
+    # general_plethysm on both sides: plethysm_coeff peels (5,1) back to (4)
+    assert general_plethysm((4,), (2,), (2,)).value == general_plethysm((5, 1), (1, 1), (3,)).value == 1
 
 
 def test_inner_lift_tall_shape_is_zero():
     lifted = inner_lift((2, 2, 2), 2, 3, "a")
     assert isinstance(lifted, TriviallyZero)
-    # and the coefficient really is zero
-    assert plethysm_coeff((2, 2, 2), 2, 3, "a").value == 0
+    # and the coefficient really is zero, by a route that does not apply
+    # plethysm_coeff's height-zero row
+    assert _unpeeled((2, 2, 2), 2, 3, "a") == 0
     lifted_b = inner_lift((1, 1, 1), 1, 3, "b")
     assert isinstance(lifted_b, TriviallyZero)
-    assert plethysm_coeff((1, 1, 1), 1, 3, "b").value == 0
+    assert _unpeeled((1, 1, 1), 1, 3, "b") == 0
 
 
 def test_inner_lift_rejects_size_mismatch():
@@ -77,19 +79,47 @@ def test_inner_lift_rejects_unknown_variant():
         inner_lift((4,), 2, 2, "c")
 
 
+def _unpeeled(lam, n, m, variant):
+    """The coefficient by general_plethysm, which never peels a column, so a
+    lift check does not compare plethysm_coeff's column peel with itself."""
+    return general_plethysm(lam, outer_shape(n, variant), (m,) if m else ()).value
+
+
 def _lift_value(lam, n, m, variant):
     lifted = inner_lift(lam, n, m, variant)
     if isinstance(lifted, TriviallyZero):
         return 0
-    return plethysm_coeff(lifted.lam, lifted.n, lifted.m, lifted.variant).value
+    return _unpeeled(lifted.lam, lifted.n, lifted.m, lifted.variant)
 
 
 def test_inner_lift_roundtrip():
     for n in range(1, 6):
         for lam in partitions_of(2 * n):
             for variant in ("a", "b"):
-                direct = plethysm_coeff(lam, n, 2, variant).value
+                direct = _unpeeled(lam, n, 2, variant)
                 assert direct == _lift_value(lam, n, 2, variant), (lam, n, variant)
+
+
+@st.composite
+def lift_queries(draw):
+    """(lam, n, m, variant) with len(lam) <= n and n*m <= 20."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 20 // n))
+    lam = draw(st.sampled_from([lam for lam in partitions_of(n * m) if len(lam) <= n]))
+    return lam, n, m, draw(st.sampled_from("ab"))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(query=lift_queries())
+def test_plethysm_coeff_peels_the_inner_lift_back(query):
+    # the lifted instance has n rows, so plethysm_coeff peels its first
+    # column, unless it is a promise instance at m + 1 = 3: it must give the
+    # un-peeled value at (lam, n, m)
+    lifted = inner_lift(*query)
+    assert len(lifted.lam) == lifted.n
+    got = plethysm_coeff(lifted.lam, lifted.n, lifted.m, lifted.variant)
+    assert got.method.startswith("column-peel+") or got.method == "promise-pyramid-count"
+    assert got.value == _unpeeled(*query)
 
 
 # ---------------------------------------------------------------------------
