@@ -13,7 +13,9 @@ size cap: a 3dxray count whose marginals exceed tomography.AXIS_STATE_CAP
 is refused before it starts, so is a verify bound over its cap
 (VERIFY_XI_I_MAX, VERIFY_BOUNDS_N_MAX, VERIFY_CLOSED_FORMS_N_MAX,
 VERIFY_PARSIMONY_RP_MAX, and VERIFY_DUALITY_NM_MAX on n*m of each --nm
-pair), `reduce` past --to sym2d on a range above REDUCE_R_MAX, and `kron`
+pair), `reduce` past --to sym2d on a range above
+reductions.REDUCE_R_MAX, which reductions.kronecker_plethysm_triple
+refuses (--to sym2d is answered at any range), and `kron`
 or `reduce --resolve` on a Kronecker triple of size above
 coefficients.KRON_N_MAX, which coefficients.kronecker refuses (a triple
 with a single-row or single-column shape is answered at any size), `coeff`
@@ -44,7 +46,7 @@ from .coefficients import (
     plethysm_coeff,
 )
 from .partitions import format_partition, parse_partition, partitions_of
-from .reductions import kronecker_plethysm_triple, resolve_coefficient
+from .reductions import kronecker_plethysm_triple, resolve_coefficient, symmetrize_2d
 from .tomography import (
     SizeCapError,
     XRayInstance2D,
@@ -89,12 +91,6 @@ VERIFY_DUALITY_NM_MAX = 20
 # range up to r' through two chain stages in both cones, which took about
 # 1.4 s at r' = 3, 10 s at r' = 4 and 66 s at r' = 5 on the same host
 VERIFY_PARSIMONY_RP_MAX = 4
-# largest range r for `reduce` past --to sym2d: the pyramid embedding sums
-# the marginal of the complete pyramid below layer 13r, quadratic in r, and
-# on the same host `--to promise3d` took about 0.5 s at r = 100 and 2.8 s at
-# r = 200, `--to plethysm` 1.4 s and 6.1 s; `--to sym2d` is linear in r and
-# answers at any range
-REDUCE_R_MAX = 100
 
 
 class GateError(Exception):
@@ -158,9 +154,6 @@ def _cmd_count(args, out) -> int:
 
 
 def _reduce_stages(inst: XRayInstance2D, target: str, resolve: bool) -> list[dict]:
-    if target != "sym2d" and inst.r > REDUCE_R_MAX:
-        raise SizeCapError(f"reduce --to {target} at range {inst.r} is over the cap of {REDUCE_R_MAX}")
-    chain = kronecker_plethysm_triple(inst)
     stages: list[dict] = [
         {
             "stage": "2dxray",
@@ -168,7 +161,13 @@ def _reduce_stages(inst: XRayInstance2D, target: str, resolve: bool) -> list[dic
             "marginals": {"x": list(inst.mu), "y": list(inst.nu), "z": list(inst.rho)},
         }
     ]
-    for kind, sym in chain.sym2d.items():
+    if target == "sym2d":
+        # the one linear stage: answered at any range, without the capped record
+        syms = {kind: symmetrize_2d(inst, kind) for kind in ("open", "closed")}
+    else:
+        chain = kronecker_plethysm_triple(inst)
+        syms = chain.sym2d
+    for kind, sym in syms.items():
         stages.append({"stage": "sym2d", "cone": kind, "r": sym.grid_r, "marginal": list(sym.marginal)})
     if target == "sym2d":
         return stages

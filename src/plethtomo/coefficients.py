@@ -85,7 +85,13 @@ SizeCapError before the table is built.  The table's cost grows with the
 rows' freedom to permute: on a shared 2-vCPU host the worst shape, the
 square (l^l), took 0.4 s at 9 rows, 3.3 s at 10 and 27 s at 11 (the
 staircase 0.2, 0.9 and 5.6 s at 10, 11 and 12 rows; (3^l) 0.2 s at 11).
-general_plethysm sends at most JACOBI_TRUDI_MAX_ROWS rows here."""
+general_plethysm sends at most JACOBI_TRUDI_MAX_ROWS rows here.
+
+The cap bounds the term table only; the weight multiplicities summed over
+it (the horizontal-strip DP) have no cap.  On 36 random cold queries of
+6-9 rows and 16-24 boxes on the same host, 14 took from 0.3 s to over
+20 s, nearly all of it in that DP (the table took 0.7-1.7 ms on three of
+them), while the power-sum pairing answered each of the 36 in 0.7-21.5 ms."""
 KRON_N_MAX = 40
 """The largest size kronecker takes the character route at.  On a shared
 2-vCPU host a cold character sum over the p(n) classes took 1.2-1.5 s on

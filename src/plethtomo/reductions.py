@@ -13,17 +13,22 @@ Stages, each preserving the exact solution count:
 Composing both cone variants with the simplex construction yields, for one
 axis-marginal instance, a Kronecker triple and two plethysm instances whose
 coefficients all equal the instance's solution count.
+
+kronecker_plethysm_triple builds the whole chain of one instance as a
+KroneckerPlethysmTriple record, under the range cap REDUCE_R_MAX; the stage
+functions themselves take any range.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .coefficients import CoefficientResult, Variant, _family_cone, outer_shape, plethysm_coeff
 from .partitions import Composition, Partition, _add, _transpose, canonical, nonincreasing, pad, partition, transpose
 from .tomography import (
     ConeKind,
     Point,
+    SizeCapError,
     SymInstance,
     XRayInstance2D,
     _is_promise,
@@ -31,6 +36,14 @@ from .tomography import (
     coordinate_sum,
     pyramid_marginal,
 )
+
+
+REDUCE_R_MAX = 100
+"""The largest range kronecker_plethysm_triple builds the chain at.  The
+pyramid embedding sums the marginal of the complete pyramid below layer
+13r, quadratic in r: on a shared 2-vCPU host the one-point chain took
+about 0.4 s at r = 100 and 1.5-1.7 s at r = 200.  The spread layer alone
+(symmetrize_2d) is linear and takes any range."""
 
 
 @dataclass(frozen=True)
@@ -154,67 +167,22 @@ def resolve_coefficient(inst: PlethysmInstance) -> CoefficientResult:
     return plethysm_coeff(inst.lam, inst.n, inst.m, inst.variant)
 
 
-class _stage:
-    """A chain stage built on its first read and stored under its own name
-    in the instance __dict__, where later reads find it before this
-    non-data descriptor.  functools.cached_property does the same, but on
-    Python 3.11 it takes a lock on every first read: about 0.8 us for a
-    first read of a trivial stage against 0.3 us here (timeit on a 2-vCPU
-    x86_64 host)."""
-
-    def __init__(self, build):
-        self.build = build
-        self.__doc__ = build.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, chain, owner=None):
-        if chain is None:
-            return self
-        value = chain.__dict__[self.name] = self.build(chain)
-        return value
-
-
 @dataclass(frozen=True)
 class KroneckerPlethysmTriple:
-    """The reduction chain of one feasible axis-marginal instance `inst`.
-    Each stage is built when it is first read, and only once.  Per cone
+    """The reduction chain of one feasible axis-marginal instance `inst`,
+    every stage built once by kronecker_plethysm_triple.  Per cone
     ("open", then "closed"): `sym2d` is its spread layer instance,
     `promise3d` that layer's pyramid embedding, `promise` whether the
     embedding is a promise instance, and `queries` its plethysm query
-    (open: a_instance, closed: b_instance).  `triple` is (mu, nu, rho)."""
+    (open: a_instance, closed: b_instance).  `triple` is (mu, nu, rho).
+    The stages follow from `inst`, so records compare and hash by it alone."""
 
     inst: XRayInstance2D
-
-    @_stage
-    def sym2d(self) -> dict[ConeKind, SymInstance]:
-        return {kind: symmetrize_2d(self.inst, kind) for kind in ("open", "closed")}
-
-    @_stage
-    def promise3d(self) -> dict[ConeKind, SymInstance]:
-        return {kind: _embed_pyramid_3d(sym.marginal, sym.grid_r, kind) for kind, sym in self.sym2d.items()}
-
-    @_stage
-    def promise(self) -> dict[ConeKind, bool]:
-        return {kind: _is_promise(emb.marginal, kind) for kind, emb in self.promise3d.items()}
-
-    @_stage
-    def queries(self) -> dict[ConeKind, PlethysmInstance]:
-        return {
-            kind: _promise_query(emb.marginal, kind) if self.promise[kind] else TRIVIAL_NO_INSTANCE
-            for kind, emb in self.promise3d.items()
-        }
-
-    @_stage
-    def triple(self) -> tuple[Partition, Partition, Partition]:
-        # every axis marginal of the radius r-1 simplex: a slice at value i
-        # holds the (r-i)(r-i+1)/2 points of the plane simplex of radius r-1-i
-        r = self.inst.r
-        sq = tuple((r - i) * (r - i + 1) // 2 for i in range(r))
-        # sq is positive below index r and a marginal is canonical, so every
-        # entry of a padded marginal is positive: sorted, it is a partition
-        return tuple(_transpose(tuple(sorted(_add(m, sq), reverse=True))) for m in (self.inst.mu, self.inst.nu, self.inst.rho))
+    sym2d: dict[ConeKind, SymInstance] = field(compare=False, repr=False)
+    promise3d: dict[ConeKind, SymInstance] = field(compare=False, repr=False)
+    promise: dict[ConeKind, bool] = field(compare=False, repr=False)
+    queries: dict[ConeKind, PlethysmInstance] = field(compare=False, repr=False)
+    triple: tuple[Partition, Partition, Partition] = field(compare=False, repr=False)
 
     mu = property(lambda self: self.triple[0])
     nu = property(lambda self: self.triple[1])
@@ -225,9 +193,11 @@ class KroneckerPlethysmTriple:
 
 def kronecker_plethysm_triple(inst: XRayInstance2D) -> KroneckerPlethysmTriple:
     """The reduction chain of a feasible axis-marginal instance of range
-    r >= 1, as one record (stages built as they are read): every stage, and
-    the a-, b- and Kronecker coefficients, count the instance's solutions.
-    Each cone's promise is decided once.  An embedding off the promise has
+    1 <= r <= REDUCE_R_MAX, as one record whose stages are built here, once
+    and in order: every stage, and the a-, b- and Kronecker coefficients,
+    count the instance's solutions.  A range above the cap is refused with
+    SizeCapError before any stage is built.  Each cone's promise is decided
+    once.  An embedding off the promise has
     no solutions (it is the fixed zero instance, or asks for more points
     than its top layer holds), so its query is the no-instance.
 
@@ -237,8 +207,24 @@ def kronecker_plethysm_triple(inst: XRayInstance2D) -> KroneckerPlethysmTriple:
     marginals is count-neutral: relabeling the values along one axis of a
     spatial instance permutes its solutions bijectively.
     """
+    if inst.r > REDUCE_R_MAX:
+        raise SizeCapError(f"the reduction chain at range {inst.r} is over the cap of {REDUCE_R_MAX}")
     if inst.r < 1:
         raise ValueError("range-0 instances are counted directly, not reduced")
     if not inst.passes_gate():
         raise ValueError("instance fails the feasibility gate (marginal totals / coordinate sum)")
-    return KroneckerPlethysmTriple(inst)
+    sym2d = {kind: symmetrize_2d(inst, kind) for kind in ("open", "closed")}
+    promise3d = {kind: _embed_pyramid_3d(sym.marginal, sym.grid_r, kind) for kind, sym in sym2d.items()}
+    promise = {kind: _is_promise(emb.marginal, kind) for kind, emb in promise3d.items()}
+    queries = {
+        kind: _promise_query(emb.marginal, kind) if promise[kind] else TRIVIAL_NO_INSTANCE
+        for kind, emb in promise3d.items()
+    }
+    # every axis marginal of the radius r-1 simplex: a slice at value i
+    # holds the (r-i)(r-i+1)/2 points of the plane simplex of radius r-1-i
+    r = inst.r
+    sq = tuple((r - i) * (r - i + 1) // 2 for i in range(r))
+    # sq is positive below index r and a marginal is canonical, so every
+    # entry of a padded marginal is positive: sorted, it is a partition
+    triple = tuple(_transpose(tuple(sorted(_add(m, sq), reverse=True))) for m in (inst.mu, inst.nu, inst.rho))
+    return KroneckerPlethysmTriple(inst, sym2d, promise3d, promise, queries, triple)

@@ -10,7 +10,6 @@ from plethtomo.cli import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
-    REDUCE_R_MAX,
     VERIFY_BOUNDS_N_MAX,
     VERIFY_CLOSED_FORMS_N_MAX,
     VERIFY_DUALITY_NM_MAX,
@@ -22,7 +21,7 @@ from plethtomo.cli import (
 )
 from plethtomo.coefficients import KRON_N_MAX, POWER_SUM_N_MAX, CoefficientResult, jacobi_trudi_coeff
 from plethtomo.partitions import add, format_partition, parse_partition, transpose
-from plethtomo.reductions import embed_pyramid_3d, kronecker_plethysm_triple, promise_to_plethysm, symmetrize_2d
+from plethtomo.reductions import REDUCE_R_MAX, embed_pyramid_3d, kronecker_plethysm_triple, promise_to_plethysm, symmetrize_2d
 from plethtomo.tomography import (
     SizeCapError,
     axis_marginals,

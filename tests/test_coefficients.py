@@ -134,6 +134,18 @@ def test_jacobi_trudi_examples(args, expected):
     assert jacobi_trudi_coeff(*args) == expected
 
 
+def test_jacobi_trudi_rejects_a_size_mismatch():
+    with pytest.raises(ValueError, match="size mismatch"):
+        jacobi_trudi_coeff((2,), (1,), (1,))
+
+
+def test_general_plethysm_rejects_a_negative_multiplicity(monkeypatch):
+    # a signed sum that ends below 0 means the inputs were not characters
+    monkeypatch.setattr(coefficients, "_jacobi_trudi", lambda *args: -1)
+    with pytest.raises(ArithmeticError, match="negative multiplicity -1"):
+        general_plethysm((2,), (1,), (2,))
+
+
 def test_jacobi_trudi_matches_peeling_small():
     for mu in partitions_of(2):
         for nu in partitions_of(3):
@@ -534,6 +546,17 @@ def test_duality_rejects_negative_sizes():
         with pytest.raises(ValueError, match="n, m >= 0"):
             check_duality(n, m)
     assert check_duality(0, 3) == (True, [])
+
+
+def test_duality_reports_both_identities(monkeypatch):
+    # every a/b coefficient off by one breaks both identities at every lam
+    real = coefficients.plethysm_coeff
+    monkeypatch.setattr(coefficients, "plethysm_coeff", lambda *args: CoefficientResult(real(*args).value + 1, "shifted"))
+    ok, report = check_duality(2, 2)
+    shapes = len(list(partitions_of(4)))
+    assert not ok and len(report) == 2 * shapes
+    assert sum(line.startswith("wedge^2 wedge^2 at ") for line in report) == shapes
+    assert sum(line.startswith("sym^2 wedge^2 at ") for line in report) == shapes
 
 
 def test_dimension_conservation():

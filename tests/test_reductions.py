@@ -12,6 +12,7 @@ from plethtomo.coefficients import CoefficientResult, _family_cone, general_plet
 from plethtomo.partitions import add, compositions_of, partitions_of, transpose
 from plethtomo.reductions import (
     CANONICAL_ZERO_3D,
+    REDUCE_R_MAX,
     TRIVIAL_NO_INSTANCE,
     PlethysmInstance,
     TriviallyZero,
@@ -26,6 +27,7 @@ from plethtomo.reductions import (
     symmetrize_2d,
 )
 from plethtomo.tomography import (
+    SizeCapError,
     XRayInstance2D,
     axis_marginals,
     complete_pyramid,
@@ -387,13 +389,25 @@ def test_every_chain_stage_on_range_three():
         assert kronecker(trip.mu, trip.nu, trip.rho).value == cnt, inst
 
 
-def test_chain_builds_only_the_stages_read():
-    # the spread stage is linear in r, the pyramid embedding quadratic in 13r:
-    # reading sym2d at range 1000 must not build the stages after it
-    r = 1000
-    chain = kronecker_plethysm_triple(XRayInstance2D(r, (0,) * r + (1,), (1,), (1,)))
-    assert [sym.grid_r for sym in chain.sym2d.values()] == [13 * r, 13 * r]
-    assert set(vars(chain)) == {"inst", "sym2d"}
+def test_chain_over_the_range_cap_builds_no_stage(monkeypatch):
+    # the pyramid embedding is quadratic in 13r: a range over the cap is
+    # refused before the first stage is built
+    def no_stage(*args):
+        raise AssertionError("the chain built a stage over its range cap")
+
+    monkeypatch.setattr(reductions, "symmetrize_2d", no_stage)
+    monkeypatch.setattr(reductions, "_embed_pyramid_3d", no_stage)
+    r = REDUCE_R_MAX + 1
+    with pytest.raises(SizeCapError, match=str(REDUCE_R_MAX)):
+        kronecker_plethysm_triple(XRayInstance2D(r, (0,) * r + (1,), (1,), (1,)))
+
+
+def test_chain_records_of_one_instance_are_equal():
+    # the stages follow from the instance, so records compare and hash by it
+    first, second = (kronecker_plethysm_triple(XRayInstance2D(1, (2, 1), (2, 1), (2, 1))) for _ in range(2))
+    assert first is not second and first.sym2d is not second.sym2d
+    assert first == second and hash(first) == hash(second)
+    assert first != kronecker_plethysm_triple(EXAMPLE_1)
 
 
 def test_each_chain_stage_is_built_once(monkeypatch):
