@@ -136,10 +136,15 @@ def kronecker(mu: Partition, nu: Partition, rho: Partition) -> int:
 
 
 def _kronecker(mu: Partition, nu: Partition, rho: Partition) -> int:
-    """kronecker on shapes already checked by kronecker_shapes."""
+    """kronecker on shapes already checked by kronecker_shapes.  A class
+    stops at its first zero character: chi_nu is evaluated only where
+    chi_mu is not 0, and _pair evaluates chi_rho only where neither is."""
     n = sum(mu)
     mu_mask, nu_mask = _beta_mask(mu), _beta_mask(nu)
-    weighted = ((tau, size * _mn(mu_mask, tau) * _mn(nu_mask, tau)) for tau, size in _class_sizes(n))
+    weighted = []
+    for tau, size in _class_sizes(n):
+        if (chi := _mn(mu_mask, tau)) and (chi := chi * _mn(nu_mask, tau)):
+            weighted.append((tau, size * chi))
     return _pair(weighted, rho, n)
 
 

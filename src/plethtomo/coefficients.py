@@ -15,12 +15,15 @@ Two independent routes compute every general plethysm coefficient:
   nu-tableau holds each value at most once per column, so each of the |mu|
   letters adds at most nu_1 to a coordinate and q_kappa is 0 when
   kappa_1 > |mu|*nu_1 (no letter alphabet is built).  The one-box shapes
-  are answered directly: s_mu[s_1] = s_1[s_mu] = s_mu.  So is a single
-  column over a degree-3 row or column: the weight-kappa space of
-  wedge^n Sym^3 (wedge^n wedge^3) has a basis of wedges of n distinct
-  monomials x_a x_b x_c with a >= b >= c (a > b > c), that is, of the
-  n-point sets of the closed (open) cone with sum-marginal kappa, which
-  tomography.count_point_sets counts without the strip DP;
+  are answered directly: s_mu[s_1] = s_1[s_mu] = s_mu.  The four
+  families with a one-row or one-column mu and nu skip the strip DP: the
+  weight-kappa space of h_n[h_m], h_n[e_m], e_n[h_m] or e_n[e_m] has a
+  basis of the multisets (h_n) or sets (e_n) of n monomials of degree m,
+  any (h_m) or squarefree (e_m), whose product is x^kappa, which
+  tomography._letter_count counts by letter elimination.  At m = 3 the sets
+  are the n-point sets of the closed (Sym^3) or open (wedge^3) cone with
+  sum-marginal kappa, which tomography.count_point_sets counts, on the
+  level engine up to excess 2n and by letters above;
 * the power-sum expansion of the plethysm paired against
   Murnaghan-Nakayama characters (characters.plethysm_schur_multiplicity).
 
@@ -50,11 +53,16 @@ the first of these rows that applies, each naming its method:
    b_{lam-(1^n)}(n,m-1) and b_lam(n,m) = a_{lam-(1^n)}(n,m-1), and the
    peeled query goes back through rows 2-4 ("column-peel+" before the
    method of the row that answers it);
-5. at m = 2, Littlewood's multiplicity-free closed forms (Macdonald,
+5. at m = 3, a lam whose cone instance has coordinate sum below beta(n) is
+   0 ("below-beta"): no n-point set of the cone has it, and the point-set
+   count bounds the coefficient from above.  It stands after the peel, as
+   the guard of the general_plethysm call: a shape the peel takes at m = 3
+   ends at m <= 2, on row 6 or on a one-box shape;
+6. at m = 2, Littlewood's multiplicity-free closed forms (Macdonald,
    Symmetric Functions, I.8 Ex. 6) in O(len(lam)): h_n[h_2] is the sum of
    the s_lam with every part even and e_n[h_2] of those of Frobenius form
    (alpha+1 | alpha) ("closed-form");
-6. the rest is general_plethysm ("jacobi-trudi" or "power-sum"), on which
+7. the rest is general_plethysm ("jacobi-trudi" or "power-sum"), on which
    degree 0 is s_mu[1] = [len(mu) <= 1].
 
 _jacobi_trudi and plethysm_schur_multiplicity never peel, so they stay the
@@ -75,7 +83,7 @@ from typing import Literal
 from .characters import _kronecker, kronecker_shapes, plethysm_schur_multiplicity
 from .partitions import Composition, Partition, _transpose, canonical, partition, partitions_of
 from .tableaux import count_weighted_ssyt, dim_weyl, ssyt_weights
-from .tomography import ConeKind, SizeCapError, _attains_beta, _is_promise, count_point_sets
+from .tomography import ConeKind, SizeCapError, _attains_beta, _letter_count, beta, coordinate_sum, count_point_sets
 
 JACOBI_TRUDI_MAX_ROWS = 9
 JACOBI_TRUDI_ROWS_CAP = 10
@@ -136,12 +144,18 @@ def _family_cone(lam: Partition, variant: Variant) -> tuple[Partition, ConeKind]
     return _transpose(lam), "open"
 
 
-def _family_is_promise(lam: Partition, variant: Variant) -> bool:
-    """_is_promise(*_family_cone(lam, variant)) without the transpose: the
-    a family's marginal lam' has coordinate sum sum_j C(lam_j, 2)."""
+def _family_coords(lam: Partition, variant: Variant) -> tuple[int, ConeKind]:
+    """The coordinate sum and the cone of _family_cone(lam, variant) without
+    the transpose: the a family's marginal lam' has coordinate sum
+    sum_j C(lam_j, 2)."""
     if variant == "b":
-        return _is_promise(lam, "closed")
-    return _attains_beta(sum(lam), sum(part * (part - 1) for part in lam) >> 1, "open")
+        return coordinate_sum(lam), "closed"
+    return sum(part * (part - 1) for part in lam) >> 1, "open"
+
+
+def _family_is_promise(lam: Partition, variant: Variant) -> bool:
+    """_is_promise(*_family_cone(lam, variant)) without the transpose."""
+    return _attains_beta(sum(lam), *_family_coords(lam, variant))
 
 
 def weight_multiplicity(mu: Partition, nu: Partition, kappa: Composition) -> int:
@@ -154,10 +168,12 @@ def weight_multiplicity(mu: Partition, nu: Partition, kappa: Composition) -> int
     letters are not enumerated as tableaux: they are the compositions w of
     |nu| with w <= kappa entrywise (one over kappa can never be used), each
     repeated K_{nu,w} times, the number of nu-tableaux of weight w
-    (tableaux.ssyt_weights).  A single column mu = (1^n) over nu = (3) or
-    (1,1,1) is counted as cone point sets instead (module docstring).  The
-    value only depends on the multiset of entries of kappa, and not on how
-    many variables beyond len(kappa) there are.
+    (tableaux.ssyt_weights).  The four families of a one-row or
+    one-column mu over a one-row or one-column nu are counted by letter
+    elimination instead, and at m = 3 a column mu over (3) or (1,1,1) as
+    cone point sets (module docstring).  The value only depends on the
+    multiset of entries of kappa, and not on how many variables beyond
+    len(kappa) there are.
     """
     mu, nu = partition(mu), partition(nu)
     kappa = canonical(kappa)
@@ -185,6 +201,13 @@ def _weight_multiplicity_sorted(mu: Partition, nu: Partition, key: Partition) ->
         # one basis vector per n-point set of the cone (module docstring);
         # a monomial coefficient of e_n[h_3] (e_n[e_3]), so symmetric in key
         val = count_point_sets(key, _CONE_OF_INNER[nu])
+    elif (len(mu) == 1 or mu[0] == 1) and (len(nu) == 1 or nu[0] == 1):
+        # the (multi)sets of n monomials of degree m (module docstring).
+        # Timed key by key against the strip DP on every key of at most 12
+        # parts (m = 2, 3, 4 up to n = 8, 6, 4), it lost on 0-21% of a
+        # family's keys, by at most 7 ms over the family, and won 1.9-24x
+        # in total; no cut on the number of parts saved any time
+        val = _letter_count(key, (sum(nu), len(nu) == 1, len(mu) == 1))
     else:
         letters = ssyt_weights(nu, len(key), bound=key)
         val = count_weighted_ssyt(mu, letters, key)
@@ -332,9 +355,9 @@ def plethysm_coeff(lam: Partition, n: int, m: int, variant: Variant) -> Coeffici
     first row of the module docstring's list that applies answers:
     degree-mismatch, promise-pyramid-count (m = 3), height-zero
     (len(lam) > n), column-peel+<method> (len(lam) = n, peeled while it
-    stays so), closed-form (m = 2), else general_plethysm, where degree 0
-    is s_mu[1] = [len(mu) <= 1] on (1^min(n,2)) and which raises
-    SizeCapError over its caps."""
+    stays so), below-beta (m = 3), closed-form (m = 2), else
+    general_plethysm, where degree 0 is s_mu[1] = [len(mu) <= 1] on
+    (1^min(n,2)) and which raises SizeCapError over its caps."""
     lam = partition(lam)
     outer_shape(min(n, 0), variant)
     partition((m,) if m else ())
@@ -344,15 +367,19 @@ def plethysm_coeff(lam: Partition, n: int, m: int, variant: Variant) -> Coeffici
     while True:
         if m == 3 and _family_is_promise(lam, variant):
             return CoefficientResult(count_point_sets(*_family_cone(lam, variant)), peeled + "promise-pyramid-count")
+        if n and len(lam) > n:
+            return CoefficientResult(0, peeled + "height-zero")
         if n == 0 or len(lam) < n:
             break
-        if len(lam) > n:
-            return CoefficientResult(0, peeled + "height-zero")
         # n rows hold at least n boxes, so m >= 1 here
         lam = tuple(part - 1 for part in lam if part > 1)
         m -= 1
         variant = "b" if variant == "a" else "a"
         peeled = "column-peel+"
+    if m == 3:
+        coords, cone = _family_coords(lam, variant)
+        if coords < beta(n, cone):
+            return CoefficientResult(0, peeled + "below-beta")
     if m == 2:
         return CoefficientResult(int(_in_m2_support(lam, variant)), peeled + "closed-form")
     res = general_plethysm(lam, outer_shape(n if m else min(n, 2), variant), (m,) if m else ())

@@ -8,8 +8,9 @@ the admissible (mu, nu, lam) triples, and counts the tableaux.  The cone
 points that fit under lam are exactly the weights of the inner tableaux
 under lam, so the count is the weight multiplicity q_lam(mu, nu) of
 coefficients.weight_multiplicity, and shares its memo: a single column is
-counted as point sets, any other shape by the weighted horizontal-strip DP
-over those letters; no tableau is filled.  Membership is one forward pass over
+counted as point sets, a single row by letter elimination, any other shape
+by the weighted horizontal-strip DP over those letters; no tableau is
+filled.  Membership is one forward pass over
 the columns: with the pyramids' marginals taken out of lam, each column
 spends a layer vector from the residual, and partial splits that leave
 equal residuals are kept together.  Nothing recurses.
@@ -130,10 +131,11 @@ def count_cone_ssyt(mu: Partition, lam: Composition, variant: PlethysmVariant, t
     inner tableaux under lam, so that coefficient is the weight
     multiplicity q_lam(mu, nu) of coefficients.weight_multiplicity, and the
     count reads the same memo as the plethysm coefficient it is checked
-    against (a single column as point sets, any other shape by the strip
-    DP).  The coefficient is symmetric in the letters, so ``tiebreak`` never
-    reaches the count; it is still checked to name a known order of the
-    letters within a layer, "lex" or "revlex"."""
+    against (a single column as point sets, a single row by letter
+    elimination, any other shape by the strip DP).  The coefficient is
+    symmetric in the letters, so ``tiebreak`` never reaches the count; it
+    is still checked to name a known order of the letters within a layer,
+    "lex" or "revlex"."""
     if tiebreak not in ("lex", "revlex"):
         raise ValueError(f"unknown tiebreak {tiebreak!r}")
     _kind(variant)  # an unknown variant is a ValueError

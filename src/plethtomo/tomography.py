@@ -49,18 +49,25 @@ Whole-cone point sets far above the minimum, at excess e > 2n, go to a
 second counter instead, because there the window is wide and the level
 engine's states blow up.  A point set with sum-marginal lam is a set of n
 distinct 3-multisets (closed cone) or 3-subsets (open cone) of letters in
-which letter i occurs lam_i times.  Relabelling the letters maps such sets
-one to one, so the count depends only on the multiset of lam's nonzero
-entries.  The letter counter works on that multiset as a sorted tuple of
-residual degrees: it places every point that holds the letter of smallest
-degree at once (a small forward DP over those points), sorts what remains
-and merges equal outcomes, and one forward DP over the tuples, longest
-first, sums the paths down to the empty tuple.  The rest of the point sets
-stays on the level engine: the single grid layer of count_sym_2dxray, and
-every instance at e <= 2n, promise instances included, where the window is
-narrow and the letter counter loses by orders of magnitude (the promise
-instance of the complete closed pyramid of level 6 took 351 ms on it
-against 0.15 ms).
+which letter i occurs lam_i times.  The letter counter counts more than
+point sets: the families of n points, each an m-multiset or an m-subset
+of letters, taken as a set or as a multiset, with letter degrees lam
+(LetterFamily), which are the weight spaces of e_n[h_m], e_n[e_m],
+h_n[h_m] and h_n[e_m]; the point sets are its m = 3 set case.
+Relabelling the letters maps such families one to one, so the count
+depends only on the multiset of lam's nonzero entries.  The letter counter
+works on that multiset as a sorted tuple of residual degrees: it places
+every point that holds the letter of smallest degree at once (a small
+forward DP over those points, each taken once in a set and any number of
+times in a multiset), sorts what remains and merges equal outcomes, and
+counts each tuple from the counts of the shorter tuples it leads to,
+shortest first and without recursion, keeping the counts in a bounded
+memo that the keys of one Jacobi-Trudi sum share.  The rest of the point
+sets stays on the level engine: the single grid layer of count_sym_2dxray,
+and every instance at e <= 2n, promise instances included, where the
+window is narrow and the letter counter loses by orders of magnitude (the
+promise instance of the complete closed pyramid of level 6 took 351 ms on
+it against 0.15 ms).
 
 Small pyramids are few: each cone holds 1, 2, 3, 4, 6, 9, 12, 17, 24, 32
 and 44 pyramids of n = 2, ..., 12 points.  So pyramid counts with
@@ -313,12 +320,13 @@ chain_resolve or bounds_sandwich workload makes 204 and 76 distinct keys
 those rounds make."""
 
 LETTER_MEMO_SIZE = 4096
-"""The most letter-elimination steps _eliminate_letter keeps, keyed by
-(sorted residual degrees, cone).  A round of the benchmark's
-bounds_sandwich workload makes 85 distinct keys, and counting the point
-sets of every lam |- 3n in both cones makes 817, 1879 and 4046 up to n = 6,
-7 and 8; 4096 keeps every key of the n <= 8 sweep, which ran 2.3x slower
-at a bound of 256."""
+"""The most letter counts _letter_counts keeps, keyed by (sorted residual
+degrees, LetterFamily).  A round of the benchmark's bounds_sandwich
+workload makes 115 distinct keys (85 of point sets, 27 of h_n[h_3] and 3
+of h_n[e_3]); counting the point sets of every lam |- 3n in both cones
+makes 817, 1879 and 4046 up to n = 6, 7 and 8; a_(6^6)(12, 3), whose 231
+Jacobi-Trudi keys share them, makes 1168.  4096 keeps every key of the
+n <= 8 sweep, which took 2.8-4.0 s at this bound and 11-12 s at 256."""
 
 
 def _candidates(lam: tuple[int, ...], kind: ConeKind, floor: int = 0, ceiling: float = math.inf) -> list[Point]:
@@ -460,69 +468,137 @@ def _count_levelwise(lam: tuple[int, ...], kind: ConeKind, pyramids_only: bool, 
     return sum(c for (_, _, res, _), c in states.items() if not any(res))
 
 
-@functools.lru_cache(maxsize=LETTER_MEMO_SIZE)
-def _eliminate_letter(degrees: tuple[int, ...], kind: ConeKind) -> tuple[tuple[tuple[int, ...], int], ...]:
+LetterFamily = tuple[int, bool, bool]
+"""(m, repeated letters, repeated points): a point is an m-multiset of
+letters (inner h_m) or an m-subset (inner e_m), and a family of n points a
+multiset of points (outer h_n) or a set (outer e_n)."""
+
+_letter_counts: dict[tuple[tuple[int, ...], LetterFamily], int] = {}
+
+
+def _eliminate_letter(degrees: tuple[int, ...], family: LetterFamily) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The ways to place every point that holds the letter of smallest
     degree: pairs (residual degrees of the other letters, sorted and
     zero-free, number of ways), one per distinct residual.
 
     degrees is sorted and zero-free, so that letter t comes first, with
-    degree d.  The points holding t are {t,t,t}, {t,t,u}, {t,u,u} and
-    {t,u,v} in the closed cone and {t,u,v} with u != v in the open one; a
-    forward DP over them takes or skips each, with states (t-degree left,
-    residual degrees of the others), and keeps the states that spend
-    exactly d.  Memoized (at most LETTER_MEMO_SIZE entries)."""
-    d, rest = degrees[0], degrees[1:]
-    others = range(len(rest))
-    moves = [(1, (u, v)) for u in others for v in others if u < v]
-    if kind == "closed":
-        moves += [(3, ())] + [(2, (u,)) for u in others] + [(1, (u, u)) for u in others]
-    # t-degree the moves after each one can still spend
-    room = list(itertools.accumulate((tdeg for tdeg, _ in reversed(moves)), initial=0))[::-1]
-    states = {(d, rest): 1}
+    degree d.  A point holding t is t^k times a (m-k)-multiset of the other
+    letters, k = 1, ..., m, or with letters not repeated, t times an
+    (m-1)-subset of them (at m = 3: {t,t,t}, {t,t,u}, {t,u,u} and {t,u,v}
+    in the closed cone, {t,u,v} with u != v in the open one).  Each such
+    move is taken at most once (a set of points) or up to its budget (a
+    multiset), the least of d // k and what the other letters' degrees
+    allow.  A forward DP over the moves, with states (t-degree left,
+    residual degrees of the others), keeps the states that spend exactly
+    d; a state that has spent d is set aside, as no move applies to it."""
+    m, repeat_letters, repeat_points = family
+    d = degrees[0]
+    # a state is one int: t-degree left in field 0 and the residual degree
+    # of the other letter u in field u + 1, each field holding top + 1 +
+    # value, so a move is one subtraction and a value below 0 clears its
+    # field's guard bit; a move takes at most m < top + 1 from a field, so
+    # no field borrows from the next
+    bits = max(degrees[-1], m).bit_length()
+    width = bits + 1
+    top = (1 << bits) - 1
+    guard = sum(1 << (bits + i * width) for i in range(len(degrees)))
+    start = guard + sum(v << i * width for i, v in enumerate(degrees))
+    shifts = [i * width for i in range(1, len(degrees))]
+    units = [1 << shift for shift in shifts]
+    # (t-degree, step) of every move: the subsets first, as the only moves
+    # without repeated letters, then by decreasing t-degree
+    moves = [(1, 1 + sum(used)) for used in itertools.combinations(units, m - 1)]
+    if repeat_letters:
+        for k in range(m, 0, -1):
+            moves += [(k, k + sum(used)) for used in itertools.combinations_with_replacement(units, m - k) if k > 1 or len(set(used)) < m - k]
+    # the copies each move can take from the start, at most one in a set;
+    # the moves after each one can spend at most room t-degree
+    caps = []
+    for tdeg, step in moves:
+        cap, key = 0, start - step
+        while key & guard == guard and (repeat_points or not cap):
+            cap, key = cap + 1, key - step
+        caps.append(cap)
+    room = list(itertools.accumulate((tdeg * cap for (tdeg, _), cap in zip(reversed(moves), reversed(caps))), initial=0))[::-1]
+    if d > room[0]:
+        return ()
+    states = {start: 1}
     get = states.get
-    for k, (tdeg, used) in enumerate(moves):
+    # the states that have spent all of d, which take no further move
+    done: dict[int, int] = {}
+    for j, (tdeg, step) in enumerate(moves):
+        if not caps[j]:
+            continue
+        bound = room[j + 1]
         # updated in place over a snapshot, so each state takes a move once
+        # (a multiset: once, twice, ... until its t-degree or the guard
+        # ends it); a take lands within bound except for a multiset's first
+        # copies, as left <= room[j] before the move
         for key, c in list(states.items()):
-            left, res = key
-            if left > room[k + 1]:
+            left = key & top
+            if left > bound:
                 del states[key]
-            if left < tdeg:
+            if not repeat_points:
+                if left >= tdeg and (key := key - step) & guard == guard:
+                    if left == tdeg:
+                        done[key] = done.get(key, 0) + c
+                    else:
+                        states[key] = get(key, 0) + c
                 continue
-            r = list(res)
-            for u in used:
-                r[u] -= 1
-            if used and (r[used[0]] < 0 or r[used[-1]] < 0):
-                continue
-            key = (left - tdeg, tuple(r))
-            states[key] = get(key, 0) + c
+            while left >= tdeg and (key := key - step) & guard == guard:
+                left -= tdeg
+                if not left:
+                    done[key] = done.get(key, 0) + c
+                elif left <= bound:
+                    states[key] = get(key, 0) + c
     out: dict[tuple[int, ...], int] = {}
-    for (left, res), c in states.items():
-        if not left:
-            key = tuple(sorted(v for v in res if v))
-            out[key] = out.get(key, 0) + c
+    for key, c in done.items():
+        res = tuple(sorted([v for shift in shifts if (v := key >> shift & top)]))
+        out[res] = out.get(res, 0) + c
     return tuple(out.items())
 
 
-def _count_by_letters(lam: Composition, kind: ConeKind) -> int:
-    """Point sets with sum-marginal lam by letter elimination.
+def _letter_count(degrees: Composition, family: LetterFamily) -> int:
+    """Families of n points with letter degrees given by the entries of
+    degrees (LetterFamily): the weight-degrees space of h_n[h_m], h_n[e_m],
+    e_n[h_m] or e_n[e_m], n = sum(degrees) / m.
 
-    A point set is a set of distinct 3-multisets (closed cone) or 3-subsets
-    (open cone) of letters in which letter i occurs lam_i times, and
-    relabelling the letters maps such sets one to one, so the count depends
-    only on the multiset of lam's nonzero entries.  A state is that multiset
-    as a sorted tuple of residual degrees; _eliminate_letter places every
-    point of its smallest letter and leaves a shorter state.  One forward
-    DP over the states, longest first, sums the paths to the empty tuple."""
-    start = tuple(sorted(v for v in lam if v))
-    buckets: list[dict[tuple[int, ...], int]] = [{} for _ in range(len(start) + 1)]
-    buckets[-1][start] = 1
-    for bucket in reversed(buckets[1:]):
-        for degrees, c in bucket.items():
-            for rest, ways in _eliminate_letter(degrees, kind):
-                nxt = buckets[len(rest)]
-                nxt[rest] = nxt.get(rest, 0) + c * ways
-    return buckets[0].get((), 0)
+    Relabelling the letters maps such families one to one, so the count
+    depends only on the multiset of nonzero degrees.  A state is that
+    multiset as a sorted tuple of residual degrees; _eliminate_letter
+    places every point of its smallest letter and leaves a shorter state.
+    The states reachable from degrees that _letter_counts does not hold are
+    listed with an explicit stack and counted shortest first, each as the
+    sum over its outcomes of ways times the outcome's count, so a state
+    shared by several queries (the keys of one Jacobi-Trudi sum) is counted
+    once.  _letter_counts keeps at most LETTER_MEMO_SIZE counts, dropping
+    the oldest first."""
+    start = tuple(sorted(v for v in degrees if v))
+    memo = _letter_counts
+    steps: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...]] = {}
+    todo = [start]
+    while todo:
+        state = todo.pop()
+        if state and state not in steps and (state, family) not in memo:
+            steps[state] = _eliminate_letter(state, family)
+            todo += [rest for rest, _ in steps[state]]
+    counts = {(): 1}
+    for state in sorted(steps, key=len):
+        counts[state] = sum(ways * (counts[rest] if rest in counts else memo[rest, family]) for rest, ways in steps[state])
+    if start not in counts:
+        return memo[start, family]
+    for state in steps:
+        memo[state, family] = counts[state]
+    for stale in list(itertools.islice(memo, max(len(memo) - LETTER_MEMO_SIZE, 0))):
+        del memo[stale]
+    return counts[start]
+
+
+def _count_by_letters(lam: Composition, kind: ConeKind) -> int:
+    """Point sets with sum-marginal lam by letter elimination: a point set
+    is a set of distinct 3-multisets (closed cone) or 3-subsets (open cone)
+    of letters in which letter i occurs lam_i times."""
+    return _letter_count(lam, (3, kind == "closed", False))
 
 
 PYRAMID_TABLE_N_MAX = 12

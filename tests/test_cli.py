@@ -144,11 +144,30 @@ def test_coeff_tall_over_the_power_sum_cap_builds_no_class(capsys, monkeypatch):
         raise AssertionError("coeff built a class over the power-sum cap")
 
     monkeypatch.setattr("plethtomo.characters.plethysm_power_expansion", no_class)
-    # twelve rows of 4: 48 boxes on the power-sum route
-    code, out, err = run(["coeff", "a", format_partition((4,) * 12), "16", "3"], capsys=capsys)
+    # twelve rows: 48 boxes on the power-sum route.  lam' = (12,12,4^6) has
+    # coordinate sum 120 >= beta(16, open) = 103, so no row answers first
+    code, out, err = run(["coeff", "a", format_partition((8,) * 4 + (2,) * 8), "16", "3"], capsys=capsys)
     assert code == EXIT_GATE_FAILED
     assert out == ""
     assert err.startswith("over the size cap:") and "48" in err and len(err.splitlines()) == 1
+
+
+def test_coeff_below_beta_answers_zero_over_the_power_sum_cap(capsys):
+    # lam' = (12^4) has coordinate sum 72, below beta(16, open) = 103: no
+    # 16-point set of the open cone has it, and their count bounds a
+    code, out, err = run(["coeff", "a", format_partition((4,) * 12), "16", "3", "--format", "json"], capsys=capsys)
+    assert code == EXIT_OK, err
+    assert out == '{"method":"below-beta","value":0}\n'
+
+
+def test_coeff_one_row_outer_counts_letters(capsys):
+    # 231 Jacobi-Trudi keys of h_12[h_3], which took 9.9 s on the strip DP;
+    # about 0.4-0.7 s here, bounded at 2 s for CPUs that drop to half speed
+    t0 = time.perf_counter()
+    code, out, err = run(["coeff", "a", "[6,6,6,6,6,6]", "12", "3", "--format", "json"], capsys=capsys)
+    assert time.perf_counter() - t0 < 2.0
+    assert code == EXIT_OK, err
+    assert out == '{"method":"jacobi-trudi","value":1}\n'
 
 
 @pytest.mark.parametrize(

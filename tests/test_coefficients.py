@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 from collections import Counter
 
@@ -35,7 +36,7 @@ from plethtomo.coefficients import (
 from plethtomo.partitions import canonical, partitions_of, transpose
 from plethtomo.sympoly import decompose_schur, plethysm_poly
 from plethtomo.tableaux import count_weighted_ssyt, dim_weyl, kostka, ssyt_weights
-from plethtomo.tomography import SizeCapError, _is_promise
+from plethtomo.tomography import SizeCapError, _is_promise, _letter_count, beta, coordinate_sum
 
 
 def test_weight_multiplicity_examples():
@@ -89,6 +90,64 @@ def test_single_column_weight_spaces_are_point_set_counts(nu):
             assert weight_multiplicity((1,) * n, nu, kappa) == want, (nu, kappa)
             checked += 1
     assert checked == 297
+
+
+@pytest.mark.parametrize(
+    "m, size, repeat_points, repeat_letters",
+    [(m, size, *flags) for m, size in ((2, 16), (3, 15), (4, 12)) for flags in itertools.product((True, False), repeat=2) if m != 3 or flags[0]],
+)
+def test_letter_elimination_matches_the_strip_dp(m, size, repeat_points, repeat_letters):
+    # every kappa |- nm with nm <= size, for h_n[h_m], h_n[e_m], e_n[h_m]
+    # and e_n[e_m]: the letter count and weight_multiplicity against the
+    # strip DP over the inner tableaux' weights, kept as oracle.  The m = 3
+    # sets are the single-column test above and the letter-counter tests of
+    # test_tomography
+    for n in range(1, size // m + 1):
+        # (n) is a multiset of points, (1^n) a set; (m) makes each point an
+        # m-multiset of letters, (1^m) an m-subset
+        mu, nu = ((n,) if repeat_points else (1,) * n), ((m,) if repeat_letters else (1,) * m)
+        for kappa in partitions_of(n * m):
+            want = count_weighted_ssyt(mu, ssyt_weights(nu, len(kappa), kappa), kappa)
+            assert _letter_count(kappa, (m, repeat_letters, repeat_points)) == want, (mu, nu, kappa)
+            assert weight_multiplicity(mu, nu, kappa) == want, (mu, nu, kappa)
+
+
+def test_weight_multiplicity_routes_by_family(monkeypatch):
+    def banned(*args):
+        raise AssertionError("the query took another route")
+
+    def sweep(pairs):
+        for mu, nu in pairs:
+            for kappa in partitions_of(sum(mu) * sum(nu)):
+                coefficients._q_cache.clear()
+                weight_multiplicity(mu, nu, kappa)
+
+    # one-row or one-column outer and inner shapes count letters ...
+    with monkeypatch.context() as patch:
+        patch.setattr(coefficients, "count_weighted_ssyt", banned)
+        patch.setattr(coefficients, "count_point_sets", banned)
+        sweep([((4,), (3,)), ((4,), (1, 1, 1)), ((3,), (4,)), ((1, 1, 1), (4,)), ((1, 1, 1), (1, 1, 1, 1)), ((1, 1, 1, 1), (2,))])
+    # ... but the m = 3 sets keep count_point_sets' dispatch (the level
+    # engine up to excess 2n, letters above) ...
+    with monkeypatch.context() as patch:
+        patch.setattr(coefficients, "count_weighted_ssyt", banned)
+        patch.setattr(coefficients, "_letter_count", banned)
+        sweep([((1, 1, 1, 1), (3,)), ((1, 1, 1, 1), (1, 1, 1))])
+    # ... and every other (mu, nu) keeps the strip DP
+    with monkeypatch.context() as patch:
+        patch.setattr(coefficients, "_letter_count", banned)
+        patch.setattr(coefficients, "count_point_sets", banned)
+        sweep([((2, 1), (3,)), ((2,), (2, 1)), ((2, 1), (1, 1))])
+
+
+def test_one_row_outer_weight_space_over_many_letters():
+    # 21 letters of degree 1: a multiset of seven 3-multisets using each
+    # once is a set partition into seven blocks of 3.  The strip DP took
+    # 19.9 s on it
+    t0 = time.perf_counter()
+    got = weight_multiplicity((7,), (3,), (1,) * 21)
+    assert time.perf_counter() - t0 < 0.1
+    assert got == math.factorial(21) // (math.factorial(3) ** 7 * math.factorial(7))
 
 
 def test_weight_multiplicity_symmetric_in_kappa():
@@ -367,12 +426,15 @@ def test_plethysm_coeff_rows_match_general_plethysm():
                     res = plethysm_coeff(lam, n, m, variant)
                     want = general_plethysm(lam, outer_shape(n, variant), (m,) if m else ())
                     assert res.value == want.value, (lam, n, m, variant)
-                    if m == 3 and _is_promise(*_family_cone(lam, variant)):
+                    marginal, kind = _family_cone(lam, variant)
+                    if m == 3 and _is_promise(marginal, kind):
                         assert res.method == "promise-pyramid-count"
                     elif n and len(lam) > n:
                         assert res.method == "height-zero"
                     elif n and len(lam) == n:
-                        assert res.method in {f"column-peel+{row}" for row in ("promise-pyramid-count", "closed-form", "jacobi-trudi")}
+                        assert res.method in {f"column-peel+{row}" for row in ("promise-pyramid-count", "below-beta", "closed-form", "jacobi-trudi")}
+                    elif m == 3 and coordinate_sum(marginal) < beta(n, kind):
+                        assert res.method == "below-beta"
                     elif m == 2:
                         assert res.method == "closed-form"
                     else:
@@ -380,10 +442,12 @@ def test_plethysm_coeff_rows_match_general_plethysm():
                     methods[res.method] += 1
     assert methods == {
         "height-zero": 2512,
-        "jacobi-trudi": 610,
-        "column-peel+jacobi-trudi": 277,
+        "jacobi-trudi": 538,
+        "column-peel+jacobi-trudi": 258,
         "column-peel+closed-form": 202,
         "closed-form": 172,
+        "below-beta": 72,
+        "column-peel+below-beta": 19,
         "promise-pyramid-count": 32,
         "column-peel+promise-pyramid-count": 27,
     }
@@ -435,7 +499,7 @@ def test_power_sum_cap_builds_no_class(monkeypatch):
     with pytest.raises(SizeCapError, match=f"size {n} is over the cap of {POWER_SUM_N_MAX}"):
         general_plethysm((1,) * n, (n,), (1,))
     with pytest.raises(SizeCapError, match="size 48"):
-        plethysm_coeff((4,) * 12, 16, 3, "a")
+        plethysm_coeff((8,) * 4 + (2,) * 8, 16, 3, "a")
     # at most JACOBI_TRUDI_MAX_ROWS rows take Jacobi-Trudi at any size
     assert general_plethysm((48,), (16,), (3,)) == CoefficientResult(1, "jacobi-trudi")
     # a degree mismatch is answered before the route is picked
@@ -483,6 +547,18 @@ def test_tall_route_matches_omega_dual_jacobi_trudi():
                 cases += 1
                 nonzero += want != 0
     assert (cases, nonzero) == (6622, 136)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_omega_duality_on_random_shapes(data):
+    # omega(s_mu[s_nu]) = s_mu*[s_nu'], mu* = mu for |nu| even and mu' for
+    # |nu| odd: general_plethysm at lam against Jacobi-Trudi at lam'
+    size = data.draw(st.integers(1, 12))
+    mu, nu = data.draw(st.sampled_from(pairs_of_size(size)))
+    lam = data.draw(st.sampled_from([lam for lam in partitions_of(size) if lam[0] <= JACOBI_TRUDI_ROWS_CAP]))
+    dual_mu = mu if sum(nu) % 2 == 0 else transpose(mu)
+    assert general_plethysm(lam, mu, nu).value == jacobi_trudi_coeff(transpose(lam), dual_mu, transpose(nu))
 
 
 def test_m2_closed_form_examples():

@@ -150,6 +150,23 @@ def test_gamma_maps():
         gamma_extract({(0, 0, 0)}, 1)
 
 
+@st.composite
+def _layer_point_sets(draw):
+    """A range r <= 4 and a set of points on the layer x + y + z = r."""
+    r = draw(st.integers(1, 4))
+    layer = [(x, y, r - x - y) for x in range(r + 1) for y in range(r + 1 - x)]
+    return r, frozenset(draw(st.lists(st.sampled_from(layer), unique=True)))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(case=_layer_point_sets(), kind=st.sampled_from(["open", "closed"]))
+def test_gamma_round_trip_and_sum_marginal(case, kind):
+    r, points = case
+    embedded = gamma_embed(points, r)
+    assert gamma_extract(embedded, r) == points
+    assert sum_marginal(embedded) == symmetrize_2d(XRayInstance2D(r, *axis_marginals(points)), kind).marginal
+
+
 def test_gamma_embeds_solutions():
     # the embedded witness solves the symmetrized instance
     sym = symmetrize_2d(EXAMPLE_1, "closed")
@@ -253,16 +270,24 @@ def test_family_cone_and_promise_query_invert_each_other():
 
 
 # partitions of 21 with at most nine rows whose cone instance is no promise
-# instance: at n = 7 they go to the Jacobi-Trudi route
+# instance: at n = 7 they go to the Jacobi-Trudi route, or are 0 below beta
+# (the closed cone at (12, 9) has coordinate sum 9 < beta(7, closed) = 14)
 @pytest.mark.parametrize(
-    "lam, variant",
-    [((13, 6, 2), "a"), ((15, 6), "a"), ((8, 8, 5), "a"), ((7, 7, 7), "b"), ((10, 5, 3, 2, 1), "b"), ((12, 9), "b")],
+    "lam, variant, method",
+    [
+        ((13, 6, 2), "a", "jacobi-trudi"),
+        ((15, 6), "a", "jacobi-trudi"),
+        ((8, 8, 5), "a", "jacobi-trudi"),
+        ((7, 7, 7), "b", "jacobi-trudi"),
+        ((10, 5, 3, 2, 1), "b", "jacobi-trudi"),
+        ((12, 9), "b", "below-beta"),
+    ],
 )
-def test_non_promise_instances_resolve_by_plethysm_coeff(lam, variant):
+def test_non_promise_instances_resolve_by_plethysm_coeff(lam, variant, method):
     inst = PlethysmInstance(lam, 7, 3, variant)
     assert not is_promise_instance(*_family_cone(lam, variant))
     assert resolve_coefficient(inst) == plethysm_coeff(lam, 7, 3, variant)
-    assert resolve_coefficient(inst).method == "jacobi-trudi"
+    assert resolve_coefficient(inst).method == method
 
 
 def test_degree_mismatch_resolves_to_zero():
