@@ -8,6 +8,13 @@ weights, with a prescribed total weight, by a horizontal-strip DP.  For
 plethysms the letters are the inner tableaux, and ssyt_weights lists their
 weights as compositions with Kostka multiplicities; for restricted
 plethysms they are cone points.  No tableau is ever filled here.
+
+Kostka numbers K_{mu,w} are zero unless mu dominates w sorted in
+decreasing order (Macdonald I.6), so kostka tests that first.  Otherwise
+it runs the same strip DP one letter of w at a time, reading the strips
+from one table per DP shape, keyed by letter count and alpha, filled on
+first use and kept for every later weight of that shape: a Kostka row, an
+ssyt_weights alphabet or a Schur peel enumerates each strip once.
 """
 
 from __future__ import annotations
@@ -19,10 +26,21 @@ from typing import Iterator, Sequence
 from .partitions import Composition, Partition, _transpose, canonical, compositions_of, pad, partition, partitions_of
 
 # bound of the Kostka memo: a round of the benchmark's plethysm_sweep,
-# bounds_sandwich and chain_resolve touches 458, 18 and 0 keys; the Schur
-# peeling self-check over all |mu||nu| <= 12 touches 13184, rereading each
-# Kostka row once per (mu, nu), and ran 3x slower at a bound of 1024
+# bounds_sandwich and chain_resolve makes 451, 15 and 0 misses; the Schur
+# peeling self-check over all |mu||nu| <= 12 makes 13154, rereading each
+# Kostka row once per (mu, nu).  At a bound of 1024 that check ran 3.4x
+# slower when every miss enumerated its strips (28.6 s against 8.3 s), and
+# 1.1x slower with the strip tables (10.0 s against 9.1 s)
 KOSTKA_MAXSIZE = 16384
+
+STRIP_TABLES_MAXSIZE = 256
+"""Bound of the strip tables, one per DP shape and enumerator
+(_strip_table).  A round of plethysm_sweep, bounds_sandwich and
+chain_resolve makes 44, 2 and 0 tables; the Schur peeling self-check over
+all |mu||nu| <= 12 makes 271, holding 3.6 MB in all.  It reads the weights
+of one shape in one run, so even at a bound of 32 it made no table twice.
+The largest table it makes has 143 entries; a Kostka row of
+(7,6,5,4,3,2,1) over 28 letters fills one of 2.6 MB."""
 
 
 def _horizontal_strips(alpha: tuple[int, ...], mu: tuple[int, ...], strip_size: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -66,15 +84,29 @@ def _column_strips(alpha: tuple[int, ...], heights: tuple[int, ...], strip_size:
             yield tuple(beta)
 
 
+@lru_cache(maxsize=STRIP_TABLES_MAXSIZE)
+def _strip_table(shape: tuple[int, ...], strips) -> dict[int, dict[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+    """The strips that ``strips`` (_horizontal_strips or _column_strips)
+    enumerates inside ``shape``, keyed by letter count and then by alpha,
+    and filled by kostka on first use.  Keyed by the enumerator too: a tall
+    mu runs _column_strips on mu', and mu' as a wide shape of its own runs
+    _horizontal_strips on the same tuple."""
+    return {}
+
+
 @lru_cache(maxsize=KOSTKA_MAXSIZE)
 def kostka(mu: Partition, weight: Composition) -> int:
     """Number of SSYT of shape mu and weight ``weight`` (Kostka number).
 
-    Computed by a horizontal-strip DP over the letters of the weight, one
-    letter at a time; no tableaux are materialized.  A state is a subshape
-    by its row lengths, or, when mu has more rows than columns, by its
-    column heights (_column_strips), so a state has min(len(mu), mu_1)
-    entries.
+    Zero unless mu dominates the weight sorted in decreasing order
+    (Macdonald I.6), which is tested first.  Otherwise computed by a
+    horizontal-strip DP over the letters of the weight, one letter at a
+    time; no tableaux are materialized.  A state is a subshape by its row
+    lengths, or, when mu has more rows than columns, by its column heights
+    (_column_strips), so a state has min(len(mu), mu_1) entries.  The
+    strips come from the DP shape's _strip_table, so the weights of one
+    shape (a Kostka row, an ssyt_weights alphabet) enumerate each strip
+    once.
     """
     mu = partition(mu)
     w = canonical(weight)
@@ -82,15 +114,23 @@ def kostka(mu: Partition, weight: Composition) -> int:
         raise ValueError(f"|mu|={sum(mu)} != |weight|={sum(w)}")
     if not mu:
         return 1
+    if any(m < v for m, v in zip(itertools.accumulate(mu), itertools.accumulate(sorted(w, reverse=True)))):
+        return 0
     shape, strips = mu, _horizontal_strips
     if len(mu) > mu[0]:
         shape, strips = _transpose(mu), _column_strips
+    table = _strip_table(shape, strips)
     states: dict[tuple[int, ...], int] = {(0,) * len(shape): 1}
     for letter_count in w:
+        row = table.setdefault(letter_count, {})
         new: dict[tuple[int, ...], int] = {}
+        get = new.get
         for alpha, cnt in states.items():
-            for beta in strips(alpha, shape, letter_count):
-                new[beta] = new.get(beta, 0) + cnt
+            betas = row.get(alpha)
+            if betas is None:
+                betas = row[alpha] = tuple(strips(alpha, shape, letter_count))
+            for beta in betas:
+                new[beta] = get(beta, 0) + cnt
         states = new
         if not states:
             return 0
@@ -226,7 +266,7 @@ def dim_weyl(lam: Partition, k: int) -> int:
         return 1
     if len(lam) > k:
         return 0
-    conj = tuple(sum(1 for v in lam if v > i) for i in range(lam[0]))
+    conj = _transpose(lam)
     num = 1
     den = 1
     for i, row in enumerate(lam):

@@ -83,7 +83,10 @@ residual Y- and Z-marginals and the points still owed to the current x.
 Equal residuals merge, so the work is bounded by the number of distinct
 residuals rather than by the number of solutions.  In all of N^3 that number
 is bounded only by the marginals, so count_3dxray refuses (SizeCapError) an
-instance whose marginals admit more than AXIS_STATE_CAP residual pairs.
+instance whose marginals admit more than AXIS_STATE_CAP residual pairs.  On
+a grid layer the marginals bound it far less tightly, so the DP itself
+raises SizeCapError as soon as one of its state dicts holds more than
+AXIS_STATE_CAP states.
 """
 
 from __future__ import annotations
@@ -735,6 +738,26 @@ class SymInstance:
         cone_kind(self.cone)
 
 
+AXIS_STATE_CAP = 1 << 18
+"""The most states one dict of the axis-marginal DP may hold.
+
+count_3dxray refuses, before any counting, an instance with
+prod(nu_j + 1) * prod(rho_k + 1) residual pairs above it: the all-ones
+instance 1^9 sits exactly at the cap and counts in a few seconds; 1^10,
+which takes about ten, and above are refused.  On a grid layer
+(count_2dxray) the DP raises as soon as a dict passes the cap.  Random sets
+of 2r points of the layer x+y+z = r, measured on a shared 2-vCPU host: the
+range-13 set of seed 1 peaks at 178466 states in one dict and counts
+(11658) in 4-5 s; without the cap, range 15 counted 14947969 sets in 71 s
+and range 20 ran out of a 2.5 GB address space after 25 s, and with it
+ranges 15, 20 and 30 are refused in 1.5-4 s at 270-570 MB peak."""
+
+
+class SizeCapError(Exception):
+    """An instance is over a documented size cap: refused before any work,
+    or, on a grid layer's axis-marginal DP, as its states pass the cap."""
+
+
 def _count_axis(mu: Composition, nu: Composition, rho: Composition, layer: int | None = None) -> int:
     """Point sets with X-, Y- and Z-marginals mu, nu, rho: in all of N^3, or
     with layer given, inside the layer x+y+z = layer.
@@ -744,7 +767,9 @@ def _count_axis(mu: Composition, nu: Composition, rho: Composition, layer: int |
     mapped to its number of partial point sets; taking cell (y, z) spends
     one of each, and skipping it keeps the state as it is.  A state owing
     more points than cells remain is dropped, and only states owing nothing
-    survive when x advances.  Equal residuals merge, and nothing recurses."""
+    survive when x advances.  Equal residuals merge, and nothing recurses.
+    A dict that passes AXIS_STATE_CAP states raises SizeCapError, checked
+    each time a cell has grown it."""
     nu, rho = tuple(nu), tuple(rho)
     ys = [y for y, v in enumerate(nu) if v > 0]
     zs = [z for z, v in enumerate(rho) if v > 0]
@@ -766,6 +791,8 @@ def _count_axis(mu: Composition, nu: Composition, rho: Composition, layer: int |
                     if ny[y] and nz[z]:
                         key = (ny[:y] + (ny[y] - 1,) + ny[y + 1 :], nz[:z] + (nz[z] - 1,) + nz[z + 1 :])
                         paid[key] = paid.get(key, 0) + c
+                if len(paid) > AXIS_STATE_CAP:
+                    raise SizeCapError(f"axis-marginal DP holds {len(paid)} states, over the cap of {AXIS_STATE_CAP}")
         states = owing[0]
         if not states:
             return 0
@@ -773,7 +800,9 @@ def _count_axis(mu: Composition, nu: Composition, rho: Composition, layer: int |
 
 
 def count_2dxray(inst: XRayInstance2D) -> int:
-    """Point sets inside the layer x+y+z = r with the given axis marginals."""
+    """Point sets inside the layer x+y+z = r with the given axis marginals.
+
+    Raises SizeCapError when a state dict of the DP passes AXIS_STATE_CAP."""
     if not inst.passes_gate():
         return 0
     return _count_axis(inst.mu, inst.nu, inst.rho, layer=inst.r)
@@ -793,17 +822,6 @@ def count_sym_2dxray(lam: Composition, r: int, kind: ConeKind) -> int:
     if coordinate_sum(lam) != r * n:
         return 0
     return _count_levelwise(lam, kind, False, r, r)
-
-
-AXIS_STATE_CAP = 1 << 18
-"""The most residual pairs count_3dxray lets its DP reach: an instance with
-prod(nu_j + 1) * prod(rho_k + 1) above it is refused before any counting.
-The all-ones instance 1^9 sits exactly at the cap and counts in a few
-seconds; 1^10, which takes about ten, and above are refused."""
-
-
-class SizeCapError(Exception):
-    """An instance is over a documented size cap; no work was started."""
 
 
 def count_3dxray(mu: Composition, nu: Composition, rho: Composition) -> int:

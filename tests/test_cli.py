@@ -4,6 +4,7 @@ import time
 from pathlib import Path
 
 import pytest
+from test_tomography import layer_sample
 
 from plethtomo.cli import (
     EXIT_GATE_FAILED,
@@ -428,6 +429,14 @@ def test_count_range_45_layer(capsys, monkeypatch):
     code, out, err = run(["count", json.dumps(data), "--format", "json"], capsys=capsys)
     assert code == EXIT_OK, err
     assert json.loads(out) == {"count": 1}
+
+
+def test_count_2dxray_over_the_state_cap_exits_3(capsys):
+    inst = layer_sample(20, 40, 1)
+    data = {"kind": "2dxray", "r": inst.r, "marginals": {"x": list(inst.mu), "y": list(inst.nu), "z": list(inst.rho)}}
+    code, out, err = run(["count", json.dumps(data)], capsys=capsys)
+    assert code == EXIT_GATE_FAILED and out == ""
+    assert err.startswith("over the size cap:") and len(err.splitlines()) == 1
 
 
 def test_count_tall_sym3d_by_letters(capsys):

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from plethtomo.partitions import canonical, compositions_of, is_partition, pad, partitions_of, transpose
 from plethtomo.tableaux import (
     KOSTKA_MAXSIZE,
+    STRIP_TABLES_MAXSIZE,
     _column_strips,
     _horizontal_strips,
+    _strip_table,
     count_weighted_ssyt,
     dim_weyl,
     kostka,
@@ -103,6 +105,10 @@ def test_kostka_rejects_size_mismatch():
 
 def test_kostka_memo_is_bounded():
     assert kostka.cache_info().maxsize == KOSTKA_MAXSIZE
+
+
+def test_strip_tables_are_bounded():
+    assert _strip_table.cache_info().maxsize == STRIP_TABLES_MAXSIZE
 
 
 def test_kostka_row_is_monomial_expansion():
@@ -283,3 +289,23 @@ def test_kostka_on_tall_shapes_matches_enumeration():
                 assert kostka(mu, canonical(weight)) == by_weight[weight], (mu, weight)
                 checked += 1
     assert checked == 5542
+
+
+def test_kostka_on_every_shape_and_its_transpose_matches_enumeration():
+    # every lam |- n <= 6 right after lam', on every composition of n into
+    # n+1 parts, zeros inside included, with the strip tables kept
+    # throughout: a tall shape's column-strip table and its transpose's
+    # horizontal-strip table sit on the same tuple.  The DP runs on every
+    # call, past the Kostka memo.
+    by_shape = {}
+    checked = 0
+    for n in range(1, 7):
+        weights = list(compositions_of(n, n + 1))
+        for lam in partitions_of(n):
+            for mu in (transpose(lam), lam):
+                if mu not in by_shape:
+                    by_shape[mu] = Counter(tableau_weight(t, n + 1) for t in enumerate_ssyt(mu, n + 1))
+                for weight in weights:
+                    assert kostka.__wrapped__(mu, canonical(weight)) == by_shape[mu][weight], (mu, weight)
+                    checked += 1
+    assert checked == 24704

@@ -1,7 +1,9 @@
 import gc
 import itertools
 import math
+import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -1003,6 +1005,32 @@ def test_count_3dxray_size_cap():
         count_3dxray((2048,), (1024, 1024), (2048,))
     # 501^2 pairs, under the cap: the points (x, 0, 0) for x < 500
     assert count_3dxray((1,) * 500, (500,), (500,)) == 1
+
+
+def layer_sample(r, n, seed):
+    """The 2dxray instance of n cells of the layer x+y+z = r drawn by seed."""
+    layer = [(x, y, r - x - y) for x in range(r + 1) for y in range(r + 1 - x)]
+    return XRayInstance2D(r, *axis_marginals(random.Random(seed).sample(layer, n)))
+
+
+@pytest.mark.parametrize(
+    "r,n,seed,want",
+    [(9, 16, 5, 244), (12, 24, 1, 590), (12, 24, 2, 71324), (12, 24, 3, 89), (13, 26, 1, 11658)],
+)
+def test_count_2dxray_under_the_state_cap(r, n, seed, want):
+    # random sets of 2r layer points; range 13 peaks at 178466 states in
+    # one dict, the closest of these to AXIS_STATE_CAP
+    assert count_2dxray(layer_sample(r, n, seed)) == want
+
+
+@pytest.mark.parametrize("r", [15, 20])
+def test_count_2dxray_state_cap(r):
+    # without the cap, range 15 counted 14947969 sets in 71 s and range 20
+    # ran out of a 2.5 GB address space after 25 s
+    t0 = time.perf_counter()
+    with pytest.raises(SizeCapError, match="over the cap"):
+        count_2dxray(layer_sample(r, 2 * r, 1))
+    assert time.perf_counter() - t0 < 10.0
 
 
 def test_2dxray_gate():
