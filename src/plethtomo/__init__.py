@@ -59,7 +59,6 @@ from .tomography import (
     count_point_sets,
     count_pyramids,
     count_sym_2dxray,
-    full_simplex,
     in_cone,
     iota,
     is_promise_instance,

@@ -12,7 +12,7 @@ plethysms they are cone points.  No tableau is ever filled here.
 Kostka numbers K_{mu,w} are zero unless mu dominates w sorted in
 decreasing order (Macdonald I.6), so kostka tests that first.  Otherwise
 it runs the same strip DP one letter of w at a time, reading the strips
-from one table per DP shape, keyed by letter count and alpha, filled on
+from one table per shape mu, keyed by letter count and alpha, filled on
 first use and kept for every later weight of that shape: a Kostka row, an
 ssyt_weights alphabet or a Schur peel enumerates each strip once.
 """
@@ -34,11 +34,11 @@ from .partitions import Composition, Partition, _transpose, canonical, compositi
 KOSTKA_MAXSIZE = 16384
 
 STRIP_TABLES_MAXSIZE = 256
-"""Bound of the strip tables, one per DP shape and enumerator
-(_strip_table).  A round of plethysm_sweep, bounds_sandwich and
-chain_resolve makes 44, 2 and 0 tables; the Schur peeling self-check over
-all |mu||nu| <= 12 makes 271, holding 3.6 MB in all.  It reads the weights
-of one shape in one run, so even at a bound of 32 it made no table twice.
+"""Bound of the strip tables, one per Kostka shape mu (_strip_table).  A
+round of plethysm_sweep, bounds_sandwich and chain_resolve makes 44, 2 and
+0 tables; the Schur peeling self-check over all |mu||nu| <= 12 makes 271,
+holding 3.6 MB in all.  It reads the weights of one shape in one run, so
+even at a bound of 32 it made no table twice.
 The largest table it makes has 143 entries; a Kostka row of
 (7,6,5,4,3,2,1) over 28 letters fills one of 2.6 MB."""
 
@@ -85,13 +85,16 @@ def _column_strips(alpha: tuple[int, ...], heights: tuple[int, ...], strip_size:
 
 
 @lru_cache(maxsize=STRIP_TABLES_MAXSIZE)
-def _strip_table(shape: tuple[int, ...], strips) -> dict[int, dict[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
-    """The strips that ``strips`` (_horizontal_strips or _column_strips)
-    enumerates inside ``shape``, keyed by letter count and then by alpha,
-    and filled by kostka on first use.  Keyed by the enumerator too: a tall
-    mu runs _column_strips on mu', and mu' as a wide shape of its own runs
-    _horizontal_strips on the same tuple."""
-    return {}
+def _strip_table(mu: Partition):
+    """(shape, strips, table) of the Kostka DP of mu: its subshapes by row
+    lengths with _horizontal_strips, or, when mu has more rows than
+    columns, by column heights with _column_strips on mu', so a state has
+    min(len(mu), mu_1) entries; and the strips of that enumerator inside
+    that shape, keyed by letter count and then by alpha, filled by kostka
+    on first use."""
+    if len(mu) > mu[0]:
+        return _transpose(mu), _column_strips, {}
+    return mu, _horizontal_strips, {}
 
 
 @lru_cache(maxsize=KOSTKA_MAXSIZE)
@@ -101,12 +104,9 @@ def kostka(mu: Partition, weight: Composition) -> int:
     Zero unless mu dominates the weight sorted in decreasing order
     (Macdonald I.6), which is tested first.  Otherwise computed by a
     horizontal-strip DP over the letters of the weight, one letter at a
-    time; no tableaux are materialized.  A state is a subshape by its row
-    lengths, or, when mu has more rows than columns, by its column heights
-    (_column_strips), so a state has min(len(mu), mu_1) entries.  The
-    strips come from the DP shape's _strip_table, so the weights of one
-    shape (a Kostka row, an ssyt_weights alphabet) enumerate each strip
-    once.
+    time; no tableaux are materialized.  The DP's states and strips come
+    from mu's _strip_table, so the weights of one shape (a Kostka row, an
+    ssyt_weights alphabet) enumerate each strip once.
     """
     mu = partition(mu)
     w = canonical(weight)
@@ -116,10 +116,7 @@ def kostka(mu: Partition, weight: Composition) -> int:
         return 1
     if any(m < v for m, v in zip(itertools.accumulate(mu), itertools.accumulate(sorted(w, reverse=True)))):
         return 0
-    shape, strips = mu, _horizontal_strips
-    if len(mu) > mu[0]:
-        shape, strips = _transpose(mu), _column_strips
-    table = _strip_table(shape, strips)
+    shape, strips, table = _strip_table(mu)
     states: dict[tuple[int, ...], int] = {(0,) * len(shape): 1}
     for letter_count in w:
         row = table.setdefault(letter_count, {})
@@ -137,7 +134,7 @@ def kostka(mu: Partition, weight: Composition) -> int:
     return states.get(shape, 0)
 
 
-def _letter_count(k: int) -> int:
+def _alphabet_size(k: int) -> int:
     """k as the size of an alphabet: ValueError if it is negative."""
     if k < 0:
         raise ValueError(f"negative letter count {k}")
@@ -152,7 +149,7 @@ def ssyt_weights(shape: Partition, k: int, bound: Composition | None = None) -> 
     every composition w of |shape| appears K_{shape,w} times, and Kostka
     numbers are symmetric in the weight, so they are looked up sorted.
     """
-    shape, k = partition(shape), _letter_count(k)
+    shape, k = partition(shape), _alphabet_size(k)
     return [w for w in compositions_of(sum(shape), k, bound) for _ in range(kostka(shape, tuple(sorted(w, reverse=True))))]
 
 
@@ -261,7 +258,7 @@ def dim_weyl(lam: Partition, k: int) -> int:
     (number of SSYT of shape lam over a k-letter alphabet), by the
     hook-content formula.
     """
-    lam, k = partition(lam), _letter_count(k)
+    lam, k = partition(lam), _alphabet_size(k)
     if not lam:
         return 1
     if len(lam) > k:
@@ -279,7 +276,7 @@ def dim_weyl(lam: Partition, k: int) -> int:
 def kostka_row(nu: Partition, k: int) -> dict[Partition, int]:
     """All nonzero Kostka numbers K_{nu,pi} over partitions pi of |nu| with
     at most k parts, i.e. the monomial expansion of the Schur polynomial."""
-    nu, k = partition(nu), _letter_count(k)
+    nu, k = partition(nu), _alphabet_size(k)
     out: dict[Partition, int] = {}
     for pi in partitions_of(sum(nu), max_parts=k):
         val = kostka(nu, pi)

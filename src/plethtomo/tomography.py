@@ -94,6 +94,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -219,16 +220,6 @@ def pyramid_marginal(r: int, kind: ConeKind) -> Composition:
             zs[zmax + 1] -= 1
             zs[0] += 1
     return canonical(v + z for v, z in zip(s, itertools.accumulate(zs)))
-
-
-def full_simplex(r: int) -> frozenset[Point]:
-    """All of N^3 with coordinate sum <= r."""
-    return frozenset(
-        (x, y, z)
-        for x in range(r + 1)
-        for y in range(r + 1 - x)
-        for z in range(r + 1 - x - y)
-    )
 
 
 def xi(i: int, kind: ConeKind) -> int:
@@ -477,6 +468,7 @@ letters (inner h_m) or an m-subset (inner e_m), and a family of n points a
 multiset of points (outer h_n) or a set (outer e_n)."""
 
 _letter_counts: dict[tuple[tuple[int, ...], LetterFamily], int] = {}
+_letter_counts_lock = threading.Lock()
 
 
 def _eliminate_letter(degrees: tuple[int, ...], family: LetterFamily) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -533,27 +525,22 @@ def _eliminate_letter(degrees: tuple[int, ...], family: LetterFamily) -> tuple[t
         if not caps[j]:
             continue
         bound = room[j + 1]
-        # updated in place over a snapshot, so each state takes a move once
-        # (a multiset: once, twice, ... until its t-degree or the guard
-        # ends it); a take lands within bound except for a multiset's first
-        # copies, as left <= room[j] before the move
+        # updated in place over a snapshot, so each state takes a move once,
+        # twice, ... until its t-degree or the guard ends it, or after one
+        # copy in a set; a take lands within bound except for a multiset's
+        # first copies, as left <= room[j] before the move
         for key, c in list(states.items()):
             left = key & top
             if left > bound:
                 del states[key]
-            if not repeat_points:
-                if left >= tdeg and (key := key - step) & guard == guard:
-                    if left == tdeg:
-                        done[key] = done.get(key, 0) + c
-                    else:
-                        states[key] = get(key, 0) + c
-                continue
             while left >= tdeg and (key := key - step) & guard == guard:
                 left -= tdeg
                 if not left:
                     done[key] = done.get(key, 0) + c
                 elif left <= bound:
                     states[key] = get(key, 0) + c
+                if not repeat_points:
+                    break
     out: dict[tuple[int, ...], int] = {}
     for key, c in done.items():
         res = tuple(sorted([v for shift in shifts if (v := key >> shift & top)]))
@@ -574,34 +561,35 @@ def _letter_count(degrees: Composition, family: LetterFamily) -> int:
     listed with an explicit stack and counted shortest first, each as the
     sum over its outcomes of ways times the outcome's count, so a state
     shared by several queries (the keys of one Jacobi-Trudi sum) is counted
-    once.  _letter_counts keeps at most LETTER_MEMO_SIZE counts, dropping
-    the oldest first."""
+    once.  The walk reads each held count from _letter_counts once, so the
+    sum never reads the memo.  _letter_counts keeps at most
+    LETTER_MEMO_SIZE counts, dropping the oldest first; its writes and
+    evictions hold _letter_counts_lock, as a concurrent write would break
+    an eviction's pass over the memo."""
     start = tuple(sorted(v for v in degrees if v))
     memo = _letter_counts
     steps: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...]] = {}
+    counts = {(): 1}
     todo = [start]
     while todo:
         state = todo.pop()
-        if state and state not in steps and (state, family) not in memo:
+        if state in counts or state in steps:
+            continue
+        # read once: another caller may evict the entry before the sum
+        got = memo.get((state, family))
+        if got is not None:
+            counts[state] = got
+        else:
             steps[state] = _eliminate_letter(state, family)
             todo += [rest for rest, _ in steps[state]]
-    counts = {(): 1}
     for state in sorted(steps, key=len):
-        counts[state] = sum(ways * (counts[rest] if rest in counts else memo[rest, family]) for rest, ways in steps[state])
-    if start not in counts:
-        return memo[start, family]
-    for state in steps:
-        memo[state, family] = counts[state]
-    for stale in list(itertools.islice(memo, max(len(memo) - LETTER_MEMO_SIZE, 0))):
-        del memo[stale]
+        counts[state] = sum(ways * counts[rest] for rest, ways in steps[state])
+    with _letter_counts_lock:
+        for state in steps:
+            memo[state, family] = counts[state]
+        for stale in list(itertools.islice(memo, max(len(memo) - LETTER_MEMO_SIZE, 0))):
+            del memo[stale]
     return counts[start]
-
-
-def _count_by_letters(lam: Composition, kind: ConeKind) -> int:
-    """Point sets with sum-marginal lam by letter elimination: a point set
-    is a set of distinct 3-multisets (closed cone) or 3-subsets (open cone)
-    of letters in which letter i occurs lam_i times."""
-    return _letter_count(lam, (3, kind == "closed", False))
 
 
 PYRAMID_TABLE_N_MAX = 12
@@ -674,7 +662,9 @@ def _count(lam: Composition, kind: ConeKind, pyramids_only: bool) -> int:
     if excess < 0:
         return 0
     if not pyramids_only and excess > 2 * n:
-        return _count_by_letters(lam, kind)
+        # a point set is a set of 3-multisets (closed cone) or 3-subsets
+        # (open cone) of letters in which letter i occurs lam_i times
+        return _letter_count(lam, (3, kind == "closed", False))
     floor = max(fill - excess, 0)
     if floor:
         # the levels below floor <= iota(n) hold fewer than n points, so

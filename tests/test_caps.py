@@ -1,8 +1,10 @@
-"""The size caps of the library, checked by a scan of its source.
+"""The size caps and memos of the library, checked by a scan of its source.
 
 Every `raise SizeCapError` must sit directly under an `if` that compares
 against a module-level UPPER_CASE constant of its own module, so that each
 cap is one named number; and the README must name each of those constants.
+The README's Concurrency section must name every memo: each `lru_cache`
+function and each module-level dict that starts empty.
 """
 
 import ast
@@ -69,3 +71,47 @@ def test_every_size_cap_is_a_named_constant_in_the_readme():
     assert {"AXIS_STATE_CAP", "JACOBI_TRUDI_ROWS_CAP", "KRON_N_MAX", "POWER_SUM_N_MAX"} <= caps
     missing = sorted(name for name in caps if name not in readme)
     assert not missing, f"the README names no cap {missing}"
+
+
+def memos(tree: ast.Module) -> list[str]:
+    """The memos of a module: its `lru_cache`-decorated functions, bare or
+    called, and its module-level names bound to an empty dict."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            for deco in node.decorator_list:
+                deco = deco.func if isinstance(deco, ast.Call) else deco
+                if (deco.attr if isinstance(deco, ast.Attribute) else getattr(deco, "id", None)) == "lru_cache":
+                    found.append(node.name)
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Dict) and not node.value.keys:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [target.id for target in targets if isinstance(target, ast.Name)]
+    return found
+
+
+def test_scan_finds_memos():
+    source = (
+        "import functools\n"
+        "from functools import lru_cache\n"
+        "_memo: dict[int, int] = {}\n"
+        "TABLE = {1: 2}\n"
+        "@functools.lru_cache(maxsize=4)\n"
+        "def f(n): return n\n"
+        "@lru_cache\n"
+        "def g(n): return n\n"
+        "def h(n): return {}\n"
+    )
+    assert sorted(memos(ast.parse(source))) == ["_memo", "f", "g"]
+
+
+def test_every_memo_is_named_in_the_readme_concurrency_section():
+    package = Path(plethtomo.__file__).parent
+    readme = README.read_text(encoding="utf-8")
+    section = readme[readme.index("## Concurrency") :].split("\n## ")[0]
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        found.update(memos(ast.parse(path.read_text(encoding="utf-8"))))
+    assert {"_q_cache", "_letter_counts", "kostka", "_mn", "_pyramid_table", "pyramid_marginal", "_greedy_fill"} <= found
+    missing = sorted(name for name in found if f"`{name}`" not in section)
+    assert not missing, f"the README's Concurrency section names no memo {missing}"

@@ -4,7 +4,7 @@ import time
 from pathlib import Path
 
 import pytest
-from test_tomography import layer_sample
+from test_tomography import full_simplex, layer_sample
 
 from plethtomo.cli import (
     EXIT_GATE_FAILED,
@@ -28,7 +28,6 @@ from plethtomo.tomography import (
     axis_marginals,
     count_2dxray,
     count_sym_2dxray,
-    full_simplex,
     in_cone,
     instance_from_dict,
     is_promise_instance,

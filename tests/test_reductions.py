@@ -5,6 +5,7 @@ from collections import Counter, defaultdict
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_tomography import full_simplex
 
 from plethtomo import reductions
 from plethtomo.characters import kronecker as character_kronecker
@@ -36,7 +37,6 @@ from plethtomo.tomography import (
     count_pyramids,
     count_sym_2dxray,
     coordinate_sum,
-    full_simplex,
     is_promise_instance,
     sum_marginal,
 )

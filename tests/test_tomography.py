@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import sys
+import threading
 import time
 
 import pytest
@@ -26,7 +27,6 @@ from plethtomo.tomography import (
     count_point_sets,
     count_pyramids,
     count_sym_2dxray,
-    full_simplex,
     in_cone,
     instance_from_dict,
     iota,
@@ -42,9 +42,10 @@ from plethtomo.tomography import (
     PYRAMID_TABLE_N_MAX,
     _candidates,
     _closure_filter,
-    _count_by_letters,
     _count_levelwise,
     _greedy_fill,
+    _letter_count,
+    _letter_counts,
     _pyramid_table,
 )
 
@@ -137,6 +138,11 @@ def test_complete_pyramid_sizes_match_xi_sums():
     for kind in ("open", "closed"):
         for r in range(15):
             assert len(complete_pyramid(r, kind)) == sum(xi(i, kind) for i in range(r + 1))
+
+
+def full_simplex(r):
+    """All of N^3 with coordinate sum <= r."""
+    return frozenset((x, y, z) for x in range(r + 1) for y in range(r + 1 - x) for z in range(r + 1 - x - y))
 
 
 def test_full_simplex():
@@ -390,7 +396,7 @@ def test_letter_counter_matches_level_engine_up_to_n5():
     for n in range(1, 6):
         for lam in partitions_of(3 * n):
             for kind in ("open", "closed"):
-                assert _count_by_letters(lam, kind) == _unwindowed(lam, kind, False), (lam, kind)
+                assert _letter_count(lam, (3, kind == "closed", False)) == _unwindowed(lam, kind, False), (lam, kind)
 
 
 def _at_excess(n, kind, excesses):
@@ -407,16 +413,65 @@ def test_letter_counter_at_the_dispatch_threshold(kind, monkeypatch):
     for n in range(1, 8):
         for lam in _at_excess(n, kind, (2 * n, 2 * n + 1)):
             want = _unwindowed(lam, kind, False)
-            assert _count_by_letters(lam, kind) == want, (lam, kind)
+            assert _letter_count(lam, (3, kind == "closed", False)) == want, (lam, kind)
             checked += 1
     assert checked >= 30
     # and each side runs its own engine only
-    for excess, banned in ((0, "_count_by_letters"), (1, "_count_levelwise")):
+    for excess, banned in ((0, "_letter_count"), (1, "_count_levelwise")):
         for n in range(1, 8):
             for lam in _at_excess(n, kind, (2 * n + excess,)):
                 with monkeypatch.context() as m:
                     m.setattr(tomography, banned, None)
                     assert count_point_sets(lam, kind) == _unwindowed(lam, kind, False)
+
+
+def test_letter_count_reads_each_memo_entry_once(monkeypatch):
+    # the walk finds (2,2,2,3) in the memo, and another caller evicts it
+    # before the sum: the count must not read the memo again
+    family = (3, True, True)
+    real = tomography._eliminate_letter
+    assert real((2, 2, 2, 3, 3), family)[-1][0] == (2, 2, 2, 3)
+    _letter_count((2, 2, 2, 3), family)
+
+    def evicting(state, family):
+        if state != (2, 2, 2, 3, 3):
+            _letter_counts.pop(((2, 2, 2, 3), family), None)
+        return real(state, family)
+
+    monkeypatch.setattr(tomography, "_eliminate_letter", evicting)
+    assert _letter_count((2, 2, 2, 3, 3), family) == 253
+
+
+def test_letter_count_under_concurrent_callers(monkeypatch):
+    # four threads count the same keys in different orders while a 4-entry
+    # memo evicts on every call; each must get the serial counts
+    keys = [lam for n in range(2, 6) for lam in partitions_of(3 * n)]
+    family = (3, True, False)
+    want = {lam: _letter_count(lam, family) for lam in keys}
+    _letter_counts.clear()
+    monkeypatch.setattr(tomography, "LETTER_MEMO_SIZE", 4)
+    got, errors = [], []
+
+    def work(order):
+        try:
+            for _ in range(3):
+                got.extend((lam, _letter_count(lam, family)) for lam in order)
+        except Exception as exc:
+            errors.append(repr(exc))
+
+    threads = [threading.Thread(target=work, args=(keys[i % 2 :: 2] + keys[1 - i % 2 :: 2],)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors[:3]
+    assert len(got) == 12 * len(keys) and all(want[lam] == count for lam, count in got)
 
 
 @st.composite
