@@ -19,8 +19,9 @@ refuses (--to sym2d is answered at any range), and `kron`
 or `reduce --resolve` on a Kronecker triple of size above
 coefficients.KRON_N_MAX, which coefficients.kronecker refuses (a triple
 with a single-row or single-column shape is answered at any size), `coeff`
-on a shape of over nine rows and size above coefficients.POWER_SUM_N_MAX
-(general_plethysm's power-sum cap; `coeff a|b` at m = 3 on a shape whose
+on a shape of over nine rows and size above characters.POWER_SUM_N_MAX
+(the power-sum cap, which characters.plethysm_schur_multiplicity checks
+for general_plethysm; `coeff a|b` at m = 3 on a shape whose
 cone instance is a promise instance is answered by its point-set count at
 any size, and so is an a|b shape of more than n rows, or one whose column
 peels end at m = 2), and, as a last resort, a RecursionError or MemoryError in the

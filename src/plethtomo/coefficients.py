@@ -28,10 +28,10 @@ Two independent routes compute every general plethysm coefficient:
   Murnaghan-Nakayama characters (characters.plethysm_schur_multiplicity).
 
 general_plethysm takes the first up to JACOBI_TRUDI_MAX_ROWS rows and the
-second above, where it refuses lam of size above POWER_SUM_N_MAX; agreement
-of the two is one of the repository's standing self-checks.  The power-sum
-route applies neither support bound, so every zero the bounds predict is
-checked against a computation that does not assume them.
+second above, where characters refuses lam of size above POWER_SUM_N_MAX;
+agreement of the two is one of the repository's standing self-checks.  The
+power-sum route applies neither support bound, so every zero the bounds
+predict is checked against a computation that does not assume them.
 
 Inner or outer degree 0 is answered by s_mu[s_()] = s_mu[1] = [len(mu) <= 1]
 and s_()[s_nu] = 1.  A coefficient family, 'a' (the n-th symmetric power)
@@ -80,7 +80,9 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Literal
 
-from .characters import _kronecker, kronecker_shapes, plethysm_schur_multiplicity
+# POWER_SUM_N_MAX is imported so that coefficients.POWER_SUM_N_MAX stays the
+# cap of general_plethysm's power-sum route, which characters checks
+from .characters import POWER_SUM_N_MAX, _kronecker, kronecker_shapes, plethysm_schur_multiplicity
 from .partitions import Composition, Partition, _transpose, canonical, partition, partitions_of
 from .tableaux import count_weighted_ssyt, dim_weyl, ssyt_weights
 from .tomography import ConeKind, SizeCapError, _attains_beta, _letter_count, beta, coordinate_sum, count_point_sets
@@ -106,11 +108,6 @@ KRON_N_MAX = 40
 two-row and hook triples at n = 40, and up to 3.5 s and 220 MB of memo on
 shapes with more border strips (rectangles, staircases), about tenfold per
 10 boxes.  One-row and one-column triples are answered at any size."""
-POWER_SUM_N_MAX = 40
-"""The largest |lam| general_plethysm pairs over the p(|lam|) classes (lam
-taller than JACOBI_TRUDI_MAX_ROWS).  On a shared 2-vCPU host a cold a, b or
-general query took 0.1-1.2 s and up to 65 MB at size 40, 1.7 s and 70 MB at
-44, and 2.9-3.2 s and 120 MB at 48, about twice per 4 boxes."""
 # bound of the Jacobi-Trudi term table: one entry per lam, shared by every
 # (mu, nu); a sweep over all lam with at most 9 rows and |lam| <= 12 touches 264
 JT_TERMS_MAXSIZE = 256
@@ -317,7 +314,8 @@ def general_plethysm(lam: Partition, mu: Partition, nu: Partition) -> Coefficien
     """Multiplicity of the lam-irreducible in the plethysm of the mu-Schur
     functor with the nu one.  Dispatches on height: the Jacobi-Trudi sum up
     to JACOBI_TRUDI_MAX_ROWS rows, the power-sum character pairing above,
-    which raises SizeCapError above POWER_SUM_N_MAX before any class."""
+    which raises SizeCapError above characters.POWER_SUM_N_MAX before any
+    class."""
     lam, mu, nu = partition(lam), partition(mu), partition(nu)
     if sum(lam) != sum(mu) * sum(nu):
         return CoefficientResult(0, "degree-mismatch")
@@ -325,8 +323,6 @@ def general_plethysm(lam: Partition, mu: Partition, nu: Partition) -> Coefficien
         value = _jacobi_trudi(lam, mu, nu)
         method = "jacobi-trudi"
     else:
-        if sum(lam) > POWER_SUM_N_MAX:
-            raise SizeCapError(f"a power-sum plethysm of size {sum(lam)} is over the cap of {POWER_SUM_N_MAX}")
         value = plethysm_schur_multiplicity(lam, mu, nu)
         method = "power-sum"
     if value < 0:

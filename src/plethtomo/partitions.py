@@ -23,11 +23,19 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left
+from functools import lru_cache
 from itertools import repeat
 from typing import Iterable, Iterator
 
 Composition = tuple[int, ...]
 Partition = tuple[int, ...]
+
+PARTITION_LISTS_N_MAX = 40
+"""The largest n whose unbounded partitions_of walks share one memoized
+tuple (_partition_list), the size cap of the character routes.  The tuple
+for n = 30 holds 5604 partitions in 0.70 MB, the one for n = 40 holds
+37 338 in 4.7 MB, and all 41 tuples up to 40 hold 215 308 in 25.9 MB
+(tracemalloc, CPython 3.11)."""
 
 
 def canonical(parts: Iterable[int]) -> Composition:
@@ -93,10 +101,30 @@ def partitions_of(n: int, max_parts: int | None = None, max_part: int | None = N
     """All partitions of n into at most ``max_parts`` parts, each at most
     ``max_part``, largest part first, in reverse lexicographic order.
 
-    No recursion: each partition is built from the one before by lowering
-    its rightmost part v that can be lowered (the parts from there on must
-    still fit into the free slots at most v - 1 each) and refilling from
-    there greedily with parts v - 1."""
+    A bound of n or more cannot bind and counts as none.  An unbounded walk
+    of n <= PARTITION_LISTS_N_MAX reads the memoized tuple of n; any other
+    walk streams from _walk_partitions."""
+    if max_parts is not None and max_parts >= n:
+        max_parts = None
+    if max_part is not None and max_part >= n:
+        max_part = None
+    if max_parts is None and max_part is None and 0 <= n <= PARTITION_LISTS_N_MAX:
+        yield from _partition_list(n)
+    else:
+        yield from _walk_partitions(n, max_parts, max_part)
+
+
+@lru_cache(maxsize=PARTITION_LISTS_N_MAX + 1)
+def _partition_list(n: int) -> tuple[Partition, ...]:
+    """Every partition of n, in the order of partitions_of."""
+    return tuple(_walk_partitions(n, None, None))
+
+
+def _walk_partitions(n: int, max_parts: int | None, max_part: int | None) -> Iterator[Partition]:
+    """partitions_of without the memo.  No recursion: each partition is
+    built from the one before by lowering its rightmost part v that can be
+    lowered (the parts from there on must still fit into the free slots at
+    most v - 1 each) and refilling from there greedily with parts v - 1."""
     if n < 0:
         return
     if n == 0:

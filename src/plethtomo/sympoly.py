@@ -80,7 +80,8 @@ def plethysm_poly(mu: Partition, nu: Partition, k: int) -> SymPoly:
     variables; homogeneous of degree |mu|*|nu|.
 
     Assembled from the exact Schur expansion of the plethysm (power-sum
-    route, characters.plethysm_schur_table) and Kostka rows.
+    route, characters.plethysm_schur_table, which raises SizeCapError above
+    characters.POWER_SUM_N_MAX) and Kostka rows.
     """
     if k <= 0:
         raise ValueError("variable count must be positive")

@@ -10,7 +10,9 @@ from plethtomo import coefficients
 from plethtomo.characters import (
     CLASS_SIZES_MAXSIZE,
     EXPANSION_MAXSIZE,
+    POWER_SUM_N_MAX,
     _beta_mask,
+    _beta_masks,
     _class_sizes,
     centralizer_order,
     kronecker,
@@ -20,6 +22,7 @@ from plethtomo.characters import (
     sn_character,
 )
 from plethtomo.partitions import partitions_of
+from plethtomo.tomography import SizeCapError
 from power_sum_oracle import fraction_power_expansion, fraction_schur_table
 from tableau_oracles import enumerate_ssyt
 
@@ -270,3 +273,31 @@ def test_character_memos_stay_bounded():
         _class_sizes(n)
     info = _class_sizes.cache_info()
     assert info.currsize == info.maxsize == CLASS_SIZES_MAXSIZE
+    _beta_masks.cache_clear()
+    for n in range(CLASS_SIZES_MAXSIZE + 8):
+        assert _beta_masks(n) == tuple((lam, _beta_mask(lam)) for lam in partitions_of(n))
+    info = _beta_masks.cache_info()
+    assert info.currsize == info.maxsize == CLASS_SIZES_MAXSIZE
+
+
+def test_power_sum_entries_refuse_over_the_cap_before_any_class(monkeypatch):
+    def no_class(*args):
+        raise AssertionError("a class was built over the power-sum cap")
+
+    monkeypatch.setattr("plethtomo.characters.plethysm_power_expansion", no_class)
+    monkeypatch.setattr("plethtomo.characters._class_sizes", no_class)
+    n = POWER_SUM_N_MAX + 1
+    assert coefficients.POWER_SUM_N_MAX == POWER_SUM_N_MAX == 40
+    with pytest.raises(SizeCapError, match=f"size {n} is over the cap of {POWER_SUM_N_MAX}"):
+        plethysm_schur_table((n,), (1,))
+    with pytest.raises(SizeCapError, match=f"size {n} is over the cap of {POWER_SUM_N_MAX}"):
+        plethysm_schur_table((1,), (n,))
+    with pytest.raises(SizeCapError, match=f"size {n} is over the cap of {POWER_SUM_N_MAX}"):
+        plethysm_schur_multiplicity((1,) * n, (n,), (1,))
+    # off degree there is no plethysm part to pair, at any size
+    assert plethysm_schur_multiplicity((1,), (n,), (1,)) == 0
+    # the cap itself is paired: an empty class function pairs to 0
+    monkeypatch.setattr("plethtomo.characters.plethysm_power_expansion", lambda mu, nu: ())
+    n = POWER_SUM_N_MAX
+    assert plethysm_schur_multiplicity((1,) * n, (n,), (1,)) == 0
+    assert plethysm_schur_table((n,), (1,)) == {}

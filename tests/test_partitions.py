@@ -11,6 +11,8 @@ from partition_oracles import (
 )
 
 from plethtomo.partitions import (
+    PARTITION_LISTS_N_MAX,
+    _partition_list,
     add,
     canonical,
     compositions_of,
@@ -149,6 +151,61 @@ def test_partitions_of_matches_the_recursive_oracle():
             for max_part in bounds:
                 want = list(recursive_partitions_of(n, max_parts, max_part))
                 assert list(partitions_of(n, max_parts, max_part)) == want, (n, max_parts, max_part)
+
+
+def bounded_by_filter(full, max_parts, max_part):
+    """Test oracle: the partitions within the bounds, filtered out of the
+    unbounded list of their size."""
+    return [
+        lam
+        for lam in full
+        if (max_parts is None or len(lam) <= max_parts) and (max_part is None or not lam or lam[0] <= max_part)
+    ]
+
+
+def test_partitions_of_bounds_filter_the_unbounded_list():
+    # each bound alone at the values that bind (0, 1, 2, n - 1) and those
+    # that cannot (n, n + 1), and both at once; every pair of bounds is
+    # checked up to n = 20 against the recursive oracle above, and every
+    # pair at every n up to the cap would stream about 3 * 10^8 partitions.
+    # Past the cap every walk streams, the unbounded one included.
+    for n in range(PARTITION_LISTS_N_MAX + 4):
+        full = list(partitions_of(n))
+        edge = [0, 1, 2, n, n + 1] + [n - 1] * (n > 0)
+        if n <= PARTITION_LISTS_N_MAX:
+            pairs = [(a, None) for a in edge] + [(None, b) for b in edge] + [(2, n - 1), (n, n + 1)]
+        else:
+            pairs = [(0, None), (2, None), (None, 2), (n - 1, None), (n, n + 1)]
+        for max_parts, max_part in pairs:
+            got = list(partitions_of(n, max_parts, max_part))
+            assert got == bounded_by_filter(full, max_parts, max_part), (n, max_parts, max_part)
+
+
+def test_partition_lists_hold_only_unbounded_sizes_up_to_the_cap():
+    _partition_list.cache_clear()
+    for n in range(PARTITION_LISTS_N_MAX + 4):
+        for max_parts in (None, 1, n - 1, n, n + 1):
+            next(partitions_of(n, max_parts), None)
+    info = _partition_list.cache_info()
+    # a bound that cannot bind reads the list of its unbounded walk
+    assert info.currsize == info.maxsize == PARTITION_LISTS_N_MAX + 1
+    assert info.misses == PARTITION_LISTS_N_MAX + 1
+    _partition_list.cache_clear()
+    assert list(partitions_of(7, max_parts=3)) and list(partitions_of(7, max_part=6))
+    assert list(partitions_of(-1)) == [] and list(partitions_of(-1, 0, 0)) == []
+    assert _partition_list.cache_info().currsize == 0
+    # a walk above the cap streams: its first partition comes without a list
+    assert next(partitions_of(PARTITION_LISTS_N_MAX + 20)) == (PARTITION_LISTS_N_MAX + 20,)
+    assert _partition_list.cache_info().currsize == 0
+
+
+def test_partitions_of_iterators_are_independent():
+    full = list(partitions_of(6))
+    first, second = partitions_of(6), partitions_of(6)
+    assert next(first) == full[0]
+    assert list(second) == full
+    assert list(first) == full[1:]
+    assert list(partitions_of(6)) == full
 
 
 def test_partitions_of_many_parts():
