@@ -11,15 +11,17 @@ plethysms they are cone points.  No tableau is ever filled here.
 
 Kostka numbers K_{mu,w} are zero unless mu dominates w sorted in
 decreasing order (Macdonald I.6), so kostka tests that first.  Otherwise
-it runs the same strip DP one letter of w at a time, reading the strips
-from one table per shape mu, keyed by letter count and alpha, filled on
-first use and kept for every later weight of that shape: a Kostka row, an
-ssyt_weights alphabet or a Schur peel enumerates each strip once.
+it runs the same strip DP one letter of w at a time, on strips of the
+letter's count only.  Both DPs read their strips from one table per shape
+mu, keyed by subshape and strip size and filled on first use: a Kostka
+row, an ssyt_weights alphabet, a Schur peel and every weighted count on mu
+enumerate each strip once.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -34,67 +36,79 @@ from .partitions import Composition, Partition, _transpose, canonical, compositi
 KOSTKA_MAXSIZE = 16384
 
 STRIP_TABLES_MAXSIZE = 256
-"""Bound of the strip tables, one per Kostka shape mu (_strip_table).  A
-round of plethysm_sweep, bounds_sandwich and chain_resolve makes 44, 2 and
-0 tables; the Schur peeling self-check over all |mu||nu| <= 12 makes 271,
-holding 3.6 MB in all.  It reads the weights of one shape in one run, so
-even at a bound of 32 it made no table twice.
-The largest table it makes has 143 entries; a Kostka row of
-(7,6,5,4,3,2,1) over 28 letters fills one of 2.6 MB."""
+"""Bound of the strip tables, one per shape mu that kostka or
+count_weighted_ssyt reads (_strip_table).  A round of plethysm_sweep,
+bounds_sandwich and chain_resolve makes 44, 6 and 0 tables; the Schur
+peeling self-check over all |mu||nu| <= 12 makes 271, holding 4.4 MB in
+all (sys.getsizeof over their dicts, tuples and ints).  It reads the
+weights of one shape in one run, so even at a bound of 32 it made no table
+twice.  The largest table it makes has 74 subshapes; a Kostka row of
+(7,6,5,4,3,2,1) over 28 letters fills one of 1429 subshapes and 2.4 MB."""
 
 
-def _horizontal_strips(alpha: tuple[int, ...], mu: tuple[int, ...], strip_size: int | None = None) -> Iterator[tuple[int, ...]]:
+def _horizontal_strips(alpha: tuple[int, ...], mu: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Shapes beta with alpha <= beta <= mu and beta/alpha a horizontal strip.
 
     Horizontal strip: beta_i >= alpha_i and beta_{i+1} <= alpha_i (no two new
     boxes share a column).  So each row ranges on its own, row i over
     [alpha_i, min(mu_i, alpha_{i-1})], and the strips are the product of
-    those ranges in lexicographic order, kept only at size ``strip_size``
-    when it is given.  Shapes are padded to len(mu).
+    those ranges in lexicographic order, of every size.  Shapes are padded
+    to len(mu).
     """
     a = pad(alpha, len(mu))
     caps = tuple(mu[:1]) + tuple(min(m, prev) for m, prev in zip(mu[1:], a))
-    strips = itertools.product(*(range(lo, hi + 1) for lo, hi in zip(a, caps)))
-    if strip_size is None:
-        return strips
-    size = sum(a) + strip_size
-    return (beta for beta in strips if sum(beta) == size)
+    return itertools.product(*(range(lo, hi + 1) for lo, hi in zip(a, caps)))
 
 
-def _column_strips(alpha: tuple[int, ...], heights: tuple[int, ...], strip_size: int) -> Iterator[tuple[int, ...]]:
-    """_horizontal_strips of size ``strip_size`` in column heights: the
-    shapes beta with alpha <= beta <= heights, all given by their column
-    heights, and beta/alpha a horizontal strip, in no fixed order.
+def _column_strips(alpha: tuple[int, ...], heights: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """_horizontal_strips in column heights: the shapes beta with alpha <=
+    beta <= heights, all given by their column heights, and beta/alpha a
+    horizontal strip of any size, in no fixed order.
 
     A horizontal strip adds at most one box per column.  Within a run of
     equal heights of alpha, the grown columns are a prefix (beta stays a
     partition), and so are the columns with room (heights is a partition);
     so a strip is one prefix length per run, and the strips are the
-    product of those ranges, kept at size ``strip_size``.
+    product of those ranges.
     """
     runs = []  # (first column, height, columns with room)
     for h, cols in itertools.groupby(range(len(alpha)), alpha.__getitem__):
         cols = list(cols)
         runs.append((cols[0], h, sum(heights[j] > h for j in cols)))
     for fill in itertools.product(*(range(room + 1) for _, _, room in runs)):
-        if sum(fill) == strip_size:
-            beta = list(alpha)
-            for (first, h, _), t in zip(runs, fill):
-                beta[first : first + t] = [h + 1] * t
-            yield tuple(beta)
+        beta = list(alpha)
+        for (first, h, _), t in zip(runs, fill):
+            beta[first : first + t] = [h + 1] * t
+        yield tuple(beta)
 
 
 @lru_cache(maxsize=STRIP_TABLES_MAXSIZE)
 def _strip_table(mu: Partition):
-    """(shape, strips, table) of the Kostka DP of mu: its subshapes by row
-    lengths with _horizontal_strips, or, when mu has more rows than
-    columns, by column heights with _column_strips on mu', so a state has
-    min(len(mu), mu_1) entries; and the strips of that enumerator inside
-    that shape, keyed by letter count and then by alpha, filled by kostka
-    on first use."""
-    if len(mu) > mu[0]:
-        return _transpose(mu), _column_strips, {}
-    return mu, _horizontal_strips, {}
+    """(full, table, grow): the horizontal strips inside mu, shared by
+    kostka and count_weighted_ssyt.
+
+    A subshape of mu is one int, its row lengths in mixed radix with row i
+    in [0, mu_i]; when mu has more rows than columns, the column heights of
+    mu' likewise, grown by _column_strips, so a code has min(len(mu), mu_1)
+    digits.  full is the code of mu, and 0 the empty shape's.  table maps a
+    code to {strip size: codes of the shapes that strips of that size grow
+    it into}; grow(a) fills table[a] on first use and returns it.  A code
+    depends only on its subshape, so concurrent fills write equal entries.
+    """
+    shape, strips = (_transpose(mu), _column_strips) if len(mu) > mu[0] else (mu, _horizontal_strips)
+    radices = tuple(itertools.accumulate((m + 1 for m in shape[:-1]), operator.mul, initial=1))
+    table: dict[int, dict[int, tuple[int, ...]]] = {}
+
+    def grow(a: int) -> dict[int, tuple[int, ...]]:
+        alpha = tuple(a // r % (m + 1) for r, m in zip(radices, shape))
+        size = sum(alpha)
+        by_size: dict[int, list[int]] = {}
+        for beta in strips(alpha, shape):
+            by_size.setdefault(sum(beta) - size, []).append(sum(map(operator.mul, beta, radices)))
+        got = table[a] = {s: tuple(codes) for s, codes in by_size.items()}
+        return got
+
+    return sum(map(operator.mul, shape, radices)), table, grow
 
 
 @lru_cache(maxsize=KOSTKA_MAXSIZE)
@@ -104,9 +118,11 @@ def kostka(mu: Partition, weight: Composition) -> int:
     Zero unless mu dominates the weight sorted in decreasing order
     (Macdonald I.6), which is tested first.  Otherwise computed by a
     horizontal-strip DP over the letters of the weight, one letter at a
-    time; no tableaux are materialized.  The DP's states and strips come
-    from mu's _strip_table, so the weights of one shape (a Kostka row, an
-    ssyt_weights alphabet) enumerate each strip once.
+    time; no tableaux are materialized.  A state is a subshape's code in
+    mu's _strip_table, and a letter of count c takes it along the table's
+    strips of size c, so every weight of one shape (a Kostka row, an
+    ssyt_weights alphabet, a count_weighted_ssyt on mu) enumerates each
+    strip once.
     """
     mu = partition(mu)
     w = canonical(weight)
@@ -116,22 +132,18 @@ def kostka(mu: Partition, weight: Composition) -> int:
         return 1
     if any(m < v for m, v in zip(itertools.accumulate(mu), itertools.accumulate(sorted(w, reverse=True)))):
         return 0
-    shape, strips, table = _strip_table(mu)
-    states: dict[tuple[int, ...], int] = {(0,) * len(shape): 1}
+    full, table, grow = _strip_table(mu)
+    states = {0: 1}
     for letter_count in w:
-        row = table.setdefault(letter_count, {})
-        new: dict[tuple[int, ...], int] = {}
+        new: dict[int, int] = {}
         get = new.get
-        for alpha, cnt in states.items():
-            betas = row.get(alpha)
-            if betas is None:
-                betas = row[alpha] = tuple(strips(alpha, shape, letter_count))
-            for beta in betas:
-                new[beta] = get(beta, 0) + cnt
+        for a, cnt in states.items():
+            for b in (table.get(a) or grow(a)).get(letter_count, ()):
+                new[b] = get(b, 0) + cnt
         states = new
         if not states:
             return 0
-    return states.get(shape, 0)
+    return states.get(full, 0)
 
 
 def _alphabet_size(k: int) -> int:
@@ -177,10 +189,12 @@ def count_weighted_ssyt(mu: Partition, letter_weights: Sequence[tuple[int, ...]]
       dropped (and a coordinate with positive target that no letter touches
       gives 0 at once).
 
-    A state is one integer: the subshape's index above one field of b+1
-    bits per coordinate, holding acc_i + 2^b - 1 - target_i.  A strip is one
-    addition, a coordinate over its target sets its field's top bit, and a
-    coordinate at its target reads 2^b - 1.
+    A state is one integer: the subshape's code in mu's _strip_table above
+    one field of b+1 bits per coordinate, holding acc_i + 2^b - 1 - target_i.
+    A strip is one addition, a coordinate over its target sets its field's
+    top bit, and a coordinate at its target reads 2^b - 1.  The strips come
+    from that table, so the calls on one mu, and kostka on it, enumerate
+    each strip once.
     """
     mu = partition(mu)
     target = tuple(target)
@@ -208,28 +222,9 @@ def count_weighted_ssyt(mu: Partition, letter_weights: Sequence[tuple[int, ...]]
     for i, j in last.items():
         closes[j] |= ones << (i * field)
 
-    # subshapes of mu are indexed as they are reached
-    shape_id: dict[tuple[int, ...], int] = {}
-    shapes: list[tuple[int, ...]] = []
-
-    def index(alpha: tuple[int, ...]) -> int:
-        got = shape_id.get(alpha)
-        if got is None:
-            got = shape_id[alpha] = len(shapes)
-            shapes.append(alpha)
-        return got
-
-    strip_cache: dict[int, list[tuple[int, int]]] = {}
-
-    def strips(a: int) -> list[tuple[int, int]]:
-        got = strip_cache.get(a)
-        if got is None:
-            alpha = shapes[a]
-            got = strip_cache[a] = [(index(b), sum(b) - sum(alpha)) for b in _horizontal_strips(alpha, mu)]
-        return got
-
+    full, table, grow = _strip_table(mu)
     start = sum((ones - t) << (i * field) for i, t in enumerate(target))
-    states = {(index((0,) * len(mu)) << shift) + start: 1}
+    states = {start: 1}
     # step_cache[code][a]: how the strips of subshape a move a key, for the
     # letter with that code
     step_cache: dict[int, dict[int, list[int]]] = {}
@@ -241,7 +236,7 @@ def count_weighted_ssyt(mu: Partition, letter_weights: Sequence[tuple[int, ...]]
             a = key >> shift
             ds = steps.get(a)
             if ds is None:
-                ds = steps[a] = [((b - a) << shift) + s * code for b, s in strips(a)]
+                ds = steps[a] = [((b - a) << shift) + s * code for s, bs in (table.get(a) or grow(a)).items() for b in bs]
             for d in ds:
                 nk = key + d
                 if nk & guard or nk & close != close:
@@ -250,7 +245,7 @@ def count_weighted_ssyt(mu: Partition, letter_weights: Sequence[tuple[int, ...]]
         states = new
         if not states:
             return 0
-    return states.get((index(mu) << shift) + sum(ones << (i * field) for i in range(dim)), 0)
+    return states.get((full << shift) + sum(ones << (i * field) for i in range(dim)), 0)
 
 
 def dim_weyl(lam: Partition, k: int) -> int:

@@ -1,10 +1,13 @@
 import itertools
+import sys
+import threading
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plethtomo import tableaux
 from plethtomo.partitions import canonical, compositions_of, is_partition, pad, partitions_of, transpose
 from plethtomo.tableaux import (
     KOSTKA_MAXSIZE,
@@ -60,11 +63,8 @@ def test_horizontal_strips_match_a_filter_over_all_shapes():
                     if all(a <= b for a, b in zip(alpha, beta)) and all(beta[i] <= alpha[i - 1] for i in range(1, len(mu)))
                 ]
                 assert list(_horizontal_strips(alpha, mu)) == allowed, (alpha, mu)
-                for size in range(n - sum(alpha) + 2):
-                    want = [beta for beta in allowed if sum(beta) - sum(alpha) == size]
-                    assert list(_horizontal_strips(alpha, mu, size)) == want, (alpha, mu, size)
-                    # a shorter alpha is padded with zero rows
-                    assert list(_horizontal_strips(canonical(alpha), mu, size)) == want, (alpha, mu, size)
+                # a shorter alpha is padded with zero rows
+                assert list(_horizontal_strips(canonical(alpha), mu)) == allowed, (alpha, mu)
     assert pairs == 862
 
 
@@ -258,8 +258,8 @@ def test_negative_letter_counts_raise(entry):
 
 
 def test_column_strips_are_the_transposed_horizontal_strips():
-    # the same strips as _horizontal_strips, in column heights, for every
-    # alpha inside every mu with |mu| <= 8
+    # the same strips as _horizontal_strips, of every size at once, in
+    # column heights, for every alpha inside every mu with |mu| <= 8
     pairs = 0
     for n in range(9):
         for mu in partitions_of(n):
@@ -269,10 +269,9 @@ def test_column_strips_are_the_transposed_horizontal_strips():
                     continue
                 pairs += 1
                 cols = pad(transpose(alpha), len(heights))
-                for size in range(n - sum(alpha) + 2):
-                    want = {pad(transpose(beta), len(heights)) for beta in _horizontal_strips(alpha, mu, size)}
-                    got = list(_column_strips(cols, heights, size))
-                    assert len(got) == len(want) and set(got) == want, (alpha, mu, size)
+                want = {pad(transpose(beta), len(heights)) for beta in _horizontal_strips(alpha, mu)}
+                got = list(_column_strips(cols, heights))
+                assert len(got) == len(want) and set(got) == want, (alpha, mu)
     assert pairs == 862
 
 
@@ -309,3 +308,78 @@ def test_kostka_on_every_shape_and_its_transpose_matches_enumeration():
                     assert kostka.__wrapped__(mu, canonical(weight)) == by_shape[mu][weight], (mu, weight)
                     checked += 1
     assert checked == 24704
+
+
+def test_kostka_and_weighted_counts_share_one_strip_table(monkeypatch):
+    # a Kostka number, then two weighted counts on the same shape: one
+    # table, and each subshape's strips enumerated once across the calls
+    calls = Counter()
+
+    def counted(enumerate_strips):
+        def wrapper(alpha, *args):
+            calls[tuple(alpha)] += 1
+            return enumerate_strips(alpha, *args)
+        return wrapper
+
+    monkeypatch.setattr(tableaux, "_horizontal_strips", counted(_horizontal_strips))
+    monkeypatch.setattr(tableaux, "_column_strips", counted(_column_strips))
+    mu = (3, 2, 1)
+    letters = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]
+    assert kostka.__wrapped__(mu, (2, 2, 1, 1)) == brute_weighted_count(mu, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], (2, 2, 1, 1))
+    for target in ((2, 2, 2), (3, 2, 1)):
+        assert count_weighted_ssyt(mu, letters, target) == brute_weighted_count(mu, letters, target)
+    assert _strip_table.cache_info().currsize == 1
+    assert calls and max(calls.values()) == 1, calls
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_kostka_is_the_weighted_count_over_unit_letters(data):
+    # either DP may fill the shared table first; wide and tall shapes alike
+    mu = data.draw(st.sampled_from([p for n in range(1, 9) for p in partitions_of(n)]))
+    k = data.draw(st.integers(1, sum(mu) + 1))
+    weight = data.draw(st.sampled_from(list(compositions_of(sum(mu), k))))
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    _strip_table.cache_clear()
+    if data.draw(st.booleans()):
+        want = kostka.__wrapped__(mu, canonical(weight))
+        assert count_weighted_ssyt(mu, units, weight) == want
+    else:
+        want = count_weighted_ssyt(mu, units, weight)
+        assert kostka.__wrapped__(mu, canonical(weight)) == want
+
+
+def test_strip_table_under_concurrent_callers():
+    # four threads fill one cold strip table through both DPs; each must
+    # get the serial answers
+    mu, k = (6, 5, 4, 3, 2, 1), 7
+    letters = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1)]
+    targets = [(7, 7, 7), (8, 7, 6), (5, 8, 8)]
+    want = (kostka_row(mu, k), [count_weighted_ssyt(mu, letters, t) for t in targets])
+    _strip_table.cache_clear()
+    kostka.cache_clear()
+    got, errors = [], []
+
+    def work(first_row):
+        try:
+            counts = [count_weighted_ssyt(mu, letters, t) for t in targets]
+            row = kostka_row(mu, k)
+            if not first_row:
+                counts = [count_weighted_ssyt(mu, letters, t) for t in targets]
+            got.append((row, counts))
+        except Exception as exc:
+            errors.append(repr(exc))
+
+    threads = [threading.Thread(target=work, args=(i % 2 == 0,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors[:3]
+    assert len(got) == 4 and all(answer == want for answer in got)
