@@ -52,7 +52,9 @@ the first of these rows that applies, each naming its method:
    (reductions.inner_lift) read backwards gives a_lam(n,m) =
    b_{lam-(1^n)}(n,m-1) and b_lam(n,m) = a_{lam-(1^n)}(n,m-1), and the
    peeled query goes back through rows 2-4 ("column-peel+" before the
-   method of the row that answers it);
+   method of the row that answers it).  The lam_n columns that keep n rows
+   are peeled in one step, the family flipped once per column, and the
+   step stops at m = 3 for row 2, so a peel costs O(len(lam)) at any m;
 5. at m = 3, a lam whose cone instance has coordinate sum below beta(n) is
    0 ("below-beta"): no n-point set of the cone has it, and the point-set
    count bounds the coefficient from above.  It stands after the peel, as
@@ -367,10 +369,13 @@ def plethysm_coeff(lam: Partition, n: int, m: int, variant: Variant) -> Coeffici
             return CoefficientResult(0, peeled + "height-zero")
         if n == 0 or len(lam) < n:
             break
-        # n rows hold at least n boxes, so m >= 1 here
-        lam = tuple(part - 1 for part in lam if part > 1)
-        m -= 1
-        variant = "b" if variant == "a" else "a"
+        # the last of n rows summing to nm is at most m, so m >= k >= 1:
+        # peel its k columns at once, stopping at m = 3 for the promise row
+        k = min(lam[-1], m - 3) if m > 3 else lam[-1]
+        lam = tuple(part - k for part in lam if part > k)
+        m -= k
+        if k % 2:
+            variant = "b" if variant == "a" else "a"
         peeled = "column-peel+"
     if m == 3:
         coords, cone = _family_coords(lam, variant)

@@ -16,7 +16,10 @@ and marginals stay compositions and go through `canonical`.  The
 tuples (partitions, where they say so) as they are, and are called only on
 data that a public entry has already checked; `nonincreasing` is the
 partition test for such a tuple.  The per-entry loops run in C builtins
-(min, map, sorted, bisect) rather than in Python loops.
+(min, map, sorted, bisect) rather than in Python loops; `partition` passes
+a tuple that is already a partition after one such pass (its last entry
+positive and all(map(operator.ge, ...)) over adjacent entries), and only
+other input goes through `canonical` and `nonincreasing`.
 """
 
 from __future__ import annotations
@@ -60,8 +63,18 @@ def nonincreasing(p: Composition) -> bool:
 
 def partition(parts: Iterable[int]) -> Partition:
     """The canonical form of a shape argument; ValueError unless it is a
-    partition."""
-    lam = canonical(parts)
+    partition.
+
+    A tuple that is already a partition (empty, or positive last entry and
+    no increase, tested in one pass) is returned as it is; anything else
+    goes through canonical and nonincreasing, which raise every error."""
+    lam = tuple(parts)
+    try:
+        if not lam or (lam[-1] > 0 and all(map(operator.ge, lam, lam[1:]))):
+            return lam
+    except TypeError:
+        pass
+    lam = canonical(lam)
     if not nonincreasing(lam):
         raise ValueError(f"{lam} is not a partition")
     return lam

@@ -15,7 +15,10 @@ it runs the same strip DP one letter of w at a time, on strips of the
 letter's count only.  Both DPs read their strips from one table per shape
 mu, keyed by subshape and strip size and filled on first use: a Kostka
 row, an ssyt_weights alphabet, a Schur peel and every weighted count on mu
-enumerate each strip once.
+fill each entry once.  An entry is filled by code arithmetic: the
+subshape's code is decoded once, and the codes of its strips, grouped by
+size, come out of one convolution of the choices each row (or column run)
+leaves, with no strip built as a shape.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import operator
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .partitions import Composition, Partition, _transpose, canonical, compositions_of, pad, partition, partitions_of
+from .partitions import Composition, Partition, _transpose, canonical, compositions_of, partition, partitions_of
 
 # bound of the Kostka memo: a round of the benchmark's plethysm_sweep,
 # bounds_sandwich and chain_resolve makes 451, 15 and 0 misses; the Schur
@@ -46,42 +49,6 @@ twice.  The largest table it makes has 74 subshapes; a Kostka row of
 (7,6,5,4,3,2,1) over 28 letters fills one of 1429 subshapes and 2.4 MB."""
 
 
-def _horizontal_strips(alpha: tuple[int, ...], mu: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Shapes beta with alpha <= beta <= mu and beta/alpha a horizontal strip.
-
-    Horizontal strip: beta_i >= alpha_i and beta_{i+1} <= alpha_i (no two new
-    boxes share a column).  So each row ranges on its own, row i over
-    [alpha_i, min(mu_i, alpha_{i-1})], and the strips are the product of
-    those ranges in lexicographic order, of every size.  Shapes are padded
-    to len(mu).
-    """
-    a = pad(alpha, len(mu))
-    caps = tuple(mu[:1]) + tuple(min(m, prev) for m, prev in zip(mu[1:], a))
-    return itertools.product(*(range(lo, hi + 1) for lo, hi in zip(a, caps)))
-
-
-def _column_strips(alpha: tuple[int, ...], heights: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """_horizontal_strips in column heights: the shapes beta with alpha <=
-    beta <= heights, all given by their column heights, and beta/alpha a
-    horizontal strip of any size, in no fixed order.
-
-    A horizontal strip adds at most one box per column.  Within a run of
-    equal heights of alpha, the grown columns are a prefix (beta stays a
-    partition), and so are the columns with room (heights is a partition);
-    so a strip is one prefix length per run, and the strips are the
-    product of those ranges.
-    """
-    runs = []  # (first column, height, columns with room)
-    for h, cols in itertools.groupby(range(len(alpha)), alpha.__getitem__):
-        cols = list(cols)
-        runs.append((cols[0], h, sum(heights[j] > h for j in cols)))
-    for fill in itertools.product(*(range(room + 1) for _, _, room in runs)):
-        beta = list(alpha)
-        for (first, h, _), t in zip(runs, fill):
-            beta[first : first + t] = [h + 1] * t
-        yield tuple(beta)
-
-
 @lru_cache(maxsize=STRIP_TABLES_MAXSIZE)
 def _strip_table(mu: Partition):
     """(full, table, grow): the horizontal strips inside mu, shared by
@@ -89,23 +56,52 @@ def _strip_table(mu: Partition):
 
     A subshape of mu is one int, its row lengths in mixed radix with row i
     in [0, mu_i]; when mu has more rows than columns, the column heights of
-    mu' likewise, grown by _column_strips, so a code has min(len(mu), mu_1)
-    digits.  full is the code of mu, and 0 the empty shape's.  table maps a
-    code to {strip size: codes of the shapes that strips of that size grow
-    it into}; grow(a) fills table[a] on first use and returns it.  A code
-    depends only on its subshape, so concurrent fills write equal entries.
+    mu' likewise, so a code has min(len(mu), mu_1) digits.  full is the
+    code of mu, and 0 the empty shape's.  table maps a code to {strip size:
+    codes of the shapes that strips of that size grow it into}; grow(a)
+    fills table[a] on first use and returns it.  A code depends only on its
+    subshape, so concurrent fills write equal entries.
+
+    No strip is built as a shape: grow decodes alpha once and convolves, a
+    group of digits at a time, the (boxes added, code added) choices that
+    a horizontal strip (no two new boxes in one column) leaves each group.
+    In rows, row i grows by d in [0, min(mu_i, alpha_{i-1}) - alpha_i],
+    adding d r_i to the code.  In column heights, a column grows by at most
+    one box, and within a run of equal heights of alpha the columns with
+    room form a prefix, as do the grown ones (both shapes are partitions):
+    growing the first t adds t boxes and the sum of their radices.
     """
-    shape, strips = (_transpose(mu), _column_strips) if len(mu) > mu[0] else (mu, _horizontal_strips)
+    tall = len(mu) > mu[0]
+    shape = _transpose(mu) if tall else mu
     radices = tuple(itertools.accumulate((m + 1 for m in shape[:-1]), operator.mul, initial=1))
+    bases = tuple(m + 1 for m in shape)
     table: dict[int, dict[int, tuple[int, ...]]] = {}
 
+    def offsets(alpha: tuple[int, ...]) -> Iterator[Sequence[int]]:
+        """Per group of digits, the codes that its 1, 2, ... boxes add."""
+        if tall:
+            for h, cols in itertools.groupby(range(len(shape)), alpha.__getitem__):
+                yield tuple(itertools.accumulate(radices[j] for j in cols if shape[j] > h))
+        else:
+            for r, room in zip(radices, map(operator.sub, itertools.chain(shape[:1], map(min, shape[1:], alpha)), alpha)):
+                yield range(r, r * room + 1, r)
+
     def grow(a: int) -> dict[int, tuple[int, ...]]:
-        alpha = tuple(a // r % (m + 1) for r, m in zip(radices, shape))
-        size = sum(alpha)
-        by_size: dict[int, list[int]] = {}
-        for beta in strips(alpha, shape):
-            by_size.setdefault(sum(beta) - size, []).append(sum(map(operator.mul, beta, radices)))
-        got = table[a] = {s: tuple(codes) for s, codes in by_size.items()}
+        alpha = tuple(map(operator.mod, map(a.__floordiv__, radices), bases))
+        # by_size[s]: the codes of the strips of size s over the groups so far
+        by_size = [[a]]
+        for adds in offsets(alpha):
+            if len(by_size) == 1:
+                # no group with room before this one: one strip per size
+                by_size += [[a + add] for add in adds]
+            elif adds:
+                new = [[] for _ in range(len(by_size) + len(adds))]
+                for s, codes in enumerate(by_size):
+                    new[s] += codes
+                    for t, add in enumerate(adds, s + 1):
+                        new[t] += map(add.__add__, codes)
+                by_size = new
+        got = table[a] = dict(enumerate(map(tuple, by_size)))
         return got
 
     return sum(map(operator.mul, shape, radices)), table, grow
@@ -121,8 +117,8 @@ def kostka(mu: Partition, weight: Composition) -> int:
     time; no tableaux are materialized.  A state is a subshape's code in
     mu's _strip_table, and a letter of count c takes it along the table's
     strips of size c, so every weight of one shape (a Kostka row, an
-    ssyt_weights alphabet, a count_weighted_ssyt on mu) enumerates each
-    strip once.
+    ssyt_weights alphabet, a count_weighted_ssyt on mu) fills each
+    subshape's entry once.
     """
     mu = partition(mu)
     w = canonical(weight)
@@ -193,8 +189,8 @@ def count_weighted_ssyt(mu: Partition, letter_weights: Sequence[tuple[int, ...]]
     one field of b+1 bits per coordinate, holding acc_i + 2^b - 1 - target_i.
     A strip is one addition, a coordinate over its target sets its field's
     top bit, and a coordinate at its target reads 2^b - 1.  The strips come
-    from that table, so the calls on one mu, and kostka on it, enumerate
-    each strip once.
+    from that table, so the calls on one mu, and kostka on it, fill each
+    subshape's entry once.
     """
     mu = partition(mu)
     target = tuple(target)

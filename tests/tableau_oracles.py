@@ -1,15 +1,20 @@
-"""Test oracles: semistandard tableaux filled box by box.
+"""Test oracles: semistandard tableaux filled box by box, and horizontal
+strips listed shape by shape.
 
 The library counts tableaux without filling any (tableaux.kostka and
 tableaux.count_weighted_ssyt, which restricted.count_cone_ssyt runs on).
 These enumerators list the fillings themselves, one recursion frame per
 box, so the tests can check the counts and the tableaux' structure against
 them on small shapes; cone_alphabet lists their letters, the cone points in
-a layer-by-layer order.  They are exponential and are not part of the
-library.
+a layer-by-layer order.  horizontal_strips and column_strips list the
+strips that the library's strip tables (tableaux._strip_table) hold as
+codes, one shape tuple per strip.  They are exponential and are not part
+of the library.
 """
 
-from plethtomo.partitions import canonical
+import itertools
+
+from plethtomo.partitions import canonical, pad
 from plethtomo.restricted import _kind
 from plethtomo.tomography import in_cone
 
@@ -35,6 +40,42 @@ def cone_alphabet(kind, coord_bound, tiebreak="lex"):
         if in_cone((x, y, z), kind)
     ]
     return sorted(pts, key=_TIEBREAKS[tiebreak])
+
+
+def horizontal_strips(alpha, mu):
+    """Shapes beta with alpha <= beta <= mu and beta/alpha a horizontal strip.
+
+    Horizontal strip: beta_i >= alpha_i and beta_{i+1} <= alpha_i (no two new
+    boxes share a column).  So each row ranges on its own, row i over
+    [alpha_i, min(mu_i, alpha_{i-1})], and the strips are the product of
+    those ranges in lexicographic order, of every size.  Shapes are padded
+    to len(mu).
+    """
+    a = pad(alpha, len(mu))
+    caps = tuple(mu[:1]) + tuple(min(m, prev) for m, prev in zip(mu[1:], a))
+    return itertools.product(*(range(lo, hi + 1) for lo, hi in zip(a, caps)))
+
+
+def column_strips(alpha, heights):
+    """horizontal_strips in column heights: the shapes beta with alpha <=
+    beta <= heights, all given by their column heights, and beta/alpha a
+    horizontal strip of any size, in no fixed order.
+
+    A horizontal strip adds at most one box per column.  Within a run of
+    equal heights of alpha, the grown columns are a prefix (beta stays a
+    partition), and so are the columns with room (heights is a partition);
+    so a strip is one prefix length per run, and the strips are the
+    product of those ranges.
+    """
+    runs = []  # (first column, height, columns with room)
+    for h, cols in itertools.groupby(range(len(alpha)), alpha.__getitem__):
+        cols = list(cols)
+        runs.append((cols[0], h, sum(heights[j] > h for j in cols)))
+    for fill in itertools.product(*(range(room + 1) for _, _, room in runs)):
+        beta = list(alpha)
+        for (first, h, _), t in zip(runs, fill):
+            beta[first : first + t] = [h + 1] * t
+        yield tuple(beta)
 
 
 def enumerate_ssyt(shape, alphabet_size):

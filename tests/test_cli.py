@@ -195,11 +195,14 @@ def test_coeff_promise_shape_over_the_power_sum_cap(capsys, argv):
         (["coeff", "b", "[6,5,5,4,4,3,3,2]", "8", "4"], "column-peel+closed-form", 0),
         (["coeff", "a", "[4,4,4,4,4,4,4,4,4]", "9", "4"], "column-peel+jacobi-trudi", 1),
         (["coeff", "a", "[10,10,10,10,10,10]", "30", "2"], "closed-form", 1),
+        (["coeff", "a", "[100000000000000000000]", "1", "100000000000000000000"], "column-peel+promise-pyramid-count", 1),
     ],
-    ids=["b-peeled-twice", "a-square-peeled-to-degree-0", "a-degree-2"],
+    ids=["b-peeled-twice", "a-square-peeled-to-degree-0", "a-degree-2", "a-one-row-of-1e20"],
 )
 def test_coeff_answers_by_column_peel_and_closed_form(capsys, argv, method, value):
-    # on the Jacobi-Trudi route these took 25 s, over 60 s and over 150 s
+    # on the Jacobi-Trudi route the first three took 25 s, over 60 s and
+    # over 150 s; peeling one column per step, the last took 0.9 s per 10^6
+    # columns
     t0 = time.perf_counter()
     code, out, err = run([*argv, "--format", "json"], capsys=capsys)
     assert time.perf_counter() - t0 < 1.0

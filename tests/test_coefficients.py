@@ -453,6 +453,46 @@ def test_plethysm_coeff_rows_match_general_plethysm():
     }
 
 
+def one_column_peel(lam, n, m, variant):
+    """Test oracle: plethysm_coeff's column peel one column per step.  The
+    peeled query goes back to plethysm_coeff once it has fewer than n rows
+    or is a promise instance at m = 3, where plethysm_coeff peels nothing."""
+    peeled = ""
+    while n and len(lam) == n and sum(lam) == n * m and not (m == 3 and _family_is_promise(lam, variant)):
+        lam = tuple(part - 1 for part in lam if part > 1)
+        m -= 1
+        variant = "b" if variant == "a" else "a"
+        peeled = "column-peel+"
+    res = plethysm_coeff(lam, n, m, variant)
+    return res.value, peeled + res.method
+
+
+def test_column_peel_in_one_step_matches_one_column_per_step():
+    # every a/b query with n, m <= 8 and nm <= 20: the same value and method
+    methods = Counter()
+    for n in range(9):
+        for m in range(9):
+            if n * m > 20:
+                continue
+            for lam in partitions_of(n * m):
+                for variant in ("a", "b"):
+                    res = plethysm_coeff(lam, n, m, variant)
+                    assert (res.value, res.method) == one_column_peel(lam, n, m, variant), (lam, n, m, variant)
+                    methods[res.method] += 1
+    assert sum(methods.values()) == 7960
+    assert methods == {
+        "height-zero": 5338,
+        "jacobi-trudi": 924,
+        "closed-form": 680,
+        "column-peel+jacobi-trudi": 556,
+        "column-peel+closed-form": 267,
+        "below-beta": 72,
+        "column-peel+below-beta": 47,
+        "column-peel+promise-pyramid-count": 44,
+        "promise-pyramid-count": 32,
+    }
+
+
 def test_family_promise_test_needs_no_transpose(monkeypatch):
     # the a family's cone instance is lam', whose coordinate sum is
     # sum_j C(lam_j, 2): tested on lam, it agrees with the instance's own test

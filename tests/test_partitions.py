@@ -18,7 +18,9 @@ from plethtomo.partitions import (
     compositions_of,
     format_partition,
     is_partition,
+    nonincreasing,
     parse_partition,
+    partition,
     partitions_of,
     size,
     subtract,
@@ -256,6 +258,50 @@ def test_canonical_and_is_partition_match_the_loops(xs):
         assert outcome(fn, tuple(xs)) == want
         assert outcome(fn, iter(xs)) == want
         assert outcome(fn, (v for v in xs)) == want
+
+
+def two_step_partition(parts):
+    """partition's reference: canonical, then the nonincreasing test."""
+    lam = canonical(parts)
+    if not nonincreasing(lam):
+        raise ValueError(f"{lam} is not a partition")
+    return lam
+
+
+def raised(fn, *args):
+    """fn's value, or the type and text of the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+big = st.integers(2**64, 2**200)
+# partitions, with trailing zeros or one entry moved, raised or lowered
+# (inner zeros, negatives, increases), big entries throughout, and entries
+# that do not compare with ints
+shape_arguments = st.one_of(
+    st.sampled_from([(3, None, 1), (2, "1"), (None,), (2.0, 1)]),
+    small_shapes(),
+    st.tuples(st.lists(big, max_size=4).map(lambda xs: tuple(sorted(xs, reverse=True))), small_shapes()).map(lambda t: t[0] + t[1]),
+    st.tuples(small_shapes(), st.integers(0, 3)).map(lambda t: t[0] + (0,) * t[1]),
+    st.lists(st.one_of(st.integers(-3, 6), big), max_size=12).map(tuple),
+    st.tuples(small_shapes(), st.integers(0, 40), st.integers(-2**70, 2**70)).map(
+        lambda t: t[0][: t[1] % (len(t[0]) + 1)] + (t[2],) + t[0][t[1] % (len(t[0]) + 1) + 1 :]
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(xs=shape_arguments, as_list=st.booleans())
+def test_partition_matches_the_two_step_check(xs, as_list):
+    # the one-pass test returns a partition as it is; everything else
+    # takes canonical and nonincreasing, with their errors
+    arg = list(xs) if as_list else xs
+    want = raised(two_step_partition, arg)
+    assert raised(partition, arg) == want
+    assert raised(partition, iter(xs)) == want
+    assert partition(()) == partition([]) == ()
 
 
 @settings(max_examples=60, deadline=None, database=None)

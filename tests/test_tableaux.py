@@ -1,4 +1,5 @@
 import itertools
+import math
 import sys
 import threading
 from collections import Counter
@@ -7,13 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plethtomo import tableaux
 from plethtomo.partitions import canonical, compositions_of, is_partition, pad, partitions_of, transpose
 from plethtomo.tableaux import (
     KOSTKA_MAXSIZE,
     STRIP_TABLES_MAXSIZE,
-    _column_strips,
-    _horizontal_strips,
     _strip_table,
     count_weighted_ssyt,
     dim_weyl,
@@ -21,7 +19,7 @@ from plethtomo.tableaux import (
     kostka_row,
     ssyt_weights,
 )
-from tableau_oracles import enumerate_ssyt, tableau_weight
+from tableau_oracles import column_strips, enumerate_ssyt, horizontal_strips, tableau_weight
 
 
 def test_enumerate_ssyt_counts():
@@ -62,9 +60,9 @@ def test_horizontal_strips_match_a_filter_over_all_shapes():
                     beta for beta in boxes
                     if all(a <= b for a, b in zip(alpha, beta)) and all(beta[i] <= alpha[i - 1] for i in range(1, len(mu)))
                 ]
-                assert list(_horizontal_strips(alpha, mu)) == allowed, (alpha, mu)
+                assert list(horizontal_strips(alpha, mu)) == allowed, (alpha, mu)
                 # a shorter alpha is padded with zero rows
-                assert list(_horizontal_strips(canonical(alpha), mu)) == allowed, (alpha, mu)
+                assert list(horizontal_strips(canonical(alpha), mu)) == allowed, (alpha, mu)
     assert pairs == 862
 
 
@@ -197,7 +195,7 @@ def unpruned_weighted_count(mu, letters, target):
     for w in letters:
         new = {}
         for (alpha, acc), cnt in states.items():
-            for beta in _horizontal_strips(alpha, mu):
+            for beta in horizontal_strips(alpha, mu):
                 s = sum(beta) - sum(alpha)
                 key = (beta, tuple(a + s * v for a, v in zip(acc, w)))
                 new[key] = new.get(key, 0) + cnt
@@ -258,7 +256,7 @@ def test_negative_letter_counts_raise(entry):
 
 
 def test_column_strips_are_the_transposed_horizontal_strips():
-    # the same strips as _horizontal_strips, of every size at once, in
+    # the same strips as horizontal_strips, of every size at once, in
     # column heights, for every alpha inside every mu with |mu| <= 8
     pairs = 0
     for n in range(9):
@@ -269,8 +267,8 @@ def test_column_strips_are_the_transposed_horizontal_strips():
                     continue
                 pairs += 1
                 cols = pad(transpose(alpha), len(heights))
-                want = {pad(transpose(beta), len(heights)) for beta in _horizontal_strips(alpha, mu)}
-                got = list(_column_strips(cols, heights))
+                want = {pad(transpose(beta), len(heights)) for beta in horizontal_strips(alpha, mu)}
+                got = list(column_strips(cols, heights))
                 assert len(got) == len(want) and set(got) == want, (alpha, mu)
     assert pairs == 862
 
@@ -310,26 +308,56 @@ def test_kostka_on_every_shape_and_its_transpose_matches_enumeration():
     assert checked == 24704
 
 
-def test_kostka_and_weighted_counts_share_one_strip_table(monkeypatch):
+def test_strip_tables_hold_the_oracle_strips():
+    # every subshape reachable from the empty one in every mu |- n <= 8,
+    # wide shapes in rows and tall ones in column heights: the entry's
+    # codes of each size are the oracle's strips of that size, encoded in
+    # the table's mixed radix, each once
+    entries = tall_entries = 0
+    for n in range(1, 9):
+        for mu in partitions_of(n):
+            full, table, grow = _strip_table.__wrapped__(mu)
+            tall = len(mu) > mu[0]
+            shape = transpose(mu) if tall else mu
+            radices = [math.prod(m + 1 for m in shape[:i]) for i in range(len(shape))]
+            strips = column_strips if tall else horizontal_strips
+            assert full == sum(b * r for b, r in zip(shape, radices))
+            todo, seen = [((0,) * len(shape), 0)], {0}
+            while todo:
+                alpha, a = todo.pop()
+                want = {}
+                for beta in strips(alpha, shape):
+                    want.setdefault(sum(beta) - sum(alpha), {})[sum(b * r for b, r in zip(beta, radices))] = beta
+                got = grow(a)
+                assert table[a] is got
+                assert {s: sorted(codes) for s, codes in got.items()} == {s: sorted(by_code) for s, by_code in want.items()}, (mu, alpha)
+                entries += 1
+                tall_entries += tall
+                for by_code in want.values():
+                    for b, beta in by_code.items():
+                        if b not in seen:
+                            seen.add(b)
+                            todo.append((beta, b))
+    # every subshape of every mu: the 862 pairs of the enumerator tests
+    # less the empty mu's
+    assert (entries, tall_entries) == (861, 365)
+
+
+def test_kostka_and_weighted_counts_share_one_strip_table():
     # a Kostka number, then two weighted counts on the same shape: one
-    # table, and each subshape's strips enumerated once across the calls
-    calls = Counter()
-
-    def counted(enumerate_strips):
-        def wrapper(alpha, *args):
-            calls[tuple(alpha)] += 1
-            return enumerate_strips(alpha, *args)
-        return wrapper
-
-    monkeypatch.setattr(tableaux, "_horizontal_strips", counted(_horizontal_strips))
-    monkeypatch.setattr(tableaux, "_column_strips", counted(_column_strips))
+    # table, and every entry the Kostka call filled is still the same
+    # object after the counts, so no subshape's strips were filled twice
     mu = (3, 2, 1)
     letters = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]
     assert kostka.__wrapped__(mu, (2, 2, 1, 1)) == brute_weighted_count(mu, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], (2, 2, 1, 1))
+    _, table, _ = _strip_table(mu)
+    filled = dict(table)
+    assert filled
     for target in ((2, 2, 2), (3, 2, 1)):
         assert count_weighted_ssyt(mu, letters, target) == brute_weighted_count(mu, letters, target)
     assert _strip_table.cache_info().currsize == 1
-    assert calls and max(calls.values()) == 1, calls
+    assert _strip_table(mu)[1] is table
+    assert all(table[a] is entry for a, entry in filled.items())
 
 
 @settings(max_examples=150, deadline=None, database=None)
