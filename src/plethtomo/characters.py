@@ -17,6 +17,10 @@ the resulting p-basis expansion of the composed character is paired back
 against Schur functions.  All arithmetic is on integers: a class function
 is carried as its class-weighted values (n!/z_omega) * chi(omega), so every
 inner product is one integer sum followed by one exact division by n!.
+Every pairing with chi_lam reads lam's character row (_character_row), a
+dict {omega: chi_lam(omega)} filled on first use of each class, so a Schur
+table costs one _mn call per (shape, class) however many expansions it is
+paired with, and _mn stays the memo of the recursion's own states.
 """
 
 from __future__ import annotations
@@ -31,6 +35,13 @@ from .tomography import SizeCapError
 # order n, the plethysm expansion one per (mu, nu) pair
 CLASS_SIZES_MAXSIZE = 16
 EXPANSION_MAXSIZE = 256
+CHARACTER_ROWS_MAXSIZE = 1024
+"""Bound of the character rows, one per shape that a pairing reads
+(_character_row).  A round of plethysm_sweep reads 44 rows; every Schur
+table with |mu||nu| <= 14 reads 507, one per partition of n <= 14, holding
+41 073 entries in 2.6 MB.  A row holds at most p(n) entries: the rho row
+of kronecker((20,20), (25,15), (30,10)) holds 30 746 of p(40) = 37 338,
+beside the 331 767 entries that query leaves in _mn."""
 POWER_SUM_N_MAX = 40
 """The largest n = |mu|*|nu| that plethysm_schur_multiplicity and
 plethysm_schur_table pair over the p(n) classes; above it they raise
@@ -92,21 +103,50 @@ def _mn(mask: int, cycles: Partition) -> int:
 
 
 def sn_character(lam: Partition, cycle_type: Partition) -> int:
-    """Irreducible S_n character chi_lam evaluated on the class of cycle_type."""
+    """Irreducible S_n character chi_lam evaluated on the class of cycle_type.
+
+    _mn recurses once per cycle of length >= 2, so the memo is filled from
+    the deepest level up: levels[k] holds the masks that removing the first
+    k cycles can reach, for each k whose next cycle has length >= 2, and
+    _mn on level k then finds every state of level k + 1 memoized.  No call
+    goes more than one level down, whatever the number of cycles."""
     lam, tau = partition(lam), partition(cycle_type)
     if sum(lam) != sum(tau):
         raise ValueError(f"size mismatch: |{lam}| != |{tau}|")
-    return _mn(_beta_mask(lam), tau)
+    mask = _beta_mask(lam)
+    levels = [{mask}]
+    for t, after in zip(tau, tau[1:]):
+        if after == 1:
+            break
+        reached = set()
+        for above in levels[-1]:
+            moves = (above >> t) & ~above
+            while moves:
+                low = moves & -moves
+                moves ^= low
+                new = above ^ low ^ (low << t)
+                reached.add(new >> ((new ^ (new + 1)).bit_length() - 1))
+        levels.append(reached)
+    for k in range(len(levels) - 1, 0, -1):
+        rest = tau[k:]
+        for below in levels[k]:
+            _mn(below, rest)
+    return _mn(mask, tau)
 
 
 def centralizer_order(tau: Partition) -> int:
-    """z_tau = prod_i i^{m_i} m_i! over part multiplicities m_i."""
+    """z_tau = prod_i i^{m_i} m_i! over part multiplicities m_i, tau
+    nonincreasing: equal parts are adjacent, and the j-th copy of part i
+    contributes the factor i * j."""
     z = 1
-    mult: dict[int, int] = {}
+    run = last = 0
     for part in tau:
-        mult[part] = mult.get(part, 0) + 1
-    for part, m in mult.items():
-        z *= part**m * factorial(m)
+        if part == last:
+            run += 1
+            z *= part * run
+        else:
+            last, run = part, 1
+            z *= part
     return z
 
 
@@ -123,11 +163,28 @@ def _beta_masks(n: int) -> tuple[tuple[Partition, int], ...]:
     return tuple((lam, _beta_mask(lam)) for lam in partitions_of(n))
 
 
+@lru_cache(maxsize=CHARACTER_ROWS_MAXSIZE)
+def _character_row(mask: int) -> dict[Partition, int]:
+    """The character row of the shape with beta-set mask: {omega:
+    chi_lam(omega)}, empty until _pair fills it.  An entry depends only on
+    its key, so concurrent fills write equal values."""
+    return {}
+
+
 def _pair(weighted, mask: int, n: int) -> int:
     """Inner product of chi_lam, lam the shape with beta-set mask, with a
     class function of S_n given as class-weighted values (omega,
-    (n!/z_omega) * f(omega)): one integer sum and one exact division by n!."""
-    total = sum(w * _mn(mask, omega) for omega, w in weighted)
+    (n!/z_omega) * f(omega)): one integer sum and one exact division by n!.
+    Each chi_lam(omega) is read from lam's character row, and _mn is called
+    only for a class the row does not hold yet."""
+    row = _character_row(mask)
+    total = 0
+    for omega, w in weighted:
+        try:
+            chi = row[omega]
+        except KeyError:
+            chi = row[omega] = _mn(mask, omega)
+        total += w * chi
     value, rem = divmod(total, factorial(n))
     if rem:
         raise ArithmeticError(f"inner product with the character of beta-set {mask:#b} is not integral")
@@ -193,20 +250,20 @@ def plethysm_power_expansion(mu: Partition, nu: Partition) -> tuple[tuple[Partit
     a, b = sum(mu), sum(nu)
     bfact = factorial(b)
     mu_mask, nu_mask = _beta_mask(mu), _beta_mask(nu)
+    outer = [(sigma, size * c) for sigma, size in _class_sizes(a) if (c := _mn(mu_mask, sigma))]
     inner = [(tau, size * c) for tau, size in _class_sizes(b) if (c := _mn(nu_mask, tau))]
-    # the inner classes with every cycle stretched r-fold, for each outer cycle length r
-    stretched = {r: [(tuple(r * t for t in tau), coeff) for tau, coeff in inner] for r in range(1, a + 1)}
+    # the inner classes with every cycle stretched r-fold, for each cycle
+    # length r of an outer class; a stretched class is still nonincreasing
+    lengths = {r for sigma, _ in outer for r in sigma}
+    stretched = {r: [(tuple(r * t for t in tau), coeff) for tau, coeff in inner] for r in lengths}
     numer: dict[Partition, int] = {}
-    for sigma, size in _class_sizes(a):
-        c_sigma = _mn(mu_mask, sigma)
-        if not c_sigma:
-            continue
-        prod: dict[Partition, int] = {(): size * c_sigma * bfact ** (a - len(sigma))}
+    for sigma, weight in outer:
+        prod: dict[Partition, int] = {(): weight * bfact ** (a - len(sigma))}
         for r in sigma:
             nxt: dict[Partition, int] = {}
             for key, val in prod.items():
                 for part, coeff in stretched[r]:
-                    nk = tuple(sorted(key + part, reverse=True))
+                    nk = tuple(sorted(key + part, reverse=True)) if key else part
                     nxt[nk] = nxt.get(nk, 0) + val * coeff
             prod = nxt
         for key, val in prod.items():

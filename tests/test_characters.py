@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 from math import comb, factorial
 
 import pytest
@@ -8,12 +10,16 @@ from hypothesis import strategies as st
 
 from plethtomo import coefficients
 from plethtomo.characters import (
+    CHARACTER_ROWS_MAXSIZE,
     CLASS_SIZES_MAXSIZE,
     EXPANSION_MAXSIZE,
     POWER_SUM_N_MAX,
     _beta_mask,
     _beta_masks,
+    _character_row,
     _class_sizes,
+    _mn,
+    _pair,
     centralizer_order,
     kronecker,
     plethysm_power_expansion,
@@ -105,6 +111,20 @@ def test_fixed_points_take_the_hook_length_formula():
     for k in (1, 2, 10, 300):
         assert sn_character((k, k), (1,) * (2 * k)) == comb(2 * k, k) // (k + 1)
         assert sn_character((k + 1,) + (1,) * k, (1,) * (2 * k + 1)) == comb(2 * k, k)
+
+
+def test_deep_cycle_types_answer_without_recursion_error():
+    # _mn recurses once per cycle of length >= 2, and sn_character fills its
+    # memo from the deepest level up.  chi_(1^n) is the sign and chi_(n) the
+    # trivial character; chi_(2^k) on (2^k), k even, is C(k, k/2): the
+    # 2-quotient of (2^k) is ((1^(k/2)), (1^(k/2)))
+    assert sn_character((1,) * 1100, (2,) * 550) == 1
+    assert sn_character((1100,), (2,) * 550) == 1
+    assert sn_character((1,) * 1101, (3,) + (2,) * 549) == -1
+    assert sn_character((1101,), (3,) + (2,) * 549) == 1
+    assert sn_character((2,) * 550, (2,) * 550) == comb(550, 275)
+    for k in (2, 4, 6, 8):
+        assert sn_character((2,) * k, (2,) * k) == list_character((2,) * k, (2,) * k) == comb(k, k // 2)
 
 
 def test_character_rejects_size_mismatch():
@@ -278,6 +298,62 @@ def test_character_memos_stay_bounded():
         assert _beta_masks(n) == tuple((lam, _beta_mask(lam)) for lam in partitions_of(n))
     info = _beta_masks.cache_info()
     assert info.currsize == info.maxsize == CLASS_SIZES_MAXSIZE
+    _character_row.cache_clear()
+    shapes = [lam for n in range(18) for lam in partitions_of(n)]
+    assert len(shapes) > CHARACTER_ROWS_MAXSIZE
+    for lam in shapes:
+        n = sum(lam)
+        # the regular character, n! at the identity, pairs with chi_lam to f^lam
+        assert _pair((((1,) * n, factorial(n)),), _beta_mask(lam), n) == sn_character(lam, (1,) * n)
+    info = _character_row.cache_info()
+    assert info.misses == len(shapes)
+    assert info.currsize == info.maxsize == CHARACTER_ROWS_MAXSIZE
+
+
+def test_schur_pairings_read_each_character_once():
+    # after one build of every Schur table of size 8, a second build and
+    # every multiplicity read chi_lam(omega) from the rows: no _mn call
+    pairs = pairs_of_size(8)
+    tables = [plethysm_schur_table(mu, nu) for mu, nu in pairs]
+    before = _mn.cache_info()
+    assert [plethysm_schur_table(mu, nu) for mu, nu in pairs] == tables
+    for (mu, nu), table in zip(pairs, tables):
+        assert all(plethysm_schur_multiplicity(lam, mu, nu) == table.get(lam, 0) for lam in partitions_of(8))
+    after = _mn.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_character_rows_under_concurrent_callers():
+    # four threads fill the same cold rows, each building the tables of
+    # size 8 from its own starting pair; each must get the serial tables
+    pairs = pairs_of_size(8)
+    want = [plethysm_schur_table(mu, nu) for mu, nu in pairs]
+    _character_row.cache_clear()
+    plethysm_power_expansion.cache_clear()
+    _mn.cache_clear()
+    got, errors = [], []
+
+    def work(start):
+        try:
+            order = pairs[start:] + pairs[:start]
+            tables = {pair: plethysm_schur_table(*pair) for pair in order}
+            got.append([tables[pair] for pair in pairs])
+        except Exception as exc:
+            errors.append(repr(exc))
+
+    threads = [threading.Thread(target=work, args=(i * len(pairs) // 4,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors[:3]
+    assert len(got) == 4 and all(tables == want for tables in got)
 
 
 def test_power_sum_entries_refuse_over_the_cap_before_any_class(monkeypatch):

@@ -12,9 +12,11 @@ from pathlib import Path
 import plethtomo
 
 # _mn recurses once per cycle of length >= 2 (fixed points close by the
-# hook-length formula, so 1100 of them need no recursion, but (2,)*550
-# still runs out of stack); the Jacobi-Trudi terms are built by a loop over
-# rows, and their permutation walk lives in tests/ as an oracle
+# hook-length formula, so 1100 of them need no recursion); the public entry
+# sn_character fills its memo from the deepest level up, so (2,)*550 no
+# longer runs out of stack, and the power-sum pairings stay at n <= 40.
+# The Jacobi-Trudi terms are built by a loop over rows, and their
+# permutation walk lives in tests/ as an oracle
 KNOWN_RECURSION = ["characters._mn"]
 
 
