@@ -14,9 +14,12 @@ one factor per cell.  The recursion is one level per cycle of length >= 2.
 The same character tables drive an exact plethysm expansion: s_nu is
 expanded in power sums, p_r acts on power sums by stretching indices, and
 the resulting p-basis expansion of the composed character is paired back
-against Schur functions.  All arithmetic is on integers: a class function
-is carried as its class-weighted values (n!/z_omega) * chi(omega), so every
-inner product is one integer sum followed by one exact division by n!.
+against Schur functions.  A one-box shape skips the product: s_mu[s_1] =
+s_1[s_mu] = s_mu, so the expansion of such a pair is the other shape's
+character, and its Schur table is still paired against every chi_lam.  All
+arithmetic is on integers: a class function is carried as its
+class-weighted values (n!/z_omega) * chi(omega), so every inner product is
+one integer sum followed by one exact division by n!.
 Every pairing with chi_lam reads lam's character row (_character_row), a
 dict {omega: chi_lam(omega)} filled on first use of each class, so a Schur
 table costs one _mn call per (shape, class) however many expansions it is
@@ -237,16 +240,26 @@ def plethysm_power_expansion(mu: Partition, nu: Partition) -> tuple[tuple[Partit
     coefficient of p_omega is w_omega / n!, and w at the identity class is
     the dimension of the plethysm S_n-module.
 
-    Uses s_f = sum_tau chi_f(tau)/z_tau p_tau together with the rules
-    p_r[p_s] = p_{rs} and multiplicativity over the parts of the outer
-    cycle type.  The numerators are built over the common denominator
-    |mu|! * (|nu|!)^|mu|: the outer class sigma contributes
-    (|mu|!/z_sigma) chi_mu(sigma) * |nu|!^(|mu| - len(sigma)) times a product
-    of len(sigma) inner class weights (|nu|!/z_tau) chi_nu(tau).  Each class
-    then takes one exact division, chi_P(omega) = z_omega * numerator /
-    denominator, which raises ArithmeticError if it does not divide.
+    A one-box pair, nu = (1) or mu = (1), returns the other shape's
+    class-weighted character (s_mu[s_1] = s_1[s_mu] = s_mu) with no outer x
+    inner product; the Schur table and multiplicity still pair it with
+    chi_lam.  Any other pair uses s_f = sum_tau chi_f(tau)/z_tau p_tau
+    together with the rules p_r[p_s] = p_{rs} and multiplicativity over the
+    parts of the outer cycle type.  The numerators are built over the
+    common denominator |mu|! * (|nu|!)^|mu|: the outer class sigma
+    contributes (|mu|!/z_sigma) chi_mu(sigma) * |nu|!^(|mu| - len(sigma))
+    times a product of len(sigma) inner class weights (|nu|!/z_tau)
+    chi_nu(tau).  Each class then takes one exact division, chi_P(omega) =
+    z_omega * numerator / denominator, which raises ArithmeticError if it
+    does not divide.
     """
     mu, nu = partition(mu), partition(nu)
+    if nu == (1,) or mu == (1,):
+        # s_mu[s_1] = s_1[s_mu] = s_mu: the other shape's class-weighted character
+        shape = mu if nu == (1,) else nu
+        mask = _beta_mask(shape)
+        weighted = ((omega, size * chi) for omega, size in _class_sizes(sum(shape)) if (chi := _mn(mask, omega)))
+        return tuple(sorted(weighted))
     a, b = sum(mu), sum(nu)
     bfact = factorial(b)
     mu_mask, nu_mask = _beta_mask(mu), _beta_mask(nu)

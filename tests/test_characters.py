@@ -261,9 +261,26 @@ def test_schur_table_matches_fraction_oracle_pairing():
         assert plethysm_schur_table(mu, nu) == fraction_schur_table(mu, nu), (mu, nu)
 
 
+# the one-box pairs with 10 < |mu||nu| <= 12, past ORACLE_PAIRS
+ONE_BOX_PAIRS = [(mu, nu) for n in (11, 12) for mu, nu in pairs_of_size(n) if (1,) in (mu, nu)]
+
+
+def test_one_box_expansion_is_fraction_oracle_times_n_factorial():
+    # the one-box row returns the other shape's class-weighted character;
+    # the oracle still runs the outer x inner product
+    assert len(ONE_BOX_PAIRS) == 266
+    for mu, nu in ONE_BOX_PAIRS:
+        nfact = factorial(sum(mu) * sum(nu))
+        want = sorted((omega, coeff * nfact) for omega, coeff in fraction_power_expansion(mu, nu).items())
+        assert plethysm_power_expansion(mu, nu) == tuple(want), (mu, nu)
+    # degree 0: s_()[s_1] = s_1[s_()] = 1, the trivial character of S_0
+    assert plethysm_power_expansion((1,), ()) == plethysm_power_expansion((), (1,)) == (((), 1),)
+
+
 def test_linear_plethysm_is_the_identity():
-    # s_mu[s_1] = s_1[s_mu] = s_mu
-    for k in range(1, 9):
+    # s_mu[s_1] = s_1[s_mu] = s_mu; the tables still pair the expansion
+    # with every chi_lam, so this is character orthogonality
+    for k in range(1, 13):
         for mu in partitions_of(k):
             assert plethysm_schur_table(mu, (1,)) == plethysm_schur_table((1,), mu) == {mu: 1}
 

@@ -601,6 +601,19 @@ def test_omega_duality_on_random_shapes(data):
     assert general_plethysm(lam, mu, nu).value == jacobi_trudi_coeff(transpose(lam), dual_mu, transpose(nu))
 
 
+@settings(max_examples=44, deadline=None, database=None)
+@given(data=st.data())
+def test_tall_one_box_coefficients_take_the_power_sum_route(data):
+    # s_mu[s_1] = s_1[s_mu] = s_mu: past JACOBI_TRUDI_MAX_ROWS rows the
+    # power-sum route pairs mu's class-weighted character with chi_lam,
+    # which character orthogonality makes [lam = mu]
+    shapes = list(partitions_of(data.draw(st.integers(10, 20))))
+    lam = data.draw(st.sampled_from([lam for lam in shapes if len(lam) > JACOBI_TRUDI_MAX_ROWS]))
+    mu = data.draw(st.one_of(st.just(lam), st.sampled_from(shapes)))
+    want = CoefficientResult(int(lam == mu), "power-sum")
+    assert general_plethysm(lam, mu, (1,)) == general_plethysm(lam, (1,), mu) == want
+
+
 def test_m2_closed_form_examples():
     assert m2_closed_form(2, "a") == {(4,), (2, 2)}
     assert m2_closed_form(1, "b") == {(2,)}
