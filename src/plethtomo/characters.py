@@ -19,7 +19,9 @@ s_1[s_mu] = s_mu, so the expansion of such a pair is the other shape's
 character, and its Schur table is still paired against every chi_lam.  All
 arithmetic is on integers: a class function is carried as its
 class-weighted values (n!/z_omega) * chi(omega), so every inner product is
-one integer sum followed by one exact division by n!.
+one integer sum followed by one exact division by n!.  _classes(n) lists
+S_n's irreducibles (shape, beta mask) and classes (cycle type, size) in one
+table, from which _weighted_character builds every class-weighted character.
 Every pairing with chi_lam reads lam's character row (_character_row), a
 dict {omega: chi_lam(omega)} filled on first use of each class, so a Schur
 table costs one _mn call per (shape, class) however many expansions it is
@@ -34,8 +36,8 @@ from math import factorial
 from .partitions import Partition, partition, partitions_of
 from .tomography import SizeCapError
 
-# bounds of the memo tables: class sizes and beta masks hold one entry per
-# order n, the plethysm expansion one per (mu, nu) pair
+# bounds of the memo tables: the class table holds one entry per order n,
+# the plethysm expansion one per (mu, nu) pair
 CLASS_SIZES_MAXSIZE = 16
 EXPANSION_MAXSIZE = 256
 CHARACTER_ROWS_MAXSIZE = 1024
@@ -154,16 +156,19 @@ def centralizer_order(tau: Partition) -> int:
 
 
 @lru_cache(maxsize=CLASS_SIZES_MAXSIZE)
-def _class_sizes(n: int) -> tuple[tuple[Partition, int], ...]:
-    """(tau, n!/z_tau) for every cycle type tau of S_n: the size of its class."""
+def _classes(n: int) -> tuple[tuple[Partition, int, int], ...]:
+    """(tau, _beta_mask(tau), n!/z_tau) for every partition tau of n, in
+    partitions_of order: the shape and beta mask of an irreducible of S_n,
+    and the cycle type and size of a class."""
     nfact = factorial(n)
-    return tuple((tau, nfact // centralizer_order(tau)) for tau in partitions_of(n))
+    return tuple((tau, _beta_mask(tau), nfact // centralizer_order(tau)) for tau in partitions_of(n))
 
 
-@lru_cache(maxsize=CLASS_SIZES_MAXSIZE)
-def _beta_masks(n: int) -> tuple[tuple[Partition, int], ...]:
-    """(lam, _beta_mask(lam)) for every partition lam of n."""
-    return tuple((lam, _beta_mask(lam)) for lam in partitions_of(n))
+def _weighted_character(lam: Partition) -> list[tuple[Partition, int]]:
+    """(omega, (n!/z_omega) * chi_lam(omega)) for every class omega of S_n,
+    n = |lam|, where chi_lam(omega) is not 0."""
+    mask = _beta_mask(lam)
+    return [(omega, size * chi) for omega, _, size in _classes(sum(lam)) if (chi := _mn(mask, omega))]
 
 
 @lru_cache(maxsize=CHARACTER_ROWS_MAXSIZE)
@@ -222,13 +227,9 @@ def _kronecker(mu: Partition, nu: Partition, rho: Partition) -> int:
     """kronecker on shapes already checked by kronecker_shapes.  A class
     stops at its first zero character: chi_nu is evaluated only where
     chi_mu is not 0, and _pair evaluates chi_rho only where neither is."""
-    n = sum(mu)
-    mu_mask, nu_mask = _beta_mask(mu), _beta_mask(nu)
-    weighted = []
-    for tau, size in _class_sizes(n):
-        if (chi := _mn(mu_mask, tau)) and (chi := chi * _mn(nu_mask, tau)):
-            weighted.append((tau, size * chi))
-    return _pair(weighted, _beta_mask(rho), n)
+    nu_mask = _beta_mask(nu)
+    weighted = [(tau, w * chi) for tau, w in _weighted_character(mu) if (chi := _mn(nu_mask, tau))]
+    return _pair(weighted, _beta_mask(rho), sum(mu))
 
 
 @lru_cache(maxsize=EXPANSION_MAXSIZE)
@@ -251,20 +252,17 @@ def plethysm_power_expansion(mu: Partition, nu: Partition) -> tuple[tuple[Partit
     times a product of len(sigma) inner class weights (|nu|!/z_tau)
     chi_nu(tau).  Each class then takes one exact division, chi_P(omega) =
     z_omega * numerator / denominator, which raises ArithmeticError if it
-    does not divide.
+    does not divide.  Raises SizeCapError above POWER_SUM_N_MAX before any
+    class is built.
     """
     mu, nu = partition(mu), partition(nu)
+    _pairing_size(mu, nu)
     if nu == (1,) or mu == (1,):
         # s_mu[s_1] = s_1[s_mu] = s_mu: the other shape's class-weighted character
-        shape = mu if nu == (1,) else nu
-        mask = _beta_mask(shape)
-        weighted = ((omega, size * chi) for omega, size in _class_sizes(sum(shape)) if (chi := _mn(mask, omega)))
-        return tuple(sorted(weighted))
+        return tuple(sorted(_weighted_character(mu if nu == (1,) else nu)))
     a, b = sum(mu), sum(nu)
     bfact = factorial(b)
-    mu_mask, nu_mask = _beta_mask(mu), _beta_mask(nu)
-    outer = [(sigma, size * c) for sigma, size in _class_sizes(a) if (c := _mn(mu_mask, sigma))]
-    inner = [(tau, size * c) for tau, size in _class_sizes(b) if (c := _mn(nu_mask, tau))]
+    outer, inner = _weighted_character(mu), _weighted_character(nu)
     # the inner classes with every cycle stretched r-fold, for each cycle
     # length r of an outer class; a stretched class is still nonincreasing
     lengths = {r for sigma, _ in outer for r in sigma}
@@ -314,7 +312,7 @@ def plethysm_schur_table(mu: Partition, nu: Partition) -> dict[Partition, int]:
     n = _pairing_size(mu, nu)
     expansion = plethysm_power_expansion(mu, nu)
     table: dict[Partition, int] = {}
-    for lam, mask in _beta_masks(n):
+    for lam, mask, _ in _classes(n):
         m = _pair(expansion, mask, n)
         if m < 0:
             raise ArithmeticError(f"negative multiplicity {m} at {lam}")

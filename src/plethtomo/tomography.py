@@ -689,6 +689,12 @@ def count_pyramids(lam: Composition, kind: ConeKind) -> int:
 # grid-layer and axis-marginal instances
 
 
+def _check_grid_range(r: int) -> None:
+    """ValueError unless the grid range r, the layer x+y+z = r, is >= 0."""
+    if r < 0:
+        raise ValueError(f"grid range must be >= 0, got {r}")
+
+
 @dataclass(frozen=True)
 class XRayInstance2D:
     """Triangular-grid instance: marginals over the index range [0, r]."""
@@ -699,6 +705,7 @@ class XRayInstance2D:
     rho: Composition
 
     def __post_init__(self):
+        _check_grid_range(self.r)
         object.__setattr__(self, "mu", canonical(self.mu))
         object.__setattr__(self, "nu", canonical(self.nu))
         object.__setattr__(self, "rho", canonical(self.rho))
@@ -726,6 +733,8 @@ class SymInstance:
     def __post_init__(self):
         object.__setattr__(self, "marginal", canonical(self.marginal))
         cone_kind(self.cone)
+        if self.grid_r is not None:
+            _check_grid_range(self.grid_r)
 
 
 AXIS_STATE_CAP = 1 << 18
@@ -802,6 +811,7 @@ def count_sym_2dxray(lam: Composition, r: int, kind: ConeKind) -> int:
     """Point sets inside the cone slice of the layer x+y+z = r with the
     given sum-marginal."""
     cone_kind(kind)
+    _check_grid_range(r)
     lam = canonical(lam)
     if not lam:
         return 1

@@ -4,7 +4,9 @@ Every `raise SizeCapError` must sit directly under an `if` that compares
 against a module-level UPPER_CASE constant of its own module, so that each
 cap is one named number; and the README must name each of those constants.
 The README's Concurrency section must name every memo: each `lru_cache`
-function and each module-level dict that starts empty.
+function and each module-level dict that starts empty.  In `characters`,
+one per-size memo walks the partitions of n: `_classes`, the class table
+that every character sum and Schur table reads.
 """
 
 import ast
@@ -115,3 +117,25 @@ def test_every_memo_is_named_in_the_readme_concurrency_section():
     assert {"_q_cache", "_letter_counts", "kostka", "_mn", "_pyramid_table", "pyramid_marginal", "_greedy_fill"} <= found
     missing = sorted(name for name in found if f"`{name}`" not in section)
     assert not missing, f"the README's Concurrency section names no memo {missing}"
+
+
+def callers_of(tree: ast.Module, name: str) -> list[str]:
+    """The functions of a module, nested ones by their own name, whose body
+    calls name directly or as an attribute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            calls = (call.func for call in ast.walk(node) if isinstance(call, ast.Call))
+            if any((func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == name for func in calls):
+                found.append(node.name)
+    return found
+
+
+def test_scan_finds_callers():
+    source = "def f(n):\n    return p(n)\n\ndef g(n):\n    return m.p(n)\n\ndef h(p):\n    return q(p)\n"
+    assert callers_of(ast.parse(source), "p") == ["f", "g"]
+
+
+def test_one_per_size_walk_in_characters():
+    path = Path(plethtomo.__file__).parent / "characters.py"
+    assert callers_of(ast.parse(path.read_text(encoding="utf-8")), "partitions_of") == ["_classes"]

@@ -1,7 +1,8 @@
 import itertools
 import sys
 import threading
-from math import comb, factorial
+from collections import Counter
+from math import comb, factorial, prod
 
 import pytest
 from character_oracle import list_character
@@ -15,9 +16,8 @@ from plethtomo.characters import (
     EXPANSION_MAXSIZE,
     POWER_SUM_N_MAX,
     _beta_mask,
-    _beta_masks,
     _character_row,
-    _class_sizes,
+    _classes,
     _mn,
     _pair,
     centralizer_order,
@@ -135,7 +135,7 @@ def test_character_rejects_size_mismatch():
 def test_centralizer_orders_sum_to_group_order():
     for n in range(1, 8):
         assert sum(factorial(n) // centralizer_order(tau) for tau in partitions_of(n)) == factorial(n)
-        assert _class_sizes(n) == tuple((tau, factorial(n) // centralizer_order(tau)) for tau in partitions_of(n))
+        assert _classes(n) == tuple((tau, _beta_mask(tau), factorial(n) // centralizer_order(tau)) for tau in partitions_of(n))
 
 
 KRONECKER_EXAMPLES = [
@@ -168,6 +168,23 @@ def test_kronecker_dimension_identity():
             for nu in partitions_of(n):
                 lhs = sum(kronecker(mu, nu, rho) * sn_character(rho, (1,) * n) for rho in partitions_of(n))
                 assert lhs == sn_character(mu, (1,) * n) * sn_character(nu, (1,) * n)
+
+
+def test_kronecker_against_the_list_character_sum():
+    # every sorted triple of each size n <= 9, 8084 in all, against the class
+    # sum with characters from the list oracle and class sizes n!/z_tau
+    # counted here: nothing is shared with _mn or the class table
+    checked = 0
+    for n in range(1, 10):
+        shapes = tuple(partitions_of(n))
+        sizes = [(tau, factorial(n) // prod(part**m * factorial(m) for part, m in Counter(tau).items())) for tau in shapes]
+        for mu, nu, rho in itertools.combinations_with_replacement(shapes, 3):
+            total = sum(size * list_character(mu, tau) * list_character(nu, tau) * list_character(rho, tau) for tau, size in sizes)
+            value, rem = divmod(total, factorial(n))
+            assert rem == 0, (mu, nu, rho)
+            assert value == kronecker(mu, nu, rho) == coefficients.kronecker(mu, nu, rho).value, (mu, nu, rho)
+            checked += 1
+    assert checked == 8084
 
 
 def test_kronecker_rejects_size_mismatch():
@@ -305,15 +322,10 @@ def test_character_memos_stay_bounded():
     info = plethysm_power_expansion.cache_info()
     assert info.misses == len(ORACLE_PAIRS) > EXPANSION_MAXSIZE
     assert info.currsize == info.maxsize == EXPANSION_MAXSIZE
-    _class_sizes.cache_clear()
+    _classes.cache_clear()
     for n in range(CLASS_SIZES_MAXSIZE + 8):
-        _class_sizes(n)
-    info = _class_sizes.cache_info()
-    assert info.currsize == info.maxsize == CLASS_SIZES_MAXSIZE
-    _beta_masks.cache_clear()
-    for n in range(CLASS_SIZES_MAXSIZE + 8):
-        assert _beta_masks(n) == tuple((lam, _beta_mask(lam)) for lam in partitions_of(n))
-    info = _beta_masks.cache_info()
+        assert [(lam, mask) for lam, mask, _ in _classes(n)] == [(lam, _beta_mask(lam)) for lam in partitions_of(n)]
+    info = _classes.cache_info()
     assert info.currsize == info.maxsize == CLASS_SIZES_MAXSIZE
     _character_row.cache_clear()
     shapes = [lam for n in range(18) for lam in partitions_of(n)]
@@ -378,7 +390,7 @@ def test_power_sum_entries_refuse_over_the_cap_before_any_class(monkeypatch):
         raise AssertionError("a class was built over the power-sum cap")
 
     monkeypatch.setattr("plethtomo.characters.plethysm_power_expansion", no_class)
-    monkeypatch.setattr("plethtomo.characters._class_sizes", no_class)
+    monkeypatch.setattr("plethtomo.characters._classes", no_class)
     n = POWER_SUM_N_MAX + 1
     assert coefficients.POWER_SUM_N_MAX == POWER_SUM_N_MAX == 40
     with pytest.raises(SizeCapError, match=f"size {n} is over the cap of {POWER_SUM_N_MAX}"):
@@ -389,8 +401,23 @@ def test_power_sum_entries_refuse_over_the_cap_before_any_class(monkeypatch):
         plethysm_schur_multiplicity((1,) * n, (n,), (1,))
     # off degree there is no plethysm part to pair, at any size
     assert plethysm_schur_multiplicity((1,), (n,), (1,)) == 0
-    # the cap itself is paired: an empty class function pairs to 0
+    # the cap itself is paired: an empty class function pairs to 0, and the
+    # table reads its lam masks from the class table of size 40
+    monkeypatch.undo()
     monkeypatch.setattr("plethtomo.characters.plethysm_power_expansion", lambda mu, nu: ())
     n = POWER_SUM_N_MAX
     assert plethysm_schur_multiplicity((1,) * n, (n,), (1,)) == 0
     assert plethysm_schur_table((n,), (1,)) == {}
+
+
+def test_power_sum_expansion_refuses_over_the_cap_before_any_class(monkeypatch):
+    # one-box pairs of 45 boxes and outer x inner pairs of 42 and 48, which
+    # built 89 134 and 53 017 terms when only the callers checked the cap
+    def no_class(*args):
+        raise AssertionError("a class was built over the power-sum cap")
+
+    monkeypatch.setattr("plethtomo.characters._classes", no_class)
+    for mu, nu in (((1,), (45,)), ((45,), (1,)), ((1, 1), (3,) * 7), ((6,), (8,))):
+        n = sum(mu) * sum(nu)
+        with pytest.raises(SizeCapError, match=f"size {n} is over the cap of {POWER_SUM_N_MAX}"):
+            plethysm_power_expansion(mu, nu)

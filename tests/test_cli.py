@@ -495,6 +495,23 @@ def test_malformed_instances_are_input_errors(capsys, monkeypatch, command, data
     assert out == "" and err.startswith("input error") and len(err.splitlines()) == 1
 
 
+NEGATIVE_RANGE_INSTANCES = [
+    {"kind": "2dxray", "r": -1, "marginals": {"x": [], "y": [], "z": []}},
+    {"kind": "2dxray", "r": -2, "marginals": {"x": [1], "y": [1], "z": [1]}},
+    {"kind": "sym2d", "r": -1, "cone": "closed", "marginals": {"sum": []}},
+]
+
+
+@pytest.mark.parametrize("command", ["count", "reduce"])
+@pytest.mark.parametrize("data", NEGATIVE_RANGE_INSTANCES)
+def test_negative_grid_range_is_an_input_error(capsys, command, data):
+    # a 2dxray at r = -1 used to count 1 and one at r = -2 to report a
+    # marginal longer than [0,-2]; a sym2d at r = -1 counted 0
+    code, out, err = run([command, json.dumps(data)], capsys=capsys)
+    assert code == EXIT_INPUT_ERROR
+    assert out == "" and err == f"input error: grid range must be >= 0, got {data['r']}\n"
+
+
 def test_sym2d_cone_is_checked(capsys, monkeypatch):
     # the one point (1,0,0) of the closed layer; an unknown cone used to be
     # counted as the open one, which has no point there

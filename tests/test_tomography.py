@@ -993,6 +993,18 @@ def test_count_sym_2dxray():
     assert count_sym_2dxray((2, 2), 1, "closed") == 0
 
 
+def test_negative_grid_range_is_refused():
+    # r = -1 used to count 1 (2dxray) or 0 (sym2d); r = 0 stays a layer
+    with pytest.raises(ValueError, match="grid range must be >= 0, got -1"):
+        XRayInstance2D(-1, (), (), ())
+    with pytest.raises(ValueError, match="grid range must be >= 0, got -1"):
+        tomography.SymInstance((), "closed", -1)
+    with pytest.raises(ValueError, match="grid range must be >= 0, got -1"):
+        count_sym_2dxray((), -1, "closed")
+    assert count_2dxray(XRayInstance2D(0, (), (), ())) == 1
+    assert count_sym_2dxray((), 0, "closed") == 1
+
+
 def test_count_3dxray():
     assert count_3dxray((1,), (1,), (1,)) == 1
     assert count_3dxray((1, 1), (1, 1), (1, 1)) == 4  # brute-verified
