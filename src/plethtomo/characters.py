@@ -36,8 +36,10 @@ from math import factorial
 from .partitions import Partition, partition, partitions_of
 from .tomography import SizeCapError
 
-# bounds of the memo tables: the class table holds one entry per order n,
-# the plethysm expansion one per (mu, nu) pair
+# bounds of the memo tables: the class table holds one entry per order n
+# (one round of plethysm_sweep keeps 7 sizes, one of chain_resolve 8), the
+# plethysm expansion one per (mu, nu) pair (one round of plethysm_sweep
+# keeps 103 expansions and reads each twice)
 CLASS_SIZES_MAXSIZE = 16
 EXPANSION_MAXSIZE = 256
 CHARACTER_ROWS_MAXSIZE = 1024

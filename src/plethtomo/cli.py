@@ -24,8 +24,10 @@ on a shape of over nine rows and size above characters.POWER_SUM_N_MAX
 for general_plethysm; `coeff a|b` at m = 3 on a shape whose
 cone instance is a promise instance is answered by its point-set count at
 any size, and so is an a|b shape of more than n rows, or one whose column
-peels end at m = 2), and, as a last resort, a RecursionError or MemoryError in the
-library is reported the same way.
+peels end at m = 2), and, as a last resort, a RecursionError, MemoryError
+or OverflowError in the library is reported the same way (an OverflowError
+is a size too large for a machine index, such as the (1^n) of `coeff b` at
+n = 10^20).
 """
 
 from __future__ import annotations
@@ -452,7 +454,7 @@ def main(argv: list[str] | None = None) -> int:
     except SizeCapError as exc:
         print(f"over the size cap: {exc}", file=sys.stderr)
         return EXIT_GATE_FAILED
-    except (RecursionError, MemoryError) as exc:
+    except (RecursionError, MemoryError, OverflowError) as exc:
         need = "deeper recursion" if isinstance(exc, RecursionError) else "more memory"
         print(f"over the size cap: the instance needs {need} than the interpreter allows", file=sys.stderr)
         return EXIT_GATE_FAILED

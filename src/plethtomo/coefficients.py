@@ -59,7 +59,10 @@ the first of these rows that applies, each naming its method:
    0 ("below-beta"): no n-point set of the cone has it, and the point-set
    count bounds the coefficient from above.  It stands after the peel, as
    the guard of the general_plethysm call: a shape the peel takes at m = 3
-   ends at m <= 2, on row 6 or on a one-box shape;
+   ends at m <= 2, on row 6 or on a one-box shape.  Rows 2 and 5 read one
+   excess, the coordinate sum (_family_coords, no transpose) minus beta(n),
+   computed once per lam at m = 3: row 2 answers excess 0, row 5 excess
+   < 0;
 6. at m = 2, Littlewood's multiplicity-free closed forms (Macdonald,
    Symmetric Functions, I.8 Ex. 6) in O(len(lam)): h_n[h_2] is the sum of
    the s_lam with every part even and e_n[h_2] of those of Frobenius form
@@ -87,7 +90,7 @@ from typing import Literal
 from .characters import POWER_SUM_N_MAX, _kronecker, kronecker_shapes, plethysm_schur_multiplicity
 from .partitions import Composition, Partition, _transpose, canonical, partition, partitions_of
 from .tableaux import count_weighted_ssyt, dim_weyl, ssyt_weights
-from .tomography import ConeKind, SizeCapError, _attains_beta, _letter_count, beta, coordinate_sum, count_point_sets
+from .tomography import ConeKind, SizeCapError, _letter_count, beta, coordinate_sum, count_point_sets
 
 JACOBI_TRUDI_MAX_ROWS = 9
 JACOBI_TRUDI_ROWS_CAP = 10
@@ -150,11 +153,6 @@ def _family_coords(lam: Partition, variant: Variant) -> tuple[int, ConeKind]:
     if variant == "b":
         return coordinate_sum(lam), "closed"
     return sum(part * (part - 1) for part in lam) >> 1, "open"
-
-
-def _family_is_promise(lam: Partition, variant: Variant) -> bool:
-    """_is_promise(*_family_cone(lam, variant)) without the transpose."""
-    return _attains_beta(sum(lam), *_family_coords(lam, variant))
 
 
 def weight_multiplicity(mu: Partition, nu: Partition, kappa: Composition) -> int:
@@ -358,13 +356,16 @@ def plethysm_coeff(lam: Partition, n: int, m: int, variant: Variant) -> Coeffici
     (1^min(n,2)) and which raises SizeCapError over its caps."""
     lam = partition(lam)
     outer_shape(min(n, 0), variant)
-    partition((m,) if m else ())
+    partition((m,))
     if sum(lam) != n * m:
         return CoefficientResult(0, "degree-mismatch")
     peeled = ""
     while True:
-        if m == 3 and _family_is_promise(lam, variant):
-            return CoefficientResult(count_point_sets(*_family_cone(lam, variant)), peeled + "promise-pyramid-count")
+        if m == 3:
+            coords, cone = _family_coords(lam, variant)
+            excess = coords - beta(n, cone)
+            if not excess:
+                return CoefficientResult(count_point_sets(*_family_cone(lam, variant)), peeled + "promise-pyramid-count")
         if n and len(lam) > n:
             return CoefficientResult(0, peeled + "height-zero")
         if n == 0 or len(lam) < n:
@@ -377,13 +378,12 @@ def plethysm_coeff(lam: Partition, n: int, m: int, variant: Variant) -> Coeffici
         if k % 2:
             variant = "b" if variant == "a" else "a"
         peeled = "column-peel+"
-    if m == 3:
-        coords, cone = _family_coords(lam, variant)
-        if coords < beta(n, cone):
-            return CoefficientResult(0, peeled + "below-beta")
+    # a peel at m = 3 ends below 3, so at m = 3 excess is still lam's
+    if m == 3 and excess < 0:
+        return CoefficientResult(0, peeled + "below-beta")
     if m == 2:
         return CoefficientResult(int(_in_m2_support(lam, variant)), peeled + "closed-form")
-    res = general_plethysm(lam, outer_shape(n if m else min(n, 2), variant), (m,) if m else ())
+    res = general_plethysm(lam, outer_shape(n if m else min(n, 2), variant), (m,))
     return replace(res, method=peeled + res.method) if peeled else res
 
 

@@ -912,6 +912,51 @@ def test_output_determinism(capsys, monkeypatch):
     assert a == b
 
 
+BIG = 10**30
+
+
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [
+        (["count", json.dumps({"kind": "sym3d", "cone": "closed", "marginals": {"sum": [3 * 10**24]}})], EXIT_OK, "count: 0\n"),
+        (["coeff", "b", f"[{3 * 10**24}]", str(10**24), "3"], EXIT_OK, "method: below-beta\nvalue: 0\n"),
+        (["coeff", "b", f"[{10**20}]", str(10**20), "1"], EXIT_GATE_FAILED, ""),
+        (["coeff", "b", f"[{2 * 10**20},{2 * 10**20}]", str(10**20), "4"], EXIT_GATE_FAILED, ""),
+        (
+            ["reduce", "--to", "promise3d", json.dumps({"kind": "2dxray", "r": 1, "marginals": {"x": [BIG, BIG], "y": [BIG, BIG], "z": [2 * BIG]}})],
+            EXIT_GATE_FAILED,
+            "",
+        ),
+    ],
+    ids=["count-sum-3e24", "coeff-below-beta-at-1e24", "coeff-b-1e20-columns", "coeff-b-n-1e20-m-4", "reduce-range-1-at-1e30"],
+)
+def test_huge_instances_answer_or_exit_3_in_a_fresh_process(argv, code, out):
+    # beta(10^24) is read off block sums, not a walk of 3.3e8 levels; an
+    # index too large for the machine, such as the (1^n) of b at n = 10^20,
+    # is an OverflowError, reported like a MemoryError
+    import os
+    import subprocess
+    import sys
+
+    import plethtomo
+
+    src = str(Path(plethtomo.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH", "")) if p)
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "plethtomo", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert time.perf_counter() - t0 < 10.0
+    assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == EXIT_GATE_FAILED:
+        assert proc.stderr.startswith("over the size cap:") and len(proc.stderr.splitlines()) == 1
+
+
 def test_console_script_entry_point():
     import os
     import subprocess

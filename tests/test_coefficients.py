@@ -21,7 +21,7 @@ from plethtomo.coefficients import (
     POWER_SUM_N_MAX,
     CoefficientResult,
     _family_cone,
-    _family_is_promise,
+    _family_coords,
     _jacobi_trudi_terms,
     check_duality,
     dim_plethysm_module,
@@ -458,7 +458,7 @@ def one_column_peel(lam, n, m, variant):
     peeled query goes back to plethysm_coeff once it has fewer than n rows
     or is a promise instance at m = 3, where plethysm_coeff peels nothing."""
     peeled = ""
-    while n and len(lam) == n and sum(lam) == n * m and not (m == 3 and _family_is_promise(lam, variant)):
+    while n and len(lam) == n and sum(lam) == n * m and not (m == 3 and _is_promise(*_family_cone(lam, variant))):
         lam = tuple(part - 1 for part in lam if part > 1)
         m -= 1
         variant = "b" if variant == "a" else "a"
@@ -495,18 +495,40 @@ def test_column_peel_in_one_step_matches_one_column_per_step():
 
 def test_family_promise_test_needs_no_transpose(monkeypatch):
     # the a family's cone instance is lam', whose coordinate sum is
-    # sum_j C(lam_j, 2): tested on lam, it agrees with the instance's own test
+    # sum_j C(lam_j, 2): read off lam, it agrees with the instance's own,
+    # and plethysm_coeff answers by the promise row exactly on the promise
+    # instances
     hits = Counter()
     for n in range(1, 9):
         for lam in partitions_of(3 * n):
             for variant in ("a", "b"):
-                want = _is_promise(*_family_cone(lam, variant))
-                assert _family_is_promise(lam, variant) == want, (lam, variant)
-                hits[variant] += want
+                marginal, kind = _family_cone(lam, variant)
+                assert _family_coords(lam, variant) == (coordinate_sum(marginal), kind), (lam, variant)
+                promise = plethysm_coeff(lam, n, 3, variant).method == "promise-pyramid-count"
+                assert promise == _is_promise(marginal, kind), (lam, variant)
+                hits[variant] += promise
     assert hits == {"a": 52, "b": 38}
     # so a miss at m = 3 transposes nothing
     monkeypatch.setattr("plethtomo.coefficients._transpose", None)
     assert plethysm_coeff((5, 4, 3), 4, 3, "a") == general_plethysm((5, 4, 3), (4,), (3,))
+
+
+def test_m3_query_reads_its_coordinate_sum_once(monkeypatch):
+    # the promise row and the below-beta row read one excess over beta(n):
+    # a miss with fewer than n rows computes the coordinate sum once
+    from plethtomo import coefficients
+
+    calls = Counter()
+
+    def counted(lam, variant):
+        calls[lam, variant] += 1
+        return family_coords(lam, variant)
+
+    family_coords = coefficients._family_coords
+    monkeypatch.setattr(coefficients, "_family_coords", counted)
+    for lam, variant, method in (((5, 4, 3), "a", "jacobi-trudi"), ((12,), "b", "below-beta")):
+        assert plethysm_coeff(lam, 4, 3, variant).method == method
+    assert calls == {((5, 4, 3), "a"): 1, ((12,), "b"): 1}
 
 
 GENERAL_PLETHYSM_EXAMPLES = [

@@ -178,35 +178,51 @@ def test_xi_examples_and_closed_forms():
         assert xi(i, "open") == xi_by_enumeration(i, "open")
 
 
-def _iota_by_layers(n, kind):
-    level, total = 0, xi(0, kind)
-    while total < n:
-        level += 1
-        total += xi(level, kind)
-    return level
-
-
-def _beta_by_layers(n, kind):
-    total = placed = level = 0
+def _greedy_fill_by_walk(n, kind):
+    """Oracle: (beta(n), iota(n)) by filling one layer per step from the
+    origin outward; the level is -1 for n = 0."""
+    total = placed = 0
+    level = -1
     while placed < n:
+        level += 1
         take = min(xi(level, kind), n - placed)
         total += take * level
         placed += take
-        level += 1
-    return total
+    return total, level
 
 
 def test_greedy_fill_gives_beta_and_iota():
-    # one walk serves both: checked against a separate walk for each
+    # the filled blocks and the walk over the last one agree with the walk
+    # from the origin
     for kind in ("open", "closed"):
-        assert _greedy_fill(0, kind) == (0, -1)
-        for n in range(1, 2001):
-            want = (_beta_by_layers(n, kind), _iota_by_layers(n, kind))
-            assert _greedy_fill(n, kind) == want == (beta(n, kind), iota(n, kind)), (n, kind)
+        for n in range(4000):
+            want = _greedy_fill_by_walk(n, kind)
+            assert _greedy_fill(n, kind) == want, (n, kind)
+            if n:
+                assert want == (beta(n, kind), iota(n, kind)), (n, kind)
     with pytest.raises(ValueError):
         iota(0, "closed")
     with pytest.raises(ValueError):
         beta(-1, "open")
+
+
+@pytest.mark.parametrize("kind", ["open", "closed"])
+@pytest.mark.parametrize("size", [10**24, 10**300])
+def test_greedy_fill_far_beyond_a_walk(kind, size):
+    # point n + 1 sits at level iota(n + 1), so beta grows by exactly that;
+    # near a block edge of six whole levels iota moves up by one, and the
+    # level it leaves held xi(level) points
+    fills = [_greedy_fill(n, kind) for n in range(size - 3, size + 4)]
+    for (b0, i0), (b1, i1) in zip(fills, fills[1:]):
+        assert b1 - b0 == i1 and i0 <= i1 <= i0 + 1
+    level = fills[0][1]
+    blocks = -(-level // 6)
+    edge, coords = tomography._block_fill(blocks, kind)
+    assert _greedy_fill(edge, kind) == (coords, 6 * blocks - 1)
+    assert _greedy_fill(edge + 1, kind)[1] == 6 * blocks
+    last = 6 * blocks - 1
+    assert _greedy_fill(edge - xi(last, kind), kind)[1] == last - 1
+    assert _greedy_fill(edge - xi(last, kind) + 1, kind)[1] == last
 
 
 def test_iota_beta():
