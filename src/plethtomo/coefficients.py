@@ -27,11 +27,16 @@ Two independent routes compute every general plethysm coefficient:
 * the power-sum expansion of the plethysm paired against
   Murnaghan-Nakayama characters (characters.plethysm_schur_multiplicity).
 
-general_plethysm takes the first up to JACOBI_TRUDI_MAX_ROWS rows and the
-second above, where characters refuses lam of size above POWER_SUM_N_MAX;
-agreement of the two is one of the repository's standing self-checks.  The
-power-sum route applies neither support bound, so every zero the bounds
-predict is checked against a computation that does not assume them.
+omega maps s_mu[s_nu] to s_mu~[s_nu'], mu~ = mu for |nu| even and mu' for
+|nu| odd, so a coefficient is the same at lam and at the omega-dual (lam',
+mu~, nu').  general_plethysm takes the first route on lam of up to
+JACOBI_TRUDI_MAX_ROWS rows, at lam' when it has fewer rows and no larger
+strip-DP alphabet; the second above, where characters refuses lam of size
+above POWER_SUM_N_MAX; and over that cap the first at lam' when lam' has
+at most JACOBI_TRUDI_MAX_ROWS rows.  Agreement of the two routes is one of
+the repository's standing self-checks.  The power-sum route applies
+neither support bound, so every zero the bounds predict is checked against
+a computation that does not assume them.
 
 Inner or outer degree 0 is answered by s_mu[s_()] = s_mu[1] = [len(mu) <= 1]
 and s_()[s_nu] = 1.  A coefficient family, 'a' (the n-th symmetric power)
@@ -67,8 +72,8 @@ the first of these rows that applies, each naming its method:
    Symmetric Functions, I.8 Ex. 6) in O(len(lam)): h_n[h_2] is the sum of
    the s_lam with every part even and e_n[h_2] of those of Frobenius form
    (alpha+1 | alpha) ("closed-form");
-7. the rest is general_plethysm ("jacobi-trudi" or "power-sum"), on which
-   degree 0 is s_mu[1] = [len(mu) <= 1].
+7. the rest is general_plethysm ("jacobi-trudi", "omega-dual+jacobi-trudi"
+   or "power-sum"), on which degree 0 is s_mu[1] = [len(mu) <= 1].
 
 _jacobi_trudi and plethysm_schur_multiplicity never peel, so they stay the
 two independent routes that check these rows.
@@ -93,6 +98,12 @@ from .tableaux import count_weighted_ssyt, dim_weyl, ssyt_weights
 from .tomography import ConeKind, SizeCapError, _letter_count, beta, coordinate_sum, count_point_sets
 
 JACOBI_TRUDI_MAX_ROWS = 9
+"""The most rows general_plethysm runs the Jacobi-Trudi sum on, at lam or at
+lam': a lam of at most this many rows takes Jacobi-Trudi at whichever side
+_dual_is_cheaper picks (lam' then has fewer rows still), and a taller lam
+over the power-sum cap takes it at lam' when lam_1 is at most this.  Only a
+lam with more rows and more columns than this, over the power-sum cap, is
+refused."""
 JACOBI_TRUDI_ROWS_CAP = 10
 """The most rows jacobi_trudi_coeff builds a term table for; a taller lam
 that neither the support box nor a one-box shape answers raises
@@ -198,7 +209,7 @@ def _weight_multiplicity_sorted(mu: Partition, nu: Partition, key: Partition) ->
         # one basis vector per n-point set of the cone (module docstring);
         # a monomial coefficient of e_n[h_3] (e_n[e_3]), so symmetric in key
         val = count_point_sets(key, _CONE_OF_INNER[nu])
-    elif (len(mu) == 1 or mu[0] == 1) and (len(nu) == 1 or nu[0] == 1):
+    elif _is_letter_family(mu, nu):
         # the (multi)sets of n monomials of degree m (module docstring).
         # Timed key by key against the strip DP on every key of at most 12
         # parts (m = 2, 3, 4 up to n = 8, 6, 4), it lost on 0-21% of a
@@ -275,8 +286,8 @@ def jacobi_trudi_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     built once per lam by a row DP over merged (used-column set, value
     multiset) states and kept in a table bounded by JT_TERMS_MAXSIZE
     (_jacobi_trudi_terms).  Each (mu, nu) then costs one weight
-    multiplicity lookup per distinct composition.  general_plethysm still
-    keeps len(lam) <= JACOBI_TRUDI_MAX_ROWS, where this route wins.
+    multiplicity lookup per distinct composition.  general_plethysm sends
+    it at most JACOBI_TRUDI_MAX_ROWS rows, of lam or of lam'.
 
     Before the table is looked up, lam outside the |mu|*len(nu) by
     |mu|*nu_1 box gives 0 (s_mu[s_nu] is a summand of s_nu^|mu|, whose
@@ -293,8 +304,10 @@ def jacobi_trudi_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     return _jacobi_trudi(lam, mu, nu)
 
 
-def _jacobi_trudi(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """jacobi_trudi_coeff on canonical lam, mu, nu with |lam| = |mu|*|nu|."""
+def _without_table(lam: Partition, mu: Partition, nu: Partition) -> int | None:
+    """The answers of _jacobi_trudi that build no term table (degree 0, the
+    support box, a one-box shape), or None.  Each is the same at lam and at
+    the omega-dual (lam', mu~, nu')."""
     if not lam:
         # |mu|*|nu| = 0: s_mu[s_()] = s_mu[1] = [len(mu) <= 1], and s_()[s_nu] = 1
         return int(len(mu) <= 1)
@@ -305,26 +318,84 @@ def _jacobi_trudi(lam: Partition, mu: Partition, nu: Partition) -> int:
         return int(lam == mu)
     if mu == (1,):
         return int(lam == nu)
+    return None
+
+
+def _jacobi_trudi(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """jacobi_trudi_coeff on canonical lam, mu, nu with |lam| = |mu|*|nu|."""
+    value = _without_table(lam, mu, nu)
+    if value is not None:
+        return value
     if len(lam) > JACOBI_TRUDI_ROWS_CAP:
         raise SizeCapError(f"a Jacobi-Trudi term table of {len(lam)} rows is over the cap of {JACOBI_TRUDI_ROWS_CAP}")
     return sum(c * _weight_multiplicity_sorted(mu, nu, key) for key, c in _jacobi_trudi_terms(lam))
 
 
+def _is_letter_family(mu: Partition, nu: Partition) -> bool:
+    """Whether mu and nu are each one row or one column: the four families
+    whose weight spaces the letter counter (or, at m = 3, the point-set
+    counter) counts.  The omega-dual of one is one of the four again."""
+    return (len(mu) == 1 or mu[0] == 1) and (len(nu) == 1 or nu[0] == 1)
+
+
+def _omega_dual(lam: Partition, mu: Partition, nu: Partition) -> tuple[Partition, Partition, Partition]:
+    """(lam', mu~, nu'), mu~ = mu for |nu| even and mu' for |nu| odd: omega
+    maps s_mu[s_nu] to s_mu~[s_nu'] (Macdonald, Symmetric Functions, I.8),
+    so the plethysm coefficient is the same at both triples."""
+    return _transpose(lam), mu if sum(nu) % 2 == 0 else _transpose(mu), _transpose(nu)
+
+
+def _dual_is_cheaper(lam: Partition, mu: Partition, nu: Partition) -> bool:
+    """Whether to run Jacobi-Trudi at the omega-dual rather than at lam:
+    lam' has fewer rows, and either (mu, nu) is a letter family or the strip
+    DP's alphabet on the dual side, the nu'-tableaux on lam_1 letters, is no
+    larger than the nu-tableaux on len(lam) letters.  A restricted-class
+    query such as ((4,4,2,1,1), (2,1,1), (1,1,1)) has 10 letters at lam and
+    20 at lam', and took 0.9-1.4 ms cold at lam against 3.6-6.0 ms at lam'
+    (fresh processes on a shared 2-vCPU x86_64 host)."""
+    if lam[0] >= len(lam):
+        return False
+    return _is_letter_family(mu, nu) or dim_weyl(_transpose(nu), lam[0]) <= dim_weyl(nu, len(lam))
+
+
 def general_plethysm(lam: Partition, mu: Partition, nu: Partition) -> CoefficientResult:
     """Multiplicity of the lam-irreducible in the plethysm of the mu-Schur
-    functor with the nu one.  Dispatches on height: the Jacobi-Trudi sum up
-    to JACOBI_TRUDI_MAX_ROWS rows, the power-sum character pairing above,
-    which raises SizeCapError above characters.POWER_SUM_N_MAX before any
-    class."""
+    functor with the nu one.  After a degree mismatch, the first route that
+    applies answers:
+
+    1. len(lam) <= JACOBI_TRUDI_MAX_ROWS: first the answers that build no
+       term table (degree 0, the support box, a one-box shape, one row),
+       then the Jacobi-Trudi sum, at the omega-dual (lam', mu~, nu') when
+       _dual_is_cheaper says so ("omega-dual+jacobi-trudi") and at lam
+       otherwise ("jacobi-trudi");
+    2. |lam| <= characters.POWER_SUM_N_MAX: the power-sum character pairing
+       ("power-sum");
+    3. lam_1 <= JACOBI_TRUDI_MAX_ROWS: Jacobi-Trudi at the omega-dual
+       ("omega-dual+jacobi-trudi");
+    4. otherwise the power-sum route raises SizeCapError before any class.
+
+    One row: in one variable s_(N) is x^N and every other s_lam of degree N
+    vanishes, while s_nu(x) = x^|nu| [len(nu) = 1] and s_mu of one monomial
+    y is y^|mu| [len(mu) = 1], so the coefficient at (N) is [len(mu) =
+    len(nu) = 1].  A one-column lam reaches it through the dual."""
     lam, mu, nu = partition(lam), partition(mu), partition(nu)
     if sum(lam) != sum(mu) * sum(nu):
         return CoefficientResult(0, "degree-mismatch")
     if len(lam) <= JACOBI_TRUDI_MAX_ROWS:
-        value = _jacobi_trudi(lam, mu, nu)
-        method = "jacobi-trudi"
+        value = _without_table(lam, mu, nu)
+        if value is not None:
+            return CoefficientResult(value, "jacobi-trudi")
+        dual = _dual_is_cheaper(lam, mu, nu)
+    elif sum(lam) <= POWER_SUM_N_MAX or lam[0] > JACOBI_TRUDI_MAX_ROWS:
+        return _nonnegative(lam, plethysm_schur_multiplicity(lam, mu, nu), "power-sum")
     else:
-        value = plethysm_schur_multiplicity(lam, mu, nu)
-        method = "power-sum"
+        dual = True
+    side, outer, inner = _omega_dual(lam, mu, nu) if dual else (lam, mu, nu)
+    value = int(len(outer) == len(inner) == 1) if len(side) == 1 else _jacobi_trudi(side, outer, inner)
+    return _nonnegative(lam, value, "omega-dual+jacobi-trudi" if dual else "jacobi-trudi")
+
+
+def _nonnegative(lam: Partition, value: int, method: str) -> CoefficientResult:
     if value < 0:
         raise ArithmeticError(f"negative multiplicity {value} at {lam}; inputs were not characters")
     return CoefficientResult(value, method)

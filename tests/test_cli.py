@@ -144,12 +144,17 @@ def test_coeff_tall_over_the_power_sum_cap_builds_no_class(capsys, monkeypatch):
         raise AssertionError("coeff built a class over the power-sum cap")
 
     monkeypatch.setattr("plethtomo.characters.plethysm_power_expansion", no_class)
-    # twelve rows: 48 boxes on the power-sum route.  lam' = (12,12,4^6) has
-    # coordinate sum 120 >= beta(16, open) = 103, so no row answers first
-    code, out, err = run(["coeff", "a", format_partition((8,) * 4 + (2,) * 8), "16", "3"], capsys=capsys)
+    # ten rows and ten columns: 100 boxes on the power-sum route, as neither
+    # side has at most nine rows
+    code, out, err = run(["coeff", "p", format_partition((10,) * 10), "[10]", "[10]"], capsys=capsys)
     assert code == EXIT_GATE_FAILED
     assert out == ""
-    assert err.startswith("over the size cap:") and "48" in err and len(err.splitlines()) == 1
+    assert err.startswith("over the size cap:") and "100" in err and len(err.splitlines()) == 1
+    # twelve rows and 48 boxes, but lam' = (12,12,4^6) has eight rows.  Its
+    # coordinate sum 120 >= beta(16, open) = 103, so no row answers first
+    code, out, err = run(["coeff", "a", format_partition((8,) * 4 + (2,) * 8), "16", "3", "--format", "json"], capsys=capsys)
+    assert code == EXIT_OK, err
+    assert out == '{"method":"omega-dual+jacobi-trudi","value":0}\n'
 
 
 def test_coeff_below_beta_answers_zero_over_the_power_sum_cap(capsys):
@@ -934,30 +939,17 @@ def test_huge_instances_answer_or_exit_3_in_a_fresh_process(argv, code, out):
     # beta(10^24) is read off block sums, not a walk of 3.3e8 levels; an
     # index too large for the machine, such as the (1^n) of b at n = 10^20,
     # is an OverflowError, reported like a MemoryError
-    import os
-    import subprocess
-    import sys
-
-    import plethtomo
-
-    src = str(Path(plethtomo.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH", "")) if p)
-    t0 = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "plethtomo", *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=60,
-    )
-    assert time.perf_counter() - t0 < 10.0
+    proc, seconds = run_fresh(argv)
+    assert seconds < 10.0
     assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
     assert "Traceback" not in proc.stderr
     if code == EXIT_GATE_FAILED:
         assert proc.stderr.startswith("over the size cap:") and len(proc.stderr.splitlines()) == 1
 
 
-def test_console_script_entry_point():
+def run_fresh(argv):
+    """Run the CLI in a new interpreter on the package this process
+    imported; returns the finished process and its wall time in seconds."""
     import os
     import subprocess
     import sys
@@ -968,11 +960,47 @@ def test_console_script_entry_point():
     # from PYTHONPATH or from pytest's pythonpath setting
     src = str(Path(plethtomo.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH", "")) if p)
+    t0 = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "plethtomo", "coeff", "a", "[4]", "2", "2", "--format", "json"],
+        [sys.executable, "-m", "plethtomo", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
     )
+    return proc, time.perf_counter() - t0
+
+
+ONES_50 = format_partition((1,) * 50)
+
+
+@pytest.mark.parametrize(
+    "argv, method, value",
+    [
+        (["coeff", "a", "[6,6,6,6,6,6,6,6]", "16", "3"], "omega-dual+jacobi-trudi", 1),
+        (["coeff", "b", "[6,6,6,6,6,6,6,6]", "16", "3"], "omega-dual+jacobi-trudi", 1),
+        (["coeff", "p", "[5,5,5,5,5,5,5,5,5]", "[15]", "[3]"], "omega-dual+jacobi-trudi", 0),
+        (["coeff", "b", format_partition((5,) * 12), "15", "4"], "omega-dual+jacobi-trudi", 0),
+        (["coeff", "a", "[8,8,8,8,2,2,2,2,2,2,2,2]", "16", "3"], "omega-dual+jacobi-trudi", 0),
+        (["coeff", "p", ONES_50, "[5]", "[10]"], "omega-dual+jacobi-trudi", 0),
+        (["coeff", "p", ONES_50, "[50]", "[1]"], "omega-dual+jacobi-trudi", 0),
+        (["coeff", "p", ONES_50, ONES_50, "[1]"], "omega-dual+jacobi-trudi", 1),
+        (["coeff", "a", f"[{3 * 10**24}]", str(10**24), "3"], "jacobi-trudi", 1),
+    ],
+    ids=["a-6x8", "b-6x8", "p-5x9", "b-5x12", "a-12-rows-48", "p-1x50-column-inner", "p-1x50-one-box", "p-1x50-one-box-1", "a-one-row-3e24"],
+)
+def test_coeff_on_the_shorter_side_in_a_fresh_process(argv, method, value):
+    # each ran past 60 s on lam, or exited 3 over the power-sum cap, or (the
+    # one-row query) overflowed building a term table; lam' has at most nine
+    # rows, or lam has one.  They took 0.07-0.7 s here, bounded at 2 s for
+    # CPUs that drop to half speed
+    proc, seconds = run_fresh([*argv, "--format", "json"])
+    assert seconds < 2.0
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout) == {"method": method, "value": value}
+
+
+def test_console_script_entry_point():
+    proc, _ = run_fresh(["coeff", "a", "[4]", "2", "2", "--format", "json"])
     assert proc.returncode == EXIT_OK
     assert json.loads(proc.stdout)["value"] == 1

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import time
 from collections import Counter
 
@@ -36,7 +37,7 @@ from plethtomo.coefficients import (
 from plethtomo.partitions import canonical, partitions_of, transpose
 from plethtomo.sympoly import decompose_schur, plethysm_poly
 from plethtomo.tableaux import count_weighted_ssyt, dim_weyl, kostka, ssyt_weights
-from plethtomo.tomography import SizeCapError, _is_promise, _letter_count, beta, coordinate_sum
+from plethtomo.tomography import SizeCapError, _is_promise, _letter_count, beta, coordinate_sum, count_point_sets
 
 
 def test_weight_multiplicity_examples():
@@ -199,10 +200,13 @@ def test_jacobi_trudi_rejects_a_size_mismatch():
 
 
 def test_general_plethysm_rejects_a_negative_multiplicity(monkeypatch):
-    # a signed sum that ends below 0 means the inputs were not characters
+    # a signed sum that ends below 0 means the inputs were not characters;
+    # checked at lam and at lam' (a one-box or one-row query answers before
+    # the sum is taken)
     monkeypatch.setattr(coefficients, "_jacobi_trudi", lambda *args: -1)
-    with pytest.raises(ArithmeticError, match="negative multiplicity -1"):
-        general_plethysm((2,), (1,), (2,))
+    for lam, mu, nu in (((4, 2), (2,), (3,)), ((2, 2, 1, 1), (2, 1), (1, 1))):
+        with pytest.raises(ArithmeticError, match=re.escape(f"negative multiplicity -1 at {lam};")):
+            general_plethysm(lam, mu, nu)
 
 
 def test_jacobi_trudi_matches_peeling_small():
@@ -440,9 +444,12 @@ def test_plethysm_coeff_rows_match_general_plethysm():
                     else:
                         assert res.method == want.method
                     methods[res.method] += 1
+    # two shapes of fewer columns than rows take the omega-dual side
+    assert sum(methods.values()) == 3832
     assert methods == {
         "height-zero": 2512,
-        "jacobi-trudi": 538,
+        "jacobi-trudi": 536,
+        "omega-dual+jacobi-trudi": 2,
         "column-peel+jacobi-trudi": 258,
         "column-peel+closed-form": 202,
         "closed-form": 172,
@@ -482,7 +489,8 @@ def test_column_peel_in_one_step_matches_one_column_per_step():
     assert sum(methods.values()) == 7960
     assert methods == {
         "height-zero": 5338,
-        "jacobi-trudi": 924,
+        "jacobi-trudi": 922,
+        "omega-dual+jacobi-trudi": 2,
         "closed-form": 680,
         "column-peel+jacobi-trudi": 556,
         "column-peel+closed-form": 267,
@@ -552,16 +560,60 @@ def test_general_plethysm_dispatch_routes():
     assert res.value == jacobi_trudi_coeff(tall, (4,), (3,))
 
 
+def test_one_row_and_one_column_shapes_build_no_term_table():
+    # in one variable only s_(N) survives, so p_(N)(mu, nu) = [len(mu) =
+    # len(nu) = 1]; by omega p_(1^N)(mu, nu) = [nu = (1^b), mu = (a) for b
+    # even, (1^a) for b odd].  Checked against the Jacobi-Trudi sum up to 10
+    # rows and the power-sum pairing above
+    pairs = [pair for size in range(1, 13) for pair in pairs_of_size(size)]
+    assert len(pairs) == 688
+    for mu, nu in pairs:
+        size = sum(mu) * sum(nu)
+        row, column = (size,), (1,) * size
+        misses = _jacobi_trudi_terms.cache_info().misses
+        got_row, got_column = general_plethysm(row, mu, nu), general_plethysm(column, mu, nu)
+        assert _jacobi_trudi_terms.cache_info().misses == misses
+        assert got_row == CoefficientResult(int(len(mu) == len(nu) == 1), "jacobi-trudi"), (mu, nu)
+        b = len(nu)
+        want = int(nu == (1,) * b and mu == ((sum(mu),) if b % 2 == 0 else (1,) * sum(mu)))
+        oracle = jacobi_trudi_coeff if size <= JACOBI_TRUDI_ROWS_CAP else plethysm_schur_multiplicity
+        assert got_row.value == jacobi_trudi_coeff(row, mu, nu)
+        assert got_column.value == oracle(column, mu, nu) == want, (mu, nu)
+
+
+def test_dual_side_is_chosen_by_rows_then_alphabet():
+    # the strip DP's letters are nu-tableaux on len(lam) letters at lam and
+    # nu'-tableaux on lam_1 letters at lam'
+    for lam, mu, nu, letters, method in (
+        ((4, 4, 2, 1, 1), (2, 1, 1), (1, 1, 1), (10, 20), "jacobi-trudi"),
+        ((2, 2, 1, 1), (2, 1), (1, 1), (6, 3), "omega-dual+jacobi-trudi"),
+        # a letter family takes the shorter side whatever its alphabet
+        ((3, 3, 2, 1), (3,), (1, 1, 1), (4, 10), "omega-dual+jacobi-trudi"),
+        # a tie in rows stays at lam
+        ((3, 2, 1), (2,), (2, 1), (8, 8), "jacobi-trudi"),
+    ):
+        assert (dim_weyl(nu, len(lam)), dim_weyl(transpose(nu), lam[0])) == letters
+        dual_mu = mu if sum(nu) % 2 == 0 else transpose(mu)
+        want = jacobi_trudi_coeff(lam, mu, nu)
+        assert want == jacobi_trudi_coeff(transpose(lam), dual_mu, transpose(nu))
+        assert general_plethysm(lam, mu, nu) == CoefficientResult(want, method), lam
+
+
 def test_power_sum_cap_builds_no_class(monkeypatch):
     def no_class(*args):
         raise AssertionError("general_plethysm built a class over the power-sum cap")
 
     monkeypatch.setattr("plethtomo.characters.plethysm_power_expansion", no_class)
+    # over nine rows and over nine columns: no side takes Jacobi-Trudi
+    with pytest.raises(SizeCapError, match=f"size 100 is over the cap of {POWER_SUM_N_MAX}"):
+        general_plethysm((10,) * 10, (10,), (10,))
+    # over nine rows but at most nine columns: Jacobi-Trudi at the omega-dual,
+    # here a one-box shape and a shape whose 16-point set count is 0
     n = POWER_SUM_N_MAX + 1
-    with pytest.raises(SizeCapError, match=f"size {n} is over the cap of {POWER_SUM_N_MAX}"):
-        general_plethysm((1,) * n, (n,), (1,))
-    with pytest.raises(SizeCapError, match="size 48"):
-        plethysm_coeff((8,) * 4 + (2,) * 8, 16, 3, "a")
+    assert general_plethysm((1,) * n, (n,), (1,)) == CoefficientResult(0, "omega-dual+jacobi-trudi")
+    lam = (8,) * 4 + (2,) * 8
+    assert count_point_sets(transpose(lam), "open") == 0
+    assert plethysm_coeff(lam, 16, 3, "a") == CoefficientResult(0, "omega-dual+jacobi-trudi")
     # at most JACOBI_TRUDI_MAX_ROWS rows take Jacobi-Trudi at any size
     assert general_plethysm((48,), (16,), (3,)) == CoefficientResult(1, "jacobi-trudi")
     # a degree mismatch is answered before the route is picked
@@ -615,12 +667,16 @@ def test_tall_route_matches_omega_dual_jacobi_trudi():
 @given(data=st.data())
 def test_omega_duality_on_random_shapes(data):
     # omega(s_mu[s_nu]) = s_mu*[s_nu'], mu* = mu for |nu| even and mu' for
-    # |nu| odd: general_plethysm at lam against Jacobi-Trudi at lam'
+    # |nu| odd: general_plethysm at lam against Jacobi-Trudi at lam', and,
+    # as general_plethysm may itself take lam', against Jacobi-Trudi at lam
     size = data.draw(st.integers(1, 12))
     mu, nu = data.draw(st.sampled_from(pairs_of_size(size)))
     lam = data.draw(st.sampled_from([lam for lam in partitions_of(size) if lam[0] <= JACOBI_TRUDI_ROWS_CAP]))
     dual_mu = mu if sum(nu) % 2 == 0 else transpose(mu)
-    assert general_plethysm(lam, mu, nu).value == jacobi_trudi_coeff(transpose(lam), dual_mu, transpose(nu))
+    got = general_plethysm(lam, mu, nu).value
+    assert got == jacobi_trudi_coeff(transpose(lam), dual_mu, transpose(nu))
+    if len(lam) <= JACOBI_TRUDI_ROWS_CAP:
+        assert got == jacobi_trudi_coeff(lam, mu, nu)
 
 
 @settings(max_examples=44, deadline=None, database=None)
