@@ -20,12 +20,15 @@ character, and its Schur table is still paired against every chi_lam.  All
 arithmetic is on integers: a class function is carried as its
 class-weighted values (n!/z_omega) * chi(omega), so every inner product is
 one integer sum followed by one exact division by n!.  _classes(n) lists
-S_n's irreducibles (shape, beta mask) and classes (cycle type, size) in one
-table, from which _weighted_character builds every class-weighted character.
-Every pairing with chi_lam reads lam's character row (_character_row), a
-dict {omega: chi_lam(omega)} filled on first use of each class, so a Schur
-table costs one _mn call per (shape, class) however many expansions it is
-paired with, and _mn stays the memo of the recursion's own states.
+each tau |- n with its class size n!/z_tau, read as cycle types by every
+character sum and as shapes by the Schur table; a beta mask is built only
+where a character is evaluated (sn_character, _weighted_character,
+_kronecker's nu, _pair's row misses).  _weighted_character builds every
+class-weighted character.  Every pairing with chi_lam reads the character
+row of the shape lam (_character_row), a dict {omega: chi_lam(omega)}
+filled on first use of each class, so a Schur table costs one _mn call per
+(shape, class) however many expansions it is paired with, and _mn stays
+the memo of the recursion's own states.
 """
 
 from __future__ import annotations
@@ -148,56 +151,54 @@ def centralizer_order(tau: Partition) -> int:
     z = 1
     run = last = 0
     for part in tau:
-        if part == last:
-            run += 1
-            z *= part * run
-        else:
-            last, run = part, 1
-            z *= part
+        run = run + 1 if part == last else 1
+        last = part
+        z *= part * run
     return z
 
 
 @lru_cache(maxsize=CLASS_SIZES_MAXSIZE)
-def _classes(n: int) -> tuple[tuple[Partition, int, int], ...]:
-    """(tau, _beta_mask(tau), n!/z_tau) for every partition tau of n, in
-    partitions_of order: the shape and beta mask of an irreducible of S_n,
-    and the cycle type and size of a class."""
+def _classes(n: int) -> tuple[tuple[Partition, int], ...]:
+    """(tau, n!/z_tau) for every partition tau of n, in partitions_of order:
+    the cycle type and size of a class of S_n, tau also read as a shape."""
     nfact = factorial(n)
-    return tuple((tau, _beta_mask(tau), nfact // centralizer_order(tau)) for tau in partitions_of(n))
+    return tuple((tau, nfact // centralizer_order(tau)) for tau in partitions_of(n))
 
 
 def _weighted_character(lam: Partition) -> list[tuple[Partition, int]]:
     """(omega, (n!/z_omega) * chi_lam(omega)) for every class omega of S_n,
     n = |lam|, where chi_lam(omega) is not 0."""
     mask = _beta_mask(lam)
-    return [(omega, size * chi) for omega, _, size in _classes(sum(lam)) if (chi := _mn(mask, omega))]
+    return [(omega, size * chi) for omega, size in _classes(sum(lam)) if (chi := _mn(mask, omega))]
 
 
 @lru_cache(maxsize=CHARACTER_ROWS_MAXSIZE)
-def _character_row(mask: int) -> dict[Partition, int]:
-    """The character row of the shape with beta-set mask: {omega:
-    chi_lam(omega)}, empty until _pair fills it.  An entry depends only on
-    its key, so concurrent fills write equal values."""
+def _character_row(lam: Partition) -> dict[Partition, int]:
+    """The character row of the shape lam, a partition without zero parts:
+    {omega: chi_lam(omega)}, empty until _pair fills it.  An entry depends
+    only on its key, so concurrent fills write equal values."""
     return {}
 
 
-def _pair(weighted, mask: int, n: int) -> int:
-    """Inner product of chi_lam, lam the shape with beta-set mask, with a
-    class function of S_n given as class-weighted values (omega,
-    (n!/z_omega) * f(omega)): one integer sum and one exact division by n!.
-    Each chi_lam(omega) is read from lam's character row, and _mn is called
-    only for a class the row does not hold yet."""
-    row = _character_row(mask)
-    total = 0
+def _pair(weighted, lam: Partition, n: int) -> int:
+    """Inner product of chi_lam, lam a partition of n, with a class function
+    of S_n given as class-weighted values (omega, (n!/z_omega) * f(omega)):
+    one integer sum and one exact division by n!.  Each chi_lam(omega) is
+    read from lam's character row; lam's beta mask is built on the first
+    class the row lacks, and _mn is called for each such class."""
+    row = _character_row(lam)
+    mask = total = 0
     for omega, w in weighted:
         try:
             chi = row[omega]
         except KeyError:
+            # 0 until the first miss; () has mask 0 too, but one class to miss
+            mask = mask or _beta_mask(lam)
             chi = row[omega] = _mn(mask, omega)
         total += w * chi
     value, rem = divmod(total, factorial(n))
     if rem:
-        raise ArithmeticError(f"inner product with the character of beta-set {mask:#b} is not integral")
+        raise ArithmeticError(f"inner product with the character of {lam} is not integral")
     return value
 
 
@@ -231,7 +232,7 @@ def _kronecker(mu: Partition, nu: Partition, rho: Partition) -> int:
     chi_mu is not 0, and _pair evaluates chi_rho only where neither is."""
     nu_mask = _beta_mask(nu)
     weighted = [(tau, w * chi) for tau, w in _weighted_character(mu) if (chi := _mn(nu_mask, tau))]
-    return _pair(weighted, _beta_mask(rho), sum(mu))
+    return _pair(weighted, rho, sum(mu))
 
 
 @lru_cache(maxsize=EXPANSION_MAXSIZE)
@@ -304,7 +305,7 @@ def plethysm_schur_multiplicity(lam: Partition, mu: Partition, nu: Partition) ->
     if sum(lam) != sum(mu) * sum(nu):
         return 0
     n = _pairing_size(mu, nu)
-    return _pair(plethysm_power_expansion(mu, nu), _beta_mask(lam), n)
+    return _pair(plethysm_power_expansion(mu, nu), lam, n)
 
 
 def plethysm_schur_table(mu: Partition, nu: Partition) -> dict[Partition, int]:
@@ -314,8 +315,8 @@ def plethysm_schur_table(mu: Partition, nu: Partition) -> dict[Partition, int]:
     n = _pairing_size(mu, nu)
     expansion = plethysm_power_expansion(mu, nu)
     table: dict[Partition, int] = {}
-    for lam, mask, _ in _classes(n):
-        m = _pair(expansion, mask, n)
+    for lam, _ in _classes(n):
+        m = _pair(expansion, lam, n)
         if m < 0:
             raise ArithmeticError(f"negative multiplicity {m} at {lam}")
         if m:

@@ -32,8 +32,9 @@ omega maps s_mu[s_nu] to s_mu~[s_nu'], mu~ = mu for |nu| even and mu' for
 mu~, nu').  general_plethysm takes the first route on lam of up to
 JACOBI_TRUDI_MAX_ROWS rows, at lam' when it has fewer rows and no larger
 strip-DP alphabet; the second above, where characters refuses lam of size
-above POWER_SUM_N_MAX; and over that cap the first at lam' when lam' has
-at most JACOBI_TRUDI_MAX_ROWS rows.  Agreement of the two routes is one of
+above POWER_SUM_N_MAX; and over that cap, past the answers that build no
+term table (the support box, a one-box shape), the first at lam' when lam'
+has at most JACOBI_TRUDI_MAX_ROWS rows.  Agreement of the two routes is one of
 the repository's standing self-checks.  The power-sum route applies
 neither support bound, so every zero the bounds predict is checked against
 a computation that does not assume them.
@@ -92,7 +93,7 @@ from typing import Literal
 
 # POWER_SUM_N_MAX is imported so that coefficients.POWER_SUM_N_MAX stays the
 # cap of general_plethysm's power-sum route, which characters checks
-from .characters import POWER_SUM_N_MAX, _kronecker, kronecker_shapes, plethysm_schur_multiplicity
+from .characters import POWER_SUM_N_MAX, _kronecker, kronecker_shapes, plethysm_schur_multiplicity, plethysm_schur_table
 from .partitions import Composition, Partition, _transpose, canonical, partition, partitions_of
 from .tableaux import count_weighted_ssyt, dim_weyl, ssyt_weights
 from .tomography import ConeKind, SizeCapError, _letter_count, beta, coordinate_sum, count_point_sets
@@ -102,8 +103,8 @@ JACOBI_TRUDI_MAX_ROWS = 9
 lam': a lam of at most this many rows takes Jacobi-Trudi at whichever side
 _dual_is_cheaper picks (lam' then has fewer rows still), and a taller lam
 over the power-sum cap takes it at lam' when lam_1 is at most this.  Only a
-lam with more rows and more columns than this, over the power-sum cap, is
-refused."""
+lam with more rows and more columns than this, over the power-sum cap, that
+neither the support box nor a one-box shape answers is refused."""
 JACOBI_TRUDI_ROWS_CAP = 10
 """The most rows jacobi_trudi_coeff builds a term table for; a taller lam
 that neither the support box nor a one-box shape answers raises
@@ -301,13 +302,15 @@ def jacobi_trudi_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     lam, mu, nu = partition(lam), partition(mu), partition(nu)
     if sum(lam) != sum(mu) * sum(nu):
         raise ValueError("size mismatch: |lam| must equal |mu|*|nu|")
-    return _jacobi_trudi(lam, mu, nu)
+    value = _without_table(lam, mu, nu)
+    return _jacobi_trudi(lam, mu, nu) if value is None else value
 
 
 def _without_table(lam: Partition, mu: Partition, nu: Partition) -> int | None:
-    """The answers of _jacobi_trudi that build no term table (degree 0, the
-    support box, a one-box shape), or None.  Each is the same at lam and at
-    the omega-dual (lam', mu~, nu')."""
+    """The answers of jacobi_trudi_coeff that build no term table (degree 0,
+    the support box, a one-box shape), or None.  Each is the same at lam and
+    at the omega-dual (lam', mu~, nu'), so one call per query serves either
+    side."""
     if not lam:
         # |mu|*|nu| = 0: s_mu[s_()] = s_mu[1] = [len(mu) <= 1], and s_()[s_nu] = 1
         return int(len(mu) <= 1)
@@ -322,10 +325,8 @@ def _without_table(lam: Partition, mu: Partition, nu: Partition) -> int | None:
 
 
 def _jacobi_trudi(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """jacobi_trudi_coeff on canonical lam, mu, nu with |lam| = |mu|*|nu|."""
-    value = _without_table(lam, mu, nu)
-    if value is not None:
-        return value
+    """The row cap and the term-table sum of jacobi_trudi_coeff, on canonical
+    lam, mu, nu with |lam| = |mu|*|nu| that _without_table did not answer."""
     if len(lam) > JACOBI_TRUDI_ROWS_CAP:
         raise SizeCapError(f"a Jacobi-Trudi term table of {len(lam)} rows is over the cap of {JACOBI_TRUDI_ROWS_CAP}")
     return sum(c * _weight_multiplicity_sorted(mu, nu, key) for key, c in _jacobi_trudi_terms(lam))
@@ -363,16 +364,18 @@ def general_plethysm(lam: Partition, mu: Partition, nu: Partition) -> Coefficien
     functor with the nu one.  After a degree mismatch, the first route that
     applies answers:
 
-    1. len(lam) <= JACOBI_TRUDI_MAX_ROWS: first the answers that build no
-       term table (degree 0, the support box, a one-box shape, one row),
-       then the Jacobi-Trudi sum, at the omega-dual (lam', mu~, nu') when
-       _dual_is_cheaper says so ("omega-dual+jacobi-trudi") and at lam
-       otherwise ("jacobi-trudi");
-    2. |lam| <= characters.POWER_SUM_N_MAX: the power-sum character pairing
+    1. len(lam) > JACOBI_TRUDI_MAX_ROWS and |lam| <=
+       characters.POWER_SUM_N_MAX: the power-sum character pairing
        ("power-sum");
-    3. lam_1 <= JACOBI_TRUDI_MAX_ROWS: Jacobi-Trudi at the omega-dual
-       ("omega-dual+jacobi-trudi");
-    4. otherwise the power-sum route raises SizeCapError before any class.
+    2. the answers that build no term table (_without_table: degree 0, the
+       support box, a one-box shape), run once, named "jacobi-trudi" on lam
+       of at most JACOBI_TRUDI_MAX_ROWS rows and "omega-dual+jacobi-trudi"
+       on a taller one;
+    3. a lam taller than JACOBI_TRUDI_MAX_ROWS whose lam_1 is too: the
+       power-sum route raises SizeCapError before any class;
+    4. the Jacobi-Trudi sum, at the omega-dual (lam', mu~, nu') for a tall
+       lam or when _dual_is_cheaper says so ("omega-dual+jacobi-trudi"),
+       and at lam otherwise ("jacobi-trudi"), answering one row first.
 
     One row: in one variable s_(N) is x^N and every other s_lam of degree N
     vanishes, while s_nu(x) = x^|nu| [len(nu) = 1] and s_mu of one monomial
@@ -381,15 +384,15 @@ def general_plethysm(lam: Partition, mu: Partition, nu: Partition) -> Coefficien
     lam, mu, nu = partition(lam), partition(mu), partition(nu)
     if sum(lam) != sum(mu) * sum(nu):
         return CoefficientResult(0, "degree-mismatch")
-    if len(lam) <= JACOBI_TRUDI_MAX_ROWS:
-        value = _without_table(lam, mu, nu)
-        if value is not None:
-            return CoefficientResult(value, "jacobi-trudi")
-        dual = _dual_is_cheaper(lam, mu, nu)
-    elif sum(lam) <= POWER_SUM_N_MAX or lam[0] > JACOBI_TRUDI_MAX_ROWS:
+    tall = len(lam) > JACOBI_TRUDI_MAX_ROWS
+    if tall and sum(lam) <= POWER_SUM_N_MAX:
         return _nonnegative(lam, plethysm_schur_multiplicity(lam, mu, nu), "power-sum")
-    else:
-        dual = True
+    value = _without_table(lam, mu, nu)
+    if value is not None:
+        return CoefficientResult(value, "omega-dual+jacobi-trudi" if tall else "jacobi-trudi")
+    if tall and lam[0] > JACOBI_TRUDI_MAX_ROWS:
+        return _nonnegative(lam, plethysm_schur_multiplicity(lam, mu, nu), "power-sum")
+    dual = tall or _dual_is_cheaper(lam, mu, nu)
     side, outer, inner = _omega_dual(lam, mu, nu) if dual else (lam, mu, nu)
     value = int(len(outer) == len(inner) == 1) if len(side) == 1 else _jacobi_trudi(side, outer, inner)
     return _nonnegative(lam, value, "omega-dual+jacobi-trudi" if dual else "jacobi-trudi")
@@ -493,25 +496,29 @@ def check_duality(n: int, m: int) -> tuple[bool, list[str]]:
 
     For odd m the exterior-of-exterior multiplicities match a at the
     transpose and symmetric-of-exterior match b; for even m the two swap.
-    Returns (ok, mismatch report); ValueError if n or m is negative, where
-    every family would be empty.
+    The wedge side is one power-sum Schur table per identity
+    (characters.plethysm_schur_table), so it shares no code with the
+    Jacobi-Trudi sum or the rows that plethysm_coeff answers by.  Returns
+    (ok, mismatch report); ValueError if n or m is negative, where every
+    family would be empty, and SizeCapError when n*m is above
+    characters.POWER_SUM_N_MAX.
     """
     if n < 0 or m < 0:
         raise ValueError(f"check_duality takes n, m >= 0, got ({n}, {m})")
     report: list[str] = []
     wedge_m: Partition = (1,) * m
-    wedge_wedge = {lam: general_plethysm(lam, (1,) * n, wedge_m).value for lam in partitions_of(n * m)}
-    sym_wedge = {lam: general_plethysm(lam, (n,), wedge_m).value for lam in partitions_of(n * m)}
+    wedge_wedge = plethysm_schur_table((1,) * n, wedge_m)
+    sym_wedge = plethysm_schur_table((n,), wedge_m)
     for lam in partitions_of(n * m):
         lam_t = _transpose(lam)
         a_val = plethysm_coeff(lam_t, n, m, "a").value
         b_val = plethysm_coeff(lam_t, n, m, "b").value
         expect_ww = a_val if m % 2 == 1 else b_val
         expect_sw = b_val if m % 2 == 1 else a_val
-        if wedge_wedge[lam] != expect_ww:
-            report.append(f"wedge^{n} wedge^{m} at {lam}: got {wedge_wedge[lam]}, duality predicts {expect_ww}")
-        if sym_wedge[lam] != expect_sw:
-            report.append(f"sym^{n} wedge^{m} at {lam}: got {sym_wedge[lam]}, duality predicts {expect_sw}")
+        if (got := wedge_wedge.get(lam, 0)) != expect_ww:
+            report.append(f"wedge^{n} wedge^{m} at {lam}: got {got}, duality predicts {expect_ww}")
+        if (got := sym_wedge.get(lam, 0)) != expect_sw:
+            report.append(f"sym^{n} wedge^{m} at {lam}: got {got}, duality predicts {expect_sw}")
     return (not report, report)
 
 

@@ -6,7 +6,8 @@ cap is one named number; and the README must name each of those constants.
 The README's Concurrency section must name every memo: each `lru_cache`
 function and each module-level dict that starts empty.  In `characters`,
 one per-size memo walks the partitions of n: `_classes`, the class table
-that every character sum and Schur table reads.
+that every character sum and Schur table reads; and only the functions that
+evaluate a character build a beta mask.
 """
 
 import ast
@@ -139,3 +140,12 @@ def test_scan_finds_callers():
 def test_one_per_size_walk_in_characters():
     path = Path(plethtomo.__file__).parent / "characters.py"
     assert callers_of(ast.parse(path.read_text(encoding="utf-8")), "partitions_of") == ["_classes"]
+
+
+def test_beta_masks_only_where_characters_are_evaluated():
+    # a beta mask is the input of _mn: the class table, the character rows
+    # and the Schur table read shapes, and only the four functions that
+    # evaluate a character build a mask
+    path = Path(plethtomo.__file__).parent / "characters.py"
+    found = callers_of(ast.parse(path.read_text(encoding="utf-8")), "_beta_mask")
+    assert sorted(found) == sorted(["sn_character", "_weighted_character", "_kronecker", "_pair"])

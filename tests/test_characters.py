@@ -1,4 +1,5 @@
 import itertools
+import re
 import sys
 import threading
 from collections import Counter
@@ -135,7 +136,7 @@ def test_character_rejects_size_mismatch():
 def test_centralizer_orders_sum_to_group_order():
     for n in range(1, 8):
         assert sum(factorial(n) // centralizer_order(tau) for tau in partitions_of(n)) == factorial(n)
-        assert _classes(n) == tuple((tau, _beta_mask(tau), factorial(n) // centralizer_order(tau)) for tau in partitions_of(n))
+        assert _classes(n) == tuple((tau, factorial(n) // centralizer_order(tau)) for tau in partitions_of(n))
 
 
 KRONECKER_EXAMPLES = [
@@ -324,7 +325,7 @@ def test_character_memos_stay_bounded():
     assert info.currsize == info.maxsize == EXPANSION_MAXSIZE
     _classes.cache_clear()
     for n in range(CLASS_SIZES_MAXSIZE + 8):
-        assert [(lam, mask) for lam, mask, _ in _classes(n)] == [(lam, _beta_mask(lam)) for lam in partitions_of(n)]
+        assert [tau for tau, _ in _classes(n)] == list(partitions_of(n))
     info = _classes.cache_info()
     assert info.currsize == info.maxsize == CLASS_SIZES_MAXSIZE
     _character_row.cache_clear()
@@ -333,10 +334,39 @@ def test_character_memos_stay_bounded():
     for lam in shapes:
         n = sum(lam)
         # the regular character, n! at the identity, pairs with chi_lam to f^lam
-        assert _pair((((1,) * n, factorial(n)),), _beta_mask(lam), n) == sn_character(lam, (1,) * n)
+        assert _pair((((1,) * n, factorial(n)),), lam, n) == sn_character(lam, (1,) * n)
     info = _character_row.cache_info()
     assert info.misses == len(shapes)
     assert info.currsize == info.maxsize == CHARACTER_ROWS_MAXSIZE
+
+
+def test_cold_kronecker_builds_a_mask_per_evaluated_character(monkeypatch):
+    # the class table reads each tau of 8 only as a cycle type, so a cold
+    # kronecker builds the masks of mu, nu and rho and no other: 3, not the
+    # p(8) + 3 = 25 of a class table that held every shape's mask
+    built = []
+
+    def counted(lam):
+        built.append(lam)
+        return _beta_mask(lam)
+
+    triple = ((4, 2, 2), (3, 3, 2), (5, 2, 1))
+    total = sum(factorial(8) // centralizer_order(tau) * prod(list_character(lam, tau) for lam in triple) for tau in partitions_of(8))
+    monkeypatch.setattr("plethtomo.characters._beta_mask", counted)
+    _classes.cache_clear()
+    assert kronecker(*triple) == total // factorial(8)
+    assert len(built) <= 3 and set(built) <= set(triple)
+    # on a warm rho row _pair builds no mask: only mu's and nu's are built
+    built.clear()
+    assert kronecker(*triple) == total // factorial(8)
+    assert sorted(built) == sorted(triple[:2])
+
+
+def test_pair_error_names_the_shape():
+    # chi_(2) is 1 on the class of (1,1), which has weight 1 of 2! here:
+    # not a class-weighted character, so the sum does not divide
+    with pytest.raises(ArithmeticError, match=re.escape("inner product with the character of (2,) is not integral")):
+        _pair((((1, 1), 1),), (2,), 2)
 
 
 def test_schur_pairings_read_each_character_once():

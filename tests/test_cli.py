@@ -1000,6 +1000,25 @@ def test_coeff_on_the_shorter_side_in_a_fresh_process(argv, method, value):
     assert json.loads(proc.stdout) == {"method": method, "value": value}
 
 
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["coeff", "p", "[11,11,11,11,11,1,1,1,1,1]", "[1,1]", "[30]"], 0),
+        (["coeff", "p", format_partition((10,) * 10), format_partition((10,) * 10), "[1]"], 1),
+        (["coeff", "p", format_partition((10,) * 10), "[1]", format_partition((10,) * 10)], 1),
+    ],
+    ids=["p-outside-the-box", "p-one-box-inner", "p-one-box-outer"],
+)
+def test_coeff_over_the_power_sum_cap_without_a_table_in_a_fresh_process(argv, value):
+    # over nine rows and over nine columns, above the power-sum cap, which
+    # would refuse them: the support box or s_mu[s_1] = s_1[s_mu] = s_mu
+    # answers each with no class and no term table
+    proc, seconds = run_fresh([*argv, "--format", "json"])
+    assert seconds < 2.0
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout) == {"method": "omega-dual+jacobi-trudi", "value": value}
+
+
 def test_console_script_entry_point():
     proc, _ = run_fresh(["coeff", "a", "[4]", "2", "2", "--format", "json"])
     assert proc.returncode == EXIT_OK

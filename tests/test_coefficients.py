@@ -624,6 +624,47 @@ def test_power_sum_cap_builds_no_class(monkeypatch):
     assert general_plethysm((1,) * n, (n,), (1,)) == CoefficientResult(7, "power-sum")
 
 
+# more than nine rows and more than nine columns, over the power-sum cap,
+# each answered by the support box or a one-box shape
+TALL_WIDE_OVER_THE_CAP = [
+    ((11,) * 5 + (1,) * 5, (1, 1), (30,), 0),
+    ((10,) * 10, (10,) * 10, (1,), 1),
+    ((10,) * 10, (1,), (10,) * 10, 1),
+]
+
+
+@pytest.mark.parametrize("lam,mu,nu,value", TALL_WIDE_OVER_THE_CAP)
+def test_tall_wide_shapes_over_the_cap_answer_without_a_table(monkeypatch, lam, mu, nu, value):
+    # the power-sum route would refuse these, and neither side has at most
+    # nine rows; the answers that build no term table are the same at lam
+    # and at lam', and run once per query
+    def no_table(*args):
+        raise AssertionError("a class or a term table was built")
+
+    monkeypatch.setattr("plethtomo.characters.plethysm_power_expansion", no_table)
+    monkeypatch.setattr(coefficients, "_jacobi_trudi", no_table)
+    calls = []
+    real = coefficients._without_table
+    monkeypatch.setattr(coefficients, "_without_table", lambda *args: calls.append(args) or real(*args))
+    assert sum(lam) > POWER_SUM_N_MAX and len(lam) > JACOBI_TRUDI_MAX_ROWS and lam[0] > JACOBI_TRUDI_MAX_ROWS
+    assert general_plethysm(lam, mu, nu) == CoefficientResult(value, "omega-dual+jacobi-trudi")
+    assert calls == [(lam, mu, nu)]
+
+
+def test_no_table_answers_run_once_per_query(monkeypatch):
+    # on lam, at lam' and through jacobi_trudi_coeff, one _without_table call
+    calls = []
+    real = coefficients._without_table
+    monkeypatch.setattr(coefficients, "_without_table", lambda *args: calls.append(args) or real(*args))
+    queries = [((4, 2), (2,), (3,)), ((2, 2, 1, 1), (2, 1), (1, 1)), ((4, 4, 2, 1, 1), (2, 1, 1), (1, 1, 1))]
+    results = [general_plethysm(*query) for query in queries]
+    assert [res.method for res in results] == ["jacobi-trudi", "omega-dual+jacobi-trudi", "jacobi-trudi"]
+    assert calls == queries
+    calls.clear()
+    assert jacobi_trudi_coeff(*queries[1]) == results[1].value
+    assert calls == [queries[1]]
+
+
 # shapes taller than JACOBI_TRUDI_MAX_ROWS take the power-sum route; the
 # Jacobi-Trudi sum over a single column is cheap enough to check them
 TALL_CASES = [
@@ -764,6 +805,46 @@ def test_duality_reports_both_identities(monkeypatch):
     assert not ok and len(report) == 2 * shapes
     assert sum(line.startswith("wedge^2 wedge^2 at ") for line in report) == shapes
     assert sum(line.startswith("sym^2 wedge^2 at ") for line in report) == shapes
+
+
+def test_duality_reads_the_power_sum_tables(monkeypatch):
+    # the wedge side is one Schur table per identity: a wrong table value is
+    # reported, and no Jacobi-Trudi sum is taken outside plethysm_coeff, so
+    # the two sides of a comparison share no call
+    real_table = coefficients.plethysm_schur_table
+    read = []
+
+    def shifted(mu, nu):
+        read.append((mu, nu))
+        table = real_table(mu, nu)
+        if mu == (1, 1):
+            table[(2, 2)] = table.get((2, 2), 0) + 1
+        return table
+
+    monkeypatch.setattr(coefficients, "plethysm_schur_table", shifted)
+    ok, report = check_duality(2, 2)
+    assert read == [((1, 1), (1, 1)), ((2,), (1, 1))]
+    assert not ok and len(report) == 1 and report[0].startswith("wedge^2 wedge^2 at (2, 2): got ")
+    monkeypatch.undo()
+    inside = [False]
+    seen = {True: 0, False: 0}
+    real_coeff, real_jt = coefficients.plethysm_coeff, coefficients._jacobi_trudi
+
+    def coeff(*args):
+        inside[0] = True
+        try:
+            return real_coeff(*args)
+        finally:
+            inside[0] = False
+
+    def spy(*args):
+        seen[inside[0]] += 1
+        return real_jt(*args)
+
+    monkeypatch.setattr(coefficients, "plethysm_coeff", coeff)
+    monkeypatch.setattr(coefficients, "_jacobi_trudi", spy)
+    assert check_duality(4, 3) == (True, [])
+    assert seen[True] > 0 and seen[False] == 0
 
 
 def test_dimension_conservation():
