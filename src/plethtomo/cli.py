@@ -14,8 +14,9 @@ is refused before it starts, so is a verify bound over its cap
 (VERIFY_XI_I_MAX, VERIFY_BOUNDS_N_MAX, VERIFY_CLOSED_FORMS_N_MAX,
 VERIFY_PARSIMONY_RP_MAX, and VERIFY_DUALITY_NM_MAX on n*m of each --nm
 pair), `reduce` past --to sym2d on a range above
-reductions.REDUCE_R_MAX, which reductions.kronecker_plethysm_triple
-refuses (--to sym2d is answered at any range), and `kron`
+reductions.REDUCE_R_MAX, which the chain refuses before its embedding
+(--to sym2d is answered at any range, and --to promise3d builds no
+Kronecker triple), and `kron`
 or `reduce --resolve` on a Kronecker triple of size above
 coefficients.KRON_N_MAX, which coefficients.kronecker refuses (a triple
 with a single-row or single-column shape is answered at any size), `coeff`
@@ -53,7 +54,7 @@ from .coefficients import (
     plethysm_coeff,
 )
 from .partitions import format_partition, parse_partition, partitions_of
-from .reductions import kronecker_plethysm_triple, resolve_coefficient, symmetrize_2d
+from .reductions import _promise_stages, kronecker_plethysm_triple, resolve_coefficient, symmetrize_2d
 from .tomography import (
     SizeCapError,
     XRayInstance2D,
@@ -173,15 +174,18 @@ def _reduce_stages(inst: XRayInstance2D, target: str, resolve: bool) -> list[dic
     if target == "sym2d":
         # the one linear stage: answered at any range, without the capped record
         syms = {kind: symmetrize_2d(inst, kind) for kind in ("open", "closed")}
+    elif target == "promise3d":
+        # capped like the record, but without the triple it never prints
+        syms, embeddings, promise = _promise_stages(inst)
     else:
         chain = kronecker_plethysm_triple(inst)
-        syms = chain.sym2d
+        syms, embeddings, promise = chain.sym2d, chain.promise3d, chain.promise
     for kind, sym in syms.items():
         stages.append({"stage": "sym2d", "cone": kind, "r": sym.grid_r, "marginal": list(sym.marginal)})
     if target == "sym2d":
         return stages
-    for kind, emb in chain.promise3d.items():
-        if not chain.promise[kind]:
+    for kind, emb in embeddings.items():
+        if not promise[kind]:
             raise GateError(f"promise gate failed for the {kind} cone embedding")
         stages.append({"stage": "promise3d", "cone": kind, "marginal": list(emb.marginal), "promise": True})
     if target == "promise3d":

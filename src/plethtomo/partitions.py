@@ -20,6 +20,9 @@ partition test for such a tuple.  The per-entry loops run in C builtins
 a tuple that is already a partition after one such pass (its last entry
 positive and all(map(operator.ge, ...)) over adjacent entries), and only
 other input goes through `canonical` and `nonincreasing`.
+
+FrozenRecord, the base of the package's immutable records, lives here, in
+the leaf module that every module defining a record imports.
 """
 
 from __future__ import annotations
@@ -228,3 +231,45 @@ def parse_partition(text: str) -> Composition:
 
 def format_partition(c: Composition) -> str:
     return "[" + ",".join(str(v) for v in c) + "]"
+
+
+class FrozenRecord:
+    """Base of the package's immutable records (XRayInstance2D, SymInstance,
+    PlethysmInstance, TriviallyZero, PsiDecomposition,
+    KroneckerPlethysmTriple).  A record's fields are its __slots__, in the
+    order its own __init__ takes them; the __init__ sets each one through
+    object.__setattr__.  A record refuses assignment and deletion with
+    AttributeError, equals only a record of its own class whose compared
+    fields are equal, hashes by those fields and shows them as a frozen
+    dataclass would.  The compared fields are _compared: every slot,
+    unless a class names fewer.  Pickling and copying go through the
+    constructor (__reduce__), because a slot cannot be restored past the
+    refusing __setattr__.  No record is a dataclass, so none of them needs
+    the dataclasses module at import."""
+
+    __slots__ = ()
+    _compared = property(lambda self: self.__slots__)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)

@@ -21,10 +21,8 @@ functions themselves take any range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .coefficients import CoefficientResult, Variant, _family_cone, outer_shape, plethysm_coeff
-from .partitions import Composition, Partition, _add, _transpose, canonical, nonincreasing, pad, partition, transpose
+from .partitions import Composition, FrozenRecord, Partition, _add, _transpose, canonical, nonincreasing, pad, partition, transpose
 from .tomography import (
     ConeKind,
     Point,
@@ -39,24 +37,34 @@ from .tomography import (
 
 
 REDUCE_R_MAX = 100
-"""The largest range kronecker_plethysm_triple builds the chain at.  The
+"""The largest range the chain is built at, up to the embeddings
+(_promise_stages) or whole (kronecker_plethysm_triple).  The
 pyramid embedding sums the marginal of the complete pyramid below layer
 13r, quadratic in r: on a shared 2-vCPU host the one-point chain took
 about 0.4 s at r = 100 and 1.5-1.7 s at r = 200.  The spread layer alone
 (symmetrize_2d) is linear and takes any range."""
 
 
-@dataclass(frozen=True)
-class PlethysmInstance:
-    lam: Partition
-    n: int
-    m: int
-    variant: Variant
+class PlethysmInstance(FrozenRecord):
+    """One plethysm coefficient query: the variant-family coefficient of
+    the shape lam at outer degree n and inner degree m."""
+
+    __slots__ = ("lam", "n", "m", "variant")
+
+    def __init__(self, lam: Partition, n: int, m: int, variant: Variant):
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "variant", variant)
 
 
-@dataclass(frozen=True)
-class TriviallyZero:
-    reason: str
+class TriviallyZero(FrozenRecord):
+    """A query whose coefficient is 0, and why."""
+
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str):
+        object.__setattr__(self, "reason", reason)
 
 
 # the designated no-instance: its coefficient is 0
@@ -167,28 +175,62 @@ def resolve_coefficient(inst: PlethysmInstance) -> CoefficientResult:
     return plethysm_coeff(inst.lam, inst.n, inst.m, inst.variant)
 
 
-@dataclass(frozen=True)
-class KroneckerPlethysmTriple:
+class KroneckerPlethysmTriple(FrozenRecord):
     """The reduction chain of one feasible axis-marginal instance `inst`,
     every stage built once by kronecker_plethysm_triple.  Per cone
     ("open", then "closed"): `sym2d` is its spread layer instance,
     `promise3d` that layer's pyramid embedding, `promise` whether the
     embedding is a promise instance, and `queries` its plethysm query
     (open: a_instance, closed: b_instance).  `triple` is (mu, nu, rho).
-    The stages follow from `inst`, so records compare and hash by it alone."""
+    The stages follow from `inst`, so records compare, hash and show by it
+    alone."""
 
-    inst: XRayInstance2D
-    sym2d: dict[ConeKind, SymInstance] = field(compare=False, repr=False)
-    promise3d: dict[ConeKind, SymInstance] = field(compare=False, repr=False)
-    promise: dict[ConeKind, bool] = field(compare=False, repr=False)
-    queries: dict[ConeKind, PlethysmInstance] = field(compare=False, repr=False)
-    triple: tuple[Partition, Partition, Partition] = field(compare=False, repr=False)
+    __slots__ = ("inst", "sym2d", "promise3d", "promise", "queries", "triple")
+    _compared = ("inst",)
+
+    def __init__(
+        self,
+        inst: XRayInstance2D,
+        sym2d: dict[ConeKind, SymInstance],
+        promise3d: dict[ConeKind, SymInstance],
+        promise: dict[ConeKind, bool],
+        queries: dict[ConeKind, PlethysmInstance],
+        triple: tuple[Partition, Partition, Partition],
+    ):
+        object.__setattr__(self, "inst", inst)
+        object.__setattr__(self, "sym2d", sym2d)
+        object.__setattr__(self, "promise3d", promise3d)
+        object.__setattr__(self, "promise", promise)
+        object.__setattr__(self, "queries", queries)
+        object.__setattr__(self, "triple", triple)
 
     mu = property(lambda self: self.triple[0])
     nu = property(lambda self: self.triple[1])
     rho = property(lambda self: self.triple[2])
     a_instance = property(lambda self: self.queries["open"])
     b_instance = property(lambda self: self.queries["closed"])
+
+
+def _promise_stages(
+    inst: XRayInstance2D,
+) -> tuple[dict[ConeKind, SymInstance], dict[ConeKind, SymInstance], dict[ConeKind, bool]]:
+    """The chain of a feasible axis-marginal instance of range 1 <= r <=
+    REDUCE_R_MAX up to its promise instances, per cone ("open", then
+    "closed"): the spread layer instance, its pyramid embedding and whether
+    that embedding is a promise instance.  The range cap and the checks are
+    those of kronecker_plethysm_triple, which builds the rest of the chain
+    on these stages; `reduce --to promise3d` prints them without building
+    the triple."""
+    if inst.r > REDUCE_R_MAX:
+        raise SizeCapError(f"the reduction chain at range {inst.r} is over the cap of {REDUCE_R_MAX}")
+    if inst.r < 1:
+        raise ValueError("range-0 instances are counted directly, not reduced")
+    if not inst.passes_gate():
+        raise ValueError("instance fails the feasibility gate (marginal totals / coordinate sum)")
+    sym2d = {kind: symmetrize_2d(inst, kind) for kind in ("open", "closed")}
+    promise3d = {kind: _embed_pyramid_3d(sym.marginal, sym.grid_r, kind) for kind, sym in sym2d.items()}
+    promise = {kind: _is_promise(emb.marginal, kind) for kind, emb in promise3d.items()}
+    return sym2d, promise3d, promise
 
 
 def kronecker_plethysm_triple(inst: XRayInstance2D) -> KroneckerPlethysmTriple:
@@ -207,15 +249,7 @@ def kronecker_plethysm_triple(inst: XRayInstance2D) -> KroneckerPlethysmTriple:
     marginals is count-neutral: relabeling the values along one axis of a
     spatial instance permutes its solutions bijectively.
     """
-    if inst.r > REDUCE_R_MAX:
-        raise SizeCapError(f"the reduction chain at range {inst.r} is over the cap of {REDUCE_R_MAX}")
-    if inst.r < 1:
-        raise ValueError("range-0 instances are counted directly, not reduced")
-    if not inst.passes_gate():
-        raise ValueError("instance fails the feasibility gate (marginal totals / coordinate sum)")
-    sym2d = {kind: symmetrize_2d(inst, kind) for kind in ("open", "closed")}
-    promise3d = {kind: _embed_pyramid_3d(sym.marginal, sym.grid_r, kind) for kind, sym in sym2d.items()}
-    promise = {kind: _is_promise(emb.marginal, kind) for kind, emb in promise3d.items()}
+    sym2d, promise3d, promise = _promise_stages(inst)
     queries = {
         kind: _promise_query(emb.marginal, kind) if promise[kind] else TRIVIAL_NO_INSTANCE
         for kind, emb in promise3d.items()

@@ -18,11 +18,10 @@ equal residuals are kept together.  Nothing recurses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Literal
 
 from .coefficients import _CONE_OF_INNER, weight_multiplicity
-from .partitions import Composition, Partition, _transpose, canonical, compositions_of, nonincreasing, partition, subtract
+from .partitions import Composition, FrozenRecord, Partition, _transpose, canonical, compositions_of, nonincreasing, partition, subtract
 from .tomography import ConeKind, cone_kind, coordinate_sum, iota, pyramid_marginal, xi
 
 PlethysmVariant = Literal["sym", "wedge"]
@@ -52,18 +51,27 @@ def pyramid_size(r: int, kind: ConeKind) -> int:
     return sum(xi(i, kind) for i in range(r + 1)) if r >= 0 else 0
 
 
-@dataclass(frozen=True)
-class PsiDecomposition:
+class PsiDecomposition(FrozenRecord):
     """Column split of the outer shape: column j of height n_j is cut into
     the largest complete pyramid that fits strictly (pyramid_part, the
     size of the pyramid below threshold r_j) and layer_part extra boxes
     confined to layer r_j."""
 
-    variant: PlethysmVariant
-    column_heights: tuple[int, ...]
-    thresholds: tuple[int, ...]
-    pyramid_parts: tuple[int, ...]
-    layer_parts: tuple[int, ...]
+    __slots__ = ("variant", "column_heights", "thresholds", "pyramid_parts", "layer_parts")
+
+    def __init__(
+        self,
+        variant: PlethysmVariant,
+        column_heights: tuple[int, ...],
+        thresholds: tuple[int, ...],
+        pyramid_parts: tuple[int, ...],
+        layer_parts: tuple[int, ...],
+    ):
+        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "column_heights", column_heights)
+        object.__setattr__(self, "thresholds", thresholds)
+        object.__setattr__(self, "pyramid_parts", pyramid_parts)
+        object.__setattr__(self, "layer_parts", layer_parts)
 
     @property
     def kind(self) -> ConeKind:

@@ -97,12 +97,11 @@ import math
 import threading
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from operator import mul
 from types import MappingProxyType
 from typing import Literal, Mapping, Sequence
 
-from .partitions import Composition, canonical, subtract
+from .partitions import Composition, FrozenRecord, canonical, subtract
 
 Point = tuple[int, int, int]
 ConeKind = Literal["open", "closed"]
@@ -726,23 +725,21 @@ def _check_grid_range(r: int) -> None:
         raise ValueError(f"grid range must be >= 0, got {r}")
 
 
-@dataclass(frozen=True)
-class XRayInstance2D:
+class XRayInstance2D(FrozenRecord):
     """Triangular-grid instance: marginals over the index range [0, r]."""
 
-    r: int
-    mu: Composition
-    nu: Composition
-    rho: Composition
+    __slots__ = ("r", "mu", "nu", "rho")
 
-    def __post_init__(self):
-        _check_grid_range(self.r)
-        object.__setattr__(self, "mu", canonical(self.mu))
-        object.__setattr__(self, "nu", canonical(self.nu))
-        object.__setattr__(self, "rho", canonical(self.rho))
-        for name in ("mu", "nu", "rho"):
-            if len(getattr(self, name)) > self.r + 1:
-                raise ValueError(f"{name} marginal longer than grid range [0,{self.r}]")
+    def __init__(self, r: int, mu: Composition, nu: Composition, rho: Composition):
+        _check_grid_range(r)
+        mu, nu, rho = canonical(mu), canonical(nu), canonical(rho)
+        for name, marginal in (("mu", mu), ("nu", nu), ("rho", rho)):
+            if len(marginal) > r + 1:
+                raise ValueError(f"{name} marginal longer than grid range [0,{r}]")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "rho", rho)
 
     def passes_gate(self) -> bool:
         """The feasibility gate: equal marginal totals n, and total
@@ -753,19 +750,19 @@ class XRayInstance2D:
         return coordinate_sum(self.mu) + coordinate_sum(self.nu) + coordinate_sum(self.rho) == self.r * n
 
 
-@dataclass(frozen=True)
-class SymInstance:
+class SymInstance(FrozenRecord):
     """Sum-marginal instance; grid_r present for single-layer (2D) variants."""
 
-    marginal: Composition
-    cone: ConeKind
-    grid_r: int | None = None
+    __slots__ = ("marginal", "cone", "grid_r")
 
-    def __post_init__(self):
-        object.__setattr__(self, "marginal", canonical(self.marginal))
-        cone_kind(self.cone)
-        if self.grid_r is not None:
-            _check_grid_range(self.grid_r)
+    def __init__(self, marginal: Composition, cone: ConeKind, grid_r: int | None = None):
+        marginal = canonical(marginal)
+        cone_kind(cone)
+        if grid_r is not None:
+            _check_grid_range(grid_r)
+        object.__setattr__(self, "marginal", marginal)
+        object.__setattr__(self, "cone", cone)
+        object.__setattr__(self, "grid_r", grid_r)
 
 
 AXIS_STATE_CAP = 1 << 18

@@ -7,7 +7,10 @@ The README's Concurrency section must name every memo: each `lru_cache`
 function and each module-level dict that starts empty.  In `characters`,
 one per-size memo walks the partitions of n: `_classes`, the class table
 that every character sum and Schur table reads; and only the functions that
-evaluate a character build a beta mask.
+evaluate a character build a beta mask.  The package's records are plain
+slots classes: `CoefficientResult` is its one dataclass, and `coefficients`
+the one module that imports `dataclasses`, whose import a fresh CLI process
+pays for at start-up.
 """
 
 import ast
@@ -149,3 +152,47 @@ def test_beta_masks_only_where_characters_are_evaluated():
     path = Path(plethtomo.__file__).parent / "characters.py"
     found = callers_of(ast.parse(path.read_text(encoding="utf-8")), "_beta_mask")
     assert sorted(found) == sorted(["sn_character", "_weighted_character", "_kronecker", "_pair"])
+
+
+def dataclass_use(tree: ast.Module) -> tuple[list[str], bool]:
+    """The classes of a module decorated with `dataclass`, bare, called or
+    as an attribute, and whether the module imports `dataclasses`."""
+    classes = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for deco in node.decorator_list:
+                deco = deco.func if isinstance(deco, ast.Call) else deco
+                if (deco.attr if isinstance(deco, ast.Attribute) else getattr(deco, "id", None)) == "dataclass":
+                    classes.append(node.name)
+    imports = any(
+        (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+        or (isinstance(node, ast.Import) and any(alias.name == "dataclasses" for alias in node.names))
+        for node in ast.walk(tree)
+    )
+    return classes, imports
+
+
+def test_scan_finds_dataclasses():
+    source = (
+        "import dataclasses\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class A: pass\n"
+        "@dataclass\n"
+        "class B: pass\n"
+        "class C: pass\n"
+    )
+    assert dataclass_use(ast.parse(source)) == (["A", "B"], True)
+    assert dataclass_use(ast.parse("from dataclasses import field\n")) == ([], True)
+    assert dataclass_use(ast.parse("class D: pass\n")) == ([], False)
+
+
+def test_one_dataclass_and_one_dataclasses_import():
+    package = Path(plethtomo.__file__).parent
+    classes, importers = {}, []
+    for path in sorted(package.glob("*.py")):
+        found, imports = dataclass_use(ast.parse(path.read_text(encoding="utf-8")))
+        classes.update(dict.fromkeys(found, path.stem))
+        if imports:
+            importers.append(path.stem)
+    assert classes == {"CoefficientResult": "coefficients"}
+    assert importers == ["coefficients"]

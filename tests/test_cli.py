@@ -346,6 +346,20 @@ def test_reduce_over_the_range_cap_embeds_nothing(capsys, monkeypatch):
     assert [stage["r"] for stage in json.loads(out)] == [REDUCE_R_MAX + 1] + [13 * (REDUCE_R_MAX + 1)] * 2
 
 
+def test_reduce_to_promise3d_builds_no_triple(capsys, monkeypatch):
+    # the promise3d target prints the spread and embedding stages, built
+    # once each under the range cap, and never the record's triple
+    want = run(["reduce", one_point_reduce_query(3), "--to", "kron-triple", "--format", "json"], capsys=capsys)[1]
+
+    def no_record(inst):
+        raise AssertionError("reduce --to promise3d built the whole chain record")
+
+    monkeypatch.setattr("plethtomo.cli.kronecker_plethysm_triple", no_record)
+    code, out, err = run(["reduce", one_point_reduce_query(3), "--to", "promise3d", "--format", "json"], capsys=capsys)
+    assert code == EXIT_OK, err
+    assert json.loads(out) == json.loads(want)[:5]
+
+
 def stages_by_the_stage_functions(inst):
     """The `reduce --format json` stages of a feasible instance, assembled
     from the stage functions directly, with the triple padded by the axis
@@ -918,24 +932,23 @@ def test_output_determinism(capsys, monkeypatch):
 
 
 BIG = 10**30
+HUGE_2DXRAY = json.dumps({"kind": "2dxray", "r": 1, "marginals": {"x": [BIG, BIG], "y": [BIG, BIG], "z": [2 * BIG]}})
 
 
 @pytest.mark.parametrize(
-    "argv, code, out",
+    "argv, code, out, err",
     [
-        (["count", json.dumps({"kind": "sym3d", "cone": "closed", "marginals": {"sum": [3 * 10**24]}})], EXIT_OK, "count: 0\n"),
-        (["coeff", "b", f"[{3 * 10**24}]", str(10**24), "3"], EXIT_OK, "method: below-beta\nvalue: 0\n"),
-        (["coeff", "b", f"[{10**20}]", str(10**20), "1"], EXIT_GATE_FAILED, ""),
-        (["coeff", "b", f"[{2 * 10**20},{2 * 10**20}]", str(10**20), "4"], EXIT_GATE_FAILED, ""),
-        (
-            ["reduce", "--to", "promise3d", json.dumps({"kind": "2dxray", "r": 1, "marginals": {"x": [BIG, BIG], "y": [BIG, BIG], "z": [2 * BIG]}})],
-            EXIT_GATE_FAILED,
-            "",
-        ),
+        (["count", json.dumps({"kind": "sym3d", "cone": "closed", "marginals": {"sum": [3 * 10**24]}})], EXIT_OK, "count: 0\n", ""),
+        (["coeff", "b", f"[{3 * 10**24}]", str(10**24), "3"], EXIT_OK, "method: below-beta\nvalue: 0\n", ""),
+        (["coeff", "b", f"[{10**20}]", str(10**20), "1"], EXIT_GATE_FAILED, "", "over the size cap:"),
+        (["coeff", "b", f"[{2 * 10**20},{2 * 10**20}]", str(10**20), "4"], EXIT_GATE_FAILED, "", "over the size cap:"),
+        # both embeddings are off the promise; the Kronecker triple, whose
+        # 10^30-column shapes overflow a machine index, is not built
+        (["reduce", "--to", "promise3d", HUGE_2DXRAY], EXIT_GATE_FAILED, "", "gate failure: promise gate failed"),
     ],
     ids=["count-sum-3e24", "coeff-below-beta-at-1e24", "coeff-b-1e20-columns", "coeff-b-n-1e20-m-4", "reduce-range-1-at-1e30"],
 )
-def test_huge_instances_answer_or_exit_3_in_a_fresh_process(argv, code, out):
+def test_huge_instances_answer_or_exit_3_in_a_fresh_process(argv, code, out, err):
     # beta(10^24) is read off block sums, not a walk of 3.3e8 levels; an
     # index too large for the machine, such as the (1^n) of b at n = 10^20,
     # is an OverflowError, reported like a MemoryError
@@ -943,8 +956,17 @@ def test_huge_instances_answer_or_exit_3_in_a_fresh_process(argv, code, out):
     assert seconds < 10.0
     assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
     assert "Traceback" not in proc.stderr
-    if code == EXIT_GATE_FAILED:
-        assert proc.stderr.startswith("over the size cap:") and len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(err) and len(proc.stderr.splitlines()) == (1 if err else 0)
+
+
+def test_reduce_to_sym2d_spreads_a_huge_instance(capsys):
+    # the spread layer is linear in the range and exact at any entry size
+    code, out, err = run(["reduce", "--to", "sym2d", HUGE_2DXRAY, "--format", "json"], capsys=capsys)
+    assert (code, err) == (EXIT_OK, "")
+    stages = json.loads(out)
+    assert [(st["stage"], st.get("cone")) for st in stages] == [("2dxray", None), ("sym2d", "open"), ("sym2d", "closed")]
+    want = [2 * BIG, 0, 0, BIG, BIG, 0, 0, 0, 0, BIG, BIG]
+    assert all(st["marginal"] == want and st["r"] == 13 for st in stages[1:])
 
 
 def run_fresh(argv):

@@ -453,7 +453,8 @@ def test_each_chain_stage_is_built_once(monkeypatch):
         assert (chain.mu, chain.nu, chain.rho) == first["triple"]
         assert (chain.a_instance, chain.b_instance) == (first["queries"]["open"], first["queries"]["closed"])
     assert calls == {"symmetrize_2d": 2, "_embed_pyramid_3d": 2, "_is_promise": 2, "_promise_query": 2}
-    assert set(vars(chain)) == {"inst", *stages}
+    # the record holds its slots and nothing else: no stage cached besides
+    assert type(chain).__slots__ == ("inst", *stages) and not hasattr(chain, "__dict__")
 
 
 def test_chain_off_the_promise_maps_to_the_no_instance():
