@@ -54,7 +54,7 @@ from .coefficients import (
     plethysm_coeff,
 )
 from .partitions import format_partition, parse_partition, partitions_of
-from .reductions import _promise_stages, kronecker_plethysm_triple, resolve_coefficient, symmetrize_2d
+from .reductions import _chain_on_stages, _promise_stages, kronecker_plethysm_triple, resolve_coefficient, symmetrize_2d
 from .tomography import (
     SizeCapError,
     XRayInstance2D,
@@ -174,12 +174,10 @@ def _reduce_stages(inst: XRayInstance2D, target: str, resolve: bool) -> list[dic
     if target == "sym2d":
         # the one linear stage: answered at any range, without the capped record
         syms = {kind: symmetrize_2d(inst, kind) for kind in ("open", "closed")}
-    elif target == "promise3d":
-        # capped like the record, but without the triple it never prints
-        syms, embeddings, promise = _promise_stages(inst)
     else:
-        chain = kronecker_plethysm_triple(inst)
-        syms, embeddings, promise = chain.sym2d, chain.promise3d, chain.promise
+        # capped like the record; the triple is built only once the promise
+        # gate has passed, and only for a target that prints it
+        syms, embeddings, promise = _promise_stages(inst)
     for kind, sym in syms.items():
         stages.append({"stage": "sym2d", "cone": kind, "r": sym.grid_r, "marginal": list(sym.marginal)})
     if target == "sym2d":
@@ -190,6 +188,7 @@ def _reduce_stages(inst: XRayInstance2D, target: str, resolve: bool) -> list[dic
         stages.append({"stage": "promise3d", "cone": kind, "marginal": list(emb.marginal), "promise": True})
     if target == "promise3d":
         return stages
+    chain = _chain_on_stages(inst, syms, embeddings, promise)
     if resolve and target == "kron-triple":
         # an over-cap triple is refused before any stage is resolved
         kron = kronecker(chain.mu, chain.nu, chain.rho)

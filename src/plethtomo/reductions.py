@@ -38,7 +38,8 @@ from .tomography import (
 
 REDUCE_R_MAX = 100
 """The largest range the chain is built at, up to the embeddings
-(_promise_stages) or whole (kronecker_plethysm_triple).  The
+(_promise_stages) or whole (kronecker_plethysm_triple, or
+_chain_on_stages on those stages).  The
 pyramid embedding sums the marginal of the complete pyramid below layer
 13r, quadratic in r: on a shared 2-vCPU host the one-point chain took
 about 0.4 s at r = 100 and 1.5-1.7 s at r = 200.  The spread layer alone
@@ -249,7 +250,19 @@ def kronecker_plethysm_triple(inst: XRayInstance2D) -> KroneckerPlethysmTriple:
     marginals is count-neutral: relabeling the values along one axis of a
     spatial instance permutes its solutions bijectively.
     """
-    sym2d, promise3d, promise = _promise_stages(inst)
+    return _chain_on_stages(inst, *_promise_stages(inst))
+
+
+def _chain_on_stages(
+    inst: XRayInstance2D,
+    sym2d: dict[ConeKind, SymInstance],
+    promise3d: dict[ConeKind, SymInstance],
+    promise: dict[ConeKind, bool],
+) -> KroneckerPlethysmTriple:
+    """kronecker_plethysm_triple on the stages _promise_stages built for
+    inst: the queries and the Kronecker triple.  `reduce --to plethysm` and
+    `--to kron-triple` read the promise gate off the stages first, so an
+    instance off the promise never builds its triple."""
     queries = {
         kind: _promise_query(emb.marginal, kind) if promise[kind] else TRIVIAL_NO_INSTANCE
         for kind, emb in promise3d.items()

@@ -28,7 +28,7 @@ import operator
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .partitions import Composition, Partition, _transpose, canonical, compositions_of, partition, partitions_of
+from .partitions import Composition, Partition, _transpose, canonical, compositions_of, pad, partition, partitions_of
 
 # bound of the Kostka memo: a round of the benchmark's plethysm_sweep,
 # bounds_sandwich and chain_resolve makes 451, 15 and 0 misses; the Schur
@@ -155,10 +155,15 @@ def ssyt_weights(shape: Partition, k: int, bound: Composition | None = None) -> 
     One entry per tableau, so weights repeat with their multiplicity; with
     ``bound`` given, only weights entrywise <= bound.  No tableau is filled:
     every composition w of |shape| appears K_{shape,w} times, and Kostka
-    numbers are symmetric in the weight, so they are looked up sorted.
+    numbers are symmetric in the weight, so they are looked up sorted.  A
+    value fills at most one box of each column, so only compositions with
+    every entry <= shape[0] are walked; the others have K_{shape,w} = 0
+    (over a column shape, only 0/1 vectors).
     """
     shape, k = partition(shape), _alphabet_size(k)
-    return [w for w in compositions_of(sum(shape), k, bound) for _ in range(kostka(shape, tuple(sorted(w, reverse=True))))]
+    most = shape[0] if shape else 0
+    cap = (most,) * k if bound is None else tuple(min(b, most) for b in pad(canonical(bound), k))
+    return [w for w in compositions_of(sum(shape), k, cap) for _ in range(kostka(shape, tuple(sorted(w, reverse=True))))]
 
 
 def count_weighted_ssyt(mu: Partition, letter_weights: Sequence[tuple[int, ...]], target: tuple[int, ...]) -> int:

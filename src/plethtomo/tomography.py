@@ -501,6 +501,32 @@ _letter_counts: dict[tuple[tuple[int, ...], LetterFamily], int] = {}
 _letter_counts_lock = threading.Lock()
 
 
+LETTER_MOVES_MAXSIZE = 256
+"""The most move tables _letter_moves keeps, keyed by (number of letters,
+field bits, LetterFamily).  A round of the benchmark's bounds_sandwich
+workload makes 125 eliminations on 32 keys."""
+
+
+@functools.lru_cache(maxsize=LETTER_MOVES_MAXSIZE)
+def _letter_moves(letters: int, bits: int, family: LetterFamily) -> tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """(guard, shifts, moves) of _eliminate_letter on states of `letters`
+    letters in fields of bits + 1 bits: the guard bits of every field, the
+    shift of each other letter's field, and the (t-degree, step) of every
+    move, the subsets first, as the only moves without repeated letters,
+    then by decreasing t-degree.  They depend on nothing else, so the
+    degrees set only the start state and the caps."""
+    m, repeat_letters, _ = family
+    width = bits + 1
+    guard = sum(1 << (bits + i * width) for i in range(letters))
+    shifts = tuple(i * width for i in range(1, letters))
+    units = [1 << shift for shift in shifts]
+    moves = [(1, 1 + sum(used)) for used in itertools.combinations(units, m - 1)]
+    if repeat_letters:
+        for k in range(m, 0, -1):
+            moves += [(k, k + sum(used)) for used in itertools.combinations_with_replacement(units, m - k) if k > 1 or len(set(used)) < m - k]
+    return guard, shifts, tuple(moves)
+
+
 def _eliminate_letter(degrees: tuple[int, ...], family: LetterFamily) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The ways to place every point that holds the letter of smallest
     degree: pairs (residual degrees of the other letters, sorted and
@@ -515,8 +541,11 @@ def _eliminate_letter(degrees: tuple[int, ...], family: LetterFamily) -> tuple[t
     multiset), the least of d // k and what the other letters' degrees
     allow.  A forward DP over the moves, with states (t-degree left,
     residual degrees of the others), keeps the states that spend exactly
-    d; a state that has spent d is set aside, as no move applies to it."""
-    m, repeat_letters, repeat_points = family
+    d; a state that has spent d is set aside, as no move applies to it.
+    The move table is read from _letter_moves, by the number of letters,
+    the field bits and the family; the degrees give the start state and
+    each move's cap."""
+    m, _, repeat_points = family
     d = degrees[0]
     # a state is one int: t-degree left in field 0 and the residual degree
     # of the other letter u in field u + 1, each field holding top + 1 +
@@ -526,16 +555,8 @@ def _eliminate_letter(degrees: tuple[int, ...], family: LetterFamily) -> tuple[t
     bits = max(degrees[-1], m).bit_length()
     width = bits + 1
     top = (1 << bits) - 1
-    guard = sum(1 << (bits + i * width) for i in range(len(degrees)))
+    guard, shifts, moves = _letter_moves(len(degrees), bits, family)
     start = guard + sum(v << i * width for i, v in enumerate(degrees))
-    shifts = [i * width for i in range(1, len(degrees))]
-    units = [1 << shift for shift in shifts]
-    # (t-degree, step) of every move: the subsets first, as the only moves
-    # without repeated letters, then by decreasing t-degree
-    moves = [(1, 1 + sum(used)) for used in itertools.combinations(units, m - 1)]
-    if repeat_letters:
-        for k in range(m, 0, -1):
-            moves += [(k, k + sum(used)) for used in itertools.combinations_with_replacement(units, m - k) if k > 1 or len(set(used)) < m - k]
     # the copies each move can take from the start, at most one in a set;
     # the moves after each one can spend at most room t-degree
     caps = []

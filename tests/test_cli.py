@@ -945,8 +945,19 @@ HUGE_2DXRAY = json.dumps({"kind": "2dxray", "r": 1, "marginals": {"x": [BIG, BIG
         # both embeddings are off the promise; the Kronecker triple, whose
         # 10^30-column shapes overflow a machine index, is not built
         (["reduce", "--to", "promise3d", HUGE_2DXRAY], EXIT_GATE_FAILED, "", "gate failure: promise gate failed"),
+        # the gate is read before the triple these two targets print
+        (["reduce", "--to", "plethysm", HUGE_2DXRAY], EXIT_GATE_FAILED, "", "gate failure: promise gate failed"),
+        (["reduce", "--to", "kron-triple", HUGE_2DXRAY], EXIT_GATE_FAILED, "", "gate failure: promise gate failed"),
     ],
-    ids=["count-sum-3e24", "coeff-below-beta-at-1e24", "coeff-b-1e20-columns", "coeff-b-n-1e20-m-4", "reduce-range-1-at-1e30"],
+    ids=[
+        "count-sum-3e24",
+        "coeff-below-beta-at-1e24",
+        "coeff-b-1e20-columns",
+        "coeff-b-n-1e20-m-4",
+        "reduce-range-1-at-1e30",
+        "reduce-plethysm-at-1e30",
+        "reduce-kron-triple-at-1e30",
+    ],
 )
 def test_huge_instances_answer_or_exit_3_in_a_fresh_process(argv, code, out, err):
     # beta(10^24) is read off block sums, not a walk of 3.3e8 levels; an

@@ -1,13 +1,18 @@
 import itertools
+import re
 import time
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plethtomo.coefficients import general_plethysm, weight_multiplicity
-from plethtomo.partitions import add, compositions_of, is_partition, partitions_of
+from plethtomo.partitions import add, canonical, compositions_of, is_partition, partitions_of
+from plethtomo import restricted
 from plethtomo.restricted import (
     PsiDecomposition,
+    _psi_decomposition,
     count_cone_ssyt,
     psi_decompose,
     psi_membership,
@@ -16,6 +21,7 @@ from plethtomo.restricted import (
 )
 from plethtomo.tableaux import count_weighted_ssyt, ssyt_weights
 from plethtomo.tomography import _candidates, complete_pyramid, coordinate_sum, count_point_sets, count_pyramids, sum_marginal
+from restricted_oracle import filtered_psi_splits
 from tableau_oracles import cone_alphabet, enumerate_cone_ssyt, tableau_layers_check
 
 
@@ -320,3 +326,74 @@ def test_enumerated_tableaux_are_semistandard():
         for r in range(1, len(t)):
             for c in range(len(t[r])):
                 assert order[t[r][c]] > order[t[r - 1][c]]
+
+
+INNER = {"sym": (3,), "wedge": (1, 1, 1)}
+SMALL_MU = [mu for size in range(1, 6) for mu in partitions_of(size)]
+
+
+def check_against_the_filter_oracle(mu, variant, lam):
+    """psi_splits lists the oracle's splits in its order, psi_membership is
+    their truth, and count_cone_ssyt refuses a non-member by name."""
+    nu = INNER[variant]
+    want = filtered_psi_splits(mu, nu, lam)
+    assert psi_splits(mu, nu, lam) == want, (mu, nu, lam)
+    assert psi_membership(mu, nu, lam) == bool(want), (mu, nu, lam)
+    if not want:
+        message = f"({mu}, {nu}, {canonical(lam)}) is not a restricted instance"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            count_cone_ssyt(mu, lam, variant)
+    return bool(want)
+
+
+def test_splits_and_membership_match_the_filter_oracle():
+    # every mu |- <= 5, both inner shapes and every lam |- 3|mu|
+    checked = members = 0
+    for variant in INNER:
+        for mu in SMALL_MU:
+            for lam in partitions_of(3 * sum(mu)):
+                members += check_against_the_filter_oracle(mu, variant, lam)
+                checked += 1
+    assert (checked, members) == (3464, 48)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    mu=st.sampled_from(SMALL_MU),
+    variant=st.sampled_from(sorted(INNER)),
+    lam=st.lists(st.integers(0, 9), max_size=9),
+)
+def test_non_partitions_and_wrong_sizes_match_the_filter_oracle(mu, variant, lam):
+    # drawn compositions are mostly not partitions of 3|mu|; the canonical
+    # form drops trailing zeros, as the library's message does
+    check_against_the_filter_oracle(mu, variant, tuple(lam))
+
+
+def test_layer_vectors_are_the_filtered_compositions():
+    # the generator bounded by both sums lists exactly the compositions of
+    # 3 n_hat under the residual whose coordinate sum is n_hat r, in order
+    for r in range(0, 5):
+        for n_hat in range(0, 4):
+            for residual in itertools.product(range(4), repeat=r + 1):
+                want = [vec for vec in compositions_of(3 * n_hat, r + 1, residual) if coordinate_sum(vec) == n_hat * r]
+                assert list(restricted._layer_vectors(n_hat, r, residual)) == want, (n_hat, r, residual)
+
+
+def test_a_warm_call_builds_no_decomposition(monkeypatch):
+    built = []
+    real = restricted.PsiDecomposition
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(restricted, "PsiDecomposition", counted)
+    _psi_decomposition.cache_clear()
+    mu, lam = (1, 1, 1), add(sum_marginal(complete_pyramid(1, "closed")), (2, 0, 1))
+    first = count_cone_ssyt(mu, lam, "sym")
+    assert len(built) == 1
+    assert count_cone_ssyt(mu, lam, "sym", tiebreak="revlex") == first
+    assert psi_splits(list(mu), (3,), lam) and psi_decompose(mu, "sym") is psi_decompose([1, 1, 1], "sym")
+    assert len(built) == 1
+    # the memo holds the record a fresh build gives
+    assert psi_decompose(mu, "sym") == _psi_decomposition.__wrapped__(mu, "sym")

@@ -237,6 +237,23 @@ def test_ssyt_weights_with_bound():
                     assert sorted(ssyt_weights(shape, k, bound)) == sorted(filled_ssyt_weights(shape, k, bound))
 
 
+def unbounded_ssyt_weights(shape, k, bound=None):
+    """Test oracle: ssyt_weights walking every composition of |shape| under
+    bound, whatever its largest entry, with its Kostka multiplicity."""
+    return [w for w in compositions_of(sum(shape), k, bound) for _ in range(kostka(shape, tuple(sorted(w, reverse=True))))]
+
+
+def test_ssyt_weights_walk_only_entries_up_to_the_first_row():
+    # a value fills at most one box per column, so the walk bounded by
+    # shape[0] lists the same weights in the same order
+    for n in range(6):
+        for shape in partitions_of(n):
+            for k in range(6):
+                assert ssyt_weights(shape, k) == unbounded_ssyt_weights(shape, k), (shape, k)
+                for bound in itertools.product(range(4), repeat=k):
+                    assert ssyt_weights(shape, k, bound) == unbounded_ssyt_weights(shape, k, bound), (shape, k, bound)
+
+
 def test_ssyt_weights_one_long_row():
     # one composition, where a box-by-box fill needs one frame per box
     assert ssyt_weights((1200,), 1) == [(1200,)]

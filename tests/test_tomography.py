@@ -458,6 +458,35 @@ def test_letter_count_reads_each_memo_entry_once(monkeypatch):
     assert _letter_count((2, 2, 2, 3, 3), family) == 253
 
 
+def test_memoized_letter_move_tables_equal_a_fresh_build(monkeypatch):
+    # every key the letter counter reads while counting the point sets and
+    # the h_n[h_3] and h_n[e_3] weight spaces of lam |- 3n, n <= 5
+    keys = set()
+    real = tomography._letter_moves
+
+    def recorded(*key):
+        keys.add(key)
+        return real(*key)
+
+    monkeypatch.setattr(tomography, "_letter_moves", recorded)
+    for n in range(1, 6):
+        for lam in partitions_of(3 * n):
+            for family in ((3, True, False), (3, False, False), (3, True, True), (3, False, True)):
+                _letter_count(lam, family)
+    assert len(keys) >= 20
+    for key in keys:
+        assert real(*key) == real.__wrapped__(*key), key
+
+
+def test_a_warm_elimination_builds_no_move_table():
+    lam, family = (4, 3, 3, 2, 2, 1), (3, True, False)
+    want = _letter_count(lam, family)
+    _letter_counts.clear()
+    built = tomography._letter_moves.cache_info().misses
+    assert _letter_count(lam, family) == want
+    assert tomography._letter_moves.cache_info().misses == built
+
+
 def test_letter_count_under_concurrent_callers(monkeypatch):
     # four threads count the same keys in different orders while a 4-entry
     # memo evicts on every call; each must get the serial counts
