@@ -395,11 +395,7 @@ def _nm_pairs(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="plethtomo", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_coeff(sub) -> None:
     p = sub.add_parser("coeff", help="plethysm coefficient queries")
     p.add_argument("family", choices=["a", "b", "p"])
     p.add_argument("shape", help="partition like [4,2]")
@@ -407,6 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.set_defaults(func=_cmd_coeff)
 
+
+def _add_kron(sub) -> None:
     p = sub.add_parser("kron", help="Kronecker coefficient")
     p.add_argument("mu")
     p.add_argument("nu")
@@ -414,11 +412,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.set_defaults(func=_cmd_kron)
 
+
+def _add_count(sub) -> None:
     p = sub.add_parser("count", help="count a tomography instance (JSON file, inline JSON, or - for stdin)")
     p.add_argument("instance")
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.set_defaults(func=_cmd_count)
 
+
+def _add_reduce(sub) -> None:
     p = sub.add_parser("reduce", help="run the reduction chain on a 2dxray instance")
     p.add_argument("instance")
     p.add_argument("--to", choices=["sym2d", "promise3d", "plethysm", "kron-triple"], default="kron-triple")
@@ -426,6 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_reduce)
 
+
+def _add_verify(sub) -> None:
     p = sub.add_parser("verify", help="run an invariant suite")
     p.set_defaults(func=_cmd_verify)
     suites = p.add_subparsers(dest="suite", required=True)
@@ -441,15 +445,38 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument(flag, dest="bound", type=kind, default=default)
         q.set_defaults(check=check)
 
+
+def _add_table(sub) -> None:
     p = sub.add_parser("table", help="summary rows for the three worked examples")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=_cmd_table)
 
+
+_SUBCOMMANDS = {"coeff": _add_coeff, "kron": _add_kron, "count": _add_count, "reduce": _add_reduce, "verify": _add_verify, "table": _add_table}
+"""Each subcommand's name and the function that adds its parser, in the
+order the help lists them."""
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser: every subcommand, or with command given only that
+    one, which parses its own arguments exactly as the whole tree does."""
+    parser = argparse.ArgumentParser(prog="plethtomo", description=__doc__)
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    # the usage line names every subcommand, also where it reports an
+    # unrecognized argument after one that was built alone
+    sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(_SUBCOMMANDS) + "}")
+    for name, add in _SUBCOMMANDS.items():
+        if command is None or name == command:
+            add(sub)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # a command line that starts with a subcommand needs no other; anything
+    # else (usage errors, --help, --version) gets the whole tree
+    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -20,9 +20,14 @@ runs the same pass with the partial splits that leave each residual.  Both
 draw a column's layer vectors from one generator that walks an explicit
 stack and bounds each entry by the residual and by both sums at once (the
 entry sum 3 n_hat and the coordinate sum n_hat r_j), rather than listing
-every composition of 3 n_hat and filtering on the coordinate sum.  Nothing
-recurses.  psi_decompose is memoized per
-(mu, variant), PSI_DECOMPOSE_MAXSIZE decompositions.
+every composition of 3 n_hat and filtering on the coordinate sum.  The
+last column walks nothing: it must leave (), so its one layer vector is the
+residual itself, and a residual finishes a split iff it has at most r_j + 1
+entries, entry sum 3 n_hat and coordinate sum n_hat r_j (_ends_split);
+psi_splits appends that residual.  A one-column mu is decided by that test
+alone, and mu = () has no column, so lam = () is its one member.  Nothing
+recurses.  psi_decompose is memoized per (mu, variant),
+PSI_DECOMPOSE_MAXSIZE decompositions.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import Iterator, Literal
 
 from .coefficients import _CONE_OF_INNER, weight_multiplicity
 from .partitions import Composition, FrozenRecord, Partition, _transpose, canonical, nonincreasing, pad, partition, subtract
-from .tomography import ConeKind, cone_kind, iota, pyramid_marginal, xi
+from .tomography import ConeKind, cone_kind, coordinate_sum, iota, pyramid_marginal, xi
 
 PlethysmVariant = Literal["sym", "wedge"]
 
@@ -155,19 +160,32 @@ def _residual(mu: Partition, nu: Partition, lam: Composition) -> tuple[PsiDecomp
     return decomp, remainder
 
 
+def _ends_split(residual: Composition, n_hat: int, r: int) -> bool:
+    """True iff residual is a layer vector of a column (n_hat, r): at most
+    r + 1 entries, entry sum 3 n_hat and coordinate sum n_hat r.  The last
+    column must leave (), so the residual itself is the one vector it can
+    spend, and this test stands in for its walk."""
+    return len(residual) <= r + 1 and sum(residual) == 3 * n_hat and coordinate_sum(residual) == n_hat * r
+
+
 def psi_splits(mu: Partition, nu: Partition, lam: Composition) -> list[tuple[tuple[int, ...], ...]]:
     """All splits of lam certifying membership in the restricted class: after
     subtracting the per-column pyramid marginals, the remainder must divide
     into per-column vectors supported on [0, r_j] with layer_parts[j] points'
     worth of mass concentrated at coordinate sum r_j.
 
-    One forward pass over the columns keeps a map from each residual to the
-    partial splits that leave it; the splits are those left at ()."""
+    One forward pass over the columns but the last keeps a map from each
+    residual to the partial splits that leave it; a residual that is
+    itself the last column's layer vector (_ends_split) completes its
+    splits with it."""
     decomp, remainder = _residual(mu, nu, lam)
     if remainder is None:
         return []
+    if not decomp.thresholds:
+        return [()]  # mu = (): _residual passed lam = () alone
     splits: dict[Composition, list[tuple[tuple[int, ...], ...]]] = {remainder: [()]}
-    for r_j, n_hat in zip(decomp.thresholds, decomp.layer_parts):
+    *columns, (r_last, n_last) = zip(decomp.thresholds, decomp.layer_parts)
+    for r_j, n_hat in columns:
         nxt: dict[Composition, list[tuple[tuple[int, ...], ...]]] = {}
         for residual, partial in splits.items():
             for vec in _layer_vectors(n_hat, r_j, residual):
@@ -175,7 +193,7 @@ def psi_splits(mu: Partition, nu: Partition, lam: Composition) -> list[tuple[tup
                 # vec <= residual entrywise, so the difference is never None
                 nxt.setdefault(subtract(residual, vec), []).extend(acc + (part,) for acc in partial)
         splits = nxt
-    return splits.get((), [])
+    return [acc + (residual,) for residual, partial in splits.items() if _ends_split(residual, n_last, r_last) for acc in partial]
 
 
 def psi_membership(mu: Partition, nu: Partition, lam: Composition) -> bool:
@@ -185,13 +203,16 @@ def psi_membership(mu: Partition, nu: Partition, lam: Composition) -> bool:
     decomp, remainder = _residual(mu, nu, lam)
     if remainder is None:
         return False
+    if not decomp.thresholds:
+        return True  # mu = (): _residual passed lam = () alone
     residuals = {remainder}
-    for r_j, n_hat in zip(decomp.thresholds, decomp.layer_parts):
+    *columns, (r_last, n_last) = zip(decomp.thresholds, decomp.layer_parts)
+    for r_j, n_hat in columns:
         # vec <= residual entrywise, so the difference is never None
         residuals = {subtract(residual, vec) for residual in residuals for vec in _layer_vectors(n_hat, r_j, residual)}
         if not residuals:
             return False
-    return () in residuals
+    return any(_ends_split(residual, n_last, r_last) for residual in residuals)
 
 
 def count_cone_ssyt(mu: Partition, lam: Composition, variant: PlethysmVariant, tiebreak: str = "lex") -> int:

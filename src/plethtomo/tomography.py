@@ -36,9 +36,13 @@ must still be able to spend exactly its remaining coordinate sum on the
 candidates left, a bound read off prefix sums of their levels; where the
 bound forbids skipping any point of a layer, the whole layer is taken.
 
-For point sets, a state is the residual marginal.  Pyramid completions
-depend on the points already chosen, so a pyramid state also carries the
-chosen points of the current and the previous layer.  That is enough:
+For point sets, a state is the residual marginal, and a take that leaves
+one point to place is settled at once: the residual, of entry sum 3, names
+that point, so the partial sets count if it is a candidate after the
+current one, and no state with one point left is carried; a one-point
+instance is a lookup.  Pyramid completions depend on the points already
+chosen, so a pyramid state also carries the chosen points of the current
+and the previous layer, and pyramids keep the last step.  That is enough:
 closure is checked as points are taken, against each point's at most
 three lower covers in the cone, which lie one layer down and generate its
 whole dominated set, and lower layers are already decided and closed.
@@ -400,6 +404,18 @@ def _closure_filter(
     return kept, dom
 
 
+def _named_point(residual: Sequence[int]) -> Point:
+    """The one point whose own marginal is residual, a composition of entry
+    sum 3: its coordinates, largest first."""
+    held = list(itertools.compress(range(len(residual)), residual))
+    if len(held) == 3:
+        return held[2], held[1], held[0]
+    if len(held) == 1:
+        return held[0], held[0], held[0]
+    low, high = held
+    return (high, high, low) if residual[high] == 2 else (high, low, low)
+
+
 @functools.lru_cache(maxsize=COUNT_MEMO_SIZE)
 def _count_levelwise(lam: tuple[int, ...], kind: ConeKind, pyramids_only: bool, floor: int, ceiling: int) -> int:
     """Count point sets (or pyramids) with sum-marginal lam and every point
@@ -427,25 +443,38 @@ def _count_levelwise(lam: tuple[int, ...], kind: ConeKind, pyramids_only: bool, 
     are updated in place at each candidate.
 
     Point sets: m and B_res are functions of the residual, and recent is
-    always 0.  Pyramids: recent holds the chosen candidates of the current
-    and the previous layer, as bits by candidate index.  A point is taken
-    only with all its lower covers from _closure_filter, which lie one layer
-    down, so nothing older needs keeping, and it is dropped at each new
-    layer.
+    always 0.  A take that leaves m = 1 is settled at once: its residual
+    names the last point (_named_point), whose index after the current
+    candidate adds the state's count to the total, and the state is not
+    carried; a one-point instance is a lookup in the candidates, and a
+    marginal whose entry sum is no multiple of 3 counts 0.
+
+    Pyramids keep the last step, since the last point also needs its
+    covers.  recent holds the chosen candidates of the current and the
+    previous layer, as bits by candidate index.  A point is taken only with
+    all its lower covers from _closure_filter, which lie one layer down, so
+    nothing older needs keeping, and it is dropped at each new layer.
     """
+    points, rest = divmod(sum(lam), 3)
+    if rest:
+        return 0
     cands = _candidates(lam, kind, floor, ceiling)
     covers: dict[Point, tuple[Point, ...]] = {}
     if pyramids_only:
         cands, covers = _closure_filter(cands, kind, floor)
-    if len(cands) < sum(lam) // 3:
+    if len(cands) < points:
         return 0
+    settle = not pyramids_only
+    if settle and points == 1:
+        return int(_named_point(lam) in cands)
     cands.sort(key=lambda p: (p[0] + p[1] + p[2], p))
     index = {p: k for k, p in enumerate(cands)}
     levels = [p[0] + p[1] + p[2] for p in cands]
     spend = list(itertools.accumulate(levels, initial=0))
     total = len(cands)
+    settled = 0
 
-    states = {(sum(lam) // 3, coordinate_sum(lam), tuple(lam), 0): 1}
+    states = {(points, coordinate_sum(lam), tuple(lam), 0): 1}
     for k, (x, y, z) in enumerate(cands):
         level = levels[k]
         bit = need = 0
@@ -485,11 +514,17 @@ def _count_levelwise(lam: tuple[int, ...], kind: ConeKind, pyramids_only: bool, 
             # go below 0, and with x >= y >= z that is y or z
             if r[y] < 0 or r[z] < 0:
                 continue
+            if settle and m == 1:
+                # the residual names the last point: count it if it is a
+                # later candidate, and carry no state either way
+                if index.get(_named_point(r), k) > k:
+                    settled += c
+                continue
             key = (m, b, tuple(r), recent | bit)
             states[key] = get(key, 0) + c
         if not states:
-            return 0
-    return sum(c for (_, _, res, _), c in states.items() if not any(res))
+            return settled
+    return settled + sum(c for (_, _, res, _), c in states.items() if not any(res))
 
 
 LetterFamily = tuple[int, bool, bool]

@@ -913,6 +913,27 @@ def test_verify_default_bounds():
     assert defaults == {"xi": 40, "bounds": 3, "duality": [(2, 2), (2, 3), (3, 2)], "closed-forms": 3, "parsimony": 1}
 
 
+def test_a_query_builds_only_its_own_subcommand(capsys, monkeypatch):
+    # a coeff query never builds the verify suites or any other subcommand
+    import plethtomo.cli as cli
+
+    def boom(sub):
+        raise AssertionError("built a subcommand the query does not run")
+
+    for name in cli._SUBCOMMANDS:
+        if name != "coeff":
+            monkeypatch.setitem(cli._SUBCOMMANDS, name, boom)
+    code, out, err = run(["coeff", "a", "[3]", "1", "3"], capsys=capsys)
+    assert (code, out, err) == (EXIT_OK, "method: promise-pyramid-count\nvalue: 1\n", "")
+    # an unrecognized argument after it is reported under the whole usage line
+    code, out, err = run(["coeff", "a", "[3]", "1", "3", "--version"], capsys=capsys)
+    assert code == EXIT_INPUT_ERROR and out == ""
+    assert err.startswith("usage: plethtomo [-h] [--version] {coeff,kron,count,reduce,verify,table} ...\n")
+    # with no subcommand named, the whole tree is built
+    with pytest.raises(AssertionError, match="built a subcommand"):
+        build_parser()
+
+
 def test_table_rows(capsys, monkeypatch):
     code, out, _ = run(["table"], capsys=capsys)
     assert code == EXIT_OK

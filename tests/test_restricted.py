@@ -379,6 +379,40 @@ def test_layer_vectors_are_the_filtered_compositions():
                 assert list(restricted._layer_vectors(n_hat, r, residual)) == want, (n_hat, r, residual)
 
 
+def test_the_last_column_walks_no_layer_vectors(monkeypatch):
+    # the last column's only layer vector is the whole residual, so a
+    # one-column mu is decided without listing any, and still matches the
+    # oracle on every lam |- 9
+    walked = []
+    real = restricted._layer_vectors
+
+    def counted(*args):
+        walked.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(restricted, "_layer_vectors", counted)
+    members = 0
+    for lam in partitions_of(9):
+        want = filtered_psi_splits((1, 1, 1), (3,), lam)
+        assert psi_splits((1, 1, 1), (3,), lam) == want, lam
+        assert psi_membership((1, 1, 1), (3,), lam) == bool(want), lam
+        members += bool(want)
+    assert members and walked == []
+    # a two-column mu walks its first column only: two pyramids of level
+    # <= 1, then (2, 0, 1) on layer 2 of the first column and nothing more
+    assert psi_splits((2, 2, 1), (3,), (12, 2, 1)) == filtered_psi_splits((2, 2, 1), (3,), (12, 2, 1)) == [((2, 0, 1), ())]
+    assert psi_membership((2, 2, 1), (3,), (12, 2, 1))
+    assert {args[:2] for args in walked} == {(1, 2)}
+
+
+def test_the_empty_outer_shape():
+    # mu = () has no columns: lam = () is its one member, with the empty split
+    for nu in ((3,), (1, 1, 1)):
+        assert psi_membership((), nu, ()) and psi_splits((), nu, ()) == [()]
+        assert not psi_membership((), nu, (3,)) and psi_splits((), nu, (3,)) == []
+        assert filtered_psi_splits((), nu, ()) == [()] and filtered_psi_splits((), nu, (3,)) == []
+
+
 def test_a_warm_call_builds_no_decomposition(monkeypatch):
     built = []
     real = restricted.PsiDecomposition

@@ -571,6 +571,21 @@ def test_level_engine_matches_oracle_and_index_engine(comp, kind):
         assert count(lam, kind) == (ref if sum(lam) % 3 == 0 else 0)
 
 
+def test_one_point_left_is_read_off_the_residual():
+    # the level engine settles a take that leaves one point at once: the
+    # residual, of entry sum 3, names that point, and a one-point instance
+    # is a lookup inside its window
+    for kind in ("open", "closed"):
+        for p in itertools.product(range(5), repeat=3):
+            if not in_cone(p, kind):
+                continue
+            lam = sum_marginal([p])
+            assert tomography._named_point(lam) == tomography._named_point(list(lam) + [0]) == p
+            level = sum(p)
+            for floor, ceiling in ((0, 12), (level, level), (level + 1, 12), (0, level - 1)):
+                assert _count_levelwise(lam, kind, False, floor, ceiling) == (floor <= level <= ceiling), (p, floor)
+
+
 def _layer_vectors(r, k):
     """Vectors on [0, r] of size 3k whose coordinate sum is r*k: the
     marginals a k-point subset of layer r could have."""
