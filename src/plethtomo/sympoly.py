@@ -8,13 +8,19 @@ coefficient at kappa sorted, as a symmetric polynomial has the same
 coefficient at every rearrangement of kappa.  This is the
 representation in which plethysm composition and weight-space reads are
 immediate.
+
+Schur polynomials and plethysms are sums of Kostka rows
+(tableaux._kostka_row), whose keys are partitions already, so they are
+built without re-checking each key; the public SymPoly(k, coeffs) checks
+every key.  decompose_schur peels in one pass over the partitions of the
+degree, reading one Kostka row per lead.
 """
 
 from __future__ import annotations
 
 from .characters import plethysm_schur_table
-from .partitions import Composition, Partition, canonical, partition
-from .tableaux import kostka_row
+from .partitions import Composition, Partition, canonical, partition, partitions_of
+from .tableaux import _kostka_row
 
 
 class NotSchurPositiveError(ValueError):
@@ -39,6 +45,16 @@ class SymPoly:
                 if val:
                     self.coeffs[key] = self.coeffs.get(key, 0) + val
             self.coeffs = {key: val for key, val in self.coeffs.items() if val}
+
+    @classmethod
+    def _of_partitions(cls, k: int, coeffs: dict[Partition, int]) -> "SymPoly":
+        """A SymPoly that keeps coeffs as its own, without re-checking it:
+        every key a partition of height <= k and no value zero, as in Kostka
+        rows and positive sums of them."""
+        poly = cls.__new__(cls)
+        poly.k = k
+        poly.coeffs = coeffs
+        return poly
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SymPoly) and self.k == other.k and self.coeffs == other.coeffs
@@ -70,9 +86,9 @@ def schur_poly(nu: Partition, k: int) -> SymPoly:
     """Schur polynomial s_nu in k variables; coefficient of m_pi is the
     Kostka number K_{nu,pi}.  Zero when the shape is taller than k."""
     nu = partition(nu)
-    if len(nu) > k:
-        return SymPoly(k, {})
-    return SymPoly(k, dict(kostka_row(nu, k)))
+    if k <= 0:
+        raise ValueError("variable count must be positive")
+    return SymPoly._of_partitions(k, dict(_kostka_row(nu, min(k, sum(nu)))))
 
 
 def plethysm_poly(mu: Partition, nu: Partition, k: int) -> SymPoly:
@@ -81,36 +97,59 @@ def plethysm_poly(mu: Partition, nu: Partition, k: int) -> SymPoly:
 
     Assembled from the exact Schur expansion of the plethysm (power-sum
     route, characters.plethysm_schur_table, which raises SizeCapError above
-    characters.POWER_SUM_N_MAX) and Kostka rows.
+    characters.POWER_SUM_N_MAX) and Kostka rows, whose keys are partitions
+    already, so the result is built without re-checking them.
     """
     if k <= 0:
         raise ValueError("variable count must be positive")
     out: dict[Partition, int] = {}
+    get = out.get
     for lam, mult in plethysm_schur_table(mu, nu).items():
-        if len(lam) > k:
-            continue
-        for pi, kc in kostka_row(lam, k).items():
-            out[pi] = out.get(pi, 0) + mult * kc
-    return SymPoly(k, out)
+        for pi, kc in _kostka_row(lam, min(k, sum(lam))).items():
+            out[pi] = get(pi, 0) + mult * kc
+    return SymPoly._of_partitions(k, out)
 
 
 def decompose_schur(f: SymPoly) -> list[tuple[Partition, int]]:
-    """Schur expansion by leading-monomial peeling: repeatedly subtract
-    c * s_kappa for the lexicographically greatest surviving key kappa.
+    """Schur expansion by leading-monomial peeling: subtract c * s_kappa
+    for the lexicographically greatest surviving key kappa, until nothing
+    survives.
+
+    One pass over the partitions of the degree with at most k parts, in
+    partitions_of's decreasing lexicographic order, on a plain dict: s_kappa
+    has no monomial above kappa in that order (its Kostka row is
+    dominated by kappa), so every key before kappa is already peeled when
+    kappa is reached, and kappa is the lead if it survives.  Each lead
+    reads one Kostka row (_kostka_row).
 
     Valid for genuine nonnegative integer combinations of Schur polynomials;
-    a negative leading coefficient raises NotSchurPositiveError.
+    a negative leading coefficient raises NotSchurPositiveError, also at a
+    key that the input lacks and that an earlier peel made negative.
     """
-    out: list[tuple[Partition, int]] = []
-    rest = f
-    degrees = {sum(key) for key in rest.coeffs}
+    degrees = {sum(key) for key in f.coeffs}
     if len(degrees) > 1:
         raise ValueError("decompose_schur expects a homogeneous polynomial")
-    while not rest.is_zero():
-        lead = max(rest.coeffs)
-        mult = rest.coeffs[lead]
+    if not degrees:
+        return []
+    (n,) = degrees
+    k = min(f.k, n)
+    rest = dict(f.coeffs)
+    get = rest.get
+    out: list[tuple[Partition, int]] = []
+    for lead in partitions_of(n, max_parts=k):
+        mult = get(lead, 0)
+        if not mult:
+            continue
         if mult < 0:
             raise NotSchurPositiveError(f"negative coefficient {mult} at leading weight {lead}")
         out.append((lead, mult))
-        rest = rest.add_scaled(schur_poly(lead, f.k), -mult)
+        # the row holds lead itself at K = 1, which clears it
+        for pi, kc in _kostka_row(lead, k).items():
+            nv = get(pi, 0) - mult * kc
+            if nv:
+                rest[pi] = nv
+            else:
+                del rest[pi]
+        if not rest:
+            break
     return out

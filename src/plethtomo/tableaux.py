@@ -10,15 +10,20 @@ weights as compositions with Kostka multiplicities; for restricted
 plethysms they are cone points.  No tableau is ever filled here.
 
 Kostka numbers K_{mu,w} are zero unless mu dominates w sorted in
-decreasing order (Macdonald I.6), so kostka tests that first.  Otherwise
-it runs the same strip DP one letter of w at a time, on strips of the
-letter's count only.  Both DPs read their strips from one table per shape
-mu, keyed by subshape and strip size and filled on first use: a Kostka
-row, an ssyt_weights alphabet, a Schur peel and every weighted count on mu
-fill each entry once.  An entry is filled by code arithmetic: the
-subshape's code is decoded once, and the codes of its strips, grouped by
-size, come out of one convolution of the choices each row (or column run)
-leaves, with no strip built as a shape.
+decreasing order (Macdonald I.6).  A Kostka row, every nonzero K_{mu,pi}
+over the partitions pi with at most k parts, is one memoized walk per
+(mu, k) (_kostka_row): the strip DP runs one part of pi at a time, on
+strips of that part's size only, and each prefix's states are carried to
+all its extensions, so a prefix that many pi share is stepped once.
+kostka_row, ssyt_weights and the Schur peel (sympoly) read that one row
+memo; kostka, the single-number entry, is the same DP along one weight,
+through the same step.  Both DPs read their strips from one table per
+shape mu, keyed by subshape and strip size and filled on first use: a
+Kostka row, an ssyt_weights alphabet, a Schur peel and every weighted
+count on mu fill each entry once.  An entry is filled by code arithmetic:
+the subshape's code is decoded once, and the codes of its strips, grouped
+by size, come out of one convolution of the choices each row (or column
+run) leaves, with no strip built as a shape.
 """
 
 from __future__ import annotations
@@ -28,18 +33,22 @@ import operator
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .partitions import Composition, Partition, _transpose, canonical, compositions_of, pad, partition, partitions_of
+from .partitions import Composition, Partition, _transpose, canonical, compositions_of, pad, partition
 
-# bound of the Kostka memo: a round of the benchmark's plethysm_sweep,
-# bounds_sandwich and chain_resolve makes 451, 15 and 0 misses; the Schur
-# peeling self-check over all |mu||nu| <= 12 makes 13154, rereading each
-# Kostka row once per (mu, nu).  At a bound of 1024 that check ran 3.4x
-# slower when every miss enumerated its strips (28.6 s against 8.3 s), and
-# 1.1x slower with the strip tables (10.0 s against 9.1 s)
+# bound of the single-number Kostka memo (kostka), which only direct
+# callers fill: the package's own rows read _kostka_row
 KOSTKA_MAXSIZE = 16384
 
+KOSTKA_ROWS_MAXSIZE = 1024
+"""Bound of the Kostka row memo (_kostka_row), one row per (shape, k) with
+k capped at |shape|, that kostka_row, ssyt_weights and the Schur peel
+read.  A round of plethysm_sweep, bounds_sandwich and chain_resolve makes
+46, 4 and 0 rows; the Schur peeling self-check over all |mu||nu| <= 12
+makes 327.  The rows of every lam of size <= 12 at every k, 1706 of them,
+hold about 4 MB (tracemalloc)."""
+
 STRIP_TABLES_MAXSIZE = 256
-"""Bound of the strip tables, one per shape mu that kostka or
+"""Bound of the strip tables, one per shape mu that a Kostka row, kostka or
 count_weighted_ssyt reads (_strip_table).  A round of plethysm_sweep,
 bounds_sandwich and chain_resolve makes 44, 6 and 0 tables; the Schur
 peeling self-check over all |mu||nu| <= 12 makes 271, holding 4.4 MB in
@@ -52,7 +61,7 @@ twice.  The largest table it makes has 74 subshapes; a Kostka row of
 @lru_cache(maxsize=STRIP_TABLES_MAXSIZE)
 def _strip_table(mu: Partition):
     """(full, table, grow): the horizontal strips inside mu, shared by
-    kostka and count_weighted_ssyt.
+    the Kostka rows, kostka and count_weighted_ssyt.
 
     A subshape of mu is one int, its row lengths in mixed radix with row i
     in [0, mu_i]; when mu has more rows than columns, the column heights of
@@ -107,18 +116,28 @@ def _strip_table(mu: Partition):
     return sum(map(operator.mul, shape, radices)), table, grow
 
 
+def _strip_step(table: dict, grow, states: dict[int, int], count: int) -> dict[int, int]:
+    """The strip DP's one step: the states (subshape code -> number of
+    fillings) after a letter of ``count`` copies, each state taken along
+    its table's strips of that size (table and grow of _strip_table)."""
+    new: dict[int, int] = {}
+    get = new.get
+    for a, cnt in states.items():
+        for b in (table.get(a) or grow(a)).get(count, ()):
+            new[b] = get(b, 0) + cnt
+    return new
+
+
 @lru_cache(maxsize=KOSTKA_MAXSIZE)
 def kostka(mu: Partition, weight: Composition) -> int:
     """Number of SSYT of shape mu and weight ``weight`` (Kostka number).
 
     Zero unless mu dominates the weight sorted in decreasing order
-    (Macdonald I.6), which is tested first.  Otherwise computed by a
-    horizontal-strip DP over the letters of the weight, one letter at a
-    time; no tableaux are materialized.  A state is a subshape's code in
-    mu's _strip_table, and a letter of count c takes it along the table's
-    strips of size c, so every weight of one shape (a Kostka row, an
-    ssyt_weights alphabet, a count_weighted_ssyt on mu) fills each
-    subshape's entry once.
+    (Macdonald I.6), which is tested first.  Otherwise the strip DP of
+    _kostka_row's walk along this one weight, one letter at a time through
+    the same step (_strip_step), on mu's _strip_table; no tableaux are
+    materialized.  The library's own rows (kostka_row, ssyt_weights, the
+    Schur peel) read _kostka_row, not this memo.
     """
     mu = partition(mu)
     w = canonical(weight)
@@ -131,15 +150,55 @@ def kostka(mu: Partition, weight: Composition) -> int:
     full, table, grow = _strip_table(mu)
     states = {0: 1}
     for letter_count in w:
-        new: dict[int, int] = {}
-        get = new.get
-        for a, cnt in states.items():
-            for b in (table.get(a) or grow(a)).get(letter_count, ()):
-                new[b] = get(b, 0) + cnt
-        states = new
+        states = _strip_step(table, grow, states, letter_count)
         if not states:
             return 0
     return states.get(full, 0)
+
+
+@lru_cache(maxsize=KOSTKA_ROWS_MAXSIZE)
+def _kostka_row(mu: Partition, k: int) -> dict[Partition, int]:
+    """{pi: K_{mu,pi}} for every partition pi of |mu| with at most k parts
+    that mu dominates, in the order of partitions_of; mu a partition and k
+    in [0, |mu|] (callers cap it: more parts than boxes cannot occur).
+    Callers read the dict and never change it.
+
+    The entries are exactly the nonzero Kostka numbers of the row
+    (Macdonald I.6), found by one explicit-stack walk over those pi in
+    prefix order.  A stack entry is a prefix of pi with the strip-DP states
+    it reaches on mu's _strip_table; each extension by one more part p
+    takes those states one _strip_step further, so a prefix that many pi
+    share is stepped once.  Parts run largest first (popped first), from
+    the most that dominance allows (a prefix's partial sums stay within
+    mu's) down to the least that still fits the rest into the remaining
+    parts.  The largest extension, p = all that is left, is the only one
+    that ends pi, so it is recorded at once, before its smaller siblings'
+    subtrees: that keeps partitions_of's order.
+    """
+    n = sum(mu)
+    if len(mu) > k:
+        return {}
+    if not mu:
+        return {(): 1}
+    full, table, grow = _strip_table(mu)
+    limits = tuple(itertools.accumulate(mu)) + (n,) * (k - len(mu))
+    row: dict[Partition, int] = {}
+    stack: list[tuple[Partition, int, dict[int, int]]] = [((), n, {0: 1})]
+    while stack:
+        prefix, left, states = stack.pop()
+        j = len(prefix)
+        top = min(prefix[-1] if prefix else left, left, limits[j] - n + left)
+        low = -(-left // (k - j))
+        if top == left:
+            count = _strip_step(table, grow, states, left).get(full)
+            if count:
+                row[prefix + (left,)] = count
+            top -= 1
+        for p in range(low, top + 1):
+            new = _strip_step(table, grow, states, p)
+            if new:
+                stack.append((prefix + (p,), left - p, new))
+    return row
 
 
 def _alphabet_size(k: int) -> int:
@@ -155,15 +214,18 @@ def ssyt_weights(shape: Partition, k: int, bound: Composition | None = None) -> 
     One entry per tableau, so weights repeat with their multiplicity; with
     ``bound`` given, only weights entrywise <= bound.  No tableau is filled:
     every composition w of |shape| appears K_{shape,w} times, and Kostka
-    numbers are symmetric in the weight, so they are looked up sorted.  A
-    value fills at most one box of each column, so only compositions with
-    every entry <= shape[0] are walked; the others have K_{shape,w} = 0
-    (over a column shape, only 0/1 vectors).
+    numbers are symmetric in the weight, so each is read off shape's Kostka
+    row (_kostka_row, the memo kostka_row reads too) at w sorted.  A value
+    fills at most one box of each column, so only compositions with every
+    entry <= shape[0] are walked; the others have K_{shape,w} = 0 (over a
+    column shape, only 0/1 vectors).
     """
     shape, k = partition(shape), _alphabet_size(k)
+    n = sum(shape)
     most = shape[0] if shape else 0
     cap = (most,) * k if bound is None else tuple(min(b, most) for b in pad(canonical(bound), k))
-    return [w for w in compositions_of(sum(shape), k, cap) for _ in range(kostka(shape, tuple(sorted(w, reverse=True))))]
+    counts = {pi + (0,) * (k - len(pi)): c for pi, c in _kostka_row(shape, min(k, n)).items()}
+    return [w for w in compositions_of(n, k, cap) for _ in range(counts.get(tuple(sorted(w, reverse=True)), 0))]
 
 
 def count_weighted_ssyt(mu: Partition, letter_weights: Sequence[tuple[int, ...]], target: tuple[int, ...]) -> int:
@@ -194,7 +256,7 @@ def count_weighted_ssyt(mu: Partition, letter_weights: Sequence[tuple[int, ...]]
     one field of b+1 bits per coordinate, holding acc_i + 2^b - 1 - target_i.
     A strip is one addition, a coordinate over its target sets its field's
     top bit, and a coordinate at its target reads 2^b - 1.  The strips come
-    from that table, so the calls on one mu, and kostka on it, fill each
+    from that table, so the calls on one mu, and its Kostka rows, fill each
     subshape's entry once.
     """
     mu = partition(mu)
@@ -271,11 +333,8 @@ def dim_weyl(lam: Partition, k: int) -> int:
 
 def kostka_row(nu: Partition, k: int) -> dict[Partition, int]:
     """All nonzero Kostka numbers K_{nu,pi} over partitions pi of |nu| with
-    at most k parts, i.e. the monomial expansion of the Schur polynomial."""
+    at most k parts, i.e. the monomial expansion of the Schur polynomial,
+    in the order of partitions_of.  A copy of _kostka_row's memoized row,
+    filled by one strip-table walk per (nu, k) with k capped at |nu|."""
     nu, k = partition(nu), _alphabet_size(k)
-    out: dict[Partition, int] = {}
-    for pi in partitions_of(sum(nu), max_parts=k):
-        val = kostka(nu, pi)
-        if val:
-            out[pi] = val
-    return out
+    return dict(_kostka_row(nu, min(k, sum(nu))))

@@ -779,6 +779,23 @@ def test_m2_closed_form_matches_oracle():
                 assert plethysm_schur_multiplicity(lam, mu, (2,)) == want, (lam, variant)
 
 
+def test_hermite_reciprocity_on_two_row_shapes():
+    # a_lam(n, m) = a_lam(m, n) for lam of at most two rows (Hermite
+    # reciprocity), a theorem at every size; the two sides take different
+    # plethysm_coeff rows (at n = 2 the column peel, at m = 2 the closed
+    # form, at m = 3 the point-set count, Jacobi-Trudi elsewhere), so a wrong
+    # row fails it.  All 3168 shapes with n, m <= 12.
+    methods = Counter()
+    for n in range(1, 13):
+        for m in range(1, 13):
+            for lam in partitions_of(n * m, max_parts=2):
+                got = plethysm_coeff(lam, n, m, "a")
+                methods[got.method] += 1
+                assert got.value == plethysm_coeff(lam, m, n, "a").value, (lam, n, m)
+    assert methods.total() == 3168
+    assert {"closed-form", "column-peel+jacobi-trudi", "jacobi-trudi", "promise-pyramid-count", "height-zero"} <= set(methods)
+
+
 DUALITY_CASES = [(2, 3), (2, 2), (3, 3), (3, 2)]
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from plethtomo.characters import plethysm_schur_table
 from plethtomo.coefficients import weight_multiplicity
 from plethtomo.partitions import partitions_of
 from plethtomo.sympoly import (
@@ -109,9 +110,61 @@ def test_decompose_schur_signals_non_positive():
         decompose_schur(bad)
 
 
+def test_decompose_schur_signals_a_negative_lead_the_input_lacks():
+    # peeling s_(2) = m_(2) + m_(1,1) off m_(2) leaves -1 at (1,1)
+    with pytest.raises(NotSchurPositiveError, match=r"-1 at leading weight \(1, 1\)"):
+        decompose_schur(SymPoly(2, {(2,): 1}))
+
+
 def test_decompose_schur_rejects_inhomogeneous():
     with pytest.raises(ValueError):
         decompose_schur(SymPoly(2, {(2,): 1, (1,): 1}))
+    # homogeneity is checked before any peel, so a negative key of another
+    # degree is not reached as a lead
+    with pytest.raises(ValueError, match="homogeneous") as info:
+        decompose_schur(SymPoly(3, {(3,): 1, (1, 1): -2}))
+    assert not isinstance(info.value, NotSchurPositiveError)
+
+
+def peel_by_add_scaled(f):
+    """Test oracle: the peel that takes the greatest surviving key and
+    subtracts its Schur polynomial as a new SymPoly, until none survives."""
+    out = []
+    while not f.is_zero():
+        lead = max(f.coeffs)
+        mult = f.coeffs[lead]
+        if mult < 0:
+            raise NotSchurPositiveError(f"negative coefficient {mult} at leading weight {lead}")
+        out.append((lead, mult))
+        f = f.add_scaled(schur_poly(lead, f.k), -mult)
+    return out
+
+
+def test_one_pass_peel_matches_the_add_scaled_peel():
+    # every pair with |mu||nu| <= 12 in k = 1, 2, 3 and n variables: the
+    # same Schur terms in the same order as the oracle's peel, which are the
+    # power-sum table's shapes of at most k rows; the unchecked constructor
+    # builds what SymPoly(k, coeffs) builds
+    for a in range(1, 13):
+        for b in range(1, 12 // a + 1):
+            for mu in partitions_of(a):
+                for nu in partitions_of(b):
+                    n = a * b
+                    table = plethysm_schur_table(mu, nu)
+                    for k in sorted({1, 2, 3, n}):
+                        poly = plethysm_poly(mu, nu, k)
+                        assert SymPoly(k, poly.coeffs) == poly
+                        got = decompose_schur(poly)
+                        assert got == peel_by_add_scaled(poly), (mu, nu, k)
+                        assert dict(got) == {lam: c for lam, c in table.items() if len(lam) <= k}, (mu, nu, k)
+
+
+def test_schur_poly_is_a_copy_of_the_kostka_row():
+    poly = schur_poly((2, 1), 3)
+    poly.coeffs[(2, 1)] = 5
+    assert schur_poly((2, 1), 3).coeffs == {(2, 1): 1, (1, 1, 1): 2}
+    with pytest.raises(ValueError, match="variable count"):
+        schur_poly((2,), 0)
 
 
 def test_decompose_roundtrip_random_positive_combinations():

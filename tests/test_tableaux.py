@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plethtomo import tableaux
 from plethtomo.partitions import canonical, compositions_of, is_partition, pad, partitions_of, transpose
 from plethtomo.tableaux import (
     KOSTKA_MAXSIZE,
+    KOSTKA_ROWS_MAXSIZE,
     STRIP_TABLES_MAXSIZE,
+    _kostka_row,
     _strip_table,
     count_weighted_ssyt,
     dim_weyl,
@@ -109,9 +112,48 @@ def test_strip_tables_are_bounded():
     assert _strip_table.cache_info().maxsize == STRIP_TABLES_MAXSIZE
 
 
+def test_kostka_rows_are_bounded():
+    assert _kostka_row.cache_info().maxsize == KOSTKA_ROWS_MAXSIZE
+
+
 def test_kostka_row_is_monomial_expansion():
     row = kostka_row((2, 1), 3)
     assert row == {(2, 1): 1, (1, 1, 1): 2}
+
+
+def test_kostka_row_matches_per_weight_kostka():
+    # the prefix-sharing walk against one single-weight DP per pi, keys in
+    # the order of partitions_of, on every shape of size <= 10 and every
+    # alphabet up to one letter more than boxes
+    for n in range(11):
+        for lam in partitions_of(n):
+            for k in range(n + 2):
+                want = {pi: c for pi in partitions_of(n, max_parts=k) if (c := kostka(lam, pi))}
+                got = kostka_row(lam, k)
+                assert got == want and list(got) == list(want), (lam, k)
+
+
+def test_kostka_row_is_a_copy_of_the_memo():
+    row = kostka_row((3, 1), 4)
+    row[(3, 1)] = 7
+    assert kostka_row((3, 1), 4)[(3, 1)] == 1
+
+
+def test_warm_kostka_rows_step_no_strip(monkeypatch):
+    # kostka_row and ssyt_weights read one row memo: once a row is walked,
+    # neither steps a strip for it again, at any k of |mu| or more
+    mu = (4, 2, 1)
+    row, weights = kostka_row(mu, 7), ssyt_weights(mu, 4)
+
+    def refuse(*args):
+        raise AssertionError("a warm Kostka row stepped a strip")
+
+    monkeypatch.setattr(tableaux, "_strip_step", refuse)
+    assert kostka_row(mu, 7) == kostka_row(mu, 9) == row
+    assert ssyt_weights(mu, 4) == weights
+    assert len(ssyt_weights(mu, 8)) == dim_weyl(mu, 8)
+    with pytest.raises(AssertionError, match="warm Kostka row"):
+        kostka_row(mu, 5)
 
 
 def brute_weighted_count(mu, letters, target):
@@ -251,6 +293,16 @@ def test_ssyt_weights_walk_only_entries_up_to_the_first_row():
             for k in range(6):
                 assert ssyt_weights(shape, k) == unbounded_ssyt_weights(shape, k), (shape, k)
                 for bound in itertools.product(range(4), repeat=k):
+                    assert ssyt_weights(shape, k, bound) == unbounded_ssyt_weights(shape, k, bound), (shape, k, bound)
+
+
+def test_ssyt_weights_read_the_rows_the_per_weight_kostka_gives():
+    # ssyt_weights reads shape's Kostka row; the oracle reads kostka weight
+    # by weight over every composition under the bound
+    for n in range(7):
+        for shape in partitions_of(n):
+            for k in range(6):
+                for bound in (None, (2,) * k, tuple(range(k, 0, -1)), (3, 0, 1, 2, 1)[:k]):
                     assert ssyt_weights(shape, k, bound) == unbounded_ssyt_weights(shape, k, bound), (shape, k, bound)
 
 
@@ -395,14 +447,14 @@ def test_kostka_is_the_weighted_count_over_unit_letters(data):
 
 
 def test_strip_table_under_concurrent_callers():
-    # four threads fill one cold strip table through both DPs; each must
-    # get the serial answers
+    # four threads fill one cold strip table through both DPs, and one cold
+    # Kostka row; each must get the serial answers
     mu, k = (6, 5, 4, 3, 2, 1), 7
     letters = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1)]
     targets = [(7, 7, 7), (8, 7, 6), (5, 8, 8)]
     want = (kostka_row(mu, k), [count_weighted_ssyt(mu, letters, t) for t in targets])
     _strip_table.cache_clear()
-    kostka.cache_clear()
+    _kostka_row.cache_clear()
     got, errors = [], []
 
     def work(first_row):
