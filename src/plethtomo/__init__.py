@@ -25,8 +25,8 @@ from .partitions import (
     transpose,
 )
 from .reductions import (
+    TRIVIAL_NO_INSTANCE,
     PlethysmInstance,
-    TriviallyZero,
     embed_pyramid_3d,
     gamma_embed,
     gamma_extract,

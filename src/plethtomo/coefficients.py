@@ -87,7 +87,7 @@ classes (characters.kronecker).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
 
@@ -458,7 +458,7 @@ def plethysm_coeff(lam: Partition, n: int, m: int, variant: Variant) -> Coeffici
     if m == 2:
         return CoefficientResult(int(_in_m2_support(lam, variant)), peeled + "closed-form")
     res = general_plethysm(lam, outer_shape(n if m else min(n, 2), variant), (m,))
-    return replace(res, method=peeled + res.method) if peeled else res
+    return CoefficientResult(res.value, peeled + res.method) if peeled else res
 
 
 def _in_m2_support(lam: Partition, variant: Variant) -> bool:

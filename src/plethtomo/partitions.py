@@ -234,8 +234,8 @@ def format_partition(c: Composition) -> str:
 
 
 class FrozenRecord:
-    """Base of the package's immutable records (XRayInstance2D, SymInstance,
-    PlethysmInstance, TriviallyZero, PsiDecomposition,
+    """Base of the package's five immutable records (XRayInstance2D,
+    SymInstance, PlethysmInstance, PsiDecomposition,
     KroneckerPlethysmTriple).  A record's fields are its __slots__, in the
     order its own __init__ takes them; the __init__ sets each one through
     object.__setattr__.  A record refuses assignment and deletion with

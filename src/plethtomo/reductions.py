@@ -59,32 +59,23 @@ class PlethysmInstance(FrozenRecord):
         object.__setattr__(self, "variant", variant)
 
 
-class TriviallyZero(FrozenRecord):
-    """A query whose coefficient is 0, and why."""
-
-    __slots__ = ("reason",)
-
-    def __init__(self, reason: str):
-        object.__setattr__(self, "reason", reason)
-
-
-# the designated no-instance: its coefficient is 0
+# the designated no-instance: its coefficient b_(2,1)(1,3) is 0
 TRIVIAL_NO_INSTANCE = PlethysmInstance((2, 1), 1, 3, "b")
 
 
-def inner_lift(lam: Partition, n: int, m: int, variant: Variant) -> PlethysmInstance | TriviallyZero:
+def inner_lift(lam: Partition, n: int, m: int, variant: Variant) -> PlethysmInstance:
     """Trade the inner degree m for m+1 while swapping the coefficient
     family: the a-coefficient of lam at (n,m) equals the b-coefficient at
     (n,m+1) of the transpose of (n, lam^t), and symmetrically.
 
-    Shapes taller than n carry coefficient 0 and are reported as such.
+    Shapes taller than n carry coefficient 0 and map to TRIVIAL_NO_INSTANCE.
     """
     outer_shape(n, variant)
     lam = partition(lam)
     if sum(lam) != n * m:
         raise ValueError(f"|lam|={sum(lam)} != n*m={n * m}")
     if len(lam) > n:
-        return TriviallyZero(f"height {len(lam)} exceeds outer degree {n}")
+        return TRIVIAL_NO_INSTANCE
     pi = transpose((n,) + _transpose(lam))
     return PlethysmInstance(pi, n, m + 1, "b" if variant == "a" else "a")
 

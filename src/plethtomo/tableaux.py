@@ -15,8 +15,8 @@ over the partitions pi with at most k parts, is one memoized walk per
 (mu, k) (_kostka_row): the strip DP runs one part of pi at a time, on
 strips of that part's size only, and each prefix's states are carried to
 all its extensions, so a prefix that many pi share is stepped once.
-kostka_row, ssyt_weights and the Schur peel (sympoly) read that one row
-memo; kostka, the single-number entry, is the same DP along one weight,
+ssyt_weights and, in sympoly, schur_poly and the Schur peel read that one
+row memo; kostka, the single-number entry, is the same DP along one weight,
 through the same step.  Both DPs read their strips from one table per
 shape mu, keyed by subshape and strip size and filled on first use: a
 Kostka row, an ssyt_weights alphabet, a Schur peel and every weighted
@@ -41,7 +41,7 @@ KOSTKA_MAXSIZE = 16384
 
 KOSTKA_ROWS_MAXSIZE = 1024
 """Bound of the Kostka row memo (_kostka_row), one row per (shape, k) with
-k capped at |shape|, that kostka_row, ssyt_weights and the Schur peel
+k capped at |shape|, that ssyt_weights, schur_poly and the Schur peel
 read.  A round of plethysm_sweep, bounds_sandwich and chain_resolve makes
 46, 4 and 0 rows; the Schur peeling self-check over all |mu||nu| <= 12
 makes 327.  The rows of every lam of size <= 12 at every k, 1706 of them,
@@ -136,7 +136,7 @@ def kostka(mu: Partition, weight: Composition) -> int:
     (Macdonald I.6), which is tested first.  Otherwise the strip DP of
     _kostka_row's walk along this one weight, one letter at a time through
     the same step (_strip_step), on mu's _strip_table; no tableaux are
-    materialized.  The library's own rows (kostka_row, ssyt_weights, the
+    materialized.  The library's own rows (ssyt_weights, schur_poly, the
     Schur peel) read _kostka_row, not this memo.
     """
     mu = partition(mu)
@@ -215,7 +215,7 @@ def ssyt_weights(shape: Partition, k: int, bound: Composition | None = None) -> 
     ``bound`` given, only weights entrywise <= bound.  No tableau is filled:
     every composition w of |shape| appears K_{shape,w} times, and Kostka
     numbers are symmetric in the weight, so each is read off shape's Kostka
-    row (_kostka_row, the memo kostka_row reads too) at w sorted.  A value
+    row (_kostka_row, the memo schur_poly reads too) at w sorted.  A value
     fills at most one box of each column, so only compositions with every
     entry <= shape[0] are walked; the others have K_{shape,w} = 0 (over a
     column shape, only 0/1 vectors).
@@ -329,12 +329,3 @@ def dim_weyl(lam: Partition, k: int) -> int:
             num *= k + j - i
             den *= row - j + conj[j] - i - 1
     return num // den
-
-
-def kostka_row(nu: Partition, k: int) -> dict[Partition, int]:
-    """All nonzero Kostka numbers K_{nu,pi} over partitions pi of |nu| with
-    at most k parts, i.e. the monomial expansion of the Schur polynomial,
-    in the order of partitions_of.  A copy of _kostka_row's memoized row,
-    filled by one strip-table walk per (nu, k) with k capped at |nu|."""
-    nu, k = partition(nu), _alphabet_size(k)
-    return dict(_kostka_row(nu, min(k, sum(nu))))

@@ -10,11 +10,18 @@ that every character sum and Schur table reads; and only the functions that
 evaluate a character build a beta mask.  The package's records are plain
 slots classes: `CoefficientResult` is its one dataclass, and `coefficients`
 the one module that imports `dataclasses`, whose import a fresh CLI process
-pays for at start-up.
+pays for at start-up.  The memos that the scan finds are the ones the test
+fixture empties; each module imports only from a lower level, but for one
+pending import; and every public function or class has a reader in the
+package (`__init__` aside) or in `perfbench/`, unless a commented keep-list
+names it.
 """
 
 import ast
+import importlib
 from pathlib import Path
+
+from conftest import MEMOS
 
 import plethtomo
 
@@ -196,3 +203,130 @@ def test_one_dataclass_and_one_dataclasses_import():
             importers.append(path.stem)
     assert classes == {"CoefficientResult": "coefficients"}
     assert importers == ["coefficients"]
+
+
+def test_every_memo_is_emptied_before_each_test():
+    package = Path(plethtomo.__file__).parent
+    emptied = {id(memo) for memo in MEMOS}
+    missed = [
+        f"{path.stem}.{name}"
+        for path in sorted(package.glob("*.py"))
+        for name in memos(ast.parse(path.read_text(encoding="utf-8")))
+        if id(getattr(importlib.import_module(f"plethtomo.{path.stem}"), name)) not in emptied
+    ]
+    assert not missed, f"the test fixture does not empty the memos {missed}"
+
+
+def test_every_memo_starts_empty():
+    # the fixture has run: no memo holds an entry that an earlier test left
+    held = [
+        getattr(memo, "__qualname__", "a dict memo")
+        for memo in MEMOS
+        if (len(memo) if isinstance(memo, dict) else memo.cache_info().currsize)
+    ]
+    assert not held, f"memos not emptied: {held}"
+
+
+# the import levels of the modules: a module imports only from a lower one
+LEVELS = {
+    "partitions": 1,
+    "tableaux": 2,
+    "characters": 2,
+    "tomography": 2,
+    "coefficients": 3,
+    "reductions": 4,
+    "restricted": 4,
+    "sympoly": 4,
+    "cli": 5,
+}
+# the one import that is not from a lower level yet: characters reads
+# SizeCapError from tomography (ROADMAP item 1 moves the class to
+# partitions together with the benchmark's ready-probe fix)
+PENDING_UPWARD = ["characters -> tomography"]
+
+
+def package_imports(tree: ast.Module) -> list[tuple[str, list[str]]]:
+    """(module, names) of every `from .x import` of a module, at any depth;
+    the module is "" for `from . import`."""
+    return [(node.module or "", [alias.name for alias in node.names]) for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1]
+
+
+def test_scan_finds_package_imports():
+    source = "import os\nfrom . import __version__\nfrom .a import b, c\ndef f():\n    from .d import e\nfrom os import path\n"
+    assert package_imports(ast.parse(source)) == [("", ["__version__"]), ("a", ["b", "c"]), ("d", ["e"])]
+
+
+def test_modules_import_only_from_lower_levels():
+    package = Path(plethtomo.__file__).parent
+    upward = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem in ("__init__", "__main__"):
+            continue
+        assert path.stem in LEVELS, f"{path.stem} has no import level"
+        for module, names in package_imports(ast.parse(path.read_text(encoding="utf-8"))):
+            # cli reads the package's __version__
+            if (path.stem, module, names) == ("cli", "", ["__version__"]):
+                continue
+            if LEVELS.get(module, LEVELS[path.stem]) >= LEVELS[path.stem]:
+                upward.append(f"{path.stem} -> {module or '.'}")
+    assert upward == PENDING_UPWARD, f"imports not from a lower level: {upward}"
+
+
+# public names that nothing in src/ but __init__, and nothing in perfbench/,
+# reads; each stays on purpose
+KEPT_PUBLIC = {
+    # the paper's maps and checkers: the witness maps of the symmetrization,
+    # the pyramid and promise tests, the degree lift and the last stage
+    "gamma_embed",
+    "gamma_extract",
+    "is_pyramid",
+    "inner_lift",
+    "promise_to_plethysm",
+    "is_promise_instance",
+    # the S_n character value, the one public character entry
+    "sn_character",
+    # the Schur polynomial, until sympoly's public surface is settled
+    # (ROADMAP item 1)
+    "schur_poly",
+}
+
+
+def public_definitions(tree: ast.Module) -> list[str]:
+    """The public functions and classes defined at a module's top level."""
+    return [node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
+
+
+def references(tree: ast.Module) -> set[str]:
+    """Every name a module reads, bare or as an attribute, outside the
+    definition of that same name (a recursive call is not a reader)."""
+    found = set()
+    for stmt in tree.body:
+        own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(stmt):
+            if isinstance(getattr(node, "ctx", None), ast.Load):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name not in (None, own):
+                    found.add(name)
+    return found
+
+
+def test_scan_finds_public_definitions_and_references():
+    source = "import m\nX = 1\ndef f(n):\n    return f(n - 1)\ndef _g():\n    return m.h(f)\nclass C:\n    pass\n"
+    tree = ast.parse(source)
+    assert public_definitions(tree) == ["f", "C"]
+    assert references(tree) == {"m", "h", "f", "n"}
+
+
+def test_every_public_name_has_a_reader():
+    package = Path(plethtomo.__file__).parent
+    defined, read = {}, set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined.update(dict.fromkeys(public_definitions(tree), path.stem))
+        if path.stem != "__init__":
+            read |= references(tree)
+    for path in sorted((README.parent / "perfbench").glob("*.py")):
+        read |= references(ast.parse(path.read_text(encoding="utf-8")))
+    unread = sorted(f"{module}.{name}" for name, module in defined.items() if name not in read | KEPT_PUBLIC)
+    assert not unread, f"public names that nothing reads: {unread}"
+    assert KEPT_PUBLIC <= defined.keys()

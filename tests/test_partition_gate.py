@@ -38,7 +38,6 @@ GATED = [
     (tableaux.ssyt_weights, ((2, 1), 3), [0]),
     (tableaux.count_weighted_ssyt, ((2, 1), [(1,)], (3,)), [0]),
     (tableaux.dim_weyl, ((2, 1), 3), [0]),
-    (tableaux.kostka_row, ((2, 1), 3), [0]),
     (sympoly.schur_poly, ((2, 1), 3), [0]),
     (sympoly_key, (3, (2, 1)), [1]),
     (reductions.inner_lift, ((2, 1), 3, 1, "a"), [0]),

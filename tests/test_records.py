@@ -1,4 +1,4 @@
-"""The contract of the package's six immutable records: construction,
+"""The contract of the package's five immutable records: construction,
 validation, equality, hashing, repr, immutability, pickling and copying.
 
 The records were frozen dataclasses; they are now plain slots classes on
@@ -16,8 +16,6 @@ from plethtomo.partitions import FrozenRecord
 from plethtomo.reductions import (
     KroneckerPlethysmTriple,
     PlethysmInstance,
-    TriviallyZero,
-    inner_lift,
     kronecker_plethysm_triple,
 )
 from plethtomo.restricted import PsiDecomposition, psi_decompose
@@ -47,12 +45,6 @@ CASES = {
         PlethysmInstance((2, 1), 1, 3, "a"),
         "PlethysmInstance(lam=(2, 1), n=1, m=3, variant='b')",
     ),
-    "TriviallyZero": (
-        inner_lift((3, 1, 1, 1), 3, 2, "a"),
-        TriviallyZero(reason="height 4 exceeds outer degree 3"),
-        TriviallyZero("height 5 exceeds outer degree 3"),
-        "TriviallyZero(reason='height 4 exceeds outer degree 3')",
-    ),
     "PsiDecomposition": (
         psi_decompose((3, 2), "wedge"),
         PsiDecomposition(
@@ -79,7 +71,8 @@ def fields(record):
     return {name: getattr(record, name) for name in type(record).__slots__}
 
 
-def test_six_records_on_one_base():
+def test_five_records_on_one_base():
+    assert len(CASES) == 5
     assert {type(case[0]) for case in CASES.values()} == {cls for cls in FrozenRecord.__subclasses__() if cls.__module__.startswith("plethtomo")}
     assert all(type(case[0]).__name__ == name for name, case in CASES.items())
 

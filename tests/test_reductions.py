@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_tomography import full_simplex
 
+import plethtomo
 from plethtomo import reductions
 from plethtomo.characters import kronecker as character_kronecker
 from plethtomo.coefficients import CoefficientResult, _family_cone, general_plethysm, kronecker, outer_shape, plethysm_coeff
@@ -16,7 +17,6 @@ from plethtomo.reductions import (
     REDUCE_R_MAX,
     TRIVIAL_NO_INSTANCE,
     PlethysmInstance,
-    TriviallyZero,
     _promise_query,
     embed_pyramid_3d,
     gamma_embed,
@@ -62,13 +62,21 @@ def test_inner_lift_example():
 
 def test_inner_lift_tall_shape_is_zero():
     lifted = inner_lift((2, 2, 2), 2, 3, "a")
-    assert isinstance(lifted, TriviallyZero)
+    assert lifted == TRIVIAL_NO_INSTANCE
     # and the coefficient really is zero, by a route that does not apply
     # plethysm_coeff's height-zero row
     assert _unpeeled((2, 2, 2), 2, 3, "a") == 0
     lifted_b = inner_lift((1, 1, 1), 1, 3, "b")
-    assert isinstance(lifted_b, TriviallyZero)
+    assert lifted_b == TRIVIAL_NO_INSTANCE
     assert _unpeeled((1, 1, 1), 1, 3, "b") == 0
+
+
+def test_the_package_exports_the_zero_instance():
+    # in place of a zero record: b_(2,1)(1,3) = 0 by the peel and without it
+    assert plethtomo.TRIVIAL_NO_INSTANCE is TRIVIAL_NO_INSTANCE
+    assert not hasattr(plethtomo, "TriviallyZero") and not hasattr(reductions, "TriviallyZero")
+    query = (TRIVIAL_NO_INSTANCE.lam, TRIVIAL_NO_INSTANCE.n, TRIVIAL_NO_INSTANCE.m, TRIVIAL_NO_INSTANCE.variant)
+    assert plethysm_coeff(*query).value == _unpeeled(*query) == 0
 
 
 def test_inner_lift_rejects_size_mismatch():
@@ -89,8 +97,6 @@ def _unpeeled(lam, n, m, variant):
 
 def _lift_value(lam, n, m, variant):
     lifted = inner_lift(lam, n, m, variant)
-    if isinstance(lifted, TriviallyZero):
-        return 0
     return _unpeeled(lifted.lam, lifted.n, lifted.m, lifted.variant)
 
 
@@ -122,6 +128,25 @@ def test_plethysm_coeff_peels_the_inner_lift_back(query):
     got = plethysm_coeff(lifted.lam, lifted.n, lifted.m, lifted.variant)
     assert got.method.startswith("column-peel+") or got.method == "promise-pyramid-count"
     assert got.value == _unpeeled(*query)
+
+
+def test_inner_lift_sweep_keeps_every_coefficient():
+    # every query with n <= 6 and nm <= 20, both families: the lift is an
+    # instance, the zero instance exactly for a shape taller than n, and
+    # its coefficient is the query's un-peeled one
+    queries = tall = 0
+    for n in range(1, 7):
+        for m in range(20 // n + 1):
+            for lam in partitions_of(n * m):
+                for variant in "ab":
+                    lifted = inner_lift(lam, n, m, variant)
+                    assert type(lifted) is PlethysmInstance
+                    assert (lifted == TRIVIAL_NO_INSTANCE) == (len(lam) > n), (lam, n, m, variant)
+                    got = plethysm_coeff(lifted.lam, lifted.n, lifted.m, lifted.variant).value
+                    assert got == _unpeeled(lam, n, m, variant), (lam, n, m, variant)
+                    queries += 1
+                    tall += len(lam) > n
+    assert (queries, tall) == (14450, 12444)
 
 
 # ---------------------------------------------------------------------------
