@@ -17,9 +17,10 @@ tuples (partitions, where they say so) as they are, and are called only on
 data that a public entry has already checked; `nonincreasing` is the
 partition test for such a tuple.  The per-entry loops run in C builtins
 (min, map, sorted, bisect) rather than in Python loops; `partition` passes
-a tuple that is already a partition after one such pass (its last entry
-positive and all(map(operator.ge, ...)) over adjacent entries), and only
-other input goes through `canonical` and `nonincreasing`.
+a tuple that is already a partition of ints after such passes (an int sum,
+its last entry positive and all(map(operator.ge, ...)) over adjacent
+entries), and only other input goes through `canonical` and
+`nonincreasing`; an entry that is not an int is not a partition.
 
 FrozenRecord, the base of the package's immutable records, lives here, in
 the leaf module that every module defining a record imports.
@@ -66,21 +67,24 @@ def nonincreasing(p: Composition) -> bool:
 
 def partition(parts: Iterable[int]) -> Partition:
     """The canonical form of a shape argument; ValueError unless it is a
-    partition.
+    partition of ints.
 
-    A tuple that is already a partition (empty, or positive last entry and
-    no increase, tested in one pass) is returned as it is; anything else
-    goes through canonical and nonincreasing, which raise every error."""
+    A tuple that is already a partition (empty, or an int sum, positive
+    last entry and no increase, each tested in one C pass) is returned as
+    it is: a sum of ints is an int, and any other number in it makes the
+    sum another type.  Anything else takes its entries through
+    operator.index, then canonical and nonincreasing, which raise every
+    error."""
     lam = tuple(parts)
     try:
-        if not lam or (lam[-1] > 0 and all(map(operator.ge, lam, lam[1:]))):
+        if not lam or (type(sum(lam)) is int and lam[-1] > 0 and all(map(operator.ge, lam, lam[1:]))):
             return lam
+        out = canonical(map(operator.index, lam))
     except TypeError:
-        pass
-    lam = canonical(lam)
-    if not nonincreasing(lam):
-        raise ValueError(f"{lam} is not a partition")
-    return lam
+        out = None
+    if out is None or not nonincreasing(out):
+        raise ValueError(f"{lam if out is None else out} is not a partition")
+    return out
 
 
 def is_partition(c: Iterable[int]) -> bool:

@@ -10,20 +10,15 @@ weights as compositions with Kostka multiplicities; for restricted
 plethysms they are cone points.  No tableau is ever filled here.
 
 Kostka numbers K_{mu,w} are zero unless mu dominates w sorted in
-decreasing order (Macdonald I.6).  A Kostka row, every nonzero K_{mu,pi}
-over the partitions pi with at most k parts, is one memoized walk per
-(mu, k) (_kostka_row): the strip DP runs one part of pi at a time, on
-strips of that part's size only, and each prefix's states are carried to
-all its extensions, so a prefix that many pi share is stepped once.
-ssyt_weights and, in sympoly, schur_poly and the Schur peel read that one
-row memo; kostka, the single-number entry, is the same DP along one weight,
-through the same step.  Both DPs read their strips from one table per
-shape mu, keyed by subshape and strip size and filled on first use: a
-Kostka row, an ssyt_weights alphabet, a Schur peel and every weighted
-count on mu fill each entry once.  An entry is filled by code arithmetic:
-the subshape's code is decoded once, and the codes of its strips, grouped
-by size, come out of one convolution of the choices each row (or column
-run) leaves, with no strip built as a shape.
+decreasing order (Macdonald I.6), and symmetric in w.  A Kostka row, every
+nonzero K_{mu,pi} over the partitions pi with at most k parts, is one
+memoized walk per (mu, k) (_kostka_row) that peels pi's parts off mu from
+the smallest up, one horizontal strip each (Macdonald I.5): the parts that
+many pi share are peeled once.  kostka peels along its one weight.  Both
+read the strips from one memo keyed by shape alone (_strip_removals), and
+ssyt_weights and, in sympoly, schur_poly and the Schur peel read the rows.
+count_weighted_ssyt reads its strips from one table per shape mu
+(_strip_table), filled on first use with no strip built as a shape.
 """
 
 from __future__ import annotations
@@ -33,7 +28,7 @@ import operator
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .partitions import Composition, Partition, _transpose, canonical, compositions_of, pad, partition
+from .partitions import Composition, Partition, _transpose, canonical, compositions_of, pad, partition, partitions_of
 
 # bound of the single-number Kostka memo (kostka), which only direct
 # callers fill: the package's own rows read _kostka_row
@@ -43,25 +38,26 @@ KOSTKA_ROWS_MAXSIZE = 1024
 """Bound of the Kostka row memo (_kostka_row), one row per (shape, k) with
 k capped at |shape|, that ssyt_weights, schur_poly and the Schur peel
 read.  A round of plethysm_sweep, bounds_sandwich and chain_resolve makes
-46, 4 and 0 rows; the Schur peeling self-check over all |mu||nu| <= 12
-makes 327.  The rows of every lam of size <= 12 at every k, 1706 of them,
-hold about 4 MB (tracemalloc)."""
+46 (on 44 shapes), 4 and 0 rows; the Schur peeling self-check over all
+|mu||nu| <= 12 makes 1074.  The rows of every lam of size <= 12 at every
+k, 1706 of them, hold about 4 MB (tracemalloc)."""
+
+STRIP_REMOVALS_MAXSIZE = 4096
+"""Bound of the strip-removal memo (_strip_removals), one entry per shape
+that a Kostka row or kostka peels.  A round of plethysm_sweep makes 41;
+every row of size <= 12 at every k, 268 in 0.4 MB, and the row of
+(7,6,5,4,3,2,1) at k = 28, 1428 in 4.8 MB (tracemalloc)."""
 
 STRIP_TABLES_MAXSIZE = 256
-"""Bound of the strip tables, one per shape mu that a Kostka row, kostka or
-count_weighted_ssyt reads (_strip_table).  A round of plethysm_sweep,
-bounds_sandwich and chain_resolve makes 44, 6 and 0 tables; the Schur
-peeling self-check over all |mu||nu| <= 12 makes 271, holding 4.4 MB in
-all (sys.getsizeof over their dicts, tuples and ints).  It reads the
-weights of one shape in one run, so even at a bound of 32 it made no table
-twice.  The largest table it makes has 74 subshapes; a Kostka row of
-(7,6,5,4,3,2,1) over 28 letters fills one of 1429 subshapes and 2.4 MB."""
+"""Bound of the strip tables, one per shape mu that count_weighted_ssyt
+reads (_strip_table).  A round of plethysm_sweep, bounds_sandwich and
+chain_resolve makes 3, 4 and 0 tables."""
 
 
 @lru_cache(maxsize=STRIP_TABLES_MAXSIZE)
 def _strip_table(mu: Partition):
-    """(full, table, grow): the horizontal strips inside mu, shared by
-    the Kostka rows, kostka and count_weighted_ssyt.
+    """(full, table, grow): the horizontal strips inside mu, that the
+    calls of count_weighted_ssyt on mu share.
 
     A subshape of mu is one int, its row lengths in mixed radix with row i
     in [0, mu_i]; when mu has more rows than columns, the column heights of
@@ -72,13 +68,12 @@ def _strip_table(mu: Partition):
     subshape, so concurrent fills write equal entries.
 
     No strip is built as a shape: grow decodes alpha once and convolves, a
-    group of digits at a time, the (boxes added, code added) choices that
-    a horizontal strip (no two new boxes in one column) leaves each group.
-    In rows, row i grows by d in [0, min(mu_i, alpha_{i-1}) - alpha_i],
-    adding d r_i to the code.  In column heights, a column grows by at most
-    one box, and within a run of equal heights of alpha the columns with
-    room form a prefix, as do the grown ones (both shapes are partitions):
-    growing the first t adds t boxes and the sum of their radices.
+    group of digits at a time, the (boxes added, code added) choices that a
+    horizontal strip leaves each group.  In rows, row i grows by d in [0,
+    min(mu_i, alpha_{i-1}) - alpha_i], adding d r_i to the code.  In column
+    heights, a column grows by at most one box, and within a run of equal
+    heights of alpha the columns with room, and the grown ones, are a
+    prefix: growing the first t adds t boxes and the sum of their radices.
     """
     tall = len(mu) > mu[0]
     shape = _transpose(mu) if tall else mu
@@ -116,15 +111,37 @@ def _strip_table(mu: Partition):
     return sum(map(operator.mul, shape, radices)), table, grow
 
 
-def _strip_step(table: dict, grow, states: dict[int, int], count: int) -> dict[int, int]:
-    """The strip DP's one step: the states (subshape code -> number of
-    fillings) after a letter of ``count`` copies, each state taken along
-    its table's strips of that size (table and grow of _strip_table)."""
-    new: dict[int, int] = {}
+@lru_cache(maxsize=STRIP_REMOVALS_MAXSIZE)
+def _strip_removals(nu: Partition) -> dict[int, tuple[Partition, ...]]:
+    """{p: the shapes nu' with nu/nu' a horizontal strip of p > 0 boxes},
+    for every Kostka row and kostka.  nu_{i+1} <= nu'_i <= nu_i: only the
+    last row of each run of equal parts shrinks, by at most its drop to the
+    next run, and the shapes come out of one convolution of those choices."""
+    by_size = [[nu]]
+    for i, (m, below) in enumerate(zip(nu, nu[1:] + (0,))):
+        if m > below:
+            new = [[] for _ in range(len(by_size) + m - below)]
+            for d in range(m - below + 1):
+                cut = (m - d,) if m > d else ()
+                for s, shapes in enumerate(by_size, d):
+                    new[s] += [sh[:i] + cut + sh[i + 1 :] for sh in shapes] if d else shapes
+            by_size = new
+    return dict(zip(itertools.count(1), map(tuple, by_size[1:])))
+
+
+def _peel(states: dict[Partition, int], p: int, most: int) -> dict[Partition, int]:
+    """The states (shape -> fillings) after a letter of p copies: each
+    shape less each horizontal strip of p boxes (_strip_removals), if at
+    most ``most`` rows are left, as each row needs one more letter."""
+    new: dict[Partition, int] = {}
     get = new.get
-    for a, cnt in states.items():
-        for b in (table.get(a) or grow(a)).get(count, ()):
-            new[b] = get(b, 0) + cnt
+    for nu, cnt in states.items():
+        shapes = _strip_removals(nu).get(p, ())
+        if len(nu) > most:
+            # a strip empties at most the last row
+            shapes = [rest for rest in shapes if len(rest) <= most] if len(nu) == most + 1 else ()
+        for rest in shapes:
+            new[rest] = get(rest, 0) + cnt
     return new
 
 
@@ -133,27 +150,21 @@ def kostka(mu: Partition, weight: Composition) -> int:
     """Number of SSYT of shape mu and weight ``weight`` (Kostka number).
 
     Zero unless mu dominates the weight sorted in decreasing order
-    (Macdonald I.6), which is tested first.  Otherwise the strip DP of
-    _kostka_row's walk along this one weight, one letter at a time through
-    the same step (_strip_step), on mu's _strip_table; no tableaux are
-    materialized.  The library's own rows (ssyt_weights, schur_poly, the
-    Schur peel) read _kostka_row, not this memo.
+    (Macdonald I.6), which is tested first.  Otherwise the letters are
+    peeled off mu smallest first, one horizontal strip each (_peel), as in
+    _kostka_row.  The library's own rows read _kostka_row, not this memo.
     """
     mu = partition(mu)
     w = canonical(weight)
     if sum(mu) != sum(w):
         raise ValueError(f"|mu|={sum(mu)} != |weight|={sum(w)}")
-    if not mu:
-        return 1
     if any(m < v for m, v in zip(itertools.accumulate(mu), itertools.accumulate(sorted(w, reverse=True)))):
         return 0
-    full, table, grow = _strip_table(mu)
-    states = {0: 1}
-    for letter_count in w:
-        states = _strip_step(table, grow, states, letter_count)
-        if not states:
-            return 0
-    return states.get(full, 0)
+    letters = sorted(filter(None, w))
+    states = {mu: 1}
+    for i, p in enumerate(letters, 1):
+        states = _peel(states, p, len(letters) - i)
+    return states.get((), 0)
 
 
 @lru_cache(maxsize=KOSTKA_ROWS_MAXSIZE)
@@ -163,42 +174,32 @@ def _kostka_row(mu: Partition, k: int) -> dict[Partition, int]:
     in [0, |mu|] (callers cap it: more parts than boxes cannot occur).
     Callers read the dict and never change it.
 
-    The entries are exactly the nonzero Kostka numbers of the row
-    (Macdonald I.6), found by one explicit-stack walk over those pi in
-    prefix order.  A stack entry is a prefix of pi with the strip-DP states
-    it reaches on mu's _strip_table; each extension by one more part p
-    takes those states one _strip_step further, so a prefix that many pi
-    share is stepped once.  Parts run largest first (popped first), from
-    the most that dominance allows (a prefix's partial sums stay within
-    mu's) down to the least that still fits the rest into the remaining
-    parts.  The largest extension, p = all that is left, is the only one
-    that ends pi, so it is recorded at once, before its smaller siblings'
-    subtrees: that keeps partitions_of's order.
+    A one-row mu has every such pi at K = 1, a one-column mu only (1^n).
+    Otherwise one explicit-stack walk over pi's parts from the smallest up:
+    K is symmetric in the weight, so the largest letter may carry pi's
+    smallest part, in a horizontal strip at mu's rim (Macdonald I.5).  A
+    stack entry is the parts taken so far with the shapes (and counts)
+    their strips leave, which each next part p, at least the last, peels
+    (_peel).  A shape of h rows needs h more parts, each at least p, and
+    pi has at most k: every state kept can be finished, and the last part
+    empties a one-row state.  The walk ends no pi in order: it is sorted.
     """
     n = sum(mu)
     if len(mu) > k:
         return {}
-    if not mu:
-        return {(): 1}
-    full, table, grow = _strip_table(mu)
-    limits = tuple(itertools.accumulate(mu)) + (n,) * (k - len(mu))
+    if len(mu) < 2 or mu[0] == 1:
+        return dict.fromkeys(partitions_of(n, max_parts=k) if len(mu) == 1 else (mu,), 1)
     row: dict[Partition, int] = {}
-    stack: list[tuple[Partition, int, dict[int, int]]] = [((), n, {0: 1})]
+    stack: list[tuple[Partition, int, dict[Partition, int]]] = [((), n, {mu: 1})]
     while stack:
-        prefix, left, states = stack.pop()
-        j = len(prefix)
-        top = min(prefix[-1] if prefix else left, left, limits[j] - n + left)
-        low = -(-left // (k - j))
-        if top == left:
-            count = _strip_step(table, grow, states, left).get(full)
-            if count:
-                row[prefix + (left,)] = count
-            top -= 1
-        for p in range(low, top + 1):
-            new = _strip_step(table, grow, states, p)
+        parts, left, states = stack.pop()
+        if count := states.get((left,)):
+            row[(left,) + parts] = count
+        for p in range(parts[0] if parts else 1, left // max(2, min(map(len, states))) + 1):
+            new = _peel(states, p, min((left - p) // p, k - len(parts) - 1))
             if new:
-                stack.append((prefix + (p,), left - p, new))
-    return row
+                stack.append(((p,) + parts, left - p, new))
+    return dict(sorted(row.items(), reverse=True))
 
 
 def _alphabet_size(k: int) -> int:
@@ -256,8 +257,7 @@ def count_weighted_ssyt(mu: Partition, letter_weights: Sequence[tuple[int, ...]]
     one field of b+1 bits per coordinate, holding acc_i + 2^b - 1 - target_i.
     A strip is one addition, a coordinate over its target sets its field's
     top bit, and a coordinate at its target reads 2^b - 1.  The strips come
-    from that table, so the calls on one mu, and its Kostka rows, fill each
-    subshape's entry once.
+    from that table, so the calls on one mu fill each subshape's entry once.
     """
     mu = partition(mu)
     target = tuple(target)

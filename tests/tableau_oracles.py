@@ -9,12 +9,15 @@ them on small shapes; cone_alphabet lists their letters, the cone points in
 a layer-by-layer order.  horizontal_strips and column_strips list the
 strips that the library's strip tables (tableaux._strip_table) hold as
 codes, one shape tuple per strip.  They are exponential and are not part
-of the library.
+of the library.  prefix_kostka_row is the Kostka row walk the library ran
+before it peeled strips off the shape: pi's parts largest first, growing
+strips on mu's strip table.
 """
 
 import itertools
 
 from plethtomo.partitions import canonical, pad
+from plethtomo.tableaux import _strip_table
 from plethtomo.restricted import _kind
 from plethtomo.tomography import in_cone
 
@@ -76,6 +79,57 @@ def column_strips(alpha, heights):
         for (first, h, _), t in zip(runs, fill):
             beta[first : first + t] = [h + 1] * t
         yield tuple(beta)
+
+
+def strip_step(table, grow, states, count):
+    """The strip DP's one step: the states (subshape code -> number of
+    fillings) after a letter of ``count`` copies, each state taken along
+    its table's strips of that size (table and grow of _strip_table)."""
+    new = {}
+    get = new.get
+    for a, cnt in states.items():
+        for b in (table.get(a) or grow(a)).get(count, ()):
+            new[b] = get(b, 0) + cnt
+    return new
+
+
+def prefix_kostka_row(mu, k):
+    """{pi: K_{mu,pi}} over the partitions pi of |mu| with at most k parts
+    that mu dominates, in the order of partitions_of; k in [0, |mu|].
+
+    One explicit-stack walk over those pi in prefix order.  A stack entry
+    is a prefix of pi with the strip-DP states it reaches on mu's strip
+    table; each extension by one more part p takes them one strip_step
+    further.  Parts run largest first (popped first), from the most that
+    dominance allows (a prefix's partial sums stay within mu's) down to
+    the least that still fits the rest into the remaining parts.  The
+    largest extension, p = all that is left, is the only one that ends pi,
+    so it is recorded at once, before its smaller siblings' subtrees: that
+    keeps partitions_of's order."""
+    n = sum(mu)
+    if len(mu) > k:
+        return {}
+    if not mu:
+        return {(): 1}
+    full, table, grow = _strip_table(mu)
+    limits = tuple(itertools.accumulate(mu)) + (n,) * (k - len(mu))
+    row = {}
+    stack = [((), n, {0: 1})]
+    while stack:
+        prefix, left, states = stack.pop()
+        j = len(prefix)
+        top = min(prefix[-1] if prefix else left, left, limits[j] - n + left)
+        low = -(-left // (k - j))
+        if top == left:
+            count = strip_step(table, grow, states, left).get(full)
+            if count:
+                row[prefix + (left,)] = count
+            top -= 1
+        for p in range(low, top + 1):
+            new = strip_step(table, grow, states, p)
+            if new:
+                stack.append((prefix + (p,), left - p, new))
+    return row
 
 
 def enumerate_ssyt(shape, alphabet_size):

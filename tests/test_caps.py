@@ -4,7 +4,8 @@ Every `raise SizeCapError` must sit directly under an `if` that compares
 against a module-level UPPER_CASE constant of its own module, so that each
 cap is one named number; and the README must name each of those constants.
 The README's Concurrency section must name every memo: each `lru_cache`
-function and each module-level dict that starts empty.  In `characters`,
+function and each module-level dict that starts empty.  Every `lru_cache`
+has a finite maxsize, but for a commented keep-list.  In `characters`,
 one per-size memo walks the partitions of n: `_classes`, the class table
 that every character sum and Schur table reads; and only the functions that
 evaluate a character build a beta mask.  The package's records are plain
@@ -125,9 +126,56 @@ def test_every_memo_is_named_in_the_readme_concurrency_section():
     found = set()
     for path in sorted(package.glob("*.py")):
         found.update(memos(ast.parse(path.read_text(encoding="utf-8"))))
-    assert {"_q_cache", "_letter_counts", "kostka", "_kostka_row", "_mn", "_pyramid_table", "pyramid_marginal", "_greedy_fill"} <= found
+    assert {"_q_cache", "_letter_counts", "kostka", "_kostka_row", "_strip_removals", "_mn", "_pyramid_table", "pyramid_marginal", "_greedy_fill"} <= found
     missing = sorted(name for name in found if f"`{name}`" not in section)
     assert not missing, f"the README's Concurrency section names no memo {missing}"
+
+
+# the memos with no bound, each on purpose: _mn, the Murnaghan-Nakayama
+# recursion's memo, whose sub-results every character sum shares (the
+# README's Concurrency section names it unbounded)
+UNBOUNDED_MEMOS = ["characters._mn"]
+
+
+def unbounded_caches(tree: ast.Module) -> list[str]:
+    """The functions of a module whose memo has no finite maxsize: an
+    `lru_cache` given maxsize None, by keyword or position, or `cache`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            for deco in node.decorator_list:
+                call = deco if isinstance(deco, ast.Call) else None
+                func = deco.func if call else deco
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "cache":
+                    found.append(node.name)
+                elif name == "lru_cache" and call is not None:
+                    sizes = call.args[:1] + [kw.value for kw in call.keywords if kw.arg == "maxsize"]
+                    if sizes and isinstance(sizes[0], ast.Constant) and sizes[0].value is None:
+                        found.append(node.name)
+    return found
+
+
+def test_scan_finds_unbounded_caches():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "CAP = 8\n"
+        "@lru_cache(maxsize=None)\ndef a(n): return n\n"
+        "@functools.lru_cache(None)\ndef b(n): return n\n"
+        "@cache\ndef c(n): return n\n"
+        "@lru_cache\ndef d(n): return n\n"
+        "@lru_cache()\ndef e(n): return n\n"
+        "@lru_cache(maxsize=CAP)\ndef f(n): return n\n"
+        "@functools.lru_cache(16)\ndef g(n): return n\n"
+    )
+    assert unbounded_caches(ast.parse(source)) == ["a", "b", "c"]
+
+
+def test_every_lru_cache_is_bounded():
+    package = Path(plethtomo.__file__).parent
+    found = [f"{path.stem}.{name}" for path in sorted(package.glob("*.py")) for name in unbounded_caches(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == UNBOUNDED_MEMOS, f"memos with no finite maxsize: {found}"
 
 
 def callers_of(tree: ast.Module, name: str) -> list[str]:

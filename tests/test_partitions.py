@@ -261,8 +261,12 @@ def test_canonical_and_is_partition_match_the_loops(xs):
 
 
 def two_step_partition(parts):
-    """partition's reference: canonical, then the nonincreasing test."""
-    lam = canonical(parts)
+    """partition's reference: every entry an int, then canonical, then the
+    nonincreasing test."""
+    lam = tuple(parts)
+    if not all(isinstance(v, int) for v in lam):
+        raise ValueError(f"{lam} is not a partition")
+    lam = canonical(lam)
     if not nonincreasing(lam):
         raise ValueError(f"{lam} is not a partition")
     return lam
@@ -302,6 +306,14 @@ def test_partition_matches_the_two_step_check(xs, as_list):
     assert raised(partition, arg) == want
     assert raised(partition, iter(xs)) == want
     assert partition(()) == partition([]) == ()
+
+
+@pytest.mark.parametrize("parts", [(1.5,), (2, 1.5), (2.0, 1), (3, None, 1), (2, "1"), (1.5, 2)])
+def test_partition_rejects_entries_that_are_not_ints(parts):
+    # a float partition used to pass the one-pass test as it was and fail
+    # later with a TypeError, wherever the entry was first used
+    with pytest.raises(ValueError, match=r"is not a partition$"):
+        partition(parts)
 
 
 @settings(max_examples=60, deadline=None, database=None)

@@ -14,15 +14,17 @@ from plethtomo.sympoly import schur_poly
 from plethtomo.tableaux import (
     KOSTKA_MAXSIZE,
     KOSTKA_ROWS_MAXSIZE,
+    STRIP_REMOVALS_MAXSIZE,
     STRIP_TABLES_MAXSIZE,
     _kostka_row,
+    _strip_removals,
     _strip_table,
     count_weighted_ssyt,
     dim_weyl,
     kostka,
     ssyt_weights,
 )
-from tableau_oracles import column_strips, enumerate_ssyt, horizontal_strips, tableau_weight
+from tableau_oracles import column_strips, enumerate_ssyt, horizontal_strips, prefix_kostka_row, tableau_weight
 
 
 def test_enumerate_ssyt_counts():
@@ -116,6 +118,28 @@ def test_kostka_rows_are_bounded():
     assert _kostka_row.cache_info().maxsize == KOSTKA_ROWS_MAXSIZE
 
 
+def test_strip_removals_are_bounded():
+    assert _strip_removals.cache_info().maxsize == STRIP_REMOVALS_MAXSIZE
+
+
+def test_strip_removals_are_the_oracle_strips():
+    # for every nu |- n <= 9: the shapes inside nu that the oracle grows
+    # into nu by one horizontal strip, by strip size, each once, and no
+    # entry for the empty strip
+    checked = 0
+    for n in range(10):
+        for nu in partitions_of(n):
+            want = {}
+            for alpha in itertools.product(*(range(m + 1) for m in nu)):
+                if is_partition(alpha) and nu in horizontal_strips(alpha, nu):
+                    want.setdefault(n - sum(alpha), []).append(canonical(alpha))
+            want.pop(0)
+            got = _strip_removals(nu)
+            assert {p: sorted(shapes) for p, shapes in got.items()} == {p: sorted(shapes) for p, shapes in want.items()}, nu
+            checked += sum(map(len, got.values()))
+    assert checked == 637
+
+
 def test_kostka_row_is_monomial_expansion():
     row = _kostka_row((2, 1), 3)
     assert row == {(2, 1): 1, (1, 1, 1): 2}
@@ -133,21 +157,50 @@ def test_kostka_row_matches_per_weight_kostka():
                 assert got == want and list(got) == list(want), (lam, k)
 
 
+def test_kostka_row_matches_the_prefix_walk():
+    # the strip-peeling walk against the prefix walk on the strip table,
+    # values and key order, on every shape of size <= 12 and every
+    # alphabet up to one letter more than boxes (the row capped at |lam|)
+    for n in range(13):
+        for lam in partitions_of(n):
+            for k in range(n + 2):
+                want = prefix_kostka_row(lam, min(k, n))
+                got = _kostka_row(lam, min(k, n))
+                assert got == want and list(got) == list(want), (lam, k)
+
+
+@pytest.mark.parametrize(
+    "lam,k",
+    [((5, 5, 5, 5), 20), ((10, 10), 20), ((6, 5, 4, 3, 2, 1), 21), ((7, 6, 5, 4, 3, 2, 1), 28), ((12, 10, 8), 30),
+     ((6, 6, 6, 6, 6), 30), ((200,), 3), ((3000,), 2), ((1,) * 300, 300)],
+)
+def test_cold_kostka_rows_match_the_prefix_walk(lam, k):
+    # long rows, one-row and one-column shapes among them, each cold
+    want = prefix_kostka_row(lam, k)
+    got = _kostka_row(lam, k)
+    assert got == want and list(got) == list(want)
+
+
 def test_warm_kostka_rows_step_no_strip(monkeypatch):
     # schur_poly and ssyt_weights read one row memo: once a row is walked,
-    # neither steps a strip for it again, at any k of |mu| or more
+    # neither reads a strip removal for it again, at any k of |mu| or
+    # more; a cold k builds removal entries
     mu = (4, 2, 1)
     row, weights = schur_poly(mu, 7).coeffs, ssyt_weights(mu, 4)
 
     def refuse(*args):
-        raise AssertionError("a warm Kostka row stepped a strip")
+        raise AssertionError("a warm Kostka row read a strip removal")
 
-    monkeypatch.setattr(tableaux, "_strip_step", refuse)
+    monkeypatch.setattr(tableaux, "_strip_removals", refuse)
     assert schur_poly(mu, 7).coeffs == schur_poly(mu, 9).coeffs == row
     assert ssyt_weights(mu, 4) == weights
     assert len(ssyt_weights(mu, 8)) == dim_weyl(mu, 8)
     with pytest.raises(AssertionError, match="warm Kostka row"):
         schur_poly(mu, 5)
+    monkeypatch.undo()
+    _strip_removals.cache_clear()
+    assert schur_poly(mu, 5).coeffs == {pi: c for pi, c in row.items() if len(pi) <= 5}
+    assert _strip_removals.cache_info().currsize > 0
 
 
 def brute_weighted_count(mu, letters, target):
@@ -337,8 +390,8 @@ def test_column_strips_are_the_transposed_horizontal_strips():
 
 
 def test_kostka_on_tall_shapes_matches_enumeration():
-    # more rows than columns takes the column-height DP; weights are
-    # compositions, zeros inside included
+    # more rows than columns; weights are compositions, zeros inside
+    # included
     checked = 0
     for n in range(1, 7):
         for mu in partitions_of(n):
@@ -353,10 +406,9 @@ def test_kostka_on_tall_shapes_matches_enumeration():
 
 def test_kostka_on_every_shape_and_its_transpose_matches_enumeration():
     # every lam |- n <= 6 right after lam', on every composition of n into
-    # n+1 parts, zeros inside included, with the strip tables kept
-    # throughout: a tall shape's column-strip table and its transpose's
-    # horizontal-strip table sit on the same tuple.  The DP runs on every
-    # call, past the Kostka memo.
+    # n+1 parts, zeros inside included, with the strip removals kept
+    # throughout, so later shapes peel through entries that earlier ones
+    # filled.  The peel runs on every call, past the Kostka memo.
     by_shape = {}
     checked = 0
     for n in range(1, 7):
@@ -406,18 +458,20 @@ def test_strip_tables_hold_the_oracle_strips():
     assert (entries, tall_entries) == (861, 365)
 
 
-def test_kostka_and_weighted_counts_share_one_strip_table():
-    # a Kostka number, then two weighted counts on the same shape: one
-    # table, and every entry the Kostka call filled is still the same
-    # object after the counts, so no subshape's strips were filled twice
+def test_weighted_counts_share_one_strip_table_that_kostka_never_reads():
+    # a Kostka number peels strip removals and makes no strip table; then
+    # two weighted counts on the same shape: one table, and every entry the
+    # first count filled is still the same object after the second, so no
+    # subshape's strips were filled twice
     mu = (3, 2, 1)
     letters = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]
     assert kostka.__wrapped__(mu, (2, 2, 1, 1)) == brute_weighted_count(mu, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], (2, 2, 1, 1))
+    assert _strip_table.cache_info().currsize == 0 < _strip_removals.cache_info().currsize
+    assert count_weighted_ssyt(mu, letters, (2, 2, 2)) == brute_weighted_count(mu, letters, (2, 2, 2))
     _, table, _ = _strip_table(mu)
     filled = dict(table)
     assert filled
-    for target in ((2, 2, 2), (3, 2, 1)):
-        assert count_weighted_ssyt(mu, letters, target) == brute_weighted_count(mu, letters, target)
+    assert count_weighted_ssyt(mu, letters, (3, 2, 1)) == brute_weighted_count(mu, letters, (3, 2, 1))
     assert _strip_table.cache_info().currsize == 1
     assert _strip_table(mu)[1] is table
     assert all(table[a] is entry for a, entry in filled.items())
@@ -426,12 +480,14 @@ def test_kostka_and_weighted_counts_share_one_strip_table():
 @settings(max_examples=150, deadline=None, database=None)
 @given(data=st.data())
 def test_kostka_is_the_weighted_count_over_unit_letters(data):
-    # either DP may fill the shared table first; wide and tall shapes alike
+    # the strip peel and the weighted count's strip table, either one run
+    # first on cold memos; wide and tall shapes alike
     mu = data.draw(st.sampled_from([p for n in range(1, 9) for p in partitions_of(n)]))
     k = data.draw(st.integers(1, sum(mu) + 1))
     weight = data.draw(st.sampled_from(list(compositions_of(sum(mu), k))))
     units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
     _strip_table.cache_clear()
+    _strip_removals.cache_clear()
     if data.draw(st.booleans()):
         want = kostka.__wrapped__(mu, canonical(weight))
         assert count_weighted_ssyt(mu, units, weight) == want
@@ -441,13 +497,15 @@ def test_kostka_is_the_weighted_count_over_unit_letters(data):
 
 
 def test_strip_table_under_concurrent_callers():
-    # four threads fill one cold strip table through both DPs, and one cold
-    # Kostka row; each must get the serial answers
+    # four threads fill one cold strip table through the weighted counts,
+    # and the cold strip removals through one cold Kostka row; each must
+    # get the serial answers
     mu, k = (6, 5, 4, 3, 2, 1), 7
     letters = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1)]
     targets = [(7, 7, 7), (8, 7, 6), (5, 8, 8)]
     want = (_kostka_row(mu, k), [count_weighted_ssyt(mu, letters, t) for t in targets])
     _strip_table.cache_clear()
+    _strip_removals.cache_clear()
     _kostka_row.cache_clear()
     got, errors = [], []
 
